@@ -2,13 +2,54 @@
 
 A table algebra is stored as an ordered basis (index 0 is the identity,
 every element carries a positive integer degree and a dual partner) plus
-the full tensor of nonnegative integer structure constants
-``delta[i][j][m]``, the coefficient of ``b_m`` in ``b_i * b_j``.  All
-arithmetic is exact; scalars are Python integers.
+the nonnegative integer structure constants ``delta[i][j][m]``, the
+coefficient of ``b_m`` in ``b_i * b_j``.  All arithmetic is exact;
+scalars are Python integers.
+
+One store.  ``StructureConstants`` keeps one sparse row of
+``(m, delta[i][j][m])`` pairs, ``m`` ascending, per unordered pair
+``i <= j``, for every k.  Multiplication, closure, isomorphism and
+deduction read these rows.  The verifier alone needs the dense ``k*k*k``
+array, which is scattered from the rows the first time it is asked for.
+
+The verifier.  Every axiom check except associativity is one comparison
+of the dense array with a permuted copy of itself.  Associativity is
+decided in one of three ways:
+
+* Light's test, in float64.  Let M be the largest structure constant.
+  A coefficient of ``(b_x b_g) b_y`` or ``b_x (b_g b_y)`` is a sum of k
+  products of two constants, so every partial sum of it is a nonnegative
+  integer at most ``k * M**2``.  Below ``2**53`` each such integer is a
+  float64, so a BLAS matmul returns it exactly in any summation order.
+  Light's lemma (Clifford & Preston, *The Algebraic Theory of Semigroups*
+  I, 1.2): the set ``S`` of ``a`` with ``(x a) y = x (a y)`` for all x, y
+  is a subspace closed under products, since for ``a, b`` in ``S``::
+
+      (x (ab)) y = ((x a) b) y      a in S
+                 = (x a)(b y)       b in S
+                 = x (a (b y))      a in S
+                 = x ((ab) y)       b in S
+
+  When the identity check passes, ``1`` lies in ``S``, so if a set ``G``
+  of basis elements lies in ``S`` then so does every left-normed word
+  ``((1 g1) g2) ... gr`` and their span.  ``G`` is grown greedily until
+  those words have rank k modulo a prime p.  Rank k mod p means some k
+  word vectors have a k*k integer minor that is nonzero mod p, hence
+  nonzero, so they span the algebra over Q.  Then ``|G| k^2`` triples
+  ``(x, g, y)`` certify all ``k^3``.
+* The full sweep, in float64 under the same bound.  It runs when the
+  identity check fails or Light's test finds an unequal coefficient, one
+  ``i`` at a time with two matmuls, and yields every failing
+  ``(i, j, l, n)`` in lexicographic order, exactly the exact path's
+  witnesses.
+* The exact sweep: all ``k^3`` triples in Python integers over rows
+  fetched once, with no Light shortcut.  ``force_exact`` and inputs with
+  ``k * M**2 >= 2**53`` use it; it is the independent reference.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -186,74 +227,74 @@ class Element:
 
 
 class StructureConstants:
-    """Dense k*k*k tensor of nonnegative integers, delta[i][j][m].
+    """The structure constants ``delta[i][j][m]`` of a commutative algebra.
 
-    Rows are stored once per unordered pair (i <= j); lookups symmetrize.
-    For k beyond 64 the rows are kept as sparse maps instead of tuples.
+    One store serves every k: each unordered pair ``i <= j`` keeps a sparse
+    row ``{m: delta[i][j][m]}`` with ``m`` ascending and zeros dropped, and
+    lookups symmetrize.  ``delta()`` and ``row_items()`` read these rows.
+    The constructor rejects a missing row, an index outside ``range(k)``
+    and any entry that is not a nonnegative ``int`` (``bool`` included), so
+    a stored table is nonnegative, integral and commutative by construction.
+    ``as_numpy()`` scatters the rows into a dense array on its first call
+    and caches it; building a table never pays for it.
     """
 
-    DENSE_LIMIT = 64
-
-    __slots__ = ("k", "_rows", "_dense")
+    __slots__ = ("k", "_rows", "_array")
 
     def __init__(self, k: int, rows: Mapping[tuple[int, int], Mapping[int, int]]):
         self.k = k
-        self._dense = k <= self.DENSE_LIMIT
-        store: dict[tuple[int, int], tuple[int, ...] | dict[int, int]] = {}
+        store: dict[tuple[int, int], dict[int, int]] = {}
         for i in range(k):
             for j in range(i, k):
                 row = rows.get((i, j))
                 if row is None:
                     raise TableAlgebraError(f"missing structure row for pair ({i},{j})")
                 for m, v in row.items():
-                    if not (0 <= m < k):
+                    # type() rather than isinstance(): bool is an int subclass
+                    if type(m) is not int or not 0 <= m < k:
                         raise TableAlgebraError(f"row ({i},{j}) hits index {m} out of range")
-                    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                    if type(v) is not int or v < 0:
                         raise TableAlgebraError(f"row ({i},{j}) has a non-integer or negative entry")
-                if self._dense:
-                    dense = [0] * k
-                    for m, v in row.items():
-                        dense[m] = v
-                    store[(i, j)] = tuple(dense)
-                else:
-                    store[(i, j)] = {m: v for m, v in row.items() if v}
+                store[(i, j)] = {m: row[m] for m in sorted(row) if row[m]}
         self._rows = store
+        self._array: np.ndarray | None = None
 
     def delta(self, i: int, j: int, m: int) -> int:
         if i > j:
             i, j = j, i
-        row = self._rows[(i, j)]
-        if self._dense:
-            return row[m]
-        return row.get(m, 0)
+        return self._rows[(i, j)].get(m, 0)
 
-    def row_items(self, i: int, j: int) -> Iterator[tuple[int, int]]:
-        """Nonzero (m, delta[i][j][m]) pairs."""
+    def row_items(self, i: int, j: int) -> Iterable[tuple[int, int]]:
+        """Nonzero (m, delta[i][j][m]) pairs, m ascending."""
         if i > j:
             i, j = j, i
-        row = self._rows[(i, j)]
-        if self._dense:
-            return ((m, v) for m, v in enumerate(row) if v)
-        return iter(row.items())
+        return self._rows[(i, j)].items()
 
     def as_numpy(self) -> np.ndarray:
-        if not self._dense:
-            raise TableAlgebraError("tensor too large for dense export")
-        k = self.k
-        t = np.zeros((k, k, k), dtype=np.int64)
-        for (i, j), row in self._rows.items():
-            t[i, j, :] = row
-            t[j, i, :] = row
-        return t
+        """Read-only dense array ``t[i, j, m] = delta[i][j][m]``: int64, or
+        dtype object (Python ints) when an entry does not fit in int64."""
+        if self._array is None:
+            k = self.k
+            ii: list[int] = []
+            jj: list[int] = []
+            mm: list[int] = []
+            vv: list[int] = []
+            for (i, j), row in self._rows.items():
+                ii += [i] * len(row)
+                jj += [j] * len(row)
+                mm += row.keys()
+                vv += row.values()
+            dtype = np.int64 if max(vv, default=0) < 2**63 else object
+            t = np.zeros((k, k, k), dtype=dtype)
+            v = np.array(vv, dtype=dtype)
+            t[ii, jj, mm] = v
+            t[jj, ii, mm] = v
+            t.flags.writeable = False
+            self._array = t
+        return self._array
 
     def max_value(self) -> int:
-        best = 0
-        for row in self._rows.values():
-            vals = row if self._dense else row.values()
-            for v in vals:
-                if v > best:
-                    best = v
-        return best
+        return max((max(row.values()) for row in self._rows.values() if row), default=0)
 
 
 @dataclass
@@ -262,6 +303,7 @@ class CheckResult:
     passed: bool
     witnesses: tuple = ()
     checked: int = 0
+    seconds: float = field(default=0.0, compare=False, repr=False)
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -272,7 +314,13 @@ class CheckResult:
 @dataclass
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
+    # k^3: the triples whose associativity the report certifies or refutes
     associativity_triples: int = 0
+    # distinct triples actually evaluated: |G| k^2 when Light's test
+    # certified associativity, k^3 after a full sweep
+    associativity_evaluated: int = field(default=0, compare=False)
+    # names of the generating set G that certified associativity, or ()
+    generators: tuple[str, ...] = field(default=(), compare=False)
 
     MAX_WITNESSES = 20
 
@@ -296,16 +344,89 @@ class VerificationReport:
         return [str(c) for c in self.checks]
 
 
-AXIOM_CHECKS = (
-    "nonnegativity",
-    "integrality",
-    "identity",
-    "commutativity",
-    "involution",
-    "degree-homomorphism",
-    "normalization-symmetry",
-    "associativity",
-)
+def _witnesses(mask: np.ndarray, limit: int | None = None) -> list[tuple[int, ...]]:
+    """The true positions of ``mask`` in lexicographic order, at most ``limit``."""
+    return [tuple(map(int, w)) for w in np.argwhere(mask)[:limit]]
+
+
+# Modulus of the rank certificate; k * p^2 stays far below 2^63, so the
+# int64 products and sums below never wrap.
+_RANK_PRIME = 1_000_003
+
+
+class _SpanModP:
+    """Reduced row-echelon basis of a subspace of F_p^k, p = _RANK_PRIME."""
+
+    def __init__(self, k: int):
+        self.rows = np.zeros((0, k), dtype=np.int64)
+        self.pivots: list[int] = []
+
+    def insert(self, vectors: np.ndarray) -> np.ndarray:
+        """Add ``vectors`` to the span; return the basis rows this added."""
+        p = _RANK_PRIME
+        c = vectors % p
+        if self.pivots:
+            c = (c - c[:, self.pivots] @ self.rows) % p
+        added = []
+        while True:
+            nonzero = np.argwhere(c)
+            if not len(nonzero):
+                return np.array(added, dtype=np.int64).reshape(-1, c.shape[1])
+            r, col = nonzero[0]
+            row = c[r] * pow(int(c[r, col]), -1, p) % p
+            c = (c - np.outer(c[:, col], row)) % p
+            self.rows = np.vstack([(self.rows - np.outer(self.rows[:, col], row)) % p, row])
+            self.pivots.append(int(col))
+            added.append(row)
+
+
+def _generating_set(t: np.ndarray) -> list[int]:
+    """Basis indices G whose left-normed words ``((1 g1) g2) ... gr`` span
+    the algebra modulo _RANK_PRIME, grown greedily: each new generator is
+    the lowest basis index outside the current span."""
+    k = t.shape[0]
+    tp = t % _RANK_PRIME
+    span = _SpanModP(k)
+    fresh = span.insert(np.eye(1, k, dtype=np.int64))
+    gens: list[int] = []
+    while len(span.pivots) < k:
+        if gens and len(fresh):
+            # right-multiply what the last round added by every generator
+            fresh = span.insert(np.concatenate([fresh @ tp[:, g, :] for g in gens]))
+            continue
+        g = min(set(range(k)) - set(span.pivots))
+        gens.append(g)
+        fresh = span.insert(span.rows @ tp[:, g, :])
+    return gens
+
+
+def _light_holds(tf: np.ndarray, gens: Sequence[int]) -> bool:
+    """Light's test: (b_x b_g) b_y == b_x (b_g b_y) for every g in gens and
+    all basis x, y, on the float64 array ``tf``."""
+    k = tf.shape[0]
+    # right[m, (y, n)] = t[m, y, n], which is also t[y, m, n]: the store
+    # keeps one row per unordered pair, so t is symmetric in its first two axes
+    right = tf.reshape(k, k * k)
+    for g in gens:
+        xg_y = tf[:, g, :] @ right  # [x, (y, n)]
+        x_gy = (tf[g] @ right).reshape(k, k, k).transpose(1, 0, 2)  # [x, y, n]
+        if not np.array_equal(xg_y.reshape(k, k, k), x_gy):
+            return False
+    return True
+
+
+def _float_sweep(tf: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """Every (i, j, l, n) with ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n, one
+    i at a time, on the float64 array ``tf``."""
+    k = tf.shape[0]
+    right = tf.reshape(k, k * k)  # right[m, (l, n)] = t[m, l, n]
+    pairs = tf.reshape(k * k, k)  # pairs[(j, l), m] = t[j, l, m]
+    found = []
+    for i in range(k):
+        ij_l = (tf[i] @ right).reshape(k, k, k)  # [j, l, n]
+        i_jl = (pairs @ tf[i]).reshape(k, k, k)  # [(j, l), n]
+        found += [(i, *w) for w in _witnesses(ij_l != i_jl)]
+    return found
 
 
 class TableAlgebra:
@@ -429,127 +550,109 @@ class TableAlgebra:
 
     # -- verification ----------------------------------------------------
 
-    def verify_axioms(self, jobs: int = 1, force_exact: bool = False) -> VerificationReport:
-        """Run every axiom class and the full k^3 associativity sweep.
+    def verify_axioms(self, *, force_exact: bool = False) -> VerificationReport:
+        """Run every axiom class and certify associativity on all k^3 triples.
 
-        Failures become report entries with (i, j, l, m) witnesses, never
-        exceptions.  The sweep uses an int64 tensor contraction when the
-        values provably cannot overflow, otherwise exact Python integers.
+        Failures become report entries with witnesses, never exceptions;
+        each check keeps its first ``MAX_WITNESSES`` witnesses in
+        lexicographic order.  Nonnegativity, integrality and commutativity
+        hold by construction of ``StructureConstants`` and are reported
+        without a rescan.  Identity, involution, degree-homomorphism and
+        normalization-symmetry compare the dense array with a permuted copy
+        of itself.  Associativity is certified by Light's test on a
+        generating set when the float64 bound k*max^2 < 2^53 holds and the
+        identity check passed; a failing Light test runs the full k^3 sweep
+        in float64 matmuls.  ``force_exact`` and inputs outside the bound
+        run the pure-Python sweep instead (see the module docstring).
         """
-        basis, delta = self.basis, self.constants
-        k = self.size
+        basis, k = self.basis, self.size
         rep = VerificationReport()
         maxw = VerificationReport.MAX_WITNESSES
+        t = self.constants.as_numpy()
+        top_entry = self.constants.max_value()
+        duals = np.array([e.dual for e in basis])
+        upper = np.triu(np.ones((k, k), dtype=bool))
 
-        nonneg, integ = [], []
-        for i in range(k):
-            for j in range(i, k):
-                for m, v in delta.row_items(i, j):
-                    if not isinstance(v, int) or isinstance(v, bool):
-                        integ.append((i, j, m))
-                    elif v < 0:
-                        nonneg.append((i, j, m))
-        rep.checks.append(CheckResult("nonnegativity", not nonneg, tuple(nonneg[:maxw])))
-        rep.checks.append(CheckResult("integrality", not integ, tuple(integ[:maxw])))
+        lap = time.perf_counter()
 
-        bad = [(0, j, m) for j in range(k) for m, v in delta.row_items(0, j) if (m != j or v != 1)]
-        bad += [(0, j, j) for j in range(k) if delta.delta(0, j, j) != 1]
-        rep.checks.append(CheckResult("identity", not bad, tuple(bad[:maxw])))
+        def record(name, witnesses, checked=0):
+            # a check's time runs from the previous record to this one
+            nonlocal lap
+            now = time.perf_counter()
+            rep.checks.append(
+                CheckResult(name, not witnesses, tuple(witnesses[:maxw]), checked, seconds=now - lap)
+            )
+            lap = now
 
-        # storage is keyed on unordered pairs, so commutativity holds by
-        # construction; recheck through the public accessor anyway.
-        bad = []
-        for i in range(k):
-            for j in range(i, k):
-                for m in range(k):
-                    if delta.delta(i, j, m) != delta.delta(j, i, m):
-                        bad.append((i, j, m))
-        rep.checks.append(CheckResult("commutativity", not bad, tuple(bad[:maxw])))
+        record("nonnegativity", [])
+        record("integrality", [])
 
-        bad = []
-        for i in range(k):
-            for j in range(i, k):
-                ib, jb = basis.dual(i), basis.dual(j)
-                for m in range(k):
-                    if delta.delta(i, j, m) != delta.delta(ib, jb, basis.dual(m)):
-                        bad.append((i, j, m))
-                        if len(bad) > maxw:
-                            break
-        rep.checks.append(CheckResult("involution", not bad, tuple(bad[:maxw])))
+        row0 = t[0]
+        eye = np.eye(k, dtype=bool)
+        bad = [(0, j, m) for j, m in _witnesses((row0 != 0) & ~(eye & (row0 == 1)), maxw)]
+        bad += [(0, j, j) for (j,) in _witnesses(np.diagonal(row0) != 1, maxw)]
+        record("identity", bad)
 
-        bad = []
+        record("commutativity", [])
+
+        mask = (t != t[np.ix_(duals, duals, duals)]) & upper[:, :, None]
+        record("involution", _witnesses(mask, maxw))
+
         degs = [e.degree for e in basis]
-        for i in range(k):
-            for j in range(i, k):
-                s = sum(v * degs[m] for m, v in delta.row_items(i, j))
-                if s != degs[i] * degs[j]:
-                    bad.append((i, j))
-        rep.checks.append(CheckResult("degree-homomorphism", not bad, tuple(bad[:maxw])))
+        top = max(degs)
+        # Python ints wherever an int64 degree sum could wrap
+        dtype = np.int64 if max(k * top_entry * top, top * top) < 2**63 else object
+        dv = np.array(degs, dtype=dtype)
+        mask = ((t.astype(dtype, copy=False) @ dv) != np.outer(dv, dv)) & upper
+        record("degree-homomorphism", _witnesses(mask, maxw))
 
-        bad = []
-        for i in range(k):
-            for j in range(k):
-                jb = basis.dual(j)
-                for m in range(k):
-                    if delta.delta(i, j, m) != delta.delta(jb, m, i):
-                        bad.append((i, j, m))
-                if len(bad) > maxw:
-                    break
-        rep.checks.append(CheckResult("normalization-symmetry", not bad, tuple(bad[:maxw])))
+        record("normalization-symmetry", _witnesses(t != t[duals].transpose(2, 0, 1), maxw))
 
-        witnesses, triples = self._associativity_sweep(jobs=jobs, force_exact=force_exact)
+        triples = k**3
+        gens: list[int] = []
+        if force_exact or k * top_entry**2 >= 2**53:
+            witnesses = self._exact_sweep()
+        else:
+            tf = t.astype(np.float64)
+            if rep.check("identity").passed:
+                gens = _generating_set(t)
+            if gens and _light_holds(tf, gens):
+                witnesses = []
+            else:
+                gens = []
+                witnesses = _float_sweep(tf)
         rep.associativity_triples = triples
-        rep.checks.append(
-            CheckResult("associativity", not witnesses, tuple(witnesses[:maxw]), checked=triples)
-        )
+        rep.associativity_evaluated = len(gens) * k * k if gens else triples
+        rep.generators = tuple(basis.name(g) for g in gens)
+        record("associativity", witnesses, checked=triples)
         return rep
 
-    def _associativity_sweep(self, jobs: int = 1, force_exact: bool = False):
+    def _exact_sweep(self) -> list[tuple[int, int, int, int]]:
+        """Every (i, j, l, n) with ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n,
+        in Python integers over rows fetched once."""
         k = self.size
-        delta = self.constants
-        triples = k * k * k
-        can_vectorize = k <= StructureConstants.DENSE_LIMIT
-        if can_vectorize and not force_exact:
-            mx = delta.max_value()
-            # sum over m of delta*delta stays exact in int64 when bounded
-            if mx * mx * k < 2**62:
-                t = delta.as_numpy()
-                lhs = np.einsum("ijm,mln->ijln", t, t)
-                rhs = np.einsum("jlm,imn->ijln", t, t)
-                diff = np.argwhere(lhs != rhs)
-                return [tuple(int(x) for x in w) for w in diff], triples
-
-        def check_range(i_slice):
-            found = []
-            for i in i_slice:
-                for j in range(k):
-                    row_ij = list(delta.row_items(i, j))
-                    for l in range(k):
-                        lhs: dict[int, int] = {}
-                        for m, v in row_ij:
-                            for n, w in delta.row_items(m, l):
-                                lhs[n] = lhs.get(n, 0) + v * w
-                        rhs: dict[int, int] = {}
-                        for m, v in delta.row_items(j, l):
-                            for n, w in delta.row_items(i, m):
-                                rhs[n] = rhs.get(n, 0) + v * w
-                        if lhs != rhs:
-                            keys = set(lhs) | set(rhs)
-                            found.extend(
-                                (i, j, l, n) for n in sorted(keys) if lhs.get(n, 0) != rhs.get(n, 0)
-                            )
-            return found
-
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            chunks = [range(s, k, jobs) for s in range(jobs)]
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(check_range, chunks))
-            witnesses = sorted(w for part in parts for w in part)
-        else:
-            witnesses = check_range(range(k))
-        return witnesses, triples
+        rows = [[list(self.constants.row_items(i, j)) for j in range(k)] for i in range(k)]
+        found = []
+        for i in range(k):
+            row_i = rows[i]
+            for j in range(k):
+                row_ij, row_j = row_i[j], rows[j]
+                for l in range(k):
+                    lhs: dict[int, int] = {}
+                    for m, v in row_ij:
+                        for n, w in rows[m][l]:
+                            lhs[n] = lhs.get(n, 0) + v * w
+                    rhs: dict[int, int] = {}
+                    for m, v in row_j[l]:
+                        for n, w in row_i[m]:
+                            rhs[n] = rhs.get(n, 0) + v * w
+                    if lhs != rhs:
+                        found.extend(
+                            (i, j, l, n)
+                            for n in sorted(lhs.keys() | rhs.keys())
+                            if lhs.get(n, 0) != rhs.get(n, 0)
+                        )
+        return found
 
     def verified(self) -> VerificationReport:
         """Cached verification report (immutable algebra, computed once)."""

@@ -1,4 +1,5 @@
 import os
+import re
 
 import pytest
 
@@ -33,6 +34,32 @@ class TestVerify:
         assert facts["result"] == "pass"
         assert facts["triples"] == "343"
         assert facts["check.associativity"] == "pass"
+
+    def test_machine_format_counts_evaluated_triples(self, capsys):
+        code, out, _ = invoke(capsys, "--format", "machine", "verify", "bundled:B32")
+        assert code == 0
+        facts = dict(line.split("\t") for line in out.strip().splitlines())
+        generators = facts["generators"].split()
+        assert facts["triples"] == "32768"
+        assert facts["evaluated"] == str(len(generators) * 32 * 32)
+        code, out, _ = invoke(capsys, "--format", "machine", "verify", "--exact", "bundled:B32")
+        facts = dict(line.split("\t") for line in out.strip().splitlines())
+        assert (facts["evaluated"], facts["generators"]) == ("32768", "-")
+
+    def test_timing_per_check_on_stderr(self, capsys):
+        plain = invoke(capsys, "verify", "bundled:C7")[1]
+        code, out, err = invoke(capsys, "verify", "--timing", "bundled:C7")
+        assert code == 0
+        assert out == plain
+        lines = err.strip().splitlines()
+        checks = [line.split()[1] for line in lines[:-1]]
+        assert checks == [
+            "nonnegativity", "integrality", "identity", "commutativity", "involution",
+            "degree-homomorphism", "normalization-symmetry", "associativity",
+        ]
+        assert all(re.fullmatch(r"timing: \S+ \d+\.\d{3}s", line) for line in lines[:-1])
+        assert re.fullmatch(r"timing: \d+\.\d{3}s", lines[-1])
+        assert invoke(capsys, "--timing", "verify", "bundled:C7")[2].count("timing:") == 9
 
     def test_no_timestamps_in_output(self, capsys):
         code, out, _ = invoke(capsys, "verify", "bundled:B22")

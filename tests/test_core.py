@@ -4,11 +4,17 @@ from hypothesis import given, settings, strategies as st
 from tabalg import (
     Element,
     MalformedElementError,
+    StructureConstants,
     TableAlgebra,
     TableAlgebraError,
     TableBasis,
     BasisElement,
+    load,
+    parse,
 )
+from tabalg import core
+from tabalg.bundled import AUXILIARY, BUNDLED, data_text
+from tabalg.core import _RANK_PRIME
 
 from oracles import class_algebra_tensor, cyclic, symmetric3
 
@@ -94,6 +100,98 @@ class TestDegree:
         assert B32.degree_of(x) == 225
 
 
+def rows_of(A):
+    """The structure rows of A on unordered pairs, as mutable dicts."""
+    k = A.size
+    return {(i, j): dict(A.constants.row_items(i, j)) for i in range(k) for j in range(i, k)}
+
+
+def perturbed_b32(B32):
+    """B32 with one extra b_2 in b_1*b_1: fails degree and associativity."""
+    products = {p: row for p, row in rows_of(B32).items() if p[0] > 0}
+    products[(1, 1)][2] = products[(1, 1)].get(2, 0) + 1
+    return TableAlgebra.from_products(B32.basis, products, name="broken")
+
+
+# The three degree-preserving lines of B32 that correct the printed paper;
+# the printed value of any one still parses, and fails normalization
+# symmetry and associativity.
+B32_PRINTED_LINES = (
+    ("product d3 c8 = y15bar + b6bar + d3", "product d3 c8 = y15bar + b6 + d3"),
+    ("product x6 x15 = 4 y15 + b6 + 2 c9 + d3bar + c3", "product x6 x15 = 4 y15 + b6 + 2 c9 + d3 + c3"),
+    ("product x6 b9 = b6 + 2 c9 + 2 y15", "product x6 b9 = b6bar + 2 c9bar + 2 y15bar"),
+)
+
+
+def b32_as_printed(fixed, printed):
+    text = data_text("B32")
+    assert text.count(fixed + "\n") == 1
+    return parse(text.replace(fixed + "\n", printed + "\n"))
+
+
+def z66_oracle():
+    """The Z66 group class algebra, k = 66, from the convolution oracle."""
+    sizes, duals, tensor = class_algebra_tensor(cyclic(66))
+    names = ["1"] + [f"g{i}" for i in range(1, 66)]
+    basis = TableBasis(
+        [BasisElement(i, n, s, d) for i, (n, s, d) in enumerate(zip(names, sizes, duals))]
+    )
+    return TableAlgebra.from_tensor(basis, tensor, name="Z66-oracle")
+
+
+def with_entry(A, pair, m, value):
+    """A with one structure constant replaced; the constructor still checks
+    the result, but nothing here requires it to be a table algebra."""
+    rows = rows_of(A)
+    rows[pair][m] = value
+    return TableAlgebra(A.basis, StructureConstants(A.size, rows), name=f"{A.name}-edited")
+
+
+def report_key(report):
+    return (
+        [(c.name, c.passed, c.witnesses, c.checked) for c in report.checks],
+        report.associativity_triples,
+    )
+
+
+def word_rank_mod_p(A, generators, p):
+    """Rank mod p of the left-normed words ((1 g1) g2) ... in the generators,
+    by breadth-first closure in Python integers."""
+    k = A.size
+    gens = [A.basis.index_of(g) for g in generators]
+    rows = {}  # pivot -> row, each row zero at every other pivot
+
+    def insert(v):
+        for piv, row in rows.items():
+            if v[piv]:
+                c = v[piv]
+                v = [(a - c * b) % p for a, b in zip(v, row)]
+        piv = next((n for n in range(k) if v[n]), None)
+        if piv is None:
+            return False
+        inv = pow(v[piv], -1, p)
+        v = [a * inv % p for a in v]
+        for q, row in rows.items():
+            if row[piv]:
+                c = row[piv]
+                rows[q] = [(a - c * b) % p for a, b in zip(row, v)]
+        rows[piv] = v
+        return True
+
+    queue = [[1] + [0] * (k - 1)]
+    while queue:
+        v = queue.pop()
+        if insert(list(v)):
+            for g in gens:
+                w = [0] * k
+                for i, c in enumerate(v):
+                    if c:
+                        for n, d in A.constants.row_items(i, g):
+                            w[n] = (w[n] + c * d) % p
+                queue.append(w)
+    return len(rows)
+
+
 class TestVerify:
     def test_bundled_B32_passes(self, B32):
         report = B32.verify_axioms()
@@ -101,16 +199,7 @@ class TestVerify:
         assert report.associativity_triples == 32 ** 3
 
     def test_perturbation_caught(self, B32):
-        products = {}
-        k = B32.size
-        for i in range(1, k):
-            for j in range(i, k):
-                products[(i, j)] = dict(B32.constants.row_items(i, j))
-        row = dict(products[(1, 1)])
-        row[2] = row.get(2, 0) + 1
-        products[(1, 1)] = row
-        broken = TableAlgebra.from_products(B32.basis, products, name="broken")
-        report = broken.verify_axioms()
+        report = perturbed_b32(B32).verify_axioms()
         assert not report.ok
         assert not report.check("associativity").passed
         assert not report.check("degree-homomorphism").passed
@@ -125,14 +214,27 @@ class TestVerify:
         A = TableAlgebra.from_tensor(basis, tensor, name="Z4-oracle")
         assert A.verify_axioms().ok
 
-    def test_exact_sweep_agrees_with_vectorized(self, C7):
-        fast = C7.verify_axioms()
-        slow = C7.verify_axioms(force_exact=True)
-        assert fast.ok and slow.ok
-        assert fast.associativity_triples == slow.associativity_triples
+    def test_exact_sweep_agrees_with_vectorized(self, C7, D17, B22, B32):
+        # whole reports, on passing and failing inputs, including k = 66
+        cases = [C7, D17, B22, B32, load("S3"), z66_oracle(), perturbed_b32(B32)]
+        cases += [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
+        failing = 0
+        for A in cases:
+            fast = A.verify_axioms()
+            exact = A.verify_axioms(force_exact=True)
+            assert report_key(fast) == report_key(exact), A.name
+            assert fast == exact, A.name
+            assert exact.associativity_evaluated == A.size ** 3
+            assert exact.generators == ()
+            failing += not fast.ok
+        assert failing == 5
 
-    def test_jobs_partition(self, C7):
-        assert C7.verify_axioms(jobs=3, force_exact=True).ok
+    def test_printed_b32_lines_fail_symmetry_and_associativity(self):
+        for fixed, printed in B32_PRINTED_LINES:
+            report = b32_as_printed(fixed, printed).verify_axioms()
+            bad = [c.name for c in report.checks if not c.passed]
+            assert bad == ["normalization-symmetry", "associativity"], printed
+            assert report.associativity_evaluated == 32 ** 3
 
     def test_s3_fails_only_normalization(self):
         from tabalg import load
@@ -142,6 +244,87 @@ class TestVerify:
         assert not report.check("normalization-symmetry").passed
         others = [c for c in report.checks if c.name != "normalization-symmetry"]
         assert all(c.passed for c in others)
+
+
+def refuse(*args):
+    raise AssertionError("this path must not run")
+
+
+def counted(fn, calls):
+    def wrapper(*args):
+        calls.append(args)
+        return fn(*args)
+
+    return wrapper
+
+
+class TestLightCertificate:
+    def test_generators_span_every_bundled_algebra(self):
+        for name in BUNDLED + AUXILIARY:
+            A = load(name)
+            k = A.size
+            report = A.verify_axioms()
+            assert report.check("associativity").passed, name
+            gens = report.generators
+            assert 0 < len(gens) < k, name
+            assert report.associativity_evaluated == len(gens) * k * k, name
+            assert word_rank_mod_p(A, gens, _RANK_PRIME) == k, name
+
+    def test_broken_identity_row_runs_full_sweep(self, C7, monkeypatch):
+        A = with_entry(C7, (0, 1), 2, 1)
+        sweeps = []
+        monkeypatch.setattr(core, "_generating_set", refuse)
+        monkeypatch.setattr(core, "_float_sweep", counted(core._float_sweep, sweeps))
+        report = A.verify_axioms()
+        assert len(sweeps) == 1
+        assert not report.check("identity").passed
+        assert report.check("identity").witnesses == ((0, 1, 2),)
+        assert report.generators == ()
+        assert report.associativity_evaluated == C7.size ** 3
+        assert report_key(report) == report_key(A.verify_axioms(force_exact=True))
+
+    def test_entries_outside_float64_bound_use_exact_sweep(self, C7, monkeypatch):
+        # 2**40 breaks k*max^2 < 2**53; 2**62 overflows the int64 degree sums;
+        # 2**70 does not fit in int64 at all
+        for name in ("_generating_set", "_light_holds", "_float_sweep"):
+            monkeypatch.setattr(core, name, refuse)
+        for value in (2**40, 2**62, 2**70):
+            A = with_entry(C7, (1, 2), 3, value)
+            report = A.verify_axioms()
+            assert not report.ok
+            assert report.associativity_evaluated == C7.size ** 3
+            assert report.generators == ()
+            assert report_key(report) == report_key(A.verify_axioms(force_exact=True)), value
+
+    def test_evaluated_is_not_part_of_equality(self, B32):
+        fast, exact = B32.verify_axioms(), B32.verify_axioms(force_exact=True)
+        assert fast.associativity_evaluated < exact.associativity_evaluated == 32 ** 3
+        assert fast == exact
+
+
+class TestStructureConstantsGuards:
+    def test_rejects_bad_entries(self, C7):
+        k = C7.size
+        for bad in (-1, True, 1.0, "1"):
+            rows = rows_of(C7)
+            rows[(1, 2)][3] = bad
+            with pytest.raises(TableAlgebraError):
+                StructureConstants(k, rows)
+
+    def test_rejects_out_of_range_index(self, C7):
+        k = C7.size
+        for m in (-1, k):
+            rows = rows_of(C7)
+            rows[(1, 2)][m] = 1
+            with pytest.raises(TableAlgebraError):
+                StructureConstants(k, rows)
+
+    def test_rows_sparse_and_ascending(self, C7):
+        rows = rows_of(C7)
+        rows[(1, 2)] = {5: 1, 3: 0, 2: 4}
+        sc = StructureConstants(C7.size, rows)
+        assert list(sc.row_items(2, 1)) == [(2, 4), (5, 1)]
+        assert sc.delta(2, 1, 3) == 0
 
 
 @st.composite
