@@ -13,7 +13,7 @@ import sys
 import time
 
 from .bundled import AUXILIARY, BUNDLED, NAMED_SUBSETS, PARTIAL, load, resolve, resolve_partial
-from .core import TableAlgebra, TableAlgebraError
+from .core import TableAlgebra, TableAlgebraError, format_element
 from .deduction import PartialTable, propagate
 from .fileformat import ParseError, parse_element_expr, serialize
 from .iso import exact_isomorphic, restrict
@@ -72,9 +72,9 @@ def cmd_mult(args, out: _Out) -> int:
     algebra = resolve(args.algebra)
     x = parse_element_expr(args.x, algebra.basis)
     y = parse_element_expr(args.y, algebra.basis)
-    result = algebra.multiply(x, y)
-    out.fact("product", algebra.format_element(result))
-    out.text(algebra.format_element(result))
+    result = format_element(algebra.basis, algebra.multiply(x, y).items())
+    out.fact("product", result)
+    out.text(result)
     return 0
 
 
@@ -164,9 +164,11 @@ def cmd_restrict(args, out: _Out) -> int:
 def cmd_deduce(args, out: _Out) -> int:
     name, basis, products = resolve_partial(args.table)
     seed = PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0})
+    t0 = time.perf_counter()
     table, trace = propagate(
         seed, max_steps=args.max_steps, introduce_names=not args.no_names
     )
+    dt = time.perf_counter() - t0
     out.fact("status", trace.status)
     out.fact("steps", len(trace.steps))
     out.text(f"{name}: {trace.status} after {len(trace.steps)} steps")
@@ -175,30 +177,31 @@ def cmd_deduce(args, out: _Out) -> int:
         out.text(f"  witness: {trace.message}")
     elif trace.status == "stalled":
         out.fact("unresolved", len(trace.unresolved))
+        out.fact("capped", " ".join(f"{a}*{b}" for a, b in trace.capped) or "-")
         out.text(f"  unresolved products: {len(trace.unresolved)}")
         for a, b in trace.unresolved[:10]:
             out.text(f"    {a}*{b}")
         if trace.budget_exhausted:
             out.text("  (step budget exhausted)")
+        if trace.capped:
+            out.text(f"  (solver cap hit on {len(trace.capped)} products: "
+                     + " ".join(f"{a}*{b}" for a, b in trace.capped) + ")")
     else:
         for (i, j) in sorted(table.known):
             if 0 < i <= j:
-                value = table.value(i, j)
                 out.text(f"  {basis.name(i)}*{basis.name(j)} = "
-                         + _format_element(basis, value))
+                         + format_element(basis, table.rows[(i, j)]))
+    for key, value in trace.stats.facts():
+        out.fact(key, value)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.serialize())
         out.text(f"trace written to {args.trace}")
+    if args.timing:
+        for phase, seconds in trace.stats.seconds.items():
+            print(f"timing: {phase} {seconds:.3f}s", file=sys.stderr)
+        print(f"timing: {dt:.3f}s", file=sys.stderr)
     return 0 if trace.status == "completed" else 1
-
-
-def _format_element(basis, x):
-    parts = []
-    for m in sorted(x.coeffs):
-        c = x.coeffs[m]
-        parts.append(basis.name(m) if c == 1 else f"{c} {basis.name(m)}")
-    return " + ".join(parts) if parts else "0"
 
 
 def cmd_bundled(args, out: _Out) -> int:
@@ -291,6 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace")
     p.add_argument("--no-names", action="store_true",
                    help="disable the fresh-constituent naming convention")
+    p.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+                   help="print the time of each deduction phase to stderr")
     p.set_defaults(func=cmd_deduce)
 
     p = sub.add_parser("bundled", help="list or export bundled data")

@@ -10,7 +10,9 @@ One store.  ``StructureConstants`` keeps one sparse row of
 ``(m, delta[i][j][m])`` pairs, ``m`` ascending, per unordered pair
 ``i <= j``, for every k.  Multiplication, closure, isomorphism and
 deduction read these rows.  The verifier alone needs the dense ``k*k*k``
-array, which is scattered from the rows the first time it is asked for.
+array, which is scattered from the rows the first time it is asked for;
+numpy is imported only there and in the verifier, so parsing, arithmetic
+and deduction never load it.
 
 The verifier.  Every axiom check except associativity is one comparison
 of the dense array with a permuted copy of itself.  Associativity is
@@ -51,9 +53,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TableAlgebraError",
@@ -61,6 +64,7 @@ __all__ = [
     "BasisElement",
     "TableBasis",
     "Element",
+    "format_element",
     "StructureConstants",
     "TableAlgebra",
     "CheckResult",
@@ -226,6 +230,19 @@ class Element:
         return f"Element({self.coeffs!r})"
 
 
+def format_element(basis: TableBasis, terms: Iterable[tuple[int, int]]) -> str:
+    """``2 b3 + x6`` form of the (index, coefficient) pairs ``terms``, by
+    ascending index, with a coefficient 1 left out; ``0`` when empty.
+
+    The one text form of an element: CLI output, deduction traces and
+    ``.alg`` product lines all use it."""
+    parts = []
+    for m, c in sorted(terms):
+        name = basis.name(m)
+        parts.append(name if c == 1 else f"{c} {name}")
+    return " + ".join(parts) if parts else "0"
+
+
 class StructureConstants:
     """The structure constants ``delta[i][j][m]`` of a commutative algebra.
 
@@ -274,6 +291,8 @@ class StructureConstants:
         """Read-only dense array ``t[i, j, m] = delta[i][j][m]``: int64, or
         dtype object (Python ints) when an entry does not fit in int64."""
         if self._array is None:
+            import numpy as np
+
             k = self.k
             ii: list[int] = []
             jj: list[int] = []
@@ -346,6 +365,8 @@ class VerificationReport:
 
 def _witnesses(mask: np.ndarray, limit: int | None = None) -> list[tuple[int, ...]]:
     """The true positions of ``mask`` in lexicographic order, at most ``limit``."""
+    import numpy as np
+
     return [tuple(map(int, w)) for w in np.argwhere(mask)[:limit]]
 
 
@@ -358,11 +379,15 @@ class _SpanModP:
     """Reduced row-echelon basis of a subspace of F_p^k, p = _RANK_PRIME."""
 
     def __init__(self, k: int):
+        import numpy as np
+
         self.rows = np.zeros((0, k), dtype=np.int64)
         self.pivots: list[int] = []
 
     def insert(self, vectors: np.ndarray) -> np.ndarray:
         """Add ``vectors`` to the span; return the basis rows this added."""
+        import numpy as np
+
         p = _RANK_PRIME
         c = vectors % p
         if self.pivots:
@@ -384,6 +409,8 @@ def _generating_set(t: np.ndarray) -> list[int]:
     """Basis indices G whose left-normed words ``((1 g1) g2) ... gr`` span
     the algebra modulo _RANK_PRIME, grown greedily: each new generator is
     the lowest basis index outside the current span."""
+    import numpy as np
+
     k = t.shape[0]
     tp = t % _RANK_PRIME
     span = _SpanModP(k)
@@ -403,6 +430,8 @@ def _generating_set(t: np.ndarray) -> list[int]:
 def _light_holds(tf: np.ndarray, gens: Sequence[int]) -> bool:
     """Light's test: (b_x b_g) b_y == b_x (b_g b_y) for every g in gens and
     all basis x, y, on the float64 array ``tf``."""
+    import numpy as np
+
     k = tf.shape[0]
     # right[m, (y, n)] = t[m, y, n], which is also t[y, m, n]: the store
     # keeps one row per unordered pair, so t is symmetric in its first two axes
@@ -500,16 +529,6 @@ class TableAlgebra:
             return Element.basis(self.basis.index_of(spec))
         return Element({self.basis.index_of(n): c for n, c in spec.items()})
 
-    def format_element(self, x: Element) -> str:
-        if not x:
-            return "0"
-        parts = []
-        for i in sorted(x.coeffs):
-            c = x.coeffs[i]
-            name = self.basis.name(i)
-            parts.append(name if c == 1 else f"{c} {name}")
-        return " + ".join(parts)
-
     def _check_element(self, x: Element) -> None:
         for i in x.coeffs:
             if not (0 <= i < self.size):
@@ -565,6 +584,8 @@ class TableAlgebra:
         in float64 matmuls.  ``force_exact`` and inputs outside the bound
         run the pure-Python sweep instead (see the module docstring).
         """
+        import numpy as np
+
         basis, k = self.basis, self.size
         rep = VerificationReport()
         maxw = VerificationReport.MAX_WITNESSES

@@ -24,19 +24,76 @@ of the basis that fixes every already-determined coefficient, the
 least-indexed assignment is chosen, newest products first.  Conclusions
 about already-distinguished elements are unaffected; only the naming of
 so-far-indistinguishable ones is convention.
+
+Frozen rows.  A product never changes once all its coefficients are
+known, so at that moment it is frozen into a sparse ``((m, v), ...)``
+tuple, ``m`` ascending and zeros dropped (``PartialTable.rows``).  The
+rules, the inner products and the trace read these tuples.
+
+The R3 agenda.  A triple T = (i, j, l) says (b_i b_j) b_l = b_i (b_j b_l);
+expanding both sides writes it over the products (m, l) for m in b_i b_j
+and (i, m) for m in b_j b_l.  T is *activated* when (i, j) and (j, l) are
+both known; from then on the net coefficient of every product in its
+expansion is fixed.  A product whose contributions cancel to a net
+coefficient 0 drops out of T at activation: R3 ignores it, so it never
+holds a watch and never keeps T from being decided.  T is decidable when
+at most one of its remaining products is unknown: with none it is checked
+for an associativity contradiction, with one of net coefficient +-1 that
+product is solved.  The watch invariant holds after every sync: each
+activated triple not yet finished is on the agenda, or watches two unknown
+products of its expansion, or (evaluated with one unknown product whose
+net coefficient is not +-1) watches that one.  A product becoming known
+visits only the triples watching it; each moves the watch to another
+unknown product or, when fewer than two remain, goes on the agenda.  A
+triple's unknown count only falls, and it can fall to one or to none only
+when a watched product becomes known, so every triple is evaluated as soon
+as it is decidable, and a triple stuck on a non-unit coefficient again
+when that product becomes known and it can be checked.  Triples are taken
+up to two symmetries of the rule: (l, j, i) negates every net coefficient,
+and the involution maps T to (ibar, jbar, lbar), under which R2 keeps the
+known products closed.  So only T with 0 < i < l and T no larger than its
+conjugate is activated; a triple with the identity as a factor or i = l
+expands to nothing.
+
+The R4 memo.  The decomposition search for a pending product reads
+exactly the product's row (which coefficients are known, and their
+values), the exact inner product ``s_exact`` or the Lemma 2.2 bound
+``s_upper``, and the reality mass.  That tuple is the memo key: the same
+key returns the cached answer.  The search itself first counts its
+tree, which decides the node cap without walking the tree, then walks
+only subtrees that reach a decomposition.  Its solutions are filtered by
+the cross inner products (b_i b_j, b_x b_y) against known products; each
+pending product keeps those up to date from the products that became
+known since it last looked.
+
+The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
+triple whose factors are known, once, and evaluates each one the agenda
+has not decided.  A decided triple was evaluated on frozen rows, so its
+answer cannot change.  A firing in the sweep would mean the agenda missed
+a triple; it is counted in ``DeductionStats.sweep_firings``.
 """
 
 from __future__ import annotations
 
+import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .core import Element, TableAlgebra, TableBasis, TableAlgebraError
+from .core import Element, TableAlgebra, TableBasis, TableAlgebraError, format_element
 
-__all__ = ["PartialTable", "DeductionStep", "DeductionTrace", "propagate", "complete_or_refute"]
+__all__ = [
+    "PartialTable",
+    "DeductionStep",
+    "DeductionStats",
+    "DeductionTrace",
+    "propagate",
+    "complete_or_refute",
+]
 
 SOLVER_NODE_CAP = 200_000
 SOLVER_SOLUTION_CAP = 256
+RULES = ("R1", "R2", "R3", "R4")
 
 
 class Contradiction(TableAlgebraError):
@@ -65,6 +122,56 @@ class DeductionStep:
         )
 
 
+def _per_rule() -> dict[str, int]:
+    return dict.fromkeys(RULES, 0)
+
+
+@dataclass
+class DeductionStats:
+    """What one propagation did.
+
+    ``attempts`` per rule: R1 counts pending products the degree scan
+    examined, R2 coefficients transported around their orbits, R3 agenda
+    evaluations of a decidable triple, R4 decomposition searches requested
+    (forced and naming).  ``firings`` counts the trace's steps per rule;
+    naming steps are R1 and the Lemma 2.2 closure's are R4.  ``seconds``
+    is the time of each phase of the main loop, syncs included.
+    """
+
+    attempts: dict[str, int] = field(default_factory=_per_rule)
+    firings: dict[str, int] = field(default_factory=_per_rule)
+    r3_activated: int = 0
+    solver_memo_hits: int = 0
+    solver_searches: int = 0
+    solver_nodes: int = 0
+    solver_overflows: int = 0
+    overflow_pairs: list[tuple[str, str]] = field(default_factory=list)
+    sweep_triples: int = 0
+    sweep_firings: int = 0
+    seconds: dict[str, float] = field(default_factory=dict)
+
+    def facts(self) -> list[tuple[str, object]]:
+        """The counters as ``(key, value)`` pairs, in a fixed order."""
+        out: list[tuple[str, object]] = []
+        for rule in RULES:
+            out.append((f"stats.{rule}.attempts", self.attempts[rule]))
+            out.append((f"stats.{rule}.firings", self.firings[rule]))
+        overflowed = " ".join(f"{a}*{b}" for a, b in self.overflow_pairs) or "-"
+        out += [
+            ("stats.r3.activated", self.r3_activated),
+            ("stats.r3.evaluated", self.attempts["R3"]),
+            ("stats.solver.calls", self.attempts["R4"]),
+            ("stats.solver.memo_hits", self.solver_memo_hits),
+            ("stats.solver.searches", self.solver_searches),
+            ("stats.solver.nodes", self.solver_nodes),
+            ("stats.solver.overflows", self.solver_overflows),
+            ("stats.solver.overflow_pairs", overflowed),
+            ("stats.sweep.triples", self.sweep_triples),
+            ("stats.sweep.firings", self.sweep_firings),
+        ]
+        return out
+
+
 @dataclass
 class DeductionTrace:
     steps: list[DeductionStep] = field(default_factory=list)
@@ -73,6 +180,10 @@ class DeductionTrace:
     message: str = ""
     unresolved: tuple[tuple[str, str], ...] = ()
     budget_exhausted: bool = False
+    # pending products whose decomposition search hit a solver cap at the
+    # final fixed point of a stall: with a larger cap they might resolve
+    capped: tuple[tuple[str, str], ...] = ()
+    stats: DeductionStats = field(default_factory=DeductionStats, compare=False, repr=False)
 
     def serialize(self) -> str:
         lines = [s.line() for s in self.steps]
@@ -81,8 +192,19 @@ class DeductionTrace:
             tail += " WITNESS " + ",".join(str(w) for w in self.witness)
         if self.budget_exhausted:
             tail += " BUDGET-EXHAUSTED"
+        if self.capped:
+            tail += " SOLVER-CAP " + ",".join(f"{a}*{b}" for a, b in self.capped)
         lines.append(tail)
         return "\n".join(lines) + "\n"
+
+
+def _canon(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i <= j else (j, i)
+
+
+def _inner(u: tuple, w: dict) -> int:
+    """Inner product of a frozen row with the dict of another."""
+    return sum(c * w.get(m, 0) for m, c in u)
 
 
 class PartialTable:
@@ -90,8 +212,9 @@ class PartialTable:
 
     ``cells[(i, j)][m]`` is the proven coefficient of ``b_m`` in
     ``b_i b_j``, or None while undetermined; entries are canonicalized to
-    i <= j and identity rows are filled at construction.  Seeded products
-    must satisfy the degree identity.
+    i <= j and identity rows are filled at construction.  ``rows[(i, j)]``
+    is the frozen sparse row of a known product.  Seeded products must
+    satisfy the degree identity.
     """
 
     def __init__(
@@ -105,12 +228,20 @@ class PartialTable:
         self.deg = [e.degree for e in basis]
         self.dual = [e.dual for e in basis]
         self.cells: dict[tuple[int, int], list[Optional[int]]] = {}
+        # degree still unaccounted for, and count of unknown cells, per pair
+        self._rem: dict[tuple[int, int], int] = {}
+        self._open: dict[tuple[int, int], int] = {}
         for i in range(k):
             for j in range(i, k):
                 self.cells[(i, j)] = [None] * k
+                self._rem[(i, j)] = self.deg[i] * self.deg[j]
+                self._open[(i, j)] = k
         self.known: set[tuple[int, int]] = set()
+        self.rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self.newly_known: list[tuple[int, int]] = []
-        self._queue: list[tuple[int, int, int, int]] = []
+        self._queue: deque[tuple[tuple[int, int], int, int]] = deque()
+        # symmetry orbits of coefficient positions; they depend on the basis only
+        self._orbits: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
         for j in range(k):
             self.set_product(0, j, {j: 1})
         if known:
@@ -132,26 +263,20 @@ class PartialTable:
 
     # -- accessors --------------------------------------------------------
 
-    def _canon(self, i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i <= j else (j, i)
-
     def is_known(self, i: int, j: int) -> bool:
-        return self._canon(i, j) in self.known
+        return _canon(i, j) in self.known
 
     def value(self, i: int, j: int) -> Element:
-        if not self.is_known(i, j):
+        row = self.rows.get(_canon(i, j))
+        if row is None:
             raise TableAlgebraError(f"product {i},{j} not known")
-        row = self.cells[self._canon(i, j)]
-        return Element({m: v for m, v in enumerate(row) if v})
+        return Element(dict(row))
 
     def pending_pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p in self.cells if p not in self.known)
 
     def remainder_degree(self, pair: tuple[int, int]) -> int:
-        i, j = pair
-        row = self.cells[pair]
-        s = sum(v * self.deg[m] for m, v in enumerate(row) if v)
-        return self.deg[i] * self.deg[j] - s
+        return self._rem[pair]
 
     def names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return (self.basis.name(pair[0]), self.basis.name(pair[1]))
@@ -163,18 +288,20 @@ class PartialTable:
         out.deg = self.deg
         out.dual = self.dual
         out.cells = {p: list(r) for p, r in self.cells.items()}
+        out._rem = dict(self._rem)
+        out._open = dict(self._open)
         out.known = set(self.known)
+        out.rows = dict(self.rows)
         out.newly_known = list(self.newly_known)
-        out._queue = list(self._queue)
+        out._queue = deque(self._queue)
+        out._orbits = self._orbits
         return out
 
     def as_algebra(self, name: str = "") -> TableAlgebra:
         """Completed table as a TableAlgebra (fails if anything is pending)."""
-        products = {}
-        for (i, j), row in self.cells.items():
-            if any(v is None for v in row):
-                raise TableAlgebraError("table is not complete")
-            products[(i, j)] = {m: v for m, v in enumerate(row) if v}
+        if len(self.known) != len(self.cells):
+            raise TableAlgebraError("table is not complete")
+        products = {pair: dict(row) for pair, row in self.rows.items()}
         return TableAlgebra.from_products(self.basis, products, name=name)
 
     # -- writing facts ----------------------------------------------------
@@ -189,109 +316,171 @@ class PartialTable:
             self.set_cell(i, j, m, coeffs.get(m, 0))
 
     def set_cell(self, i: int, j: int, m: int, v: int) -> None:
+        """Record a coefficient and queue its transport around its orbit."""
+        pair = _canon(i, j)
+        if self._write(pair, m, v):
+            self._queue.append((pair, m, v))
+
+    def _write(self, pair: tuple[int, int], m: int, v: int) -> bool:
+        """Record coefficient v of b_m in the product of ``pair``; True when
+        it was unknown.  Completing a row freezes it and marks it known."""
         if v < 0:
             raise Contradiction(
-                (self.basis.name(i), self.basis.name(j), self.basis.name(m)),
+                self.names(pair) + (self.basis.name(m),),
                 f"negative coefficient of {self.basis.name(m)} in "
-                f"{self.basis.name(i)}*{self.basis.name(j)}",
+                f"{self.basis.name(pair[0])}*{self.basis.name(pair[1])}",
             )
-        pair = self._canon(i, j)
         row = self.cells[pair]
-        if row[m] is not None:
-            if row[m] != v:
+        old = row[m]
+        if old is not None:
+            if old != v:
                 raise Contradiction(
-                    (self.basis.name(i), self.basis.name(j), self.basis.name(m)),
-                    f"conflicting values {row[m]} and {v} for coefficient of "
-                    f"{self.basis.name(m)} in {self.basis.name(i)}*{self.basis.name(j)}",
+                    self.names(pair) + (self.basis.name(m),),
+                    f"conflicting values {old} and {v} for coefficient of "
+                    f"{self.basis.name(m)} in {self.basis.name(pair[0])}*{self.basis.name(pair[1])}",
                 )
-            return
+            return False
         row[m] = v
-        self._queue.append((pair[0], pair[1], m, v))
-        if all(x is not None for x in row):
-            rem = self.remainder_degree(pair)
+        self._rem[pair] -= v * self.deg[m]
+        self._open[pair] -= 1
+        if not self._open[pair]:
+            rem = self._rem[pair]
             if rem != 0:
                 raise Contradiction(
                     self.names(pair) + ("degree",),
                     f"completed product {self.basis.name(pair[0])}*{self.basis.name(pair[1])} "
                     f"misses the degree identity by {rem}",
                 )
+            self.rows[pair] = tuple((n, w) for n, w in enumerate(row) if w)
             self.known.add(pair)
             self.newly_known.append(pair)
+        return True
 
-    def orbit(self, i: int, j: int, m: int):
+    def orbit(self, i: int, j: int, m: int) -> tuple[tuple[int, int, int], ...]:
         """Closure of the coefficient position (i, j, m) under commutativity,
-        the involution and the normalization symmetry (i, j, m) -> (jbar, m, i)."""
-        seen = set()
-        stack = [(i, j, m)]
-        while stack:
-            t = stack.pop()
-            if t in seen:
-                continue
-            seen.add(t)
-            a, b, c = t
-            stack.append((b, a, c))
-            stack.append((self.dual[a], self.dual[b], self.dual[c]))
-            stack.append((self.dual[b], c, a))
-        return seen
+        the involution and the normalization symmetry (i, j, m) -> (jbar, m, i),
+        as positions (a, b, c) with a <= b."""
+        start = (*_canon(i, j), m)
+        out = self._orbits.get(start)
+        if out is None:
+            seen = set()
+            stack = [start]
+            while stack:
+                t = stack.pop()
+                if t in seen:
+                    continue
+                seen.add(t)
+                a, b, c = t
+                stack.append((b, a, c))
+                stack.append((self.dual[a], self.dual[b], self.dual[c]))
+                stack.append((self.dual[b], c, a))
+            out = tuple(sorted({(*_canon(a, b), c) for a, b, c in seen}))
+            for t in out:
+                self._orbits[t] = out
+        return out
+
+
+def _one_plus_eight(p: PartialTable, x: int) -> Optional[int]:
+    """n when x xbar = 1 + n is known with n of degree 8, else None."""
+    row = p.rows.get(_canon(x, p.dual[x]))
+    if row is not None and len(row) == 2 and row[0] == (0, 1):
+        n, c = row[1]
+        if p.deg[n] == 8 and c == 1:
+            return n
+    return None
 
 
 def _lemma22_bound(p: PartialTable, i: int, j: int) -> Optional[int]:
     """(x t, x t) <= 2 when x xbar = 1 + (degree-8 element) is known and
     t has degree 3 or 4."""
     for x, t in ((i, j), (j, i)):
-        if p.deg[x] == 3 and p.deg[t] in (3, 4) and p.is_known(x, p.dual[x]):
-            val = p.value(x, p.dual[x]).coeffs
-            if val.get(0) == 1 and len(val) == 2:
-                other = next(m for m in val if m != 0)
-                if p.deg[other] == 8 and val[other] == 1:
-                    return 2
+        if p.deg[x] == 3 and p.deg[t] in (3, 4) and _one_plus_eight(p, x) is not None:
+            return 2
     return None
+
+
+class _Triple:
+    """An activated R3 triple: its nonzero-net expansion terms, the unknown
+    products it watches, and whether it is queued or finished."""
+
+    __slots__ = ("i", "j", "l", "terms", "watches", "queued", "done")
+
+    def __init__(self, i: int, j: int, l: int, terms):
+        self.i, self.j, self.l = i, j, l
+        self.terms = terms
+        self.watches: list[tuple[int, int]] = []
+        self.queued = False
+        self.done = False
+
+
+class _Cross:
+    """Cross inner products of one pending product: ``kappas`` maps a known
+    (x, y) to (b_i b_j, b_x b_y), current up to ``seen`` entries of the
+    engine's registration log; ``survivors`` are the solutions of the
+    search result ``source`` that match every kappa."""
+
+    __slots__ = ("seen", "kappas", "source", "survivors")
+
+    def __init__(self):
+        self.seen = 0
+        self.kappas: dict[tuple[int, int], int] = {}
+        self.source = None
+        self.survivors: list = []
+
+
+# outcomes of deciding a triple
+_FIRED = "fired"
+_CHECKED = "checked"
 
 
 class _Engine:
     def __init__(self, table: PartialTable, introduce_names: bool, max_steps: int):
         self.p = table
+        k = table.k
         self.naming = introduce_names
         self.max_steps = max_steps
         self.trace = DeductionTrace()
+        self.stats = self.trace.stats
         self._budget_hit = False
         self._claimed: set[tuple[int, int]] = set()
-        # constituent -> known pairs whose value contains it
-        self._index: dict[int, list[tuple[int, int]]] = {m: [] for m in range(table.k)}
-        self._partners: dict[int, set[int]] = {m: set() for m in range(table.k)}
-        self._r3_todo: set[tuple[int, int, int]] = set()
+        self._partners: list[set[int]] = [set() for _ in range(k)]
+        # every known pair, in the order it was registered, and its row as a dict
+        self._log: list[tuple[int, int]] = []
+        self._dicts: dict[tuple[int, int], dict[int, int]] = {}
+        self._triples: dict[tuple[int, int, int], _Triple] = {}
+        self._watch: dict[tuple[int, int], list[_Triple]] = {}
+        self._agenda: deque[_Triple] = deque()
+        self._memo: dict[tuple[int, int], tuple[tuple, Optional[list]]] = {}
+        self._cross: dict[tuple[int, int], _Cross] = {}
+        # pairs whose search overflowed during the latest solver scans
+        self._overflowed: list[tuple[int, int]] = []
+        self._by_degree = sorted(range(k), key=lambda m: table.deg[m])
 
     # -- bookkeeping -------------------------------------------------------
 
     def log(self, rule: str, triple, pair) -> None:
         n = len(self.trace.steps) + 1
-        value = self.p.value(*pair)
         names = self.p.names(pair)
         t = tuple(triple) if triple else (names[0], names[1], "-")
-        self.trace.steps.append(DeductionStep(n, rule, t, names, self._format(value)))
+        value = format_element(self.p.basis, self.p.rows[pair])
+        self.trace.steps.append(DeductionStep(n, rule, t, names, value))
+        self.stats.firings[rule] += 1
         if n >= self.max_steps:
             self._budget_hit = True
-
-    def _format(self, x: Element) -> str:
-        if not x:
-            return "0"
-        parts = []
-        for m in sorted(x.coeffs):
-            c = x.coeffs[m]
-            name = self.p.basis.name(m)
-            parts.append(name if c == 1 else f"{c} {name}")
-        return " + ".join(parts)
 
     # -- R2 transport plus trigger maintenance -----------------------------
 
     def sync(self) -> None:
         """Drain coefficient transports and register newly known entries."""
         p = self.p
-        while p._queue or p.newly_known:
-            while p._queue:
-                i, j, m, v = p._queue.pop(0)
-                for (a, b, c) in p.orbit(i, j, m):
-                    p.set_cell(a, b, c, v)
+        queue = p._queue
+        attempts = self.stats.attempts
+        while queue or p.newly_known:
+            while queue:
+                pair, m, v = queue.popleft()
+                for (a, b, c) in p.orbit(pair[0], pair[1], m):
+                    attempts["R2"] += 1
+                    p._write((a, b), c, v)
             batch, p.newly_known = p.newly_known, []
             for pair in batch:
                 if pair not in self._claimed:
@@ -300,26 +489,20 @@ class _Engine:
                 self._lemma22_closure(pair)
 
     def _register_known(self, pair: tuple[int, int]) -> None:
-        p = self.p
         a, b = pair
+        self._log.append(pair)
+        self._dicts[pair] = dict(self.p.rows[pair])
         self._partners[a].add(b)
         self._partners[b].add(a)
-        for m, _ in p.value(a, b).items():
-            self._index[m].append(pair)
-        # triples that may have become decidable
-        for (x, y) in ((a, b), (b, a)):
-            for l in self._partners[y]:
-                self._r3_todo.add((x, y, l))
-            for i in self._partners[x]:
-                self._r3_todo.add((i, x, y))
-        # triples whose expansion contains the entry (a, b)
-        for l, other in ((b, a), (a, b)):
-            for (i, j) in self._index[other]:
-                self._r3_todo.add((i, j, l))
-                self._r3_todo.add((j, i, l))
-            for (j, l2) in self._index[other]:
-                self._r3_todo.add((l, j, l2))
-                self._r3_todo.add((l, l2, j))
+        if a:
+            # triples with this pair as a factor: it is (other, j) or (j, other)
+            for j, other in ((a, b), (b, a)) if a != b else ((a, a),):
+                for x in self._partners[j]:
+                    if x and x != other:
+                        self._activate(min(other, x), j, max(other, x))
+        for t in self._watch.pop(pair, ()):
+            if not t.done and pair in t.watches:
+                self._rewatch(t)
 
     # -- R1: pure degree rule ------------------------------------------------
 
@@ -329,9 +512,9 @@ class _Engine:
         for pair in p.pending_pairs():
             if pair in p.known:
                 continue  # resolved by a sync within this scan
+            self.stats.attempts["R1"] += 1
             row = p.cells[pair]
-            rem = p.remainder_degree(pair)
-            unknown = [m for m in range(p.k) if row[m] is None]
+            rem = p._rem[pair]
             if rem < 0:
                 raise Contradiction(
                     p.names(pair) + ("degree",),
@@ -339,15 +522,17 @@ class _Engine:
                 )
             if rem == 0:
                 self._claimed.add(pair)
-                for m in unknown:
-                    p.set_cell(pair[0], pair[1], m, 0)
+                for m in range(p.k):
+                    if row[m] is None:
+                        p.set_cell(pair[0], pair[1], m, 0)
                 self.log("R1", None, pair)
                 fired = True
                 if self._budget_hit:
                     return fired
                 self.sync()
                 continue
-            if unknown and min(p.deg[m] for m in unknown) > rem:
+            smallest = next(m for m in self._by_degree if row[m] is None)
+            if p.deg[smallest] > rem:
                 raise Contradiction(
                     p.names(pair) + ("degree",),
                     f"remainder of degree {rem} in {p.names(pair)} cannot be met by any "
@@ -357,63 +542,130 @@ class _Engine:
 
     # -- R3: associativity -----------------------------------------------------
 
+    def _is_representative(self, i: int, j: int, l: int) -> bool:
+        d = self.p.dual
+        ci, cl = d[i], d[l]
+        return (i, j, l) <= (min(ci, cl), d[j], max(ci, cl))
+
+    def _terms(self, i: int, j: int, l: int) -> tuple:
+        """Nonzero net coefficients of (b_i b_j) b_l - b_i (b_j b_l) over the
+        products it expands into; (i, j) and (j, l) must be known."""
+        rows = self.p.rows
+        net: dict[tuple[int, int], int] = {}
+        for m, c in rows[_canon(i, j)]:
+            q = _canon(m, l)
+            net[q] = net.get(q, 0) + c
+        for m, c in rows[_canon(j, l)]:
+            q = _canon(i, m)
+            net[q] = net.get(q, 0) - c
+        return tuple((q, c) for q, c in net.items() if c)
+
+    def _activate(self, i: int, j: int, l: int) -> None:
+        if not self._is_representative(i, j, l):
+            return
+        terms = self._terms(i, j, l)
+        if not terms:
+            return
+        self.stats.r3_activated += 1
+        t = self._triples[(i, j, l)] = _Triple(i, j, l, terms)
+        self._rewatch(t)
+
+    def _rewatch(self, t: _Triple) -> None:
+        """Watch two unknown products of t, or queue t when fewer remain."""
+        known = self.p.known
+        watches = []
+        for q, _ in t.terms:
+            if q not in known:
+                watches.append(q)
+                if len(watches) == 2:
+                    break
+        for q in watches:
+            if q not in t.watches:
+                self._watch.setdefault(q, []).append(t)
+        t.watches = watches
+        if len(watches) < 2 and not t.queued:
+            t.queued = True
+            self._agenda.append(t)
+
     def r3_process(self) -> bool:
         fired = False
-        while self._r3_todo:
-            batch = sorted(self._r3_todo)
-            self._r3_todo.clear()
-            for (i, j, l) in batch:
-                if self._r3_triple(i, j, l):
-                    fired = True
-                    if self._budget_hit:
-                        return fired
-                    self.sync()
+        agenda = self._agenda
+        while agenda:
+            t = agenda.popleft()
+            t.queued = False
+            if t.done:
+                continue
+            self.stats.attempts["R3"] += 1
+            # _rewatch queued t watching all its unknown products, so a t
+            # left undecided already watches the one it waits for
+            outcome = self._evaluate(t.i, t.j, t.l, t.terms)
+            t.done = outcome is not None
+            if outcome is _FIRED:
+                fired = True
+                if self._budget_hit:
+                    return fired
+                self.sync()
         return fired
 
     def r3_full_sweep(self) -> bool:
-        """Safety net: enqueue every currently checkable triple."""
-        for j in range(self.p.k):
-            for i in self._partners[j]:
-                for l in self._partners[j]:
-                    self._r3_todo.add((i, j, l))
-        return self.r3_process()
-
-    def _r3_triple(self, i: int, j: int, l: int) -> bool:
+        """Fixed-point certificate: every triple whose factors are known is
+        decided, or else evaluated now.  A decided triple was evaluated on
+        frozen rows, so evaluating it again would repeat the answer."""
         p = self.p
-        if not (p.is_known(i, j) and p.is_known(j, l)):
-            return False
+        fired = False
+        for j in range(1, p.k):
+            partners = sorted(x for x in self._partners[j] if x)
+            for a, i in enumerate(partners):
+                for l in partners[a + 1:]:
+                    if not self._is_representative(i, j, l):
+                        continue
+                    t = self._triples.get((i, j, l))
+                    self.stats.sweep_triples += 1
+                    if t is not None and t.done:
+                        continue
+                    terms = t.terms if t is not None else self._terms(i, j, l)
+                    if terms and self._evaluate(i, j, l, terms) is _FIRED:
+                        self.stats.sweep_firings += 1
+                        fired = True
+                        if self._budget_hit:
+                            return fired
+                        self.sync()
+        return fired
+
+    def _evaluate(self, i: int, j: int, l: int, terms: tuple):
+        """Decide the triple (i, j, l) with expansion ``terms``: _FIRED when
+        it solved its one unknown product, _CHECKED when it had none, None
+        when two or more are unknown or the one unknown product's net
+        coefficient is not +-1.  Raises Contradiction when associativity
+        cannot hold."""
+        p = self.p
+        rows = p.rows
+        unknown = None
+        for q, c in terms:
+            if q not in rows:
+                if unknown is not None:
+                    return None
+                unknown = (q, c)
+        if unknown is not None and abs(unknown[1]) != 1:
+            return None
         known_part: dict[int, int] = {}
-        unknown_net: dict[tuple[int, int], int] = {}
-
-        def accumulate(factor_value: Element, other: int, sign: int):
-            for m, c in factor_value.items():
-                pair = p._canon(m, other)
-                if pair in p.known:
-                    row = p.cells[pair]
-                    for n, w in enumerate(row):
-                        if w:
-                            known_part[n] = known_part.get(n, 0) + sign * c * w
-                else:
-                    unknown_net[pair] = unknown_net.get(pair, 0) + sign * c
-
-        accumulate(p.value(i, j), l, +1)
-        accumulate(p.value(j, l), i, -1)
-        unknown_net = {pair: c for pair, c in unknown_net.items() if c != 0}
+        get = known_part.get
+        for q, c in terms:
+            row = rows.get(q)
+            if row is not None:
+                for n, w in row:
+                    known_part[n] = get(n, 0) + c * w
         names3 = (p.basis.name(i), p.basis.name(j), p.basis.name(l))
-        if not unknown_net:
-            if any(c != 0 for c in known_part.values()):
-                bad = sorted(m for m, c in known_part.items() if c != 0)
+        if unknown is None:
+            bad = sorted(m for m, c in known_part.items() if c != 0)
+            if bad:
                 raise Contradiction(
                     names3,
                     f"associativity fails on triple {names3} at "
                     + ", ".join(p.basis.name(m) for m in bad),
                 )
-            return False
-        if len(unknown_net) != 1:
-            return False
-        (pair, net), = unknown_net.items()
-        if abs(net) != 1:
-            return False
+            return _CHECKED
+        pair, net = unknown
         solved: dict[int, int] = {}
         for m, c in known_part.items():
             value = -c * net
@@ -428,52 +680,96 @@ class _Engine:
         self._claimed.add(pair)
         p.set_product(pair[0], pair[1], solved)
         self.log("R3", names3, pair)
-        return True
+        return _FIRED
 
     # -- R4 / R1b: inner-product constrained resolution --------------------------
 
     def _inner_exact(self, i: int, j: int) -> Optional[int]:
         p = self.p
-        if p.is_known(i, p.dual[i]) and p.is_known(j, p.dual[j]):
-            a = p.value(i, p.dual[i])
-            b = p.value(j, p.dual[j])
-            return sum(c * b[m] for m, c in a.items())
+        a = p.rows.get(_canon(i, p.dual[i]))
+        b = self._dicts.get(_canon(j, p.dual[j]))
+        if a is not None and b is not None:
+            return _inner(a, b)
         return None
 
     def _reality_mass(self, i: int, j: int) -> Optional[int]:
         p = self.p
         for x, y in ((j, p.dual[i]), (p.dual[j], i)):
-            if p.is_known(x, x) and p.is_known(y, y):
-                a = p.value(x, x)
-                b = p.value(y, y)
-                return sum(c * b[m] for m, c in a.items())
+            a = p.rows.get((x, x))
+            b = self._dicts.get((y, y))
+            if a is not None and b is not None:
+                return _inner(a, b)
         return None
 
-    def _cross_inners(self, i: int, j: int):
-        """Inner products of the pending entry (i, j) against known entries,
-        via (b_i b_j, b_p b_q) = (b_j b_qbar, b_ibar b_p)."""
+    def _matching(self, pair: tuple[int, int], solutions: list) -> list:
+        """The solutions whose inner products with every known (x, y),
+        x, y >= 1, equal (b_i b_j, b_x b_y) wherever that is determined."""
         p = self.p
-        out = []
-        seen = set()
-        for (pp, qq) in p.known:
-            if pp == 0:
+        i, j = pair
+        d, partners, log = p.dual, self._partners, self._log
+        state = self._cross.get(pair)
+        if state is None:
+            state = self._cross[pair] = _Cross()
+        # Targets whose kappa may have changed: a new product matters as the
+        # target itself or, for a target known before, as a factor kappa is
+        # read from.  A factor and its conjugate become known in the same
+        # sync and name the same targets, so (j, ybar) and (i, xbar) stand
+        # for (jbar, y) and (ibar, x).
+        targets: set[tuple[int, int]] = set()
+        for a, b in log[state.seen:]:
+            for e, f in ((a, b), (b, a)):
+                targets.add((e, f))
+                if state.seen and e == j:
+                    targets.update((x, d[f]) for x in partners[d[f]])
+                if state.seen and e == i:
+                    targets.update((d[f], y) for y in partners[d[f]])
+        state.seen = len(log)
+        # (b_i b_j, b_x b_y) is (b_j b_ybar, b_ibar b_x), or else
+        # (b_i b_xbar, b_jbar b_y), when those products are known
+        rows, dicts, k = p.rows, self._dicts, p.k
+        u1 = [rows.get(_canon(j, d[y])) for y in range(k)]
+        w1 = [dicts.get(_canon(d[i], x)) for x in range(k)]
+        u2 = [rows.get(_canon(i, d[x])) for x in range(k)]
+        w2 = [dicts.get(_canon(d[j], y)) for y in range(k)]
+        kappas = state.kappas
+        fresh, refilter = [], state.source is not solutions
+        for x, y in targets:
+            if not (x and y and _canon(x, y) in rows):
                 continue
-            for (x, y) in ((pp, qq), (qq, pp)):
-                if (x, y) in seen:
+            u, w = u1[y], w1[x]
+            if u is None or w is None:
+                u, w = u2[x], w2[y]
+                if u is None or w is None:
                     continue
-                seen.add((x, y))
-                kappa = None
-                if p.is_known(j, p.dual[y]) and p.is_known(p.dual[i], x):
-                    u = p.value(j, p.dual[y])
-                    w = p.value(p.dual[i], x)
-                    kappa = sum(c * w[m] for m, c in u.items())
-                elif p.is_known(i, p.dual[x]) and p.is_known(p.dual[j], y):
-                    u = p.value(i, p.dual[x])
-                    w = p.value(p.dual[j], y)
-                    kappa = sum(c * w[m] for m, c in u.items())
-                if kappa is not None:
-                    out.append((p.value(x, y), kappa))
-        return out
+            kappa = _inner(u, w)
+            if kappas.get((x, y)) != kappa:
+                refilter = refilter or (x, y) in kappas
+                kappas[(x, y)] = kappa
+                fresh.append((x, y))
+        if refilter:
+            state.source, pool, checks = solutions, solutions, kappas
+        else:
+            pool, checks = state.survivors, fresh
+        # Every solution is the known part of the row plus its assignment.
+        # A target row that misses every assigned coefficient gives all of
+        # them the same inner product, so it is checked once.
+        base = {m: v for m, v in enumerate(p.cells[pair]) if v}
+        assigned = {m for assign, _ in pool for m in assign}
+        splitting = []
+        for t in checks:
+            row = p.rows[_canon(*t)]
+            rest = kappas[t] - sum(c * base.get(m, 0) for m, c in row)
+            touched = [(m, c) for m, c in row if m in assigned]
+            if touched:
+                splitting.append((touched, rest))
+            elif rest:
+                pool = []
+                break
+        state.survivors = [
+            s for s in pool
+            if all(sum(c * s[0].get(m, 0) for m, c in touched) == rest for touched, rest in splitting)
+        ]
+        return state.survivors if kappas else solutions
 
     def solver_scan(self, naming_phase: bool) -> bool:
         p = self.p
@@ -482,6 +778,8 @@ class _Engine:
             # christen new names on the newest element's products first,
             # mirroring the order in which generators introduce constituents
             pending.sort(key=lambda q: (q[1], q[0]))
+        else:
+            self._overflowed = []
         for pair in pending:
             if self._conjugate_primary(pair) != pair:
                 continue
@@ -495,17 +793,17 @@ class _Engine:
 
     def _conjugate_primary(self, pair: tuple[int, int]) -> tuple[int, int]:
         p = self.p
-        other = p._canon(p.dual[pair[0]], p.dual[pair[1]])
+        other = _canon(p.dual[pair[0]], p.dual[pair[1]])
         return min(pair, other)
 
     def _solve_entry(self, pair: tuple[int, int], naming_phase: bool) -> bool:
         p = self.p
         i, j = pair
         row = p.cells[pair]
-        rem = p.remainder_degree(pair)
-        unknown = [m for m in range(p.k) if row[m] is None]
-        if not unknown or rem <= 0:
+        rem = p._rem[pair]
+        if not p._open[pair] or rem <= 0:
             return False
+        self.stats.attempts["R4"] += 1
         s_exact = self._inner_exact(i, j)
         s_upper = _lemma22_bound(p, i, j) if s_exact is None else None
         sigma2 = sum(v * v for v in row if v)
@@ -525,63 +823,18 @@ class _Engine:
             budget2 = s_exact - sigma2
         elif s_upper is not None:
             budget2 = s_upper - sigma2
-        candidates = [m for m in unknown if p.deg[m] <= rem]
+        candidates = [m for m in range(p.k) if row[m] is None and p.deg[m] <= rem]
         if not candidates:
             return False  # r1_scan raises on the impossible case
         if budget2 is None and rem // min(p.deg[m] for m in candidates) > 3:
             return False
         r_mass = self._reality_mass(i, j)
-
-        def full_vector(assign: dict[int, int]) -> dict[int, int]:
-            vec = {m: v for m, v in enumerate(row) if v}
-            for m, c in assign.items():
-                if c:
-                    vec[m] = vec.get(m, 0) + c
-            return vec
-
-        def base_consistent(assign: dict[int, int]) -> bool:
-            vec = full_vector(assign)
-            if s_exact is not None and sum(c * c for c in vec.values()) != s_exact:
-                return False
-            if s_upper is not None and sum(c * c for c in vec.values()) > s_upper:
-                return False
-            if r_mass is not None:
-                if sum(c * vec.get(p.dual[m], 0) for m, c in vec.items()) != r_mass:
-                    return False
-            return True
-
-        solutions: list[dict[int, int]] = []
-        nodes = 0
-
-        def dfs(idx: int, deg_left: int, sq_left: Optional[int], assign: dict[int, int]):
-            nonlocal nodes
-            nodes += 1
-            if nodes > SOLVER_NODE_CAP or len(solutions) > SOLVER_SOLUTION_CAP:
-                raise _SolverOverflow
-            if deg_left == 0:
-                if base_consistent(assign):
-                    solutions.append(dict(assign))
-                return
-            if idx == len(candidates):
-                return
-            m = candidates[idx]
-            dm = p.deg[m]
-            top = deg_left // dm
-            if sq_left is not None:
-                while top * top > sq_left:
-                    top -= 1
-            for c in range(top, -1, -1):
-                if c:
-                    assign[m] = c
-                else:
-                    assign.pop(m, None)
-                nsq = sq_left - c * c if sq_left is not None else None
-                dfs(idx + 1, deg_left - c * dm, nsq, assign)
-            assign.pop(m, None)
-
-        try:
-            dfs(0, rem, budget2, {})
-        except _SolverOverflow:
+        key = (tuple(row), s_exact, s_upper, r_mass)
+        solutions = self._decompositions(
+            pair, key, lambda: self._search(row, rem, candidates, budget2, s_exact, s_upper, r_mass)
+        )
+        if solutions is None:
+            self._overflowed.append(pair)
             return False
         if not solutions:
             raise Contradiction(
@@ -590,32 +843,148 @@ class _Engine:
                 "inner-product constraints",
             )
         if len(solutions) > 1:
-            crosses = self._cross_inners(i, j)
-            if crosses:
-                filtered = []
-                for assign in solutions:
-                    vec = full_vector(assign)
-                    if all(
-                        sum(c * f[m] for m, c in vec.items()) == kappa for f, kappa in crosses
-                    ):
-                        filtered.append(assign)
-                if not filtered:
-                    raise Contradiction(
-                        p.names(pair) + ("no-decomposition",),
-                        f"no decomposition of the remainder of {p.names(pair)} matches its "
-                        "inner products against known products",
-                    )
-                solutions = filtered
+            solutions = self._matching(pair, solutions)
+            if not solutions:
+                raise Contradiction(
+                    p.names(pair) + ("no-decomposition",),
+                    f"no decomposition of the remainder of {p.names(pair)} matches its "
+                    "inner products against known products",
+                )
         chosen: Optional[dict[int, int]] = None
         if len(solutions) == 1:
-            chosen = solutions[0]
+            chosen = solutions[0][1]
         elif naming_phase and self.naming:
-            chosen = self._canonical_naming(solutions)
+            best = self._canonical_naming([assign for assign, _ in solutions])
+            if best is not None:
+                chosen = next(vec for assign, vec in solutions if assign == best)
         if chosen is None:
             return False
         self._claimed.add(pair)
-        p.set_product(i, j, full_vector(chosen))
+        p.set_product(i, j, chosen)
         return True
+
+    def _decompositions(self, pair: tuple[int, int], key: tuple, search) -> Optional[list]:
+        """``search()`` for ``pair`` in the state ``key``, from the memo when
+        the pair was last searched under the same key."""
+        cached = self._memo.get(pair)
+        if cached is not None and cached[0] == key:
+            self.stats.solver_memo_hits += 1
+            return cached[1]
+        answer = search()
+        self._memo[pair] = (key, answer)
+        if answer is None:
+            self.stats.solver_overflows += 1
+            if self.p.names(pair) not in self.stats.overflow_pairs:
+                self.stats.overflow_pairs.append(self.p.names(pair))
+        return answer
+
+    def _search(self, row, rem, candidates, budget2, s_exact, s_upper, r_mass) -> Optional[list]:
+        """Every decomposition of the remainder ``rem`` over ``candidates``
+        meeting the inner-product constraints, as (assignment, full row)
+        pairs; None when a solver cap is hit.
+
+        The answer is that of a depth-first search that tries each
+        candidate's coefficient from the largest the degree and square
+        budgets allow down to 0, and gives up after SOLVER_NODE_CAP nodes
+        or when it enters a node holding more than SOLVER_SOLUTION_CAP
+        solutions."""
+        self.stats.solver_searches += 1
+        deg, dual = self.p.deg, self.p.dual
+        base = {m: v for m, v in enumerate(row) if v}
+
+        def full_vector(assign: dict[int, int]) -> dict[int, int]:
+            vec = dict(base)
+            for m, c in assign.items():
+                vec[m] = vec.get(m, 0) + c
+            return vec
+
+        def consistent(vec: dict[int, int]) -> bool:
+            if s_exact is not None and sum(c * c for c in vec.values()) != s_exact:
+                return False
+            if s_upper is not None and sum(c * c for c in vec.values()) > s_upper:
+                return False
+            if r_mass is not None:
+                if sum(c * vec.get(dual[m], 0) for m, c in vec.items()) != r_mass:
+                    return False
+            return True
+
+        def bounded(idx: int, deg_left: int, sq_left: Optional[int]) -> range:
+            dm = deg[candidates[idx]]
+            top = deg_left // dm
+            if sq_left is not None:
+                while top * top > sq_left:
+                    top -= 1
+            return range(top, -1, -1)
+
+        shapes: dict[tuple, tuple[int, bool]] = {}
+
+        def shape(idx: int, deg_left: int, sq_left: Optional[int]) -> tuple[int, bool]:
+            # (nodes dfs visits from the node it enters with these values,
+            # counted only up to just past the cap; whether any of them is a
+            # decomposition, with the square budget used up exactly when
+            # s_exact is known)
+            if deg_left == 0:
+                return 1, s_exact is None or sq_left == 0
+            if idx == len(candidates):
+                return 1, False
+            key = (idx, deg_left, sq_left)
+            out = shapes.get(key)
+            if out is None:
+                dm = deg[candidates[idx]]
+                total, live = 1, False
+                for c in bounded(idx, deg_left, sq_left):
+                    nsq = sq_left - c * c if sq_left is not None else None
+                    size, reaches = shape(idx + 1, deg_left - c * dm, nsq)
+                    total += size
+                    live = live or reaches
+                    if total > SOLVER_NODE_CAP:
+                        break
+                out = shapes[key] = (total, live)
+            return out
+
+        # The node cap is decided by counting the search tree; the walk then
+        # skips subtrees that reach no decomposition.  Skipping is exact for
+        # the solution cap too: a skipped subtree adds no solution, and the
+        # walk overflows where its first node would have been entered.
+        if shape(0, rem, budget2)[0] > SOLVER_NODE_CAP:
+            return None
+
+        solutions: list[tuple[dict[int, int], dict[int, int]]] = []
+        nodes = 0
+
+        def dfs(idx: int, deg_left: int, sq_left: Optional[int], assign: dict[int, int]):
+            nonlocal nodes
+            nodes += 1
+            if len(solutions) > SOLVER_SOLUTION_CAP:
+                raise _SolverOverflow
+            if deg_left == 0:
+                vec = full_vector(assign)
+                if consistent(vec):
+                    solutions.append((dict(assign), vec))
+                return
+            m = candidates[idx]
+            dm = deg[m]
+            for c in bounded(idx, deg_left, sq_left):
+                if c:
+                    assign[m] = c
+                else:
+                    assign.pop(m, None)
+                left = deg_left - c * dm
+                nsq = sq_left - c * c if sq_left is not None else None
+                if shape(idx + 1, left, nsq)[1]:
+                    dfs(idx + 1, left, nsq, assign)
+                elif len(solutions) > SOLVER_SOLUTION_CAP:
+                    raise _SolverOverflow
+            assign.pop(m, None)
+
+        try:
+            if shape(0, rem, budget2)[1]:
+                dfs(0, rem, budget2, {})
+        except _SolverOverflow:
+            return None
+        finally:
+            self.stats.solver_nodes += nodes
+        return solutions
 
     def _canonical_naming(self, solutions: list[dict[int, int]]) -> Optional[dict[int, int]]:
         """Pick the least-indexed assignment when every other solution is the
@@ -675,7 +1044,7 @@ class _Engine:
         p = self.p
         for (i, j), row in p.cells.items():
             pi, pj = perm[i], perm[j]
-            image_row = p.cells[p._canon(pi, pj)]
+            image_row = p.cells[_canon(pi, pj)]
             for m, v in enumerate(row):
                 if v is None:
                     continue
@@ -690,21 +1059,26 @@ class _Engine:
         i, j = pair
         if p.deg[i] != 3 or p.deg[j] != 3 or pair[0] == 0:
             return
-        value = p.value(i, j)
-        if sum(c * c for c in value.coeffs.values()) != 2:
+        if sum(c * c for _, c in p.rows[pair]) != 2:
             return
         for x, t in ((i, j), (j, i)):
-            if p.is_known(x, p.dual[x]) and not p.is_known(t, p.dual[t]):
-                base = p.value(x, p.dual[x]).coeffs
-                if base.get(0) == 1 and len(base) == 2:
-                    n8 = next(m for m in base if m != 0)
-                    if p.deg[n8] == 8 and base[n8] == 1:
-                        tpair = p._canon(t, p.dual[t])
-                        self._claimed.add(tpair)
-                        p.set_product(t, p.dual[t], {0: 1, n8: 1})
-                        self.log("R4", None, tpair)
+            if not p.is_known(t, p.dual[t]):
+                n8 = _one_plus_eight(p, x)
+                if n8 is not None:
+                    tpair = _canon(t, p.dual[t])
+                    self._claimed.add(tpair)
+                    p.set_product(t, p.dual[t], {0: 1, n8: 1})
+                    self.log("R4", None, tpair)
 
     # -- main loop -----------------------------------------------------------
+
+    def _timed(self, phase: str, step, *args) -> bool:
+        t0 = time.perf_counter()
+        try:
+            return step(*args)
+        finally:
+            seconds = self.stats.seconds
+            seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - t0
 
     def run(self) -> None:
         p = self.p
@@ -712,17 +1086,17 @@ class _Engine:
             # everything known at seed time triggers the initial agenda
             p.newly_known = sorted(p.known)
             self._claimed.update(p.known)
-            self.sync()
+            self._timed("seed", self.sync)
             while not self._budget_hit:
-                if self.r1_scan():
+                if self._timed("R1", self.r1_scan):
                     continue
-                if self.r3_process():
+                if self._timed("R3", self.r3_process):
                     continue
-                if self.solver_scan(naming_phase=False):
+                if self._timed("R4", self.solver_scan, False):
                     continue
-                if self.naming and self.solver_scan(naming_phase=True):
+                if self.naming and self._timed("naming", self.solver_scan, True):
                     continue
-                if self.r3_full_sweep():
+                if self._timed("sweep", self.r3_full_sweep):
                     continue
                 break
         except Contradiction as c:
@@ -735,6 +1109,8 @@ class _Engine:
             self.trace.status = "stalled"
             self.trace.unresolved = tuple(p.names(q) for q in pending)
             self.trace.budget_exhausted = self._budget_hit
+            if not self._budget_hit:
+                self.trace.capped = tuple(p.names(q) for q in dict.fromkeys(self._overflowed))
         else:
             self.trace.status = "completed"
 
@@ -746,7 +1122,8 @@ def propagate(
 
     With ``introduce_names`` False every written entry is forced, so a
     seed drawn from a consistent algebra only ever derives that algebra's
-    values.  The trace records one step per completed entry.
+    values.  The trace records one step per completed entry, and its
+    ``stats`` what each rule attempted.
     """
     work = table.copy()
     engine = _Engine(work, introduce_names=introduce_names, max_steps=max_steps)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Element, BasisElement, TableAlgebra, TableBasis, TableAlgebraError
+from .core import Element, BasisElement, TableAlgebra, TableBasis, TableAlgebraError, format_element
 
 __all__ = ["ParseError", "parse", "parse_partial", "serialize", "parse_element_expr"]
 
@@ -220,15 +220,6 @@ def parse_partial(text: str):
     return _parse_lines(text)
 
 
-def _format_row(basis: TableBasis, row: dict[int, int]) -> str:
-    parts = []
-    for m in sorted(row):
-        c = row[m]
-        name = basis.name(m)
-        parts.append(name if c == 1 else f"{c} {name}")
-    return " + ".join(parts)
-
-
 def serialize(algebra: TableAlgebra) -> str:
     """Canonical text form: declaration order, products sorted by (i, j).
 
@@ -250,6 +241,6 @@ def serialize(algebra: TableAlgebra) -> str:
     k = basis.size
     for i in range(1, k):
         for j in range(i, k):
-            row = dict(algebra.constants.row_items(i, j))
-            out.append(f"product {basis.name(i)} {basis.name(j)} = {_format_row(basis, row)}")
+            row = format_element(basis, algebra.constants.row_items(i, j))
+            out.append(f"product {basis.name(i)} {basis.name(j)} = {row}")
     return "\n".join(out) + "\n"

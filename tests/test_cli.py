@@ -1,8 +1,12 @@
 import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
+import tabalg
 from tabalg import load, parse, serialize
 from tabalg.cli import run
 
@@ -169,6 +173,62 @@ class TestDeduce:
         code, out, _ = invoke(capsys, "deduce", str(path))
         assert code == 1
         assert "contradiction" in out
+
+
+    def test_machine_format_reports_stats(self, capsys, tmp_path):
+        trace = tmp_path / "trace.log"
+        code, out, _ = invoke(capsys, "--format", "machine", "deduce", "bundled:PSL27-partial",
+                              "--trace", str(trace))
+        assert code == 0
+        facts = dict(line.split("\t") for line in out.strip().splitlines())
+        steps = trace.read_text().splitlines()[:-1]
+        for rule in ("R1", "R2", "R3", "R4"):
+            assert int(facts[f"stats.{rule}.firings"]) == sum(f" RULE {rule} " in s for s in steps)
+        assert int(facts["stats.R3.attempts"]) >= int(facts["stats.R3.firings"]) > 0
+        assert facts["stats.r3.evaluated"] == facts["stats.R3.attempts"]
+        assert facts["stats.sweep.firings"] == "0"
+        assert facts["stats.solver.overflow_pairs"] == "-"
+
+    def test_timing_per_phase_on_stderr(self, capsys):
+        code, out, err = invoke(capsys, "deduce", "bundled:PSL27-partial", "--timing")
+        assert code == 0
+        lines = err.strip().splitlines()
+        assert re.fullmatch(r"timing: \d+\.\d{3}s", lines[-1])
+        for line in lines[:-1]:
+            assert re.fullmatch(r"timing: \S+ \d+\.\d{3}s", line), line
+        assert {"seed", "R1", "R3", "R4", "sweep"} <= {line.split()[1] for line in lines[:-1]}
+        assert "timing" not in out
+
+    def test_stall_names_the_solver_caps_it_hit(self, capsys, tmp_path):
+        lines = [l for l in serialize(load("B32")).splitlines()
+                 if not l.startswith("product") or l.startswith("product b3 b3bar")]
+        path = tmp_path / "underseeded.alg"
+        path.write_text("\n".join(lines) + "\n")
+        trace = tmp_path / "trace.log"
+        code, out, _ = invoke(capsys, "deduce", str(path), "--trace", str(trace))
+        assert code == 1
+        assert out.splitlines()[0] == "B32: stalled after 0 steps"
+        assert "  (solver cap hit on 16 products: c3*c3 " in out
+        assert trace.read_text().splitlines()[-1].startswith("STATUS stalled SOLVER-CAP c3*c3,")
+        code, out, _ = invoke(capsys, "--format", "machine", "deduce", str(path))
+        facts = dict(line.split("\t") for line in out.strip().splitlines())
+        assert len(facts["capped"].split()) == 16
+        assert set(facts["capped"].split()) <= set(facts["stats.solver.overflow_pairs"].split())
+
+
+def test_only_the_verifier_imports_numpy():
+    src = str(pathlib.Path(tabalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    script = (
+        "import sys, tabalg.cli\n"
+        "assert 'numpy' not in sys.modules, 'import'\n"
+        "tabalg.cli.run(['deduce', 'bundled:PSL27-partial'])\n"
+        "assert 'numpy' not in sys.modules, 'deduce'\n"
+        "tabalg.cli.run(['verify', 'bundled:C7'])\n"
+        "assert 'numpy' in sys.modules, 'verify'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 class TestBundled:

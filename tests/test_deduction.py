@@ -7,6 +7,8 @@ from tabalg import (
     BasisElement,
     TableBasis,
     complete_or_refute,
+    deduction,
+    load,
     parse_partial,
     propagate,
 )
@@ -221,3 +223,319 @@ class TestFullCompletion:
         for ai, a in enumerate(names):
             for b in names[ai:]:
                 assert table.is_known(idx(a), idx(b)), (a, b)
+
+
+def naive_r3_findings(table):
+    """Test-only reference for the R3 agenda: expand every one of the k^3
+    triples (i, j, l) whose factors (i, j) and (j, l) are known, with no
+    symmetry reduction, and list those on which R3 would still fire (one
+    unknown product of net coefficient +-1) or find a contradiction."""
+    k = table.k
+    rows = {pair: table.value(*pair).coeffs for pair in table.known}
+
+    def row(a, b):
+        return rows.get((a, b) if a <= b else (b, a))
+
+    found = []
+    for i in range(k):
+        for j in range(k):
+            ij = row(i, j)
+            if ij is None:
+                continue
+            for l in range(k):
+                jl = row(j, l)
+                if jl is None:
+                    continue
+                known_part, unknown = {}, {}
+                for factor, other, sign in ((ij, l, 1), (jl, i, -1)):
+                    for m, c in factor.items():
+                        q = (m, other) if m <= other else (other, m)
+                        if q in rows:
+                            for n, w in rows[q].items():
+                                known_part[n] = known_part.get(n, 0) + sign * c * w
+                        else:
+                            unknown[q] = unknown.get(q, 0) + sign * c
+                unknown = [c for c in unknown.values() if c]
+                if not unknown and any(known_part.values()):
+                    found.append(("contradiction", i, j, l))
+                elif len(unknown) == 1 and abs(unknown[0]) == 1:
+                    found.append(("fires", i, j, l))
+    return found
+
+
+def _third(name, seed):
+    """A random third of the products of a bundled algebra, as the deduce
+    benchmark draws it; completed without naming."""
+    A = load(name)
+    k = A.size
+    pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
+    return PartialTable.from_subtable(A, random.Random(seed).sample(pairs, len(pairs) // 3)), False
+
+
+def _psl27():
+    _, basis, products = parse_partial(data_text("PSL27-partial"))
+    return PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0}), True
+
+
+def _b32_stall():
+    B32 = load("B32")
+    return PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, B32.basis.index_of("b8"): 1}}), True
+
+
+# Status, total steps and known pairs at the fixed point, as computed by the
+# engine that re-evaluated every affected triple after each change; "all"
+# means every product is known.
+PINNED = {
+    "PSL27": (_psl27, "completed", 7, "all"),
+    "B32stall": (_b32_stall, "stalled", 0, "identity+b3*b3bar"),
+}
+for _seed in (1, 2, 3):
+    PINNED[f"B32third{_seed}"] = (lambda s=_seed: _third("B32", s), "completed", 331, "all")
+    PINNED[f"B22third{_seed}"] = (lambda s=_seed: _third("B22", s), "completed", 154, "all")
+    PINNED[f"D17third{_seed}"] = (lambda s=_seed: _third("D17", s), "completed", 91, "all")
+
+
+class TestAgenda:
+    def check(self, table, trace, status, steps, known):
+        assert trace.status == status
+        assert len(trace.steps) == steps
+        k = table.k
+        if known == "all":
+            assert table.known == {(i, j) for i in range(k) for j in range(i, k)}
+        else:
+            b3, b3bar = (table.basis.index_of(n) for n in ("b3", "b3bar"))
+            assert table.known == {(0, j) for j in range(k)} | {(b3, b3bar)}
+        assert naive_r3_findings(table) == []
+        assert trace.stats.sweep_firings == 0
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_fixed_point_is_pinned_and_r3_closed(self, name):
+        make, status, steps, known = PINNED[name]
+        seed, naming = make()
+        table, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        self.check(table, trace, status, steps, known)
+
+    @pytest.mark.parametrize("name", ["PSL27", "D17third1", "B22third1", "B22third2"])
+    def test_r3_is_closed_whenever_the_agenda_drains(self, name, monkeypatch):
+        process = deduction._Engine.r3_process
+        drained = []
+
+        def checked(self):
+            fired = process(self)
+            assert naive_r3_findings(self.p) == []
+            drained.append(fired)
+            return fired
+
+        monkeypatch.setattr(deduction._Engine, "r3_process", checked)
+        make, status, _, _ = PINNED[name]
+        seed, naming = make()
+        _, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        assert trace.status == status
+        assert True in drained
+
+    def test_activated_triples_are_one_per_symmetry_class(self):
+        """Every triple of the k^3 with a nonzero net expansion is activated
+        through exactly one representative of its class under (i, j, l) ->
+        (l, j, i) and conjugation, with exactly its nonzero net terms, and
+        is decided by the end of a completed run."""
+        seed, naming = _third("B22", 1)
+        engine = deduction._Engine(seed.copy(), introduce_names=naming, max_steps=10**6)
+        engine.run()
+        p = engine.p
+        k, d = p.k, p.dual
+        expected = {}
+        for i in range(1, k):
+            for j in range(1, k):
+                for l in range(i + 1, k):
+                    if (i, j, l) > (min(d[i], d[l]), d[j], max(d[i], d[l])):
+                        continue
+                    net = {}
+                    for m, c in p.value(i, j).items():
+                        q = (min(m, l), max(m, l))
+                        net[q] = net.get(q, 0) + c
+                    for m, c in p.value(j, l).items():
+                        q = (min(i, m), max(i, m))
+                        net[q] = net.get(q, 0) - c
+                    net = {q: c for q, c in net.items() if c}
+                    if net:
+                        expected[(i, j, l)] = net
+        assert engine.trace.status == "completed"
+        assert {key: dict(t.terms) for key, t in engine._triples.items()} == expected
+        assert all(t.done for t in engine._triples.values())
+        assert engine.stats.r3_activated == len(expected)
+
+    def test_sweep_recovers_from_a_broken_agenda(self, B22, monkeypatch):
+        def never_queue(self, t):
+            t.watches = []
+
+        monkeypatch.setattr(deduction._Engine, "_rewatch", never_queue)
+        seed, naming = _third("B22", 1)
+        table, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        assert trace.status == "completed"
+        assert trace.stats.attempts["R3"] == 0
+        assert trace.stats.sweep_firings > 0
+        for i, j in table.known:
+            assert table.value(i, j).coeffs == dict(B22.constants.row_items(i, j))
+
+    def test_lemma72_fixed_point(self, lemma72_run):
+        table, trace = lemma72_run
+        self.check(table, trace, "completed", 357, "all")
+
+    def test_lemma72_evaluates_under_a_tenth_of_the_former_triples(self, lemma72_run):
+        # the engine that re-evaluated every affected triple made 104,171
+        # evaluations on this seed
+        _, trace = lemma72_run
+        assert trace.stats.attempts["R3"] < 10_417
+        assert trace.stats.firings["R3"] == sum(s.rule == "R3" for s in trace.steps)
+
+    def test_stall_reports_the_solver_caps_it_hit(self):
+        seed, naming = _b32_stall()
+        trace = complete_or_refute(seed, introduce_names=naming)
+        assert trace.status == "stalled"
+        assert trace.capped
+        assert set(trace.capped) <= set(trace.stats.overflow_pairs)
+        assert set(trace.capped) <= set(trace.unresolved)
+        tail = trace.serialize().splitlines()[-1]
+        assert tail.startswith("STATUS stalled SOLVER-CAP ")
+        assert "c3*c3" in tail.split()[-1].split(",")
+
+    def test_completed_run_reports_no_cap(self, lemma72_run):
+        _, trace = lemma72_run
+        assert trace.capped == ()
+        assert "SOLVER-CAP" not in trace.serialize()
+
+
+def reference_search(deg, dual, row, rem, candidates, budget2, s_exact, s_upper, r_mass,
+                     node_cap, solution_cap, sizes=None):
+    """The plain depth-first decomposition search, walking every node; it
+    appends its node count to ``sizes`` when it finishes."""
+    base = {m: v for m, v in enumerate(row) if v}
+    solutions, nodes = [], 0
+
+    class Overflow(Exception):
+        pass
+
+    def dfs(idx, deg_left, sq_left, assign):
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_cap or len(solutions) > solution_cap:
+            raise Overflow
+        if deg_left == 0:
+            vec = dict(base)
+            for m, c in assign.items():
+                vec[m] = vec.get(m, 0) + c
+            sq = sum(c * c for c in vec.values())
+            if s_exact is not None and sq != s_exact:
+                return
+            if s_upper is not None and sq > s_upper:
+                return
+            if r_mass is not None and sum(c * vec.get(dual[m], 0) for m, c in vec.items()) != r_mass:
+                return
+            solutions.append((dict(assign), vec))
+            return
+        if idx == len(candidates):
+            return
+        m = candidates[idx]
+        top = deg_left // deg[m]
+        if sq_left is not None:
+            while top * top > sq_left:
+                top -= 1
+        for c in range(top, -1, -1):
+            if c:
+                assign[m] = c
+            else:
+                assign.pop(m, None)
+            dfs(idx + 1, deg_left - c * deg[m], sq_left - c * c if sq_left is not None else None, assign)
+        assign.pop(m, None)
+
+    try:
+        dfs(0, rem, budget2, {})
+    except Overflow:
+        return None
+    if sizes is not None:
+        sizes.append(nodes)
+    return solutions
+
+
+def reference_cross(p, i, j):
+    """Inner products (b_i b_j, b_x b_y) of a pending product against every
+    known (x, y), x, y >= 1, from a full scan of the known products."""
+    out = {}
+    for pp, qq in p.known:
+        if pp == 0:
+            continue
+        for x, y in ((pp, qq), (qq, pp)):
+            d = p.dual
+            if p.is_known(j, d[y]) and p.is_known(d[i], x):
+                u, w = p.value(j, d[y]), p.value(d[i], x)
+            elif p.is_known(i, d[x]) and p.is_known(d[j], y):
+                u, w = p.value(i, d[x]), p.value(d[j], y)
+            else:
+                continue
+            out[(x, y)] = sum(c * w[m] for m, c in u.items())
+    return out
+
+
+class _Forgetful(dict):
+    """A cache that never keeps anything."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestSolverFastPaths:
+    @pytest.mark.parametrize("caps", [(3_000, 8), (400, 2)])
+    def test_search_matches_plain_dfs(self, B32, monkeypatch, caps):
+        node_cap, solution_cap = caps
+        monkeypatch.setattr(deduction, "SOLVER_NODE_CAP", node_cap)
+        monkeypatch.setattr(deduction, "SOLVER_SOLUTION_CAP", solution_cap)
+        search = deduction._Engine._search
+        outcomes = []
+
+        def checked(self, *args):
+            got = search(self, *args)
+            sizes = []
+            want = reference_search(self.p.deg, self.p.dual, *args, node_cap, solution_cap, sizes)
+            assert got == want
+            outcomes.append(got is None)
+            if sizes:
+                # a cap of exactly the tree size, and one node less
+                nodes, found = sizes[0], len(want)
+                for caps in ((nodes, solution_cap), (nodes - 1, solution_cap), (nodes, max(found - 1, 0))):
+                    monkeypatch.setattr(deduction, "SOLVER_NODE_CAP", caps[0])
+                    monkeypatch.setattr(deduction, "SOLVER_SOLUTION_CAP", caps[1])
+                    assert search(self, *args) == reference_search(self.p.deg, self.p.dual, *args, *caps)
+                monkeypatch.setattr(deduction, "SOLVER_NODE_CAP", node_cap)
+                monkeypatch.setattr(deduction, "SOLVER_SOLUTION_CAP", solution_cap)
+            return got
+
+        monkeypatch.setattr(deduction._Engine, "_search", checked)
+        propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
+        # both answers occur: some searches hit a cap, some finish
+        assert True in outcomes and False in outcomes
+
+    def test_cross_inner_products_match_a_full_scan(self, B32, monkeypatch):
+        matching = deduction._Engine._matching
+        calls = []
+
+        def checked(self, pair, solutions):
+            out = matching(self, pair, solutions)
+            assert self._cross[pair].kappas == reference_cross(self.p, *pair)
+            calls.append(pair)
+            return out
+
+        monkeypatch.setattr(deduction._Engine, "_matching", checked)
+        propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
+        assert len(calls) > len(set(calls))  # the incremental path ran
+
+    def test_caches_do_not_change_the_trace(self, B32, lemma72_run, monkeypatch):
+        init = deduction._Engine.__init__
+
+        def forgetful(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._memo, self._cross = _Forgetful(), _Forgetful()
+
+        monkeypatch.setattr(deduction._Engine, "__init__", forgetful)
+        _, trace = propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
+        assert trace.stats.solver_memo_hits == 0
+        assert trace.serialize() == lemma72_run[1].serialize()
