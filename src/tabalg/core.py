@@ -8,24 +8,27 @@ scalars are Python integers.
 
 One store.  ``StructureConstants`` keeps one sparse row of
 ``(m, delta[i][j][m])`` pairs, ``m`` ascending, per unordered pair
-``i <= j``, for every k.  Multiplication, closure, isomorphism and
-deduction read these rows.  The verifier alone needs the dense ``k*k*k``
-array, which is scattered from the rows the first time it is asked for;
-numpy is imported only there and in the verifier, so parsing, arithmetic
-and deduction never load it.
+``i <= j``, for every k.  Multiplication, closure, isomorphism, deduction
+and the verifier all read these rows; nothing builds a dense array.
 
-The verifier.  Every axiom check except associativity is one comparison
-of the dense array with a permuted copy of itself.  Associativity is
-decided in one of three ways:
+The verifier.  Identity, involution, degree-homomorphism and
+normalization-symmetry walk the rows.  Associativity is decided on a
+packed copy of the store, in exact integers:
 
-* Light's test, in float64.  Let M be the largest structure constant.
-  A coefficient of ``(b_x b_g) b_y`` or ``b_x (b_g b_y)`` is a sum of k
-  products of two constants, so every partial sum of it is a nonnegative
-  integer at most ``k * M**2``.  Below ``2**53`` each such integer is a
-  float64, so a BLAS matmul returns it exactly in any summation order.
-  Light's lemma (Clifford & Preston, *The Algebraic Theory of Semigroups*
-  I, 1.2): the set ``S`` of ``a`` with ``(x a) y = x (a y)`` for all x, y
-  is a subspace closed under products, since for ``a, b`` in ``S``::
+* Packing.  Kronecker substitution packs the k x k matrix
+  ``T_m[a][n] = delta[m][a][n]`` into one Python int, w bytes per field.
+  For a basis element g, ``W_z = sum_m delta[g][z][m] T_m`` holds in its
+  field ``(a, n)`` the coefficient of ``b_n`` in ``(b_z b_g) b_a``, a sum
+  of nonnegative terms at most (largest row sum) * (largest entry).  w is
+  chosen so a field holds that bound; as no term is negative, no partial
+  sum exceeds it either, so no field ever carries into the next and the
+  big-integer sum is exact.  By commutativity block y of ``W_x`` is
+  ``(b_x b_g) b_y`` and block x of ``W_y`` is ``b_x (b_g b_y)``, so one
+  byte comparison decides a pair of triples ``(x, g, y)``, ``(y, g, x)``.
+* Light's test.  Light's lemma (Clifford & Preston, *The Algebraic Theory
+  of Semigroups* I, 1.2): the set ``S`` of ``a`` with ``(x a) y = x (a y)``
+  for all x, y is a subspace closed under products, since for ``a, b`` in
+  ``S``::
 
       (x (ab)) y = ((x a) b) y      a in S
                  = (x a)(b y)       b in S
@@ -39,24 +42,25 @@ decided in one of three ways:
   word vectors have a k*k integer minor that is nonzero mod p, hence
   nonzero, so they span the algebra over Q.  Then ``|G| k^2`` triples
   ``(x, g, y)`` certify all ``k^3``.
-* The full sweep, in float64 under the same bound.  It runs when the
-  identity check fails or Light's test finds an unequal coefficient, one
-  ``i`` at a time with two matmuls, and yields every failing
-  ``(i, j, l, n)`` in lexicographic order, exactly the exact path's
-  witnesses.
-* The exact sweep: all ``k^3`` triples in Python integers over rows
-  fetched once, with no Light shortcut.  ``force_exact`` and inputs with
-  ``k * M**2 >= 2**53`` use it; it is the independent reference.
+* The full sweep runs when the identity check fails or Light's test finds
+  an unequal coefficient.  It builds the ``W`` blocks for every ``j`` in
+  turn, compares all k^3 triples, and expands unequal blocks into
+  ``(i, j, l, n)`` witnesses only while they can rank among the first
+  ``MAX_WITNESSES`` in lexicographic order, the exact sweep's witnesses.
+
+``force_exact`` runs the exact sweep instead: all ``k^3`` triples in
+Python dicts over rows fetched once, with no packing and no Light
+shortcut.  It shares no code with the packed path and is its independent
+reference.
 """
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "TableAlgebraError",
@@ -243,6 +247,10 @@ def format_element(basis: TableBasis, terms: Iterable[tuple[int, int]]) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+# rows[i][j] is the {m: delta[i][j][m]} row of the ordered pair (i, j)
+_Rows = list[list[dict[int, int]]]
+
+
 class StructureConstants:
     """The structure constants ``delta[i][j][m]`` of a commutative algebra.
 
@@ -252,11 +260,9 @@ class StructureConstants:
     The constructor rejects a missing row, an index outside ``range(k)``
     and any entry that is not a nonnegative ``int`` (``bool`` included), so
     a stored table is nonnegative, integral and commutative by construction.
-    ``as_numpy()`` scatters the rows into a dense array on its first call
-    and caches it; building a table never pays for it.
     """
 
-    __slots__ = ("k", "_rows", "_array")
+    __slots__ = ("k", "_rows")
 
     def __init__(self, k: int, rows: Mapping[tuple[int, int], Mapping[int, int]]):
         self.k = k
@@ -274,7 +280,6 @@ class StructureConstants:
                         raise TableAlgebraError(f"row ({i},{j}) has a non-integer or negative entry")
                 store[(i, j)] = {m: row[m] for m in sorted(row) if row[m]}
         self._rows = store
-        self._array: np.ndarray | None = None
 
     def delta(self, i: int, j: int, m: int) -> int:
         if i > j:
@@ -287,33 +292,11 @@ class StructureConstants:
             i, j = j, i
         return self._rows[(i, j)].items()
 
-    def as_numpy(self) -> np.ndarray:
-        """Read-only dense array ``t[i, j, m] = delta[i][j][m]``: int64, or
-        dtype object (Python ints) when an entry does not fit in int64."""
-        if self._array is None:
-            import numpy as np
-
-            k = self.k
-            ii: list[int] = []
-            jj: list[int] = []
-            mm: list[int] = []
-            vv: list[int] = []
-            for (i, j), row in self._rows.items():
-                ii += [i] * len(row)
-                jj += [j] * len(row)
-                mm += row.keys()
-                vv += row.values()
-            dtype = np.int64 if max(vv, default=0) < 2**63 else object
-            t = np.zeros((k, k, k), dtype=dtype)
-            v = np.array(vv, dtype=dtype)
-            t[ii, jj, mm] = v
-            t[jj, ii, mm] = v
-            t.flags.writeable = False
-            self._array = t
-        return self._array
-
-    def max_value(self) -> int:
-        return max((max(row.values()) for row in self._rows.values() if row), default=0)
+    def ordered_rows(self) -> _Rows:
+        """``rows[i][j]``, the ``{m: delta[i][j][m]}`` row of every ordered
+        pair; rows are shared with the store and must not be mutated."""
+        k, store = self.k, self._rows
+        return [[store[(i, j) if i <= j else (j, i)] for j in range(k)] for i in range(k)]
 
 
 @dataclass
@@ -363,98 +346,182 @@ class VerificationReport:
         return [str(c) for c in self.checks]
 
 
-def _witnesses(mask: np.ndarray, limit: int | None = None) -> list[tuple[int, ...]]:
-    """The true positions of ``mask`` in lexicographic order, at most ``limit``."""
-    import numpy as np
-
-    return [tuple(map(int, w)) for w in np.argwhere(mask)[:limit]]
-
-
-# Modulus of the rank certificate; k * p^2 stays far below 2^63, so the
-# int64 products and sums below never wrap.
+# Modulus of the rank certificate.  Span vectors are packed 64 bits per
+# coordinate: a coordinate starts below k p^2 (a product of a reduced row by
+# a reduced structure row) and reduction adds below k p^2 more, so no field
+# carries while 2 k p^2 < 2^64, that is for k below eight million.
 _RANK_PRIME = 1_000_003
+_FIELD64 = (1 << 64) - 1
+
+
+def _fields64(x: int, k: int) -> Sequence[int]:
+    """The k 64-bit fields of x, lowest first."""
+    fields = memoryview(x.to_bytes(8 * k, sys.byteorder)).cast("Q")
+    return fields if sys.byteorder == "little" else fields[::-1]
 
 
 class _SpanModP:
-    """Reduced row-echelon basis of a subspace of F_p^k, p = _RANK_PRIME."""
+    """Echelon basis of a subspace of F_p^k, p = _RANK_PRIME.
+
+    Each row is 1 at its pivot and 0 at the pivot of every earlier row, so
+    reducing a vector against the rows in order clears every pivot.  A new
+    pivot is the first nonzero coordinate of a reduced vector.  Any such
+    coordinate is the leading position of some vector of the span, so the
+    pivot set of a span is the same whatever order its vectors arrive in.
+    """
 
     def __init__(self, k: int):
-        import numpy as np
-
-        self.rows = np.zeros((0, k), dtype=np.int64)
+        self.k = k
+        self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        self._negated: list[tuple[int, int]] = []  # (64 * pivot, packed -row mod p)
 
-    def insert(self, vectors: np.ndarray) -> np.ndarray:
-        """Add ``vectors`` to the span; return the basis rows this added."""
-        import numpy as np
-
-        p = _RANK_PRIME
-        c = vectors % p
-        if self.pivots:
-            c = (c - c[:, self.pivots] @ self.rows) % p
+    def insert(self, vectors: Iterable[int]) -> list[list[int]]:
+        """Add the packed ``vectors`` to the span; return the rows this added."""
+        p, k = _RANK_PRIME, self.k
         added = []
-        while True:
-            nonzero = np.argwhere(c)
-            if not len(nonzero):
-                return np.array(added, dtype=np.int64).reshape(-1, c.shape[1])
-            r, col = nonzero[0]
-            row = c[r] * pow(int(c[r, col]), -1, p) % p
-            c = (c - np.outer(c[:, col], row)) % p
-            self.rows = np.vstack([(self.rows - np.outer(self.rows[:, col], row)) % p, row])
-            self.pivots.append(int(col))
+        for acc in vectors:
+            if len(self.pivots) == k:
+                break
+            for shift, negated in self._negated:
+                c = (acc >> shift & _FIELD64) % p
+                if c:
+                    acc += c * negated
+            v = [x % p for x in _fields64(acc, k)]
+            lead = next((n for n, x in enumerate(v) if x), None)
+            if lead is None:
+                continue
+            inv = pow(v[lead], -1, p)
+            row = [x * inv % p for x in v]
+            self.rows.append(row)
+            self.pivots.append(lead)
+            self._negated.append((64 * lead, sum(-x % p << 64 * n for n, x in enumerate(row))))
             added.append(row)
+        return added
 
 
-def _generating_set(t: np.ndarray) -> list[int]:
+def _generating_set(rows: _Rows) -> list[int]:
     """Basis indices G whose left-normed words ``((1 g1) g2) ... gr`` span
     the algebra modulo _RANK_PRIME, grown greedily: each new generator is
-    the lowest basis index outside the current span."""
-    import numpy as np
+    the lowest basis index outside the current span.
 
-    k = t.shape[0]
-    tp = t % _RANK_PRIME
+    Call it only when the identity check passed: then ``1 b_g = b_g``
+    adds g as a pivot, so every generator grows the span and the loop
+    ends."""
+    p, k = _RANK_PRIME, len(rows)
     span = _SpanModP(k)
-    fresh = span.insert(np.eye(1, k, dtype=np.int64))
+    packed: dict[int, list[int]] = {}  # g -> rows (a, g) reduced mod p, packed
+
+    def times(v: list[int], g: int) -> int:
+        right = packed[g]
+        return sum(c * right[a] for a, c in enumerate(v) if c)
+
+    fresh = span.insert([1])  # the word 1, packed
     gens: list[int] = []
     while len(span.pivots) < k:
-        if gens and len(fresh):
+        # products are made lazily: insert stops once the span is full
+        if gens and fresh:
             # right-multiply what the last round added by every generator
-            fresh = span.insert(np.concatenate([fresh @ tp[:, g, :] for g in gens]))
+            fresh = span.insert(times(v, g) for g in gens for v in fresh)
             continue
         g = min(set(range(k)) - set(span.pivots))
         gens.append(g)
-        fresh = span.insert(span.rows @ tp[:, g, :])
+        packed[g] = [sum(x % p << 64 * n for n, x in r[g].items()) for r in rows]
+        fresh = span.insert(times(v, g) for v in span.rows[:])
     return gens
 
 
-def _light_holds(tf: np.ndarray, gens: Sequence[int]) -> bool:
+def _unequal_entries(
+    cells: Iterable[tuple[int, int, dict[int, int], dict[int, int]]]
+) -> Iterator[tuple[int, int, int]]:
+    """``(i, j, m)`` wherever ``row`` and ``other`` differ at m, for each
+    ``(i, j, row, other)`` of ``cells`` in turn, m ascending."""
+    for i, j, row, other in cells:
+        if row != other:
+            for m in sorted(row.keys() | other.keys()):
+                if row.get(m, 0) != other.get(m, 0):
+                    yield i, j, m
+
+
+def _packed_store(constants: StructureConstants) -> tuple[list[int], int]:
+    """``T_m`` for every m, and the field width w in bytes.
+
+    ``T_m`` packs the k x k matrix ``delta[m][a][n]`` into one int, field
+    ``(a, n)`` in bytes ``[(a k + n) w, (a k + n + 1) w)``.  A coefficient
+    of ``(b_x b_g) b_y`` is a sum of nonnegative terms at most (largest row
+    sum) * (largest entry), and w bytes hold that, so sums of scaled
+    ``T_m`` never carry from one field into the next."""
+    k, store = constants.k, constants._rows
+    values = [row.values() for row in store.values()]
+    top_entry = max(map(max, filter(None, values)), default=0)
+    width = max(1, ((max(map(sum, values)) * top_entry).bit_length() + 7) // 8)
+    bits, size = 8 * width, k * width
+    blocks = [[b""] * k for _ in range(k)]
+    for (i, j), row in store.items():
+        block = sum(v << bits * n for n, v in row.items()).to_bytes(size, "little")
+        blocks[i][j] = blocks[j][i] = block
+    packed = [int.from_bytes(b"".join(row), "little") for row in blocks]
+    return packed, width
+
+
+def _right_products(packed: list[int], width: int, row_g: list[dict[int, int]]) -> list[bytes]:
+    """``W_z = sum_m delta[g][z][m] T_m`` for every z, as bytes: block a of
+    ``W_z`` is ``(b_z b_g) b_a``, field n its coefficient of ``b_n``."""
+    k = len(row_g)
+    size = k * k * width
+    # most constants are 1, and 1 * T_m would copy T_m for nothing
+    return [
+        sum(packed[m] if v == 1 else v * packed[m] for m, v in r.items()).to_bytes(size, "little")
+        for r in row_g
+    ]
+
+
+def _unequal_blocks(products: list[bytes], width: int) -> Iterator[tuple[int, int]]:
+    """Every ``(x, y)``, x < y, whose block y of ``W_x`` differs from block
+    x of ``W_y``: the triples ``(x, g, y)`` and ``(y, g, x)`` where
+    ``(b_x b_g) b_y != b_x (b_g b_y)``."""
+    k = len(products)
+    stride = k * width
+    for x, wx in enumerate(products):
+        lo = x * stride
+        for y in range(x + 1, k):
+            if wx[y * stride : (y + 1) * stride] != products[y][lo : lo + stride]:
+                yield x, y
+
+
+def _light_holds(packed: list[int], width: int, rows: _Rows, gens: Sequence[int]) -> bool:
     """Light's test: (b_x b_g) b_y == b_x (b_g b_y) for every g in gens and
-    all basis x, y, on the float64 array ``tf``."""
-    import numpy as np
-
-    k = tf.shape[0]
-    # right[m, (y, n)] = t[m, y, n], which is also t[y, m, n]: the store
-    # keeps one row per unordered pair, so t is symmetric in its first two axes
-    right = tf.reshape(k, k * k)
-    for g in gens:
-        xg_y = tf[:, g, :] @ right  # [x, (y, n)]
-        x_gy = (tf[g] @ right).reshape(k, k, k).transpose(1, 0, 2)  # [x, y, n]
-        if not np.array_equal(xg_y.reshape(k, k, k), x_gy):
-            return False
-    return True
+    all basis x, y."""
+    return not any(
+        next(_unequal_blocks(_right_products(packed, width, rows[g]), width), None) for g in gens
+    )
 
 
-def _float_sweep(tf: np.ndarray) -> list[tuple[int, int, int, int]]:
-    """Every (i, j, l, n) with ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n, one
-    i at a time, on the float64 array ``tf``."""
-    k = tf.shape[0]
-    right = tf.reshape(k, k * k)  # right[m, (l, n)] = t[m, l, n]
-    pairs = tf.reshape(k * k, k)  # pairs[(j, l), m] = t[j, l, m]
-    found = []
-    for i in range(k):
-        ij_l = (tf[i] @ right).reshape(k, k, k)  # [j, l, n]
-        i_jl = (pairs @ tf[i]).reshape(k, k, k)  # [(j, l), n]
-        found += [(i, *w) for w in _witnesses(ij_l != i_jl)]
+def _sweep(packed: list[int], width: int, rows: _Rows, limit: int) -> list[tuple[int, int, int, int]]:
+    """The first ``limit``, in lexicographic order, of the (i, j, l, n) with
+    ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n, over all k^3 triples.
+
+    One j at a time: each unequal block pair names two triples, and a
+    triple is expanded into its coefficients only while it can still rank
+    among the first ``limit`` witnesses."""
+    k = len(rows)
+    stride = k * width
+    found: list[tuple[int, int, int, int]] = []
+    for j in range(k):
+        products = _right_products(packed, width, rows[j])
+        triples = sorted(t for x, y in _unequal_blocks(products, width) for t in ((x, y), (y, x)))
+        new: list[tuple[int, int, int, int]] = []
+        for i, l in triples:
+            if len(new) >= limit or (len(found) >= limit and (i, j, l) > found[-1][:3]):
+                break
+            lhs = products[i][l * stride : (l + 1) * stride]
+            rhs = products[l][i * stride : (i + 1) * stride]
+            new += [
+                (i, j, l, n)
+                for n in range(k)
+                if lhs[n * width : (n + 1) * width] != rhs[n * width : (n + 1) * width]
+            ]
+        found = sorted(found + new)[:limit]
     return found
 
 
@@ -577,71 +644,81 @@ class TableAlgebra:
         lexicographic order.  Nonnegativity, integrality and commutativity
         hold by construction of ``StructureConstants`` and are reported
         without a rescan.  Identity, involution, degree-homomorphism and
-        normalization-symmetry compare the dense array with a permuted copy
-        of itself.  Associativity is certified by Light's test on a
-        generating set when the float64 bound k*max^2 < 2^53 holds and the
-        identity check passed; a failing Light test runs the full k^3 sweep
-        in float64 matmuls.  ``force_exact`` and inputs outside the bound
-        run the pure-Python sweep instead (see the module docstring).
+        normalization-symmetry walk the sparse rows.  Associativity is
+        certified by Light's test on a generating set when the identity
+        check passed; otherwise, or when Light's test finds an unequal
+        coefficient, the full k^3 sweep runs.  Both work on the packed
+        store in exact integers.  ``force_exact`` runs the pure-Python
+        sweep instead, with no Light shortcut (see the module docstring).
         """
-        import numpy as np
-
         basis, k = self.basis, self.size
         rep = VerificationReport()
         maxw = VerificationReport.MAX_WITNESSES
-        t = self.constants.as_numpy()
-        top_entry = self.constants.max_value()
-        duals = np.array([e.dual for e in basis])
-        upper = np.triu(np.ones((k, k), dtype=bool))
+        rows = self.constants.ordered_rows()
+        dual = [e.dual for e in basis]
+        deg = [e.degree for e in basis]
 
         lap = time.perf_counter()
 
         def record(name, witnesses, checked=0):
             # a check's time runs from the previous record to this one
             nonlocal lap
+            witnesses = list(islice(witnesses, maxw))
             now = time.perf_counter()
-            rep.checks.append(
-                CheckResult(name, not witnesses, tuple(witnesses[:maxw]), checked, seconds=now - lap)
-            )
+            rep.checks.append(CheckResult(name, not witnesses, tuple(witnesses), checked, seconds=now - lap))
             lap = now
 
-        record("nonnegativity", [])
-        record("integrality", [])
+        record("nonnegativity", ())
+        record("integrality", ())
 
-        row0 = t[0]
-        eye = np.eye(k, dtype=bool)
-        bad = [(0, j, m) for j, m in _witnesses((row0 != 0) & ~(eye & (row0 == 1)), maxw)]
-        bad += [(0, j, j) for (j,) in _witnesses(np.diagonal(row0) != 1, maxw)]
+        row0 = rows[0]
+        bad = [(0, j, m) for j in range(k) for m, v in row0[j].items() if m != j or v != 1][:maxw]
+        bad += [(0, j, j) for j in range(k) if row0[j].get(j) != 1][:maxw]
         record("identity", bad)
 
-        record("commutativity", [])
+        record("commutativity", ())
 
-        mask = (t != t[np.ix_(duals, duals, duals)]) & upper[:, :, None]
-        record("involution", _witnesses(mask, maxw))
+        conjugates = (
+            (i, j, rows[i][j], {dual[m]: v for m, v in rows[dual[i]][dual[j]].items()})
+            for i in range(k)
+            for j in range(i, k)
+        )
+        record("involution", _unequal_entries(conjugates))
 
-        degs = [e.degree for e in basis]
-        top = max(degs)
-        # Python ints wherever an int64 degree sum could wrap
-        dtype = np.int64 if max(k * top_entry * top, top * top) < 2**63 else object
-        dv = np.array(degs, dtype=dtype)
-        mask = ((t.astype(dtype, copy=False) @ dv) != np.outer(dv, dv)) & upper
-        record("degree-homomorphism", _witnesses(mask, maxw))
+        record(
+            "degree-homomorphism",
+            (
+                (i, j)
+                for i in range(k)
+                for j in range(i, k)
+                if sum(v * deg[m] for m, v in rows[i][j].items()) != deg[i] * deg[j]
+            ),
+        )
 
-        record("normalization-symmetry", _witnesses(t != t[duals].transpose(2, 0, 1), maxw))
+        # swapped[i][j][m] = delta[dual j][m][i]
+        swapped: _Rows = [[{} for _ in range(k)] for _ in range(k)]
+        for a in range(k):
+            for m, r in enumerate(rows[a]):
+                for i, v in r.items():
+                    swapped[i][dual[a]][m] = v
+        record(
+            "normalization-symmetry",
+            _unequal_entries((i, j, rows[i][j], swapped[i][j]) for i in range(k) for j in range(k)),
+        )
 
         triples = k**3
         gens: list[int] = []
-        if force_exact or k * top_entry**2 >= 2**53:
+        if force_exact:
             witnesses = self._exact_sweep()
         else:
-            tf = t.astype(np.float64)
+            packed, width = _packed_store(self.constants)
             if rep.check("identity").passed:
-                gens = _generating_set(t)
-            if gens and _light_holds(tf, gens):
+                gens = _generating_set(rows)
+            if gens and _light_holds(packed, width, rows, gens):
                 witnesses = []
             else:
                 gens = []
-                witnesses = _float_sweep(tf)
+                witnesses = _sweep(packed, width, rows, maxw)
         rep.associativity_triples = triples
         rep.associativity_evaluated = len(gens) * k * k if gens else triples
         rep.generators = tuple(basis.name(g) for g in gens)

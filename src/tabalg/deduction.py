@@ -64,7 +64,11 @@ tree, which decides the node cap without walking the tree, then walks
 only subtrees that reach a decomposition.  Its solutions are filtered by
 the cross inner products (b_i b_j, b_x b_y) against known products; each
 pending product keeps those up to date from the products that became
-known since it last looked.
+known since it last looked.  Three budgets stop a search short: the node
+cap, the solution cap, and a width gate that skips the search when no
+inner product bounds it and the remainder could hold more than three of
+its smallest candidate.  Each is counted in ``DeductionStats``, and a
+stall lists the products its final fixed point capped or gated.
 
 The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
 triple whose factors are known, once, and evaluates each one the agenda
@@ -146,6 +150,10 @@ class DeductionStats:
     solver_nodes: int = 0
     solver_overflows: int = 0
     overflow_pairs: list[tuple[str, str]] = field(default_factory=list)
+    # solver calls the width gate turned away without a search, and their
+    # pairs as an insertion-ordered set
+    solver_gated: int = 0
+    gated_pairs: dict[tuple[str, str], None] = field(default_factory=dict)
     sweep_triples: int = 0
     sweep_firings: int = 0
     seconds: dict[str, float] = field(default_factory=dict)
@@ -157,6 +165,7 @@ class DeductionStats:
             out.append((f"stats.{rule}.attempts", self.attempts[rule]))
             out.append((f"stats.{rule}.firings", self.firings[rule]))
         overflowed = " ".join(f"{a}*{b}" for a, b in self.overflow_pairs) or "-"
+        gated = " ".join(f"{a}*{b}" for a, b in self.gated_pairs) or "-"
         out += [
             ("stats.r3.activated", self.r3_activated),
             ("stats.r3.evaluated", self.attempts["R3"]),
@@ -166,6 +175,8 @@ class DeductionStats:
             ("stats.solver.nodes", self.solver_nodes),
             ("stats.solver.overflows", self.solver_overflows),
             ("stats.solver.overflow_pairs", overflowed),
+            ("stats.solver.gated", self.solver_gated),
+            ("stats.solver.gated_pairs", gated),
             ("stats.sweep.triples", self.sweep_triples),
             ("stats.sweep.firings", self.sweep_firings),
         ]
@@ -183,6 +194,8 @@ class DeductionTrace:
     # pending products whose decomposition search hit a solver cap at the
     # final fixed point of a stall: with a larger cap they might resolve
     capped: tuple[tuple[str, str], ...] = ()
+    # pending products the solver's width gate skipped at that fixed point
+    gated: tuple[tuple[str, str], ...] = ()
     stats: DeductionStats = field(default_factory=DeductionStats, compare=False, repr=False)
 
     def serialize(self) -> str:
@@ -452,8 +465,10 @@ class _Engine:
         self._agenda: deque[_Triple] = deque()
         self._memo: dict[tuple[int, int], tuple[tuple, Optional[list]]] = {}
         self._cross: dict[tuple[int, int], _Cross] = {}
-        # pairs whose search overflowed during the latest solver scans
+        # pairs whose search overflowed, or that the width gate skipped,
+        # during the latest solver scans
         self._overflowed: list[tuple[int, int]] = []
+        self._gated: list[tuple[int, int]] = []
         self._by_degree = sorted(range(k), key=lambda m: table.deg[m])
 
     # -- bookkeeping -------------------------------------------------------
@@ -780,6 +795,7 @@ class _Engine:
             pending.sort(key=lambda q: (q[1], q[0]))
         else:
             self._overflowed = []
+            self._gated = []
         for pair in pending:
             if self._conjugate_primary(pair) != pair:
                 continue
@@ -827,6 +843,11 @@ class _Engine:
         if not candidates:
             return False  # r1_scan raises on the impossible case
         if budget2 is None and rem // min(p.deg[m] for m in candidates) > 3:
+            # the width gate: no inner product bounds the search and the
+            # remainder could hold more than three of its smallest candidate
+            self.stats.solver_gated += 1
+            self.stats.gated_pairs[p.names(pair)] = None
+            self._gated.append(pair)
             return False
         r_mass = self._reality_mass(i, j)
         key = (tuple(row), s_exact, s_upper, r_mass)
@@ -1111,6 +1132,7 @@ class _Engine:
             self.trace.budget_exhausted = self._budget_hit
             if not self._budget_hit:
                 self.trace.capped = tuple(p.names(q) for q in dict.fromkeys(self._overflowed))
+                self.trace.gated = tuple(p.names(q) for q in dict.fromkeys(self._gated))
         else:
             self.trace.status = "completed"
 

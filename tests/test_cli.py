@@ -188,6 +188,8 @@ class TestDeduce:
         assert facts["stats.r3.evaluated"] == facts["stats.R3.attempts"]
         assert facts["stats.sweep.firings"] == "0"
         assert facts["stats.solver.overflow_pairs"] == "-"
+        assert facts["stats.solver.gated"] == "0"
+        assert facts["stats.solver.gated_pairs"] == "-"
 
     def test_timing_per_phase_on_stderr(self, capsys):
         code, out, err = invoke(capsys, "deduce", "bundled:PSL27-partial", "--timing")
@@ -215,19 +217,56 @@ class TestDeduce:
         assert len(facts["capped"].split()) == 16
         assert set(facts["capped"].split()) <= set(facts["stats.solver.overflow_pairs"].split())
 
+    def test_stall_names_the_products_the_width_gate_skipped(self, capsys, tmp_path):
+        lines = [l for l in serialize(load("B32")).splitlines()
+                 if not l.startswith("product") or l.startswith("product b3 b3bar")]
+        path = tmp_path / "underseeded.alg"
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = invoke(capsys, "deduce", str(path))
+        assert code == 1
+        assert "  (solver width gate skipped 255 products: b8*b8 " in out
+        code, out, _ = invoke(capsys, "--format", "machine", "deduce", str(path))
+        facts = dict(line.split("\t") for line in out.strip().splitlines())
+        assert len(facts["gated"].split()) == 255
+        assert facts["stats.solver.gated"] == "510"
+        assert set(facts["gated"].split()) <= set(facts["stats.solver.gated_pairs"].split())
 
-def test_only_the_verifier_imports_numpy():
+
+def run_script(script):
     src = str(pathlib.Path(tabalg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_no_command_imports_numpy():
     script = (
         "import sys, tabalg.cli\n"
         "assert 'numpy' not in sys.modules, 'import'\n"
         "tabalg.cli.run(['deduce', 'bundled:PSL27-partial'])\n"
         "assert 'numpy' not in sys.modules, 'deduce'\n"
         "tabalg.cli.run(['verify', 'bundled:C7'])\n"
-        "assert 'numpy' in sys.modules, 'verify'\n"
+        "assert 'numpy' not in sys.modules, 'verify'\n"
     )
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    done = run_script(script)
+    assert done.returncode == 0, done.stderr
+
+
+def test_commands_run_with_numpy_blocked():
+    # a None entry in sys.modules makes any `import numpy` raise ImportError
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from tabalg.cli import run\n"
+        "codes = [\n"
+        "    run(['verify', 'bundled:B32']),\n"
+        "    run(['verify', '--exact', 'bundled:C7']),\n"
+        "    run(['iso', 'bundled:B32', 'bundled:B22']),\n"
+        "    run(['subsets', 'bundled:B22']),\n"
+        "    run(['deduce', 'bundled:PSL27-partial']),\n"
+        "]\n"
+        "assert codes == [0, 0, 1, 0, 0], codes\n"
+    )
+    done = run_script(script)
     assert done.returncode == 0, done.stderr
 
 

@@ -192,6 +192,37 @@ def word_rank_mod_p(A, generators, p):
     return len(rows)
 
 
+def dense_witnesses(A):
+    """Each row-walking check's witnesses, straight from its definition over
+    every position of the dense k*k*k tensor; independent of the verifier."""
+    k = A.size
+    t = [[[A.constants.delta(i, j, m) for m in range(k)] for j in range(k)] for i in range(k)]
+    dual = [e.dual for e in A.basis]
+    deg = [e.degree for e in A.basis]
+    cells = [(i, j, m) for i in range(k) for j in range(k) for m in range(k)]
+    maxw = core.VerificationReport.MAX_WITNESSES
+    # b_0 b_j = b_j: no stray coefficient, then a coefficient 1 on b_j
+    identity = [(0, j, m) for j in range(k) for m in range(k) if t[0][j][m] and not (m == j and t[0][j][m] == 1)]
+    identity = identity[:maxw] + [(0, j, j) for j in range(k) if t[0][j][j] != 1][:maxw]
+    return {
+        "identity": identity,
+        "involution": [(i, j, m) for i, j, m in cells if i <= j and t[i][j][m] != t[dual[i]][dual[j]][dual[m]]],
+        "degree-homomorphism": [
+            (i, j) for i in range(k) for j in range(i, k)
+            if sum(t[i][j][m] * deg[m] for m in range(k)) != deg[i] * deg[j]
+        ],
+        "normalization-symmetry": [(i, j, m) for i, j, m in cells if t[i][j][m] != t[dual[j]][m][i]],
+    }
+
+
+def assert_matches_dense(A, report):
+    maxw = core.VerificationReport.MAX_WITNESSES
+    for name, witnesses in dense_witnesses(A).items():
+        check = report.check(name)
+        assert check.passed == (not witnesses), (A.name, name)
+        assert list(check.witnesses) == witnesses[:maxw], (A.name, name)
+
+
 class TestVerify:
     def test_bundled_B32_passes(self, B32):
         report = B32.verify_axioms()
@@ -245,6 +276,25 @@ class TestVerify:
         others = [c for c in report.checks if c.name != "normalization-symmetry"]
         assert all(c.passed for c in others)
 
+    def test_row_checks_match_dense_reference(self, C7, D17, B22, B32):
+        cases = [C7, D17, B22, B32, load("S3"), z66_oracle(), perturbed_b32(B32)]
+        cases += [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
+        for A in cases:
+            assert_matches_dense(A, A.verify_axioms())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_single_entry_perturbations_match_references(self, data):
+        A = load(data.draw(st.sampled_from(["C7", "S3", "Z6", "D17"])))
+        k = A.size
+        i = data.draw(st.integers(0, k - 1))
+        j = data.draw(st.integers(i, k - 1))
+        m = data.draw(st.integers(0, k - 1))
+        B = with_entry(A, (i, j), m, data.draw(st.integers(0, 3)))
+        report = B.verify_axioms()
+        assert_matches_dense(B, report)
+        assert report_key(report) == report_key(B.verify_axioms(force_exact=True))
+
 
 def refuse(*args):
     raise AssertionError("this path must not run")
@@ -259,6 +309,14 @@ def counted(fn, calls):
 
 
 class TestLightCertificate:
+    def test_generators_are_pinned(self):
+        pinned = {
+            "C7": ("b8", "b5"), "D17": ("b3", "c5"), "B22": ("b8", "b5", "r3", "b3"),
+            "B32": ("b8", "b5", "c3", "b3"), "Z2": ("g",), "Z3": ("g",), "Z4": ("g",),
+            "Z6": ("g",), "S3": ("c", "t"),
+        }
+        assert {name: load(name).verify_axioms().generators for name in BUNDLED + AUXILIARY} == pinned
+
     def test_generators_span_every_bundled_algebra(self):
         for name in BUNDLED + AUXILIARY:
             A = load(name)
@@ -274,7 +332,7 @@ class TestLightCertificate:
         A = with_entry(C7, (0, 1), 2, 1)
         sweeps = []
         monkeypatch.setattr(core, "_generating_set", refuse)
-        monkeypatch.setattr(core, "_float_sweep", counted(core._float_sweep, sweeps))
+        monkeypatch.setattr(core, "_sweep", counted(core._sweep, sweeps))
         report = A.verify_axioms()
         assert len(sweeps) == 1
         assert not report.check("identity").passed
@@ -283,13 +341,15 @@ class TestLightCertificate:
         assert report.associativity_evaluated == C7.size ** 3
         assert report_key(report) == report_key(A.verify_axioms(force_exact=True))
 
-    def test_entries_outside_float64_bound_use_exact_sweep(self, C7, monkeypatch):
-        # 2**40 breaks k*max^2 < 2**53; 2**62 overflows the int64 degree sums;
-        # 2**70 does not fit in int64 at all
-        for name in ("_generating_set", "_light_holds", "_float_sweep"):
-            monkeypatch.setattr(core, name, refuse)
+    def test_huge_entries_widen_fields_and_agree_with_exact_sweep(self, C7):
+        # 2**40, 2**62 and 2**70 pass the limits of exact float64 sums, of
+        # int64 degree sums and of int64 itself
         for value in (2**40, 2**62, 2**70):
             A = with_entry(C7, (1, 2), 3, value)
+            rows = list(rows_of(A).values())
+            top = max(sum(r.values()) for r in rows) * max(max(r.values()) for r in rows if r)
+            _, width = core._packed_store(A.constants)
+            assert 256**width > top
             report = A.verify_axioms()
             assert not report.ok
             assert report.associativity_evaluated == C7.size ** 3

@@ -1,5 +1,6 @@
 import random
 import re
+import zlib
 
 import pytest
 
@@ -112,7 +113,8 @@ class TestSoundness:
     @pytest.mark.parametrize("name", ["B32", "B22", "D17"])
     def test_subtable_seeds_derive_only_truth(self, name, request):
         A = request.getfixturevalue(name)
-        rng = random.Random(hash(name) & 0xFFFF)
+        # crc32, not hash(): string hashes change with every process
+        rng = random.Random(zlib.crc32(name.encode()))
         k = A.size
         pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
         for trial in range(2):
@@ -403,6 +405,26 @@ class TestAgenda:
         _, trace = lemma72_run
         assert trace.capped == ()
         assert "SOLVER-CAP" not in trace.serialize()
+
+    def test_width_gate_is_counted(self, lemma72_run):
+        _, trace = lemma72_run
+        assert trace.stats.attempts["R4"] == 1069
+        assert trace.stats.solver_gated == 679
+        assert trace.stats.gated_pairs
+        assert trace.gated == ()
+
+    def test_stall_reports_the_pairs_the_width_gate_skipped(self):
+        seed, naming = _b32_stall()
+        trace = complete_or_refute(seed, introduce_names=naming)
+        assert len(trace.capped) == 16
+        assert trace.stats.attempts["R4"] == 570
+        assert trace.stats.solver_gated == 510
+        assert len(trace.gated) == 255
+        assert set(trace.gated) <= set(trace.stats.gated_pairs)
+        assert set(trace.gated) <= set(trace.unresolved)
+        assert not set(trace.gated) & set(trace.capped)
+        # the STATUS line carries the caps only
+        assert "GATE" not in trace.serialize()
 
 
 def reference_search(deg, dual, row, rem, candidates, budget2, s_exact, s_upper, r_mass,
