@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_deduce)
 
     p = sub.add_parser("bundled", help="list or export bundled data")
-    p.add_argument("--list", action="store_true")
     p.add_argument("--export")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_bundled)

@@ -197,10 +197,6 @@ class Element:
     def basis(cls, i: int) -> "Element":
         return cls({i: 1})
 
-    @classmethod
-    def zero(cls) -> "Element":
-        return cls()
-
     def support(self) -> frozenset[int]:
         return frozenset(self.coeffs)
 
@@ -212,11 +208,6 @@ class Element:
         for i, c in other.coeffs.items():
             out[i] = out.get(i, 0) + c
         return Element(out)
-
-    def scaled(self, c: int) -> "Element":
-        if c < 0:
-            raise MalformedElementError("negative scalar")
-        return Element({i: c * v for i, v in self.coeffs.items()})
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -341,9 +332,6 @@ class VerificationReport:
             return f"PASS ({len(self.checks)} axiom classes, {self.associativity_triples} associativity triples)"
         bad = ", ".join(c.name for c in self.checks if not c.passed)
         return f"FAIL ({bad})"
-
-    def lines(self) -> list[str]:
-        return [str(c) for c in self.checks]
 
 
 # Modulus of the rank certificate.  Span vectors are packed 64 bits per

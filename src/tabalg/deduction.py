@@ -288,9 +288,6 @@ class PartialTable:
     def pending_pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p in self.cells if p not in self.known)
 
-    def remainder_degree(self, pair: tuple[int, int]) -> int:
-        return self._rem[pair]
-
     def names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return (self.basis.name(pair[0]), self.basis.name(pair[1]))
 

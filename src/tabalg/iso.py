@@ -37,9 +37,8 @@ class IsoCertificate:
 def restrict(algebra: TableAlgebra, subset: ClosedSubset) -> TableAlgebra:
     """Sub-table-algebra on a closed subset, reindexed in member order."""
     if not subset.verify(algebra):
-        raise NotClosedError(
-            f"subset {{{', '.join(subset.names(algebra))}}} is not closed in {algebra.name}"
-        )
+        names = (algebra.basis.name(i) if 0 <= i < algebra.size else str(i) for i in subset.members)
+        raise NotClosedError(f"subset {{{', '.join(names)}}} is not closed in {algebra.name}")
     members = list(subset.members)
     old_to_new = {old: new for new, old in enumerate(members)}
     basis = TableBasis(
@@ -68,43 +67,32 @@ def restrict(algebra: TableAlgebra, subset: ClosedSubset) -> TableAlgebra:
 def _fingerprints(a: TableAlgebra) -> list:
     """Per-element invariants: degree, self-duality, dual-product row,
     self-inner-product profile, then one neighbourhood refinement round."""
-    k = a.size
+    k, rows = a.size, a.constants.row_items
     base = []
     for i in range(k):
         di = a.basis.dual(i)
-        row_dual = tuple(sorted(v for _, v in a.constants.row_items(i, di)))
-        profile = []
-        for j in range(k):
-            x = a.basis_product(i, j)
-            profile.append(a.inner(x, x))
-        base.append(
-            (a.basis.degree(i), i == di, row_dual, tuple(sorted(profile)))
-        )
+        row_dual = tuple(sorted(v for _, v in rows(i, di)))
+        # (b_i b_j, b_i b_j) is the sum of the squared constants of the row
+        profile = tuple(sorted(sum(v * v for _, v in rows(i, j)) for j in range(k)))
+        base.append((a.basis.degree(i), i == di, row_dual, profile))
     refined = []
     for i in range(k):
         neigh = []
         for j in range(k):
-            row = tuple(sorted((base[m][0], v) for m, v in a.constants.row_items(i, j)))
+            row = tuple(sorted((base[m][0], v) for m, v in rows(i, j)))
             neigh.append((base[j], row))
         refined.append((base[i], tuple(sorted(neigh))))
     return refined
 
 
 def _compatible(a: TableAlgebra, b: TableAlgebra, mapping: dict[int, int], i: int, ii: int) -> bool:
-    """Check all constraints among already-assigned elements after i -> ii."""
+    """Check all constraints among already-assigned elements after i -> ii:
+    each row (i, j) with j assigned, mapped through the partial mapping
+    (unassigned elements to -1), equals the row (ii, mapping[j])."""
+    assigned_b = set(mapping.values())
     for j, jj in mapping.items():
-        for m, mm in mapping.items():
-            if a.constants.delta(i, j, m) != b.constants.delta(ii, jj, mm):
-                return False
-        # the unassigned part of each row must still match as a multiset
-        assigned = set(mapping)
-        row_a = sorted(
-            v for m, v in a.constants.row_items(i, j) if m not in assigned
-        )
-        assigned_b = set(mapping.values())
-        row_b = sorted(
-            v for m, v in b.constants.row_items(ii, jj) if m not in assigned_b
-        )
+        row_a = sorted((mapping.get(m, -1), v) for m, v in a.constants.row_items(i, j))
+        row_b = sorted((mm if mm in assigned_b else -1, v) for mm, v in b.constants.row_items(ii, jj))
         if row_a != row_b:
             return False
     return True
@@ -115,9 +103,9 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
 
     Both inputs must pass verify_axioms.  The identity maps to the
     identity and dual pairs are assigned together; candidates are limited
-    to equal fingerprints and the most constrained element is assigned
-    first.  A found bijection is independently re-verified on all k^3
-    constants.
+    to equal fingerprints and the most constrained free element is
+    assigned first.  A found bijection is independently re-verified on
+    every row of constants.
     """
     for alg in (a, b):
         if not alg.verified().ok:
@@ -127,7 +115,7 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
     if a.size != b.size:
         return None
     fa, fb = _fingerprints(a), _fingerprints(b)
-    if sorted(map(repr, fa)) != sorted(map(repr, fb)):
+    if sorted(fa) != sorted(fb):
         return None
     candidates = {
         i: [ii for ii in range(b.size) if fb[ii] == fa[i]] for i in range(a.size)
@@ -136,22 +124,26 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
     mapping: dict[int, int] = {}
     used: set[int] = set()
 
-    def extend(i: int, ii: int) -> list[tuple[int, int]]:
-        """Assign i -> ii and its dual; returns the assignments made."""
-        made = []
-        for x, xx in ((i, ii), (a.basis.dual(i), b.basis.dual(ii))):
-            if x in mapping:
-                if mapping[x] != xx:
-                    return []
-                continue
+    def undo(made: list[int]) -> None:
+        for x in made:
+            used.discard(mapping.pop(x))
+
+    def assign(i: int, ii: int) -> list[int]:
+        """Assign the free element i -> ii and its dual; returns the
+        elements assigned, or [] (and nothing assigned) on a conflict.
+        Fingerprints record self-duality, so ii is self-dual when i is."""
+        pairs = [(i, ii)]
+        if a.basis.dual(i) != i:
+            pairs.append((a.basis.dual(i), b.basis.dual(ii)))
+        made: list[int] = []
+        for x, xx in pairs:
             if xx in used or not _compatible(a, b, mapping, x, xx):
-                for y, _ in made:
-                    used.discard(mapping.pop(y))
+                undo(made)
                 return []
             mapping[x] = xx
             used.add(xx)
-            made.append((x, xx))
-        return made or [(-1, -1)]  # dual pair already fully assigned
+            made.append(x)
+        return made
 
     def search() -> bool:
         free = [i for i in range(a.size) if i not in mapping]
@@ -160,29 +152,24 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
         # first-fail: fewest live candidates, ties by index
         i = min(free, key=lambda i: (sum(1 for ii in candidates[i] if ii not in used), i))
         for ii in candidates[i]:
-            if ii in used:
-                continue
-            made = extend(i, ii)
-            if not made:
-                continue
-            if search():
+            made = assign(i, ii)
+            if made and search():
                 return True
-            for y, _ in made:
-                if y >= 0:
-                    used.discard(mapping.pop(y))
+            undo(made)
         return False
 
-    made0 = extend(0, 0)
-    if not made0 or not search():
+    if not assign(0, 0) or not search():
         return None
     psi = tuple(mapping[i] for i in range(a.size))
 
     # full re-verification, independent of the search bookkeeping
+    if sorted(psi) != list(range(b.size)):
+        return None
     for i in range(a.size):
         if a.basis.degree(i) != b.basis.degree(psi[i]) or psi[a.basis.dual(i)] != b.basis.dual(psi[i]):
             return None
-        for j in range(a.size):
-            for m in range(a.size):
-                if a.constants.delta(i, j, m) != b.constants.delta(psi[i], psi[j], psi[m]):
-                    return None
+        for j in range(i, a.size):
+            row = {psi[m]: v for m, v in a.constants.row_items(i, j)}
+            if row != dict(b.constants.row_items(psi[i], psi[j])):
+                return None
     return IsoCertificate(psi, verified=True)

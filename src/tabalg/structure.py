@@ -4,15 +4,24 @@ A closed subset (table subset) contains the identity, is closed under the
 involution and under supports of products.  Quotients are taken at support
 level only: classes are the double cosets through a closed subset and the
 class composition records which classes meet each product support.
+
+Everything here works on supports alone.  Structure constants are
+nonnegative, so for elements x, y with nonnegative coefficients nothing in
+``x y`` cancels and ``Supp(x y)`` is the union of ``Supp(b_i b_j)`` over
+``i`` in ``Supp(x)`` and ``j`` in ``Supp(y)``: it depends on the supports
+of the factors, not on their coefficients.  Hence ``Supp(b^n)`` is the
+support of ``Supp(b^(n-1)) b``, and the class of ``b`` modulo a closed
+subset C, ``Supp(e_C b e_C)`` with ``e_C`` the sum of the members of C,
+is the support of ``C b C``.  Both are read off the rows of the
+structure constants; no coefficient is ever carried.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
-from .core import Element, TableAlgebra, TableAlgebraError
+from .core import MalformedElementError, StructureConstants, TableAlgebra, TableAlgebraError
 
 __all__ = [
     "ClosedSubset",
@@ -38,7 +47,7 @@ class ClosedSubset:
         object.__setattr__(self, "members", tuple(sorted(self.members)))
 
     def __contains__(self, i: int) -> bool:
-        return i in set(self.members)
+        return i in self.members
 
     def __len__(self) -> int:
         return len(self.members)
@@ -47,9 +56,9 @@ class ClosedSubset:
         return tuple(algebra.basis.name(i) for i in self.members)
 
     def verify(self, algebra: TableAlgebra) -> bool:
-        """Independent membership re-check: identity, duals, all pair supports."""
+        """Independent membership re-check: range, identity, duals, all pair supports."""
         s = set(self.members)
-        if 0 not in s:
+        if 0 not in s or not all(0 <= i < algebra.size for i in s):
             return False
         if any(algebra.basis.dual(i) not in s for i in s):
             return False
@@ -59,6 +68,11 @@ class ClosedSubset:
                     if m not in s:
                         return False
         return True
+
+
+def _support_product(constants: StructureConstants, xs: Iterable[int], ys: Collection[int]) -> set[int]:
+    """``Supp(x y)`` for any x, y of nonnegative coefficients with supports xs, ys."""
+    return {m for i in xs for j in ys for m, _ in constants.row_items(i, j)}
 
 
 def _resolve(algebra: TableAlgebra, seed: Iterable[int | str]) -> set[int]:
@@ -77,15 +91,10 @@ def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> ClosedSubset:
     if not current:
         raise TableAlgebraError("closure of an empty seed")
     current.add(0)
-    current |= {algebra.basis.dual(i) for i in set(current)}
+    current |= {algebra.basis.dual(i) for i in current}
     frontier = set(current)
     while frontier:
-        new: set[int] = set()
-        for i in frontier:
-            for j in current:
-                for m, _ in algebra.constants.row_items(i, j):
-                    if m not in current:
-                        new.add(m)
+        new = _support_product(algebra.constants, frontier, current) - current
         new |= {algebra.basis.dual(m) for m in new}
         current |= new
         frontier = new
@@ -95,32 +104,33 @@ def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> ClosedSubset:
 def all_closed_subsets(algebra: TableAlgebra) -> list[ClosedSubset]:
     """Complete lattice of closed subsets.
 
-    Closures of singletons, then pairwise joins to a fixed point.  Sorted
-    by size, then lexicographically by member indices.  Capped at basis
-    size 64 and 4096 lattice nodes.
+    Every closed subset is the join of the closures of its members, so a
+    worklist that joins each subset found with each distinct singleton
+    closure reaches all of them.  Sorted by size, then lexicographically by
+    member indices.  Capped at basis size 64 and 4096 lattice nodes.
     """
     if algebra.size > LATTICE_SIZE_CAP:
         raise TableAlgebraError(f"subset lattice capped at basis size {LATTICE_SIZE_CAP}")
-    found: dict[tuple[int, ...], ClosedSubset] = {}
+    found: dict[frozenset[int], ClosedSubset] = {}
+    worklist: list[frozenset[int]] = []
 
     def add(s: ClosedSubset):
-        if s.members not in found:
+        key = frozenset(s.members)
+        if key not in found:
             if len(found) >= LATTICE_NODE_CAP:
                 raise TableAlgebraError(f"subset lattice exceeded {LATTICE_NODE_CAP} nodes")
-            found[s.members] = s
+            found[key] = s
+            worklist.append(key)
 
     add(ClosedSubset((0,)))
     for i in range(algebra.size):
         add(closure(algebra, [i]))
-    # joins until stable
-    while True:
-        pairs = list(combinations(list(found.values()), 2))
-        before = len(found)
-        for a, b in pairs:
-            join = closure(algebra, set(a.members) | set(b.members))
-            add(join)
-        if len(found) == before:
-            break
+    atoms = list(found)
+    while worklist:
+        s = worklist.pop()
+        for atom in atoms:
+            if not atom <= s:
+                add(closure(algebra, s | atom))
     return sorted(found.values(), key=lambda s: (len(s.members), s.members))
 
 
@@ -137,17 +147,18 @@ class PowerTable:
 
 
 def power_supports(algebra: TableAlgebra, b: int | str, max_n: int) -> PowerTable:
-    """Supports of b, b^2, ..., b^max_n by exact repeated multiplication."""
+    """Supports of b, b^2, ..., b^max_n; ``Supp(b^n)`` is the support of
+    ``Supp(b^(n-1)) b``."""
     if max_n < 1:
         raise TableAlgebraError("max_n must be >= 1")
     i = algebra.basis.index_of(b) if isinstance(b, str) else b
-    rows = []
-    power = Element.basis(i)
-    base = Element.basis(i)
-    rows.append((1, power.support()))
+    if not 0 <= i < algebra.size:
+        raise MalformedElementError(f"index {i} out of range for {algebra.name or 'algebra'}")
+    support = frozenset((i,))
+    rows = [(1, support)]
     for n in range(2, max_n + 1):
-        power = algebra.multiply(power, base)
-        rows.append((n, power.support()))
+        support = frozenset(_support_product(algebra.constants, support, (i,)))
+        rows.append((n, support))
     return PowerTable(i, tuple(rows))
 
 
@@ -178,26 +189,26 @@ class QuotientClassTable:
             raise TableAlgebraError("quotient requires a verified closed subset")
         self.algebra = algebra
         self.by = by
-        e_c = Element({i: 1 for i in by.members})
-        k = algebra.size
+        constants, c = algebra.constants, by.members
+        sandwich = [
+            tuple(sorted(_support_product(constants, _support_product(constants, c, (b,)), c)))
+            for b in range(algebra.size)
+        ]
         class_of: dict[int, int] = {}
         classes: list[tuple[int, ...]] = []
-        for b in range(k):
+        for b, members in enumerate(sandwich):
             if b in class_of:
                 continue
-            sandwich = algebra.multiply(algebra.multiply(e_c, Element.basis(b)), e_c)
-            members = sorted(sandwich.support())
             ci = len(classes)
             for m in members:
                 if m in class_of and class_of[m] != ci:
                     raise TableAlgebraError("double cosets do not partition the basis")
                 class_of[m] = ci
-            classes.append(tuple(members))
+            classes.append(members)
         # re-check representative independence of the classes themselves
-        for ci, members in enumerate(classes):
+        for members in classes:
             for b in members:
-                sandwich = algebra.multiply(algebra.multiply(e_c, Element.basis(b)), e_c)
-                if sorted(sandwich.support()) != list(members):
+                if sandwich[b] != members:
                     raise TableAlgebraError(
                         f"class of {algebra.basis.name(b)} depends on the representative"
                     )
@@ -213,9 +224,7 @@ class QuotientClassTable:
                 value: frozenset[int] | None = None
                 for bp in self.classes[p]:
                     for bq in self.classes[q]:
-                        supp = frozenset(
-                            class_of[m] for m, _ in algebra.constants.row_items(bp, bq)
-                        )
+                        supp = frozenset(class_of[m] for m, _ in constants.row_items(bp, bq))
                         if value is None:
                             value = supp
                         elif value != supp:
@@ -234,9 +243,6 @@ class QuotientClassTable:
 
     def compose(self, p: int, q: int) -> frozenset[int]:
         return self.composition[(p, q)]
-
-    def dual_class(self, p: int) -> int:
-        return self.class_of[self.algebra.basis.dual(self.classes[p][0])]
 
 
 def quotient_by(algebra: TableAlgebra, by: ClosedSubset | Iterable[int | str]) -> QuotientClassTable:

@@ -272,7 +272,7 @@ def test_commands_run_with_numpy_blocked():
 
 class TestBundled:
     def test_list(self, capsys):
-        code, out, _ = invoke(capsys, "bundled", "--list")
+        code, out, _ = invoke(capsys, "bundled")
         assert code == 0
         assert "B32" in out and "PSL27-partial" in out
 

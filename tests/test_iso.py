@@ -1,23 +1,66 @@
+import random
+import zlib
+from itertools import product
+
 import pytest
 
 from tabalg import (
+    BasisElement,
     NotClosedError,
     UnverifiedAlgebraError,
     TableAlgebra,
+    TableBasis,
     all_closed_subsets,
     closure,
     exact_isomorphic,
+    load,
     restrict,
 )
+from tabalg.bundled import AUXILIARY, BUNDLED
 from tabalg.structure import ClosedSubset
 
-from oracles import class_algebra_tensor, cyclic
+from oracles import FiniteGroup, class_algebra_tensor, cyclic, klein_four
 
 from test_structure import oracle_algebra
 
 
+def elementary_abelian(p, n):
+    elements = list(product(range(p), repeat=n))
+    return FiniteGroup(elements, lambda x, y: tuple((a + b) % p for a, b in zip(x, y)), f"Z{p}^{n}")
+
+
 def subset_of_size(A, n):
     return next(s for s in all_closed_subsets(A) if len(s) == n)
+
+
+def relabeled(A):
+    """A copy of A with its non-identity basis elements shuffled, seeded by
+    the algebra's name."""
+    rest = list(range(1, A.size))
+    random.Random(zlib.crc32(A.name.encode())).shuffle(rest)
+    new = [0] + rest  # old index -> new index
+    basis = TableBasis(sorted(
+        (BasisElement(new[i], A.basis.name(i), A.basis.degree(i), new[A.basis.dual(i)])
+         for i in range(A.size)),
+        key=lambda e: e.index,
+    ))
+    products = {
+        (new[i], new[j]): {new[m]: v for m, v in A.constants.row_items(i, j)}
+        for i in range(1, A.size)
+        for j in range(i, A.size)
+    }
+    return TableAlgebra.from_products(basis, products, name=A.name + "-relabeled")
+
+
+def assert_carries_every_constant(a, b, cert):
+    psi = cert.mapping
+    assert sorted(psi) == list(range(b.size))
+    for i in range(a.size):
+        assert a.basis.degree(i) == b.basis.degree(psi[i])
+        assert psi[a.basis.dual(i)] == b.basis.dual(psi[i])
+        for j in range(a.size):
+            for m in range(a.size):
+                assert a.constants.delta(i, j, m) == b.constants.delta(psi[i], psi[j], psi[m])
 
 
 class TestRestrict:
@@ -46,6 +89,11 @@ class TestRestrict:
     def test_not_closed_rejected(self, B32):
         with pytest.raises(NotClosedError):
             restrict(B32, ClosedSubset((0, B32.basis.index_of("b3"))))
+
+    @pytest.mark.parametrize("members", [(0, 40), (0, -32), (0, -1)])
+    def test_members_outside_the_basis_rejected(self, B32, members):
+        with pytest.raises(NotClosedError):
+            restrict(B32, ClosedSubset(members))
 
     def test_restriction_lattice_consistent(self, B32):
         d = subset_of_size(B32, 17)
@@ -106,15 +154,37 @@ class TestExactIsomorphic:
 
     def test_certificate_transports_constants(self, B32, D17):
         d = restrict(B32, subset_of_size(B32, 17))
-        cert = exact_isomorphic(d, D17)
-        psi = cert.mapping
-        for i in range(17):
-            assert d.basis.degree(i) == D17.basis.degree(psi[i])
-            for j in range(17):
-                for m in range(17):
-                    assert d.constants.delta(i, j, m) == D17.constants.delta(
-                        psi[i], psi[j], psi[m]
-                    )
+        assert_carries_every_constant(d, D17, exact_isomorphic(d, D17))
+
+    # S3's class sums are not normalized (c c = 2 1 + c): it fails
+    # verify_axioms, so exact_isomorphic refuses it and its relabeling
+    @pytest.mark.parametrize("name", BUNDLED + AUXILIARY)
+    def test_seeded_relabeling(self, name):
+        A = load(name)
+        R = relabeled(A)
+        if name == "S3":
+            with pytest.raises(UnverifiedAlgebraError):
+                exact_isomorphic(A, R)
+            return
+        for a, b in ((A, R), (R, A), (R, R)):
+            cert = exact_isomorphic(a, b)
+            assert cert is not None and cert.verified
+            assert_carries_every_constant(a, b, cert)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (load("Z4"), oracle_algebra(klein_four())),
+            # every element of both has the same fingerprint: the search decides
+            (oracle_algebra(cyclic(9)), oracle_algebra(elementary_abelian(3, 2))),
+        ],
+        ids=["Z4-V4", "Z9-Z3xZ3"],
+    )
+    def test_relabeled_copy_rejected_against_nonisomorphic(self, a, b):
+        assert a.size == b.size
+        assert exact_isomorphic(relabeled(a), b) is None
+        assert exact_isomorphic(b, relabeled(a)) is None
+        assert exact_isomorphic(relabeled(a), relabeled(b)) is None
 
     def test_unverified_input_rejected(self, B32):
         products = {}

@@ -1,13 +1,18 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabalg import (
     BasisElement,
+    Element,
+    MalformedElementError,
     TableAlgebra,
     TableBasis,
     all_closed_subsets,
     closure,
     is_group_like,
+    load,
     power_supports,
     quotient_by,
 )
@@ -18,6 +23,9 @@ from oracles import class_algebra_tensor, cyclic, klein_four, subgroup_class_uni
 C_NAMES = {"1", "b8", "x10", "b5", "c5", "c8", "x9"}
 E_NAMES = C_NAMES | {"r3", "s6", "t15", "d9", "y3"}
 D_NAMES = C_NAMES | {"c3", "c3bar", "d3", "d3bar", "c9", "c9bar", "b6", "b6bar", "y15", "y15bar"}
+
+
+ORACLE_GROUPS = (cyclic(4), cyclic(5), cyclic(6), klein_four(), symmetric3())
 
 
 def oracle_algebra(group):
@@ -43,6 +51,10 @@ class TestClosure:
     def test_members_recheck(self, B32):
         assert closure(B32, ["c3"]).verify(B32)
         assert not ClosedSubset((0, 1)).verify(B32)
+
+    @pytest.mark.parametrize("members", [(0, 40), (0, -32), (0, -1), (0, 32)])
+    def test_members_outside_the_basis_are_not_closed(self, B32, members):
+        assert not ClosedSubset(members).verify(B32)
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -89,6 +101,25 @@ class TestLattice:
             ours = {frozenset(s.members) for s in all_closed_subsets(A)}
             oracle = {frozenset(s) for s in subgroup_class_unions(group)}
             assert ours == oracle, group.name
+
+    @pytest.mark.parametrize(
+        "algebra",
+        [load(n) for n in ("C7", "Z2", "Z3", "Z4", "Z6", "S3")]
+        + [oracle_algebra(g) for g in ORACLE_GROUPS],
+        ids=lambda a: a.name,
+    )
+    def test_lattice_is_every_subset_that_verifies(self, algebra):
+        # brute force over all 2^k subsets, k <= 12
+        k = algebra.size
+        brute = {
+            members
+            for r in range(1, k + 1)
+            for members in combinations(range(k), r)
+            if ClosedSubset(members).verify(algebra)
+        }
+        assert [s.members for s in all_closed_subsets(algebra)] == sorted(
+            brute, key=lambda m: (len(m), m)
+        )
 
     def test_z6_lattice_is_divisor_lattice(self):
         A = oracle_algebra(cyclic(6))
@@ -170,3 +201,48 @@ class TestQuotient:
         assert q.labels[q.identity_class] == "1"
         for label, members in zip(q.labels, q.classes):
             assert label == min(B32.basis.name(m) for m in members)
+
+
+def element_sandwich(algebra, subset, b):
+    """Supp(e_C b e_C) through exact Element arithmetic."""
+    e_c = Element({i: 1 for i in subset.members})
+    return algebra.multiply(algebra.multiply(e_c, Element.basis(b)), e_c).support()
+
+
+def element_powers(algebra, b, max_n):
+    """Supp(b^n), n = 1..max_n, by exact repeated multiplication."""
+    power = base = Element.basis(b)
+    rows = [(1, power.support())]
+    for n in range(2, max_n + 1):
+        power = algebra.multiply(power, base)
+        rows.append((n, power.support()))
+    return tuple(rows)
+
+
+class TestSupportsAgainstElementArithmetic:
+    """The support-level quotients and powers equal the supports of the
+    exact products they stand for."""
+
+    @pytest.mark.parametrize("name", ["B32", "B22", "D17"])
+    def test_quotients(self, name):
+        A = load(name)
+        for subset in all_closed_subsets(A):
+            q = quotient_by(A, subset)
+            for b in range(A.size):
+                assert set(q.classes[q.class_of[b]]) == element_sandwich(A, subset, b)
+            class_sums = [Element({m: 1 for m in members}) for members in q.classes]
+            for p in range(q.size):
+                for r in range(q.size):
+                    support = A.multiply(class_sums[p], class_sums[r]).support()
+                    assert q.compose(p, r) == {q.class_of[m] for m in support}
+
+    @pytest.mark.parametrize("name", ["B32", "B22", "D17"])
+    def test_powers(self, name):
+        A = load(name)
+        for b in range(A.size):
+            assert power_supports(A, b, 6).rows == element_powers(A, b, 6)
+
+    @pytest.mark.parametrize("b", [-1, 32, 40])
+    def test_power_of_an_index_outside_the_basis(self, B32, b):
+        with pytest.raises(MalformedElementError):
+            power_supports(B32, b, 1)
