@@ -4,69 +4,74 @@ Distinguished bases with nonnegative integer structure constants: axiom
 verification, closed-subset and quotient analysis, exact isomorphism
 testing, a file format with bundled verified datasets, and a deduction
 engine that completes partially specified product tables.
+
+Every public name loads on first use (PEP 562): ``import tabalg`` imports
+no submodule, and ``tabalg.propagate``, say, imports ``tabalg.deduction``
+only when it is first read.
 """
 
-from .core import (
-    BasisElement,
-    Element,
-    MalformedElementError,
-    StructureConstants,
-    TableAlgebra,
-    TableAlgebraError,
-    TableBasis,
-    VerificationReport,
-)
-from .fileformat import ParseError, parse, parse_element_expr, parse_partial, serialize
-from .structure import (
-    ClosedSubset,
-    GroupTable,
-    PowerTable,
-    QuotientClassTable,
-    all_closed_subsets,
-    closure,
-    is_group_like,
-    power_supports,
-    quotient_by,
-)
-from .iso import IsoCertificate, NotClosedError, UnverifiedAlgebraError, exact_isomorphic, restrict
-from .deduction import DeductionTrace, PartialTable, complete_or_refute, propagate
-from .bundled import bundled, load, resolve
+import sys
+import types
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisElement",
-    "Element",
-    "TableBasis",
-    "StructureConstants",
-    "TableAlgebra",
-    "VerificationReport",
-    "TableAlgebraError",
-    "MalformedElementError",
-    "ParseError",
-    "parse",
-    "parse_partial",
-    "parse_element_expr",
-    "serialize",
-    "ClosedSubset",
-    "PowerTable",
-    "QuotientClassTable",
-    "GroupTable",
-    "closure",
-    "all_closed_subsets",
-    "power_supports",
-    "quotient_by",
-    "is_group_like",
-    "IsoCertificate",
-    "NotClosedError",
-    "UnverifiedAlgebraError",
-    "restrict",
-    "exact_isomorphic",
-    "PartialTable",
-    "DeductionTrace",
-    "propagate",
-    "complete_or_refute",
-    "bundled",
-    "load",
-    "resolve",
-]
+# public name -> submodule that defines it
+_SOURCES = {
+    **dict.fromkeys(
+        (
+            "BasisElement",
+            "Element",
+            "TableBasis",
+            "StructureConstants",
+            "TableAlgebra",
+            "VerificationReport",
+            "TableAlgebraError",
+            "MalformedElementError",
+        ),
+        "core",
+    ),
+    **dict.fromkeys(("ParseError", "parse", "parse_partial", "parse_element_expr", "serialize"), "fileformat"),
+    **dict.fromkeys(
+        (
+            "ClosedSubset",
+            "PowerTable",
+            "QuotientClassTable",
+            "GroupTable",
+            "closure",
+            "all_closed_subsets",
+            "power_supports",
+            "quotient_by",
+            "is_group_like",
+        ),
+        "structure",
+    ),
+    **dict.fromkeys(
+        ("IsoCertificate", "NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"), "iso"
+    ),
+    **dict.fromkeys(("PartialTable", "DeductionTrace", "propagate", "complete_or_refute"), "deduction"),
+    **dict.fromkeys(("bundled", "load", "resolve"), "bundled"),
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name):
+    source = _SOURCES.get(name)
+    if source is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{source}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    def __setattr__(self, name, value):
+        # Importing a submodule binds it on the package; the submodule
+        # ``tabalg.bundled`` must not shadow the public function ``bundled``.
+        if name in _SOURCES and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -3,7 +3,9 @@
 Subcommands map one-to-one onto library operations; exit code 0 means
 success or a positive answer, 1 a verification failure or negative
 answer, 2 a usage or input error.  Output is deterministic; timing is
-printed only with --timing.
+printed only with --timing.  Each subcommand imports its own layer
+(structure, iso or deduction) when it runs, so start-up pays only for
+the command in hand.
 """
 
 from __future__ import annotations
@@ -11,13 +13,14 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from .bundled import AUXILIARY, BUNDLED, NAMED_SUBSETS, PARTIAL, load, resolve, resolve_partial
 from .core import TableAlgebra, TableAlgebraError, format_element
-from .deduction import PartialTable, propagate
 from .fileformat import ParseError, parse_element_expr, serialize
-from .iso import exact_isomorphic, restrict
-from .structure import ClosedSubset, all_closed_subsets, closure, is_group_like, power_supports, quotient_by
+
+if TYPE_CHECKING:
+    from .structure import ClosedSubset
 
 
 class _Out:
@@ -36,6 +39,7 @@ class _Out:
 def _subset_from_spec(algebra: TableAlgebra, spec: str) -> ClosedSubset:
     """A named subset (C/D/E of a bundled algebra), a comma list of element
     names, or a single element name; closure is always taken."""
+    from .structure import closure
     named = NAMED_SUBSETS.get(algebra.name, {})
     if spec in named:
         return closure(algebra, named[spec])
@@ -89,6 +93,7 @@ def cmd_inner(args, out: _Out) -> int:
 
 
 def cmd_subsets(args, out: _Out) -> int:
+    from .structure import all_closed_subsets
     algebra = resolve(args.algebra)
     lattice = all_closed_subsets(algebra)
     out.fact("count", len(lattice))
@@ -99,6 +104,7 @@ def cmd_subsets(args, out: _Out) -> int:
 
 
 def cmd_closure(args, out: _Out) -> int:
+    from .structure import closure
     algebra = resolve(args.algebra)
     s = closure(algebra, args.names)
     out.fact("closure", _fmt_members(algebra, s.members))
@@ -107,6 +113,7 @@ def cmd_closure(args, out: _Out) -> int:
 
 
 def cmd_powers(args, out: _Out) -> int:
+    from .structure import power_supports
     algebra = resolve(args.algebra)
     table = power_supports(algebra, args.name, args.max)
     for n, supp in table.rows:
@@ -116,6 +123,7 @@ def cmd_powers(args, out: _Out) -> int:
 
 
 def cmd_quotient(args, out: _Out) -> int:
+    from .structure import is_group_like, quotient_by
     algebra = resolve(args.algebra)
     q = quotient_by(algebra, _subset_from_spec(algebra, args.by))
     g = is_group_like(q)
@@ -131,6 +139,7 @@ def cmd_quotient(args, out: _Out) -> int:
 
 
 def cmd_iso(args, out: _Out) -> int:
+    from .iso import exact_isomorphic
     a = resolve(args.algebra_a)
     b = resolve(args.algebra_b)
     cert = exact_isomorphic(a, b)
@@ -148,6 +157,7 @@ def cmd_iso(args, out: _Out) -> int:
 
 
 def cmd_restrict(args, out: _Out) -> int:
+    from .iso import restrict
     algebra = resolve(args.algebra)
     sub = restrict(algebra, _subset_from_spec(algebra, args.to))
     text = serialize(sub)
@@ -162,6 +172,7 @@ def cmd_restrict(args, out: _Out) -> int:
 
 
 def cmd_deduce(args, out: _Out) -> int:
+    from .deduction import PartialTable, propagate
     name, basis, products = resolve_partial(args.table)
     seed = PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0})
     t0 = time.perf_counter()

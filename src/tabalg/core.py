@@ -58,9 +58,8 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 __all__ = [
     "TableAlgebraError",
@@ -84,8 +83,7 @@ class MalformedElementError(TableAlgebraError):
     """An element refers to basis indices outside the algebra."""
 
 
-@dataclass(frozen=True)
-class BasisElement:
+class BasisElement(NamedTuple):
     index: int
     name: str
     degree: int
@@ -290,13 +288,25 @@ class StructureConstants:
         return [[store[(i, j) if i <= j else (j, i)] for j in range(k)] for i in range(k)]
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    witnesses: tuple = ()
-    checked: int = 0
-    seconds: float = field(default=0.0, compare=False, repr=False)
+    """One axiom class: pass or fail, its first witnesses, the triples it
+    checked and the seconds it took; ``seconds`` is left out of ``==``."""
+
+    def __init__(self, name: str, passed: bool, witnesses: tuple = (), checked: int = 0, seconds: float = 0.0):
+        self.name = name
+        self.passed = passed
+        self.witnesses = witnesses
+        self.checked = checked
+        self.seconds = seconds
+
+    def _key(self):
+        return (self.name, self.passed, self.witnesses, self.checked)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is CheckResult else NotImplemented
+
+    def __repr__(self):
+        return "CheckResult(name={!r}, passed={!r}, witnesses={!r}, checked={!r})".format(*self._key())
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -304,16 +314,26 @@ class CheckResult:
         return f"{tag} {self.name}{extra}"
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
-    # k^3: the triples whose associativity the report certifies or refutes
-    associativity_triples: int = 0
-    # distinct triples actually evaluated: |G| k^2 when Light's test
-    # certified associativity, k^3 after a full sweep
-    associativity_evaluated: int = field(default=0, compare=False)
-    # names of the generating set G that certified associativity, or ()
-    generators: tuple[str, ...] = field(default=(), compare=False)
+    """The checks of one ``verify_axioms`` run.  ``==`` compares the checks
+    and ``associativity_triples`` only: how associativity was certified
+    (``associativity_evaluated``, ``generators``) is left out."""
+
+    def __init__(self, checks: list[CheckResult] | None = None, associativity_triples: int = 0,
+                 associativity_evaluated: int = 0, generators: tuple[str, ...] = ()):
+        self.checks = [] if checks is None else checks
+        # k^3: the triples whose associativity the report certifies or refutes
+        self.associativity_triples = associativity_triples
+        # distinct triples actually evaluated: |G| k^2 when Light's test
+        # certified associativity, k^3 after a full sweep
+        self.associativity_evaluated = associativity_evaluated
+        # names of the generating set G that certified associativity, or ()
+        self.generators = generators
+
+    def __eq__(self, other):
+        if type(other) is not VerificationReport:
+            return NotImplemented
+        return (self.checks, self.associativity_triples) == (other.checks, other.associativity_triples)
 
     MAX_WITNESSES = 20
 
@@ -693,6 +713,8 @@ class TableAlgebra:
             "normalization-symmetry",
             _unequal_entries((i, j, rows[i][j], swapped[i][j]) for i in range(k) for j in range(k)),
         )
+        # free the k^2 swapped rows before the associativity check allocates its own
+        del swapped
 
         triples = k**3
         gens: list[int] = []

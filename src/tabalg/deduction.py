@@ -74,7 +74,10 @@ The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
 triple whose factors are known, once, and evaluates each one the agenda
 has not decided.  A decided triple was evaluated on frozen rows, so its
 answer cannot change.  A firing in the sweep would mean the agenda missed
-a triple; it is counted in ``DeductionStats.sweep_firings``.
+a triple; it is counted in ``DeductionStats.sweep_firings``.  A table
+that completes is re-verified by ``verify_axioms``, which shares no code
+with the rules; if any axiom check fails, the status is ``contradiction``
+and the message names the failed checks.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class DeductionStats:
     evaluations of a decidable triple, R4 decomposition searches requested
     (forced and naming).  ``firings`` counts the trace's steps per rule;
     naming steps are R1 and the Lemma 2.2 closure's are R4.  ``seconds``
-    is the time of each phase of the main loop, syncs included.
+    is the time of each phase of the main loop, syncs included, and of
+    the ``recheck`` of a completed table.
     """
 
     attempts: dict[str, int] = field(default_factory=_per_rule)
@@ -1134,6 +1138,19 @@ class _Engine:
             self.trace.status = "completed"
 
 
+def _recheck(table: PartialTable, trace: DeductionTrace) -> None:
+    """Re-verify a completed table with the axiom verifier, independently
+    of the rules that filled it; a failed check makes it a contradiction."""
+    t0 = time.perf_counter()
+    report = table.as_algebra().verify_axioms()
+    trace.stats.seconds["recheck"] = time.perf_counter() - t0
+    if not report.ok:
+        failed = next(c for c in report.checks if not c.passed)
+        trace.status = "contradiction"
+        trace.witness = failed.witnesses[0]
+        trace.message = f"completed table fails the axiom re-check: {report.summary()}"
+
+
 def propagate(
     table: PartialTable, max_steps: int = 1_000_000, introduce_names: bool = False
 ) -> tuple[PartialTable, DeductionTrace]:
@@ -1142,12 +1159,18 @@ def propagate(
     With ``introduce_names`` False every written entry is forced, so a
     seed drawn from a consistent algebra only ever derives that algebra's
     values.  The trace records one step per completed entry, and its
-    ``stats`` what each rule attempted.
+    ``stats`` what each rule attempted.  A table that completes is
+    re-verified with ``verify_axioms`` before it is reported completed.
     """
     work = table.copy()
     engine = _Engine(work, introduce_names=introduce_names, max_steps=max_steps)
     engine.run()
-    return work, engine.trace
+    trace = engine.trace
+    # drop the rule state first, so the re-check does not add to peak memory
+    del engine
+    if trace.status == "completed":
+        _recheck(work, trace)
+    return work, trace
 
 
 def complete_or_refute(

@@ -8,11 +8,12 @@ re-verified constant by constant before it is returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .core import BasisElement, TableAlgebra, TableBasis, TableAlgebraError
-from .structure import ClosedSubset
+
+if TYPE_CHECKING:  # an annotation only: exact_isomorphic runs without the structure layer
+    from .structure import ClosedSubset
 
 __all__ = ["IsoCertificate", "NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"]
 
@@ -25,8 +26,7 @@ class UnverifiedAlgebraError(TableAlgebraError):
     """Isomorphism testing requires inputs that pass the axiom verifier."""
 
 
-@dataclass(frozen=True)
-class IsoCertificate:
+class IsoCertificate(NamedTuple):
     mapping: tuple[int, ...]
     verified: bool
 

@@ -18,8 +18,8 @@ structure constants; no coefficient is ever carried.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterable, Optional, Sequence
+from math import prod
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .core import MalformedElementError, StructureConstants, TableAlgebra, TableAlgebraError
 
@@ -39,12 +39,21 @@ LATTICE_SIZE_CAP = 64
 LATTICE_NODE_CAP = 4096
 
 
-@dataclass(frozen=True)
 class ClosedSubset:
-    members: tuple[int, ...]
+    """A set of basis indices, kept sorted and without repeats; ``verify``
+    decides whether it is closed."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(self.members)))
+    def __init__(self, members: Iterable[int]):
+        self.members: tuple[int, ...] = tuple(sorted(set(members)))
+
+    def __eq__(self, other):
+        return self.members == other.members if type(other) is ClosedSubset else NotImplemented
+
+    def __hash__(self):
+        return hash(self.members)
+
+    def __repr__(self):
+        return f"ClosedSubset(members={self.members!r})"
 
     def __contains__(self, i: int) -> bool:
         return i in self.members
@@ -134,8 +143,7 @@ def all_closed_subsets(algebra: TableAlgebra) -> list[ClosedSubset]:
     return sorted(found.values(), key=lambda s: (len(s.members), s.members))
 
 
-@dataclass(frozen=True)
-class PowerTable:
+class PowerTable(NamedTuple):
     element: int
     rows: tuple[tuple[int, frozenset[int]], ...]
 
@@ -162,8 +170,7 @@ def power_supports(algebra: TableAlgebra, b: int | str, max_n: int) -> PowerTabl
     return PowerTable(i, tuple(rows))
 
 
-@dataclass(frozen=True)
-class GroupTable:
+class GroupTable(NamedTuple):
     order: int
     cayley: tuple[tuple[int, ...], ...]
     invariant_factors: Optional[tuple[int, ...]]
@@ -252,20 +259,37 @@ def quotient_by(algebra: TableAlgebra, by: ClosedSubset | Iterable[int | str]) -
 
 
 def _invariant_factors(order: int, element_orders: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """Invariant factors of an abelian group of order <= 12 from its orders."""
-    if order > 12:
-        return None
-    m = max(element_orders)
-    if m == order:
-        return (order,)
-    rest = order // m
-    if rest == 2:
-        return (m, 2)
-    if rest == 3:
-        return (m, 3)
-    if rest == 4 and m == 2:
-        return (2, 2, 2)
-    return None
+    """Invariant factors, largest first, of an abelian group from the
+    orders of its elements; None if the orders fit no abelian group.
+
+    For each prime p, write the p-part as the product of cyclic groups of
+    orders p^e_1 >= p^e_2 >= ....  The elements of order dividing p^j
+    number p^(sum_t min(j, e_t)), so the exponent gained from j - 1 to j
+    is the number r_j of e_t that are at least j.  Each factor t is
+    multiplied by p once for every j with r_j > t.
+    """
+    factors: list[int] = []
+    n, p = order, 2
+    while n > 1:
+        if n % p:
+            p += 1
+            continue
+        while n % p == 0:
+            n //= p
+        q, exponent = p, 0
+        while True:
+            count, e = sum(1 for o in element_orders if q % o == 0), 0
+            while count % p == 0:
+                count //= p
+                e += 1
+            if e == exponent:
+                break
+            factors.extend([1] * (e - exponent - len(factors)))
+            for t in range(e - exponent):
+                factors[t] *= p
+            q, exponent = q * p, e
+    factors = factors or [1]
+    return tuple(factors) if prod(factors) == order else None
 
 
 def is_group_like(q: QuotientClassTable) -> Optional[GroupTable]:

@@ -89,6 +89,15 @@ def klein_four() -> FiniteGroup:
     return FiniteGroup(elems, lambda a, b: ((a[0] + b[0]) % 2, (a[1] + b[1]) % 2), "V4")
 
 
+def direct_product(*groups: FiniteGroup) -> FiniteGroup:
+    """The groups' direct product, multiplied coordinate by coordinate."""
+
+    def mult(a, b):
+        return tuple(g.mult(x, y) for g, x, y in zip(groups, a, b))
+
+    return FiniteGroup(product(*(g.elements for g in groups)), mult, "x".join(g.name for g in groups))
+
+
 def class_algebra_tensor(group: FiniteGroup):
     """Class-sum structure constants by explicit convolution.
 

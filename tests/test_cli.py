@@ -270,6 +270,77 @@ def test_commands_run_with_numpy_blocked():
     assert done.returncode == 0, done.stderr
 
 
+def test_import_tabalg_loads_no_submodule():
+    script = (
+        "import sys, tabalg\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('tabalg.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    done = run_script(script)
+    assert done.returncode == 0, done.stderr
+
+
+BASE_MODULES = {"tabalg", "tabalg.cli", "tabalg.core", "tabalg.fileformat", "tabalg.bundled"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["verify", "bundled:C7"], set()),
+        (["verify", "--exact", "bundled:C7"], set()),
+        (["mult", "bundled:B32", "b3", "b8"], set()),
+        (["inner", "bundled:B32", "b3", "b3"], set()),
+        (["bundled"], set()),
+        (["bundled", "--export", "C7"], set()),
+        (["subsets", "bundled:C7"], {"structure"}),
+        (["closure", "bundled:B32", "b8"], {"structure"}),
+        (["powers", "bundled:B32", "b3"], {"structure"}),
+        (["quotient", "bundled:B32", "--by", "C"], {"structure"}),
+        (["iso", "bundled:C7", "bundled:C7"], {"iso"}),
+        (["restrict", "bundled:B32", "--to", "C"], {"structure", "iso"}),
+        (["deduce", "bundled:PSL27-partial"], {"deduction"}),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_command_imports_only_its_layer(argv, layers):
+    # only the deduction engine may pay for dataclasses (and inspect, ast, dis)
+    script = (
+        "import contextlib, io, sys, tabalg.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = tabalg.cli.run({argv!r})\n"
+        "print(code, 'dataclasses' in sys.modules, *sorted(m for m in sys.modules if m.startswith('tabalg')))\n"
+    )
+    done = run_script(script)
+    assert done.returncode == 0, done.stderr
+    code, dataclasses, *modules = done.stdout.split()
+    assert code == "0"
+    assert set(modules) == BASE_MODULES | {f"tabalg.{layer}" for layer in layers}
+    assert dataclasses == str(argv[0] == "deduce")
+
+
+def test_star_import_binds_the_defining_objects():
+    # tabalg.cli imports the submodule tabalg.bundled first, which must not
+    # shadow the function tabalg.bundled
+    script = (
+        "import sys, tabalg.cli, tabalg\n"
+        "from tabalg import *\n"
+        "for name in tabalg.__all__:\n"
+        "    value = globals()[name]\n"
+        "    assert value.__module__.startswith('tabalg.'), name\n"
+        "    assert value is getattr(sys.modules[value.__module__], name), name\n"
+        "    assert getattr(tabalg, name) is value, name\n"
+        "assert callable(tabalg.bundled) and len(tabalg.bundled()) > 0\n"
+        "try:\n"
+        "    tabalg.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('unknown attribute resolved')\n"
+    )
+    done = run_script(script)
+    assert done.returncode == 0, done.stderr
+
+
 class TestBundled:
     def test_list(self, capsys):
         code, out, _ = invoke(capsys, "bundled")

@@ -359,7 +359,12 @@ class TestLightCertificate:
     def test_evaluated_is_not_part_of_equality(self, B32):
         fast, exact = B32.verify_axioms(), B32.verify_axioms(force_exact=True)
         assert fast.associativity_evaluated < exact.associativity_evaluated == 32 ** 3
+        assert fast.generators != exact.generators == ()
         assert fast == exact
+        first = fast.checks[0]
+        assert first == core.CheckResult(first.name, first.passed, first.witnesses, first.checked, seconds=-1.0)
+        assert first != core.CheckResult(first.name, not first.passed, first.witnesses, first.checked)
+        assert fast != core.VerificationReport(fast.checks[:-1], fast.associativity_triples)
 
 
 class TestStructureConstantsGuards:

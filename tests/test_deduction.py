@@ -14,6 +14,7 @@ from tabalg import (
     propagate,
 )
 from tabalg.bundled import data_text
+from tabalg.core import CheckResult, TableAlgebra, VerificationReport
 from tabalg.deduction import PartialTable
 
 from conftest import lemma72_seed
@@ -205,6 +206,33 @@ class TestPSL27:
                     assert (
                         algebra.constants.delta(idx[i], idx[j], idx[m]) == fusion[i][j][m]
                     ), (order[i], order[j], order[m])
+
+
+def complete_c7_seed():
+    C7 = load("C7")
+    return PartialTable.from_subtable(C7, [(i, j) for i in range(1, C7.size) for j in range(i, C7.size)])
+
+
+class TestCompletionRecheck:
+    def test_completed_table_is_verified(self, monkeypatch):
+        checked = []
+        verify = TableAlgebra.verify_axioms
+        monkeypatch.setattr(TableAlgebra, "verify_axioms", lambda A, **kw: checked.append(A.size) or verify(A, **kw))
+        _, trace = propagate(complete_c7_seed())
+        assert trace.status == "completed"
+        assert checked == [7]
+        assert "recheck" in trace.stats.seconds
+
+    def test_failed_recheck_is_a_contradiction(self, monkeypatch):
+        failing = VerificationReport(
+            [CheckResult("identity", True), CheckResult("associativity", False, ((1, 2, 3, 4), (1, 2, 4, 3)))], 7**3
+        )
+        monkeypatch.setattr(TableAlgebra, "verify_axioms", lambda A, **kw: failing)
+        _, trace = propagate(complete_c7_seed())
+        assert trace.status == "contradiction"
+        assert trace.witness == (1, 2, 3, 4)
+        assert trace.message == "completed table fails the axiom re-check: FAIL (associativity)"
+        assert trace.serialize().endswith("STATUS contradiction WITNESS 1,2,3,4\n")
 
 
 class TestFullCompletion:

@@ -15,10 +15,11 @@ from tabalg import (
     load,
     power_supports,
     quotient_by,
+    restrict,
 )
 from tabalg.structure import ClosedSubset
 
-from oracles import class_algebra_tensor, cyclic, klein_four, subgroup_class_unions, symmetric3
+from oracles import class_algebra_tensor, cyclic, direct_product, klein_four, subgroup_class_unions, symmetric3
 
 C_NAMES = {"1", "b8", "x10", "b5", "c5", "c8", "x9"}
 E_NAMES = C_NAMES | {"r3", "s6", "t15", "d9", "y3"}
@@ -55,6 +56,12 @@ class TestClosure:
     @pytest.mark.parametrize("members", [(0, 40), (0, -32), (0, -1), (0, 32)])
     def test_members_outside_the_basis_are_not_closed(self, B32, members):
         assert not ClosedSubset(members).verify(B32)
+
+    def test_repeated_members_count_once(self, C7):
+        s = ClosedSubset((0, 0))
+        assert s == ClosedSubset((0,)) and hash(s) == hash(ClosedSubset((0,)))
+        assert len(s) == 1 and s.members == (0,)
+        assert restrict(C7, s).size == 1
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -190,6 +197,22 @@ class TestQuotient:
         g = is_group_like(q)
         assert g is not None and g.invariant_factors == (2, 2)
         assert g.description == "cyclic(2) x cyclic(2)"
+
+    @pytest.mark.parametrize(
+        "group, factors",
+        [
+            (direct_product(cyclic(4), cyclic(4)), (4, 4)),
+            (direct_product(cyclic(2), cyclic(2), cyclic(4)), (4, 2, 2)),
+            (direct_product(cyclic(3), cyclic(6)), (6, 3)),
+            (cyclic(42), (42,)),
+        ],
+        ids=lambda v: v.name if hasattr(v, "name") else None,
+    )
+    def test_group_of_any_order_gets_its_invariant_factors(self, group, factors):
+        g = is_group_like(quotient_by(oracle_algebra(group), ClosedSubset((0,))))
+        assert g is not None and g.order == len(group.elements)
+        assert g.invariant_factors == factors
+        assert g.description == " x ".join(f"cyclic({d})" for d in factors)
 
     def test_not_group_like(self, B32):
         # modding by the trivial subset leaves multi-valued composition
