@@ -189,7 +189,6 @@ def cmd_deduce(args, out: _Out) -> int:
     elif trace.status == "stalled":
         out.fact("unresolved", len(trace.unresolved))
         out.fact("capped", " ".join(f"{a}*{b}" for a, b in trace.capped) or "-")
-        out.fact("gated", " ".join(f"{a}*{b}" for a, b in trace.gated) or "-")
         out.text(f"  unresolved products: {len(trace.unresolved)}")
         for a, b in trace.unresolved[:10]:
             out.text(f"    {a}*{b}")
@@ -198,9 +197,6 @@ def cmd_deduce(args, out: _Out) -> int:
         if trace.capped:
             out.text(f"  (solver cap hit on {len(trace.capped)} products: "
                      + " ".join(f"{a}*{b}" for a, b in trace.capped) + ")")
-        if trace.gated:
-            out.text(f"  (solver width gate skipped {len(trace.gated)} products: "
-                     + " ".join(f"{a}*{b}" for a, b in trace.gated) + ")")
     else:
         for (i, j) in sorted(table.known):
             if 0 < i <= j:

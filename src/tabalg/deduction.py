@@ -12,9 +12,9 @@ mirroring the lemma calculus used to pin down such algebras by hand:
   R3  associativity: a triple whose two bracketings expand with exactly
       one unknown product of unit coefficient solves that product as an
       exact difference; a negative difference is a contradiction.
-  R4  inner-product counts and bounds: (xy, xy) and related inner products
-      of pending entries are computed from known entries via
-      (ab, cd) = (b*dbar, abar*c) and bound the shape of a remainder.
+  R4  inner products: (xy, xy) and related inner products of pending
+      entries are computed from known entries via (ab, cd) = (b*dbar, abar*c);
+      a remainder with exactly one decomposition that meets them resolves.
 
 Propagation itself only ever writes forced values.  The optional naming
 mode additionally models the working convention of christening a new
@@ -55,20 +55,22 @@ known products closed.  So only T with 0 < i < l and T no larger than its
 conjugate is activated; a triple with the identity as a factor or i = l
 expands to nothing.
 
-The R4 memo.  The decomposition search for a pending product reads
-exactly the product's row (which coefficients are known, and their
-values), the exact inner product ``s_exact`` or the Lemma 2.2 bound
-``s_upper``, and the reality mass.  That tuple is the memo key: the same
-key returns the cached answer.  The search itself first counts its
-tree, which decides the node cap without walking the tree, then walks
-only subtrees that reach a decomposition.  Its solutions are filtered by
-the cross inner products (b_i b_j, b_x b_y) against known products; each
-pending product keeps those up to date from the products that became
-known since it last looked.  Three budgets stop a search short: the node
-cap, the solution cap, and a width gate that skips the search when no
-inner product bounds it and the remainder could hold more than three of
-its smallest candidate.  Each is counted in ``DeductionStats``, and a
-stall lists the products its final fixed point capped or gated.
+The R4 search.  The decompositions of a pending product's remainder are
+the assignments to its unknown coefficients that meet the degree and, when
+the exact inner product ``s_exact`` is known, the square budget.  One
+exact count decides the search: the number of decompositions, memoised on
+(candidate-degree suffix, degree left, squares left) and shared by every
+search of a propagation, saturating at ``DECOMPOSITION_LIMIT + 1``.  A
+product with more decompositions than the limit is capped and its search
+returns nothing; otherwise the search walks only states that count a
+decomposition and keeps those of the right reality mass.  The limit is the
+only budget R4 has: it is counted in ``DeductionStats``, and a stall lists
+every product its final fixed point capped.  The answer is cached per
+product under exactly what it reads (the product's row, ``s_exact`` and
+the reality mass) and dropped once the product is known.  Its solutions
+are filtered by the cross inner products (b_i b_j, b_x b_y) against known
+products; each pending product keeps those up to date from the products
+that became known since it last looked.
 
 The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
 triple whose factors are known, once, and evaluates each one the agenda
@@ -85,6 +87,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Mapping, Optional
 
 from .core import Element, TableAlgebra, TableBasis, TableAlgebraError, format_element
@@ -98,8 +101,9 @@ __all__ = [
     "complete_or_refute",
 ]
 
-SOLVER_NODE_CAP = 200_000
-SOLVER_SOLUTION_CAP = 256
+# the most decompositions R4 enumerates for one product; a product with
+# more is capped, and a stall lists it
+DECOMPOSITION_LIMIT = 256
 RULES = ("R1", "R2", "R3", "R4")
 
 
@@ -107,10 +111,6 @@ class Contradiction(TableAlgebraError):
     def __init__(self, witness, message):
         self.witness = witness
         super().__init__(message)
-
-
-class _SolverOverflow(Exception):
-    pass
 
 
 @dataclass
@@ -141,9 +141,8 @@ class DeductionStats:
     examined, R2 coefficients transported around their orbits, R3 agenda
     evaluations of a decidable triple, R4 decomposition searches requested
     (forced and naming).  ``firings`` counts the trace's steps per rule;
-    naming steps are R1 and the Lemma 2.2 closure's are R4.  ``seconds``
-    is the time of each phase of the main loop, syncs included, and of
-    the ``recheck`` of a completed table.
+    naming steps are R1.  ``seconds`` is the time of each phase of the
+    main loop, syncs included, and of the ``recheck`` of a completed table.
     """
 
     attempts: dict[str, int] = field(default_factory=_per_rule)
@@ -151,13 +150,11 @@ class DeductionStats:
     r3_activated: int = 0
     solver_memo_hits: int = 0
     solver_searches: int = 0
-    solver_nodes: int = 0
+    # states of the shared decomposition count, each computed once
+    solver_count_states: int = 0
     solver_overflows: int = 0
-    overflow_pairs: list[tuple[str, str]] = field(default_factory=list)
-    # solver calls the width gate turned away without a search, and their
-    # pairs as an insertion-ordered set
-    solver_gated: int = 0
-    gated_pairs: dict[tuple[str, str], None] = field(default_factory=dict)
+    # the capped pairs, as an insertion-ordered set
+    overflow_pairs: dict[tuple[str, str], None] = field(default_factory=dict)
     sweep_triples: int = 0
     sweep_firings: int = 0
     seconds: dict[str, float] = field(default_factory=dict)
@@ -169,18 +166,15 @@ class DeductionStats:
             out.append((f"stats.{rule}.attempts", self.attempts[rule]))
             out.append((f"stats.{rule}.firings", self.firings[rule]))
         overflowed = " ".join(f"{a}*{b}" for a, b in self.overflow_pairs) or "-"
-        gated = " ".join(f"{a}*{b}" for a, b in self.gated_pairs) or "-"
         out += [
             ("stats.r3.activated", self.r3_activated),
             ("stats.r3.evaluated", self.attempts["R3"]),
             ("stats.solver.calls", self.attempts["R4"]),
             ("stats.solver.memo_hits", self.solver_memo_hits),
             ("stats.solver.searches", self.solver_searches),
-            ("stats.solver.nodes", self.solver_nodes),
+            ("stats.solver.count_states", self.solver_count_states),
             ("stats.solver.overflows", self.solver_overflows),
             ("stats.solver.overflow_pairs", overflowed),
-            ("stats.solver.gated", self.solver_gated),
-            ("stats.solver.gated_pairs", gated),
             ("stats.sweep.triples", self.sweep_triples),
             ("stats.sweep.firings", self.sweep_firings),
         ]
@@ -195,11 +189,9 @@ class DeductionTrace:
     message: str = ""
     unresolved: tuple[tuple[str, str], ...] = ()
     budget_exhausted: bool = False
-    # pending products whose decomposition search hit a solver cap at the
-    # final fixed point of a stall: with a larger cap they might resolve
+    # pending products with more than DECOMPOSITION_LIMIT decompositions at
+    # the final fixed point of a stall: with a larger limit they might resolve
     capped: tuple[tuple[str, str], ...] = ()
-    # pending products the solver's width gate skipped at that fixed point
-    gated: tuple[tuple[str, str], ...] = ()
     stats: DeductionStats = field(default_factory=DeductionStats, compare=False, repr=False)
 
     def serialize(self) -> str:
@@ -394,25 +386,6 @@ class PartialTable:
         return out
 
 
-def _one_plus_eight(p: PartialTable, x: int) -> Optional[int]:
-    """n when x xbar = 1 + n is known with n of degree 8, else None."""
-    row = p.rows.get(_canon(x, p.dual[x]))
-    if row is not None and len(row) == 2 and row[0] == (0, 1):
-        n, c = row[1]
-        if p.deg[n] == 8 and c == 1:
-            return n
-    return None
-
-
-def _lemma22_bound(p: PartialTable, i: int, j: int) -> Optional[int]:
-    """(x t, x t) <= 2 when x xbar = 1 + (degree-8 element) is known and
-    t has degree 3 or 4."""
-    for x, t in ((i, j), (j, i)):
-        if p.deg[x] == 3 and p.deg[t] in (3, 4) and _one_plus_eight(p, x) is not None:
-            return 2
-    return None
-
-
 class _Triple:
     """An activated R3 triple: its nonzero-net expansion terms, the unknown
     products it watches, and whether it is queued or finished."""
@@ -466,10 +439,13 @@ class _Engine:
         self._agenda: deque[_Triple] = deque()
         self._memo: dict[tuple[int, int], tuple[tuple, Optional[list]]] = {}
         self._cross: dict[tuple[int, int], _Cross] = {}
-        # pairs whose search overflowed, or that the width gate skipped,
-        # during the latest solver scans
+        # the decomposition count shared by every search: states keyed by
+        # (suffix id, degree left, squares left), suffix ids keyed by
+        # (first degree, id of the rest)
+        self._counts: dict[tuple[int, int, Optional[int]], int] = {}
+        self._suffixes: dict[tuple[int, int], int] = {}
+        # pairs whose search was capped during the latest solver scans
         self._overflowed: list[tuple[int, int]] = []
-        self._gated: list[tuple[int, int]] = []
         self._by_degree = sorted(range(k), key=lambda m: table.deg[m])
 
     # -- bookkeeping -------------------------------------------------------
@@ -502,7 +478,6 @@ class _Engine:
                 if pair not in self._claimed:
                     self.log("R2", None, pair)
                 self._register_known(pair)
-                self._lemma22_closure(pair)
 
     def _register_known(self, pair: tuple[int, int]) -> None:
         a, b = pair
@@ -510,6 +485,9 @@ class _Engine:
         self._dicts[pair] = dict(self.p.rows[pair])
         self._partners[a].add(b)
         self._partners[b].add(a)
+        # a known pair is never searched again
+        self._memo.pop(pair, None)
+        self._cross.pop(pair, None)
         if a:
             # triples with this pair as a factor: it is (other, j) or (j, other)
             for j, other in ((a, b), (b, a)) if a != b else ((a, a),):
@@ -796,7 +774,6 @@ class _Engine:
             pending.sort(key=lambda q: (q[1], q[0]))
         else:
             self._overflowed = []
-            self._gated = []
         for pair in pending:
             if self._conjugate_primary(pair) != pair:
                 continue
@@ -822,41 +799,30 @@ class _Engine:
             return False
         self.stats.attempts["R4"] += 1
         s_exact = self._inner_exact(i, j)
-        s_upper = _lemma22_bound(p, i, j) if s_exact is None else None
-        sigma2 = sum(v * v for v in row if v)
-        if s_exact is not None and sigma2 > s_exact:
-            raise Contradiction(
-                p.names(pair) + ("inner",),
-                f"{p.names(pair)} already exceeds its inner product {s_exact}",
-            )
-        if s_upper is not None and sigma2 >= s_upper:
-            raise Contradiction(
-                p.names(pair) + ("inner-bound",),
-                f"{p.names(pair)} has a nonzero remainder but its inner product "
-                f"is capped at {s_upper}",
-            )
         budget2 = None
         if s_exact is not None:
-            budget2 = s_exact - sigma2
-        elif s_upper is not None:
-            budget2 = s_upper - sigma2
-        candidates = [m for m in range(p.k) if row[m] is None and p.deg[m] <= rem]
+            budget2 = s_exact - sum(v * v for v in row if v)
+            if budget2 < 0:
+                raise Contradiction(
+                    p.names(pair) + ("inner",),
+                    f"{p.names(pair)} already exceeds its inner product {s_exact}",
+                )
+        candidates = [m for m in self._by_degree if row[m] is None and p.deg[m] <= rem]
         if not candidates:
             return False  # r1_scan raises on the impossible case
-        if budget2 is None and rem // min(p.deg[m] for m in candidates) > 3:
-            # the width gate: no inner product bounds the search and the
-            # remainder could hold more than three of its smallest candidate
-            self.stats.solver_gated += 1
-            self.stats.gated_pairs[p.names(pair)] = None
-            self._gated.append(pair)
-            return False
         r_mass = self._reality_mass(i, j)
-        key = (tuple(row), s_exact, s_upper, r_mass)
-        solutions = self._decompositions(
-            pair, key, lambda: self._search(row, rem, candidates, budget2, s_exact, s_upper, r_mass)
-        )
+        key = (tuple(row), s_exact, r_mass)
+        cached = self._memo.get(pair)
+        if cached is not None and cached[0] == key:
+            self.stats.solver_memo_hits += 1
+            solutions = cached[1]
+        else:
+            solutions = self._search(row, rem, candidates, budget2, r_mass)
+            self._memo[pair] = (key, solutions)
         if solutions is None:
             self._overflowed.append(pair)
+            self.stats.solver_overflows += 1
+            self.stats.overflow_pairs[p.names(pair)] = None
             return False
         if not solutions:
             raise Contradiction(
@@ -885,127 +851,74 @@ class _Engine:
         p.set_product(i, j, chosen)
         return True
 
-    def _decompositions(self, pair: tuple[int, int], key: tuple, search) -> Optional[list]:
-        """``search()`` for ``pair`` in the state ``key``, from the memo when
-        the pair was last searched under the same key."""
-        cached = self._memo.get(pair)
-        if cached is not None and cached[0] == key:
-            self.stats.solver_memo_hits += 1
-            return cached[1]
-        answer = search()
-        self._memo[pair] = (key, answer)
-        if answer is None:
-            self.stats.solver_overflows += 1
-            if self.p.names(pair) not in self.stats.overflow_pairs:
-                self.stats.overflow_pairs.append(self.p.names(pair))
-        return answer
-
-    def _search(self, row, rem, candidates, budget2, s_exact, s_upper, r_mass) -> Optional[list]:
-        """Every decomposition of the remainder ``rem`` over ``candidates``
-        meeting the inner-product constraints, as (assignment, full row)
-        pairs; None when a solver cap is hit.
-
-        The answer is that of a depth-first search that tries each
-        candidate's coefficient from the largest the degree and square
-        budgets allow down to 0, and gives up after SOLVER_NODE_CAP nodes
-        or when it enters a node holding more than SOLVER_SOLUTION_CAP
-        solutions."""
+    def _search(self, row, rem, candidates, budget2, r_mass) -> Optional[list]:
+        """Every decomposition of the remainder ``rem`` over ``candidates``,
+        whose squares add up to ``budget2`` when that is known and whose
+        full row has reality mass ``r_mass`` when that is known, as
+        (assignment, full row) pairs; None when more than
+        DECOMPOSITION_LIMIT decompositions meet the degree and square
+        budgets.  ``candidates`` ascend by degree."""
         self.stats.solver_searches += 1
+        limit = DECOMPOSITION_LIMIT
         deg, dual = self.p.deg, self.p.dual
-        base = {m: v for m, v in enumerate(row) if v}
+        degrees = [deg[m] for m in candidates]
+        n = len(candidates)
+        # ids[idx] names the degree sequence degrees[idx:], so that searches
+        # over equal suffixes share their counts
+        suffixes, counts = self._suffixes, self._counts
+        ids = [0] * (n + 1)
+        for idx in range(n - 1, -1, -1):
+            ids[idx] = suffixes.setdefault((degrees[idx], ids[idx + 1]), len(suffixes) + 1)
 
-        def full_vector(assign: dict[int, int]) -> dict[int, int]:
-            vec = dict(base)
-            for m, c in assign.items():
-                vec[m] = vec.get(m, 0) + c
-            return vec
+        def most(dm: int, deg_left: int, sq_left: Optional[int]) -> int:
+            return deg_left // dm if sq_left is None else min(deg_left // dm, isqrt(sq_left))
 
-        def consistent(vec: dict[int, int]) -> bool:
-            if s_exact is not None and sum(c * c for c in vec.values()) != s_exact:
-                return False
-            if s_upper is not None and sum(c * c for c in vec.values()) > s_upper:
-                return False
-            if r_mass is not None:
-                if sum(c * vec.get(dual[m], 0) for m, c in vec.items()) != r_mass:
-                    return False
-            return True
-
-        def bounded(idx: int, deg_left: int, sq_left: Optional[int]) -> range:
-            dm = deg[candidates[idx]]
-            top = deg_left // dm
-            if sq_left is not None:
-                while top * top > sq_left:
-                    top -= 1
-            return range(top, -1, -1)
-
-        shapes: dict[tuple, tuple[int, bool]] = {}
-
-        def shape(idx: int, deg_left: int, sq_left: Optional[int]) -> tuple[int, bool]:
-            # (nodes dfs visits from the node it enters with these values,
-            # counted only up to just past the cap; whether any of them is a
-            # decomposition, with the square budget used up exactly when
-            # s_exact is known)
+        def count(idx: int, deg_left: int, sq_left: Optional[int]) -> int:
+            # decompositions of deg_left over candidates[idx:] that use up
+            # sq_left exactly (no square budget when None), saturated at
+            # limit + 1
             if deg_left == 0:
-                return 1, s_exact is None or sq_left == 0
-            if idx == len(candidates):
-                return 1, False
-            key = (idx, deg_left, sq_left)
-            out = shapes.get(key)
-            if out is None:
-                dm = deg[candidates[idx]]
-                total, live = 1, False
-                for c in bounded(idx, deg_left, sq_left):
-                    nsq = sq_left - c * c if sq_left is not None else None
-                    size, reaches = shape(idx + 1, deg_left - c * dm, nsq)
-                    total += size
-                    live = live or reaches
-                    if total > SOLVER_NODE_CAP:
+                return 1 if not sq_left else 0
+            if idx == n or deg_left < degrees[idx]:
+                return 0
+            key = (ids[idx], deg_left, sq_left)
+            total = counts.get(key)
+            if total is None:
+                dm = degrees[idx]
+                total = 0
+                for c in range(most(dm, deg_left, sq_left) + 1):
+                    total += count(idx + 1, deg_left - c * dm, None if sq_left is None else sq_left - c * c)
+                    if total > limit:
+                        total = limit + 1
                         break
-                out = shapes[key] = (total, live)
-            return out
+                counts[key] = total
+            return total
 
-        # The node cap is decided by counting the search tree; the walk then
-        # skips subtrees that reach no decomposition.  Skipping is exact for
-        # the solution cap too: a skipped subtree adds no solution, and the
-        # walk overflows where its first node would have been entered.
-        if shape(0, rem, budget2)[0] > SOLVER_NODE_CAP:
+        over = count(0, rem, budget2) > limit
+        self.stats.solver_count_states = len(counts)
+        if over:
             return None
-
+        base = {m: v for m, v in enumerate(row) if v}
         solutions: list[tuple[dict[int, int], dict[int, int]]] = []
-        nodes = 0
+        assign: dict[int, int] = {}
 
-        def dfs(idx: int, deg_left: int, sq_left: Optional[int], assign: dict[int, int]):
-            nonlocal nodes
-            nodes += 1
-            if len(solutions) > SOLVER_SOLUTION_CAP:
-                raise _SolverOverflow
+        def walk(idx: int, deg_left: int, sq_left: Optional[int]) -> None:
+            # enters only states that count at least one decomposition
             if deg_left == 0:
-                vec = full_vector(assign)
-                if consistent(vec):
+                vec = {**base, **assign}
+                if r_mass is None or sum(c * vec.get(dual[m], 0) for m, c in vec.items()) == r_mass:
                     solutions.append((dict(assign), vec))
                 return
-            m = candidates[idx]
-            dm = deg[m]
-            for c in bounded(idx, deg_left, sq_left):
-                if c:
-                    assign[m] = c
-                else:
+            m, dm = candidates[idx], degrees[idx]
+            for c in range(most(dm, deg_left, sq_left), -1, -1):
+                nsq = None if sq_left is None else sq_left - c * c
+                if count(idx + 1, deg_left - c * dm, nsq):
+                    if c:
+                        assign[m] = c
+                    walk(idx + 1, deg_left - c * dm, nsq)
                     assign.pop(m, None)
-                left = deg_left - c * dm
-                nsq = sq_left - c * c if sq_left is not None else None
-                if shape(idx + 1, left, nsq)[1]:
-                    dfs(idx + 1, left, nsq, assign)
-                elif len(solutions) > SOLVER_SOLUTION_CAP:
-                    raise _SolverOverflow
-            assign.pop(m, None)
 
-        try:
-            if shape(0, rem, budget2)[1]:
-                dfs(0, rem, budget2, {})
-        except _SolverOverflow:
-            return None
-        finally:
-            self.stats.solver_nodes += nodes
+        walk(0, rem, budget2)
         return solutions
 
     def _canonical_naming(self, solutions: list[dict[int, int]]) -> Optional[dict[int, int]]:
@@ -1074,24 +987,6 @@ class _Engine:
                     return False
         return True
 
-    def _lemma22_closure(self, pair: tuple[int, int]) -> None:
-        """When (x t, x t) = 2 with x xbar = 1 + n8 and both factors of
-        degree 3, conclude t tbar = 1 + n8."""
-        p = self.p
-        i, j = pair
-        if p.deg[i] != 3 or p.deg[j] != 3 or pair[0] == 0:
-            return
-        if sum(c * c for _, c in p.rows[pair]) != 2:
-            return
-        for x, t in ((i, j), (j, i)):
-            if not p.is_known(t, p.dual[t]):
-                n8 = _one_plus_eight(p, x)
-                if n8 is not None:
-                    tpair = _canon(t, p.dual[t])
-                    self._claimed.add(tpair)
-                    p.set_product(t, p.dual[t], {0: 1, n8: 1})
-                    self.log("R4", None, tpair)
-
     # -- main loop -----------------------------------------------------------
 
     def _timed(self, phase: str, step, *args) -> bool:
@@ -1133,7 +1028,6 @@ class _Engine:
             self.trace.budget_exhausted = self._budget_hit
             if not self._budget_hit:
                 self.trace.capped = tuple(p.names(q) for q in dict.fromkeys(self._overflowed))
-                self.trace.gated = tuple(p.names(q) for q in dict.fromkeys(self._gated))
         else:
             self.trace.status = "completed"
 

@@ -1,6 +1,7 @@
 import random
 import re
 import zlib
+from itertools import islice
 
 import pytest
 
@@ -108,6 +109,29 @@ class TestPropagate:
         seed = lemma72_seed(B32)
         with pytest.raises(Exception):
             complete_or_refute(seed, max_steps=0)
+
+
+class TestLemma22:
+    def test_general_rules_derive_lemma22_on_the_lemma72_seed(self, B32, lemma72_run):
+        """Lemma 2.2: b3 b3bar = 1 + b8 and (b3 t, b3 t) = 2 for t of degree
+        3 give t tbar = 1 + b8.  R1-R4 derive it with no rule of its own."""
+        table, trace = lemma72_run
+        seed = lemma72_seed(B32)
+        idx, els = B32.basis.index_of, list(B32.basis)
+        b3, b8 = idx("b3"), idx("b8")
+        assert table.value(b3, idx("b3bar")).coeffs == {0: 1, b8: 1}
+        set_by_trace = {s.entry for s in trace.steps}
+        derived = []
+        for t, e in enumerate(els):
+            if e.degree != 3 or sum(c * c for _, c in B32.constants.row_items(*sorted((b3, t)))) != 2:
+                continue
+            assert table.value(t, e.dual).coeffs == {0: 1, b8: 1}, e.name
+            if not seed.is_known(t, e.dual):
+                names = (B32.basis.name(min(t, e.dual)), B32.basis.name(max(t, e.dual)))
+                assert names in set_by_trace
+                derived.append(e.name)
+        assert derived == ["r3"]
+        assert {s.rule for s in trace.steps} <= {"R1", "R2", "R3", "R4"}
 
 
 class TestSoundness:
@@ -398,7 +422,9 @@ class TestAgenda:
         def never_queue(self, t):
             t.watches = []
 
+        # R4 alone would complete this seed without R3, so it is stubbed too
         monkeypatch.setattr(deduction._Engine, "_rewatch", never_queue)
+        monkeypatch.setattr(deduction._Engine, "solver_scan", lambda self, naming_phase: False)
         seed, naming = _third("B22", 1)
         table, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
         assert trace.status == "completed"
@@ -419,92 +445,66 @@ class TestAgenda:
         assert trace.stats.firings["R3"] == sum(s.rule == "R3" for s in trace.steps)
 
     def test_stall_reports_the_solver_caps_it_hit(self):
+        # the stall's fixed point caps 271 products: every one has more than
+        # DECOMPOSITION_LIMIT decompositions
         seed, naming = _b32_stall()
         trace = complete_or_refute(seed, introduce_names=naming)
         assert trace.status == "stalled"
-        assert trace.capped
+        assert len(trace.capped) == 271
         assert set(trace.capped) <= set(trace.stats.overflow_pairs)
         assert set(trace.capped) <= set(trace.unresolved)
         tail = trace.serialize().splitlines()[-1]
         assert tail.startswith("STATUS stalled SOLVER-CAP ")
-        assert "c3*c3" in tail.split()[-1].split(",")
+        listed = tail.split()[-1].split(",")
+        assert listed == [f"{a}*{b}" for a, b in trace.capped]
+        assert "c3*c3" in listed
 
     def test_completed_run_reports_no_cap(self, lemma72_run):
         _, trace = lemma72_run
         assert trace.capped == ()
         assert "SOLVER-CAP" not in trace.serialize()
 
-    def test_width_gate_is_counted(self, lemma72_run):
+    def test_decomposition_count_is_reported(self, lemma72_run):
         _, trace = lemma72_run
-        assert trace.stats.attempts["R4"] == 1069
-        assert trace.stats.solver_gated == 679
-        assert trace.stats.gated_pairs
-        assert trace.gated == ()
-
-    def test_stall_reports_the_pairs_the_width_gate_skipped(self):
-        seed, naming = _b32_stall()
-        trace = complete_or_refute(seed, introduce_names=naming)
-        assert len(trace.capped) == 16
-        assert trace.stats.attempts["R4"] == 570
-        assert trace.stats.solver_gated == 510
-        assert len(trace.gated) == 255
-        assert set(trace.gated) <= set(trace.stats.gated_pairs)
-        assert set(trace.gated) <= set(trace.unresolved)
-        assert not set(trace.gated) & set(trace.capped)
-        # the STATUS line carries the caps only
-        assert "GATE" not in trace.serialize()
+        facts = dict(trace.stats.facts())
+        assert facts["stats.solver.count_states"] > 0
+        assert facts["stats.solver.searches"] > 0
+        assert not any("gated" in key or "nodes" in key for key in facts)
 
 
-def reference_search(deg, dual, row, rem, candidates, budget2, s_exact, s_upper, r_mass,
-                     node_cap, solution_cap, sizes=None):
-    """The plain depth-first decomposition search, walking every node; it
-    appends its node count to ``sizes`` when it finishes."""
+def plain_decompositions(deg, row, rem, candidates, budget2):
+    """Every assignment of nonnegative coefficients to ``candidates`` whose
+    degrees add up to ``rem`` and, when ``budget2`` is not None, whose
+    squares add up to ``budget2``, as (assignment, full row) pairs: a plain
+    exhaustive enumeration with no memo and no limit, yielded lazily."""
     base = {m: v for m, v in enumerate(row) if v}
-    solutions, nodes = [], 0
 
-    class Overflow(Exception):
-        pass
-
-    def dfs(idx, deg_left, sq_left, assign):
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_cap or len(solutions) > solution_cap:
-            raise Overflow
+    def walk(idx, deg_left, sq_left, assign):
         if deg_left == 0:
-            vec = dict(base)
-            for m, c in assign.items():
-                vec[m] = vec.get(m, 0) + c
-            sq = sum(c * c for c in vec.values())
-            if s_exact is not None and sq != s_exact:
-                return
-            if s_upper is not None and sq > s_upper:
-                return
-            if r_mass is not None and sum(c * vec.get(dual[m], 0) for m, c in vec.items()) != r_mass:
-                return
-            solutions.append((dict(assign), vec))
+            if not sq_left:
+                yield dict(assign), {**base, **assign}
             return
         if idx == len(candidates):
             return
         m = candidates[idx]
-        top = deg_left // deg[m]
-        if sq_left is not None:
-            while top * top > sq_left:
-                top -= 1
-        for c in range(top, -1, -1):
+        for c in range(deg_left // deg[m], -1, -1):
+            if sq_left is not None and c * c > sq_left:
+                continue
             if c:
                 assign[m] = c
-            else:
-                assign.pop(m, None)
-            dfs(idx + 1, deg_left - c * deg[m], sq_left - c * c if sq_left is not None else None, assign)
-        assign.pop(m, None)
+            yield from walk(idx + 1, deg_left - c * deg[m], sq_left - c * c if sq_left is not None else None, assign)
+            assign.pop(m, None)
 
-    try:
-        dfs(0, rem, budget2, {})
-    except Overflow:
-        return None
-    if sizes is not None:
-        sizes.append(nodes)
-    return solutions
+    return walk(0, rem, budget2, {})
+
+
+def with_reality_mass(dual, decompositions, r_mass):
+    return [(a, v) for a, v in decompositions
+            if r_mass is None or sum(c * v.get(dual[m], 0) for m, c in v.items()) == r_mass]
+
+
+def canonical(solutions):
+    return sorted((sorted(assign.items()), sorted(vec.items())) for assign, vec in solutions)
 
 
 def reference_cross(p, i, j):
@@ -534,35 +534,58 @@ class _Forgetful(dict):
 
 
 class TestSolverFastPaths:
-    @pytest.mark.parametrize("caps", [(3_000, 8), (400, 2)])
-    def test_search_matches_plain_dfs(self, B32, monkeypatch, caps):
-        node_cap, solution_cap = caps
-        monkeypatch.setattr(deduction, "SOLVER_NODE_CAP", node_cap)
-        monkeypatch.setattr(deduction, "SOLVER_SOLUTION_CAP", solution_cap)
+    @pytest.mark.parametrize("seed", ["Lemma72", "B32stall"])
+    def test_search_matches_plain_enumeration(self, B32, monkeypatch, seed):
+        """Every search is capped exactly when plain enumeration finds more
+        than DECOMPOSITION_LIMIT decompositions, and otherwise returns the
+        ones of the right reality mass."""
         search = deduction._Engine._search
+        limit = deduction.DECOMPOSITION_LIMIT
         outcomes = []
 
-        def checked(self, *args):
-            got = search(self, *args)
-            sizes = []
-            want = reference_search(self.p.deg, self.p.dual, *args, node_cap, solution_cap, sizes)
-            assert got == want
+        def checked(self, row, rem, candidates, budget2, r_mass):
+            got = search(self, row, rem, candidates, budget2, r_mass)
+            found = list(islice(plain_decompositions(self.p.deg, row, rem, candidates, budget2),
+                                limit + 1))
+            assert (got is None) == (len(found) > limit)
+            if got is not None:
+                assert canonical(got) == canonical(with_reality_mass(self.p.dual, found, r_mass))
             outcomes.append(got is None)
-            if sizes:
-                # a cap of exactly the tree size, and one node less
-                nodes, found = sizes[0], len(want)
-                for caps in ((nodes, solution_cap), (nodes - 1, solution_cap), (nodes, max(found - 1, 0))):
-                    monkeypatch.setattr(deduction, "SOLVER_NODE_CAP", caps[0])
-                    monkeypatch.setattr(deduction, "SOLVER_SOLUTION_CAP", caps[1])
-                    assert search(self, *args) == reference_search(self.p.deg, self.p.dual, *args, *caps)
-                monkeypatch.setattr(deduction, "SOLVER_NODE_CAP", node_cap)
-                monkeypatch.setattr(deduction, "SOLVER_SOLUTION_CAP", solution_cap)
             return got
 
         monkeypatch.setattr(deduction._Engine, "_search", checked)
-        propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
-        # both answers occur: some searches hit a cap, some finish
+        table = lemma72_seed(B32) if seed == "Lemma72" else _b32_stall()[0]
+        propagate(table, max_steps=10**6, introduce_names=True)
+        # both answers occur: some searches are capped, some finish
         assert True in outcomes and False in outcomes
+
+    def test_limit_boundary(self, B32, monkeypatch):
+        """With the limit at a search's exact count the search finishes; one
+        less and it is capped."""
+        search = deduction._Engine._search
+        default = deduction.DECOMPOSITION_LIMIT
+        checked_counts = set()
+
+        def checked(self, row, rem, candidates, budget2, r_mass):
+            got = search(self, row, rem, candidates, budget2, r_mass)
+            found = list(plain_decompositions(self.p.deg, row, rem, candidates, budget2)) \
+                if got is not None else []
+            if found:
+                counts = self._counts
+                for limit, capped in ((len(found), False), (len(found) - 1, True)):
+                    # saturated counts hold for one limit only
+                    self._counts = {}
+                    monkeypatch.setattr(deduction, "DECOMPOSITION_LIMIT", limit)
+                    assert (search(self, row, rem, candidates, budget2, r_mass) is None) == capped
+                self._counts = counts
+                monkeypatch.setattr(deduction, "DECOMPOSITION_LIMIT", default)
+                checked_counts.add(len(found))
+            return got
+
+        monkeypatch.setattr(deduction._Engine, "_search", checked)
+        _, trace = propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
+        assert trace.status == "completed"
+        assert 1 in checked_counts and max(checked_counts) > 1
 
     def test_cross_inner_products_match_a_full_scan(self, B32, monkeypatch):
         matching = deduction._Engine._matching
