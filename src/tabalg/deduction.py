@@ -12,9 +12,10 @@ mirroring the lemma calculus used to pin down such algebras by hand:
   R3  associativity: a triple whose two bracketings expand with exactly
       one unknown product of unit coefficient solves that product as an
       exact difference; a negative difference is a contradiction.
-  R4  inner products: (xy, xy) and related inner products of pending
-      entries are computed from known entries via (ab, cd) = (b*dbar, abar*c);
-      a remainder with exactly one decomposition that meets them resolves.
+  R4  inner products: the square budget (xy, xy) = (x xbar, y ybar) and the
+      reality mass (xy, xbar ybar) = (y y, xbar xbar) of a pending product xy
+      are read from known products via (ab, cd) = (b dbar, abar c); a
+      remainder with exactly one decomposition that meets them resolves.
 
 Propagation itself only ever writes forced values.  The optional naming
 mode additionally models the working convention of christening a new
@@ -65,12 +66,7 @@ product with more decompositions than the limit is capped and its search
 returns nothing; otherwise the search walks only states that count a
 decomposition and keeps those of the right reality mass.  The limit is the
 only budget R4 has: it is counted in ``DeductionStats``, and a stall lists
-every product its final fixed point capped.  The answer is cached per
-product under exactly what it reads (the product's row, ``s_exact`` and
-the reality mass) and dropped once the product is known.  Its solutions
-are filtered by the cross inner products (b_i b_j, b_x b_y) against known
-products; each pending product keeps those up to date from the products
-that became known since it last looked.
+every product its final fixed point capped.
 
 The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
 triple whose factors are known, once, and evaluates each one the agenda
@@ -148,7 +144,6 @@ class DeductionStats:
     attempts: dict[str, int] = field(default_factory=_per_rule)
     firings: dict[str, int] = field(default_factory=_per_rule)
     r3_activated: int = 0
-    solver_memo_hits: int = 0
     solver_searches: int = 0
     # states of the shared decomposition count, each computed once
     solver_count_states: int = 0
@@ -170,7 +165,6 @@ class DeductionStats:
             ("stats.r3.activated", self.r3_activated),
             ("stats.r3.evaluated", self.attempts["R3"]),
             ("stats.solver.calls", self.attempts["R4"]),
-            ("stats.solver.memo_hits", self.solver_memo_hits),
             ("stats.solver.searches", self.solver_searches),
             ("stats.solver.count_states", self.solver_count_states),
             ("stats.solver.overflows", self.solver_overflows),
@@ -211,8 +205,9 @@ def _canon(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
 
 
-def _inner(u: tuple, w: dict) -> int:
-    """Inner product of a frozen row with the dict of another."""
+def _inner(u: tuple, w: tuple) -> int:
+    """Inner product of two frozen rows."""
+    w = dict(w)
     return sum(c * w.get(m, 0) for m, c in u)
 
 
@@ -245,7 +240,6 @@ class PartialTable:
                 self.cells[(i, j)] = [None] * k
                 self._rem[(i, j)] = self.deg[i] * self.deg[j]
                 self._open[(i, j)] = k
-        self.known: set[tuple[int, int]] = set()
         self.rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self.newly_known: list[tuple[int, int]] = []
         self._queue: deque[tuple[tuple[int, int], int, int]] = deque()
@@ -272,8 +266,13 @@ class PartialTable:
 
     # -- accessors --------------------------------------------------------
 
+    @property
+    def known(self):
+        """The known pairs: a read-only view of the keys of ``rows``."""
+        return self.rows.keys()
+
     def is_known(self, i: int, j: int) -> bool:
-        return _canon(i, j) in self.known
+        return _canon(i, j) in self.rows
 
     def value(self, i: int, j: int) -> Element:
         row = self.rows.get(_canon(i, j))
@@ -282,7 +281,7 @@ class PartialTable:
         return Element(dict(row))
 
     def pending_pairs(self) -> list[tuple[int, int]]:
-        return sorted(p for p in self.cells if p not in self.known)
+        return sorted(p for p in self.cells if p not in self.rows)
 
     def names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return (self.basis.name(pair[0]), self.basis.name(pair[1]))
@@ -296,7 +295,6 @@ class PartialTable:
         out.cells = {p: list(r) for p, r in self.cells.items()}
         out._rem = dict(self._rem)
         out._open = dict(self._open)
-        out.known = set(self.known)
         out.rows = dict(self.rows)
         out.newly_known = list(self.newly_known)
         out._queue = deque(self._queue)
@@ -305,7 +303,7 @@ class PartialTable:
 
     def as_algebra(self, name: str = "") -> TableAlgebra:
         """Completed table as a TableAlgebra (fails if anything is pending)."""
-        if len(self.known) != len(self.cells):
+        if len(self.rows) != len(self.cells):
             raise TableAlgebraError("table is not complete")
         products = {pair: dict(row) for pair, row in self.rows.items()}
         return TableAlgebra.from_products(self.basis, products, name=name)
@@ -358,7 +356,6 @@ class PartialTable:
                     f"misses the degree identity by {rem}",
                 )
             self.rows[pair] = tuple((n, w) for n, w in enumerate(row) if w)
-            self.known.add(pair)
             self.newly_known.append(pair)
         return True
 
@@ -400,21 +397,6 @@ class _Triple:
         self.done = False
 
 
-class _Cross:
-    """Cross inner products of one pending product: ``kappas`` maps a known
-    (x, y) to (b_i b_j, b_x b_y), current up to ``seen`` entries of the
-    engine's registration log; ``survivors`` are the solutions of the
-    search result ``source`` that match every kappa."""
-
-    __slots__ = ("seen", "kappas", "source", "survivors")
-
-    def __init__(self):
-        self.seen = 0
-        self.kappas: dict[tuple[int, int], int] = {}
-        self.source = None
-        self.survivors: list = []
-
-
 # outcomes of deciding a triple
 _FIRED = "fired"
 _CHECKED = "checked"
@@ -431,14 +413,9 @@ class _Engine:
         self._budget_hit = False
         self._claimed: set[tuple[int, int]] = set()
         self._partners: list[set[int]] = [set() for _ in range(k)]
-        # every known pair, in the order it was registered, and its row as a dict
-        self._log: list[tuple[int, int]] = []
-        self._dicts: dict[tuple[int, int], dict[int, int]] = {}
         self._triples: dict[tuple[int, int, int], _Triple] = {}
         self._watch: dict[tuple[int, int], list[_Triple]] = {}
         self._agenda: deque[_Triple] = deque()
-        self._memo: dict[tuple[int, int], tuple[tuple, Optional[list]]] = {}
-        self._cross: dict[tuple[int, int], _Cross] = {}
         # the decomposition count shared by every search: states keyed by
         # (suffix id, degree left, squares left), suffix ids keyed by
         # (first degree, id of the rest)
@@ -481,13 +458,8 @@ class _Engine:
 
     def _register_known(self, pair: tuple[int, int]) -> None:
         a, b = pair
-        self._log.append(pair)
-        self._dicts[pair] = dict(self.p.rows[pair])
         self._partners[a].add(b)
         self._partners[b].add(a)
-        # a known pair is never searched again
-        self._memo.pop(pair, None)
-        self._cross.pop(pair, None)
         if a:
             # triples with this pair as a factor: it is (other, j) or (j, other)
             for j, other in ((a, b), (b, a)) if a != b else ((a, a),):
@@ -504,7 +476,7 @@ class _Engine:
         p = self.p
         fired = False
         for pair in p.pending_pairs():
-            if pair in p.known:
+            if pair in p.rows:
                 continue  # resolved by a sync within this scan
             self.stats.attempts["R1"] += 1
             row = p.cells[pair]
@@ -566,10 +538,10 @@ class _Engine:
 
     def _rewatch(self, t: _Triple) -> None:
         """Watch two unknown products of t, or queue t when fewer remain."""
-        known = self.p.known
+        rows = self.p.rows
         watches = []
         for q, _ in t.terms:
-            if q not in known:
+            if q not in rows:
                 watches.append(q)
                 if len(watches) == 2:
                     break
@@ -679,91 +651,21 @@ class _Engine:
     # -- R4 / R1b: inner-product constrained resolution --------------------------
 
     def _inner_exact(self, i: int, j: int) -> Optional[int]:
-        p = self.p
-        a = p.rows.get(_canon(i, p.dual[i]))
-        b = self._dicts.get(_canon(j, p.dual[j]))
+        rows, dual = self.p.rows, self.p.dual
+        a = rows.get(_canon(i, dual[i]))
+        b = rows.get(_canon(j, dual[j]))
         if a is not None and b is not None:
             return _inner(a, b)
         return None
 
     def _reality_mass(self, i: int, j: int) -> Optional[int]:
-        p = self.p
-        for x, y in ((j, p.dual[i]), (p.dual[j], i)):
-            a = p.rows.get((x, x))
-            b = self._dicts.get((y, y))
+        rows, dual = self.p.rows, self.p.dual
+        for x, y in ((j, dual[i]), (dual[j], i)):
+            a = rows.get((x, x))
+            b = rows.get((y, y))
             if a is not None and b is not None:
                 return _inner(a, b)
         return None
-
-    def _matching(self, pair: tuple[int, int], solutions: list) -> list:
-        """The solutions whose inner products with every known (x, y),
-        x, y >= 1, equal (b_i b_j, b_x b_y) wherever that is determined."""
-        p = self.p
-        i, j = pair
-        d, partners, log = p.dual, self._partners, self._log
-        state = self._cross.get(pair)
-        if state is None:
-            state = self._cross[pair] = _Cross()
-        # Targets whose kappa may have changed: a new product matters as the
-        # target itself or, for a target known before, as a factor kappa is
-        # read from.  A factor and its conjugate become known in the same
-        # sync and name the same targets, so (j, ybar) and (i, xbar) stand
-        # for (jbar, y) and (ibar, x).
-        targets: set[tuple[int, int]] = set()
-        for a, b in log[state.seen:]:
-            for e, f in ((a, b), (b, a)):
-                targets.add((e, f))
-                if state.seen and e == j:
-                    targets.update((x, d[f]) for x in partners[d[f]])
-                if state.seen and e == i:
-                    targets.update((d[f], y) for y in partners[d[f]])
-        state.seen = len(log)
-        # (b_i b_j, b_x b_y) is (b_j b_ybar, b_ibar b_x), or else
-        # (b_i b_xbar, b_jbar b_y), when those products are known
-        rows, dicts, k = p.rows, self._dicts, p.k
-        u1 = [rows.get(_canon(j, d[y])) for y in range(k)]
-        w1 = [dicts.get(_canon(d[i], x)) for x in range(k)]
-        u2 = [rows.get(_canon(i, d[x])) for x in range(k)]
-        w2 = [dicts.get(_canon(d[j], y)) for y in range(k)]
-        kappas = state.kappas
-        fresh, refilter = [], state.source is not solutions
-        for x, y in targets:
-            if not (x and y and _canon(x, y) in rows):
-                continue
-            u, w = u1[y], w1[x]
-            if u is None or w is None:
-                u, w = u2[x], w2[y]
-                if u is None or w is None:
-                    continue
-            kappa = _inner(u, w)
-            if kappas.get((x, y)) != kappa:
-                refilter = refilter or (x, y) in kappas
-                kappas[(x, y)] = kappa
-                fresh.append((x, y))
-        if refilter:
-            state.source, pool, checks = solutions, solutions, kappas
-        else:
-            pool, checks = state.survivors, fresh
-        # Every solution is the known part of the row plus its assignment.
-        # A target row that misses every assigned coefficient gives all of
-        # them the same inner product, so it is checked once.
-        base = {m: v for m, v in enumerate(p.cells[pair]) if v}
-        assigned = {m for assign, _ in pool for m in assign}
-        splitting = []
-        for t in checks:
-            row = p.rows[_canon(*t)]
-            rest = kappas[t] - sum(c * base.get(m, 0) for m, c in row)
-            touched = [(m, c) for m, c in row if m in assigned]
-            if touched:
-                splitting.append((touched, rest))
-            elif rest:
-                pool = []
-                break
-        state.survivors = [
-            s for s in pool
-            if all(sum(c * s[0].get(m, 0) for m, c in touched) == rest for touched, rest in splitting)
-        ]
-        return state.survivors if kappas else solutions
 
     def solver_scan(self, naming_phase: bool) -> bool:
         p = self.p
@@ -810,15 +712,7 @@ class _Engine:
         candidates = [m for m in self._by_degree if row[m] is None and p.deg[m] <= rem]
         if not candidates:
             return False  # r1_scan raises on the impossible case
-        r_mass = self._reality_mass(i, j)
-        key = (tuple(row), s_exact, r_mass)
-        cached = self._memo.get(pair)
-        if cached is not None and cached[0] == key:
-            self.stats.solver_memo_hits += 1
-            solutions = cached[1]
-        else:
-            solutions = self._search(row, rem, candidates, budget2, r_mass)
-            self._memo[pair] = (key, solutions)
+        solutions = self._search(row, rem, candidates, budget2, self._reality_mass(i, j))
         if solutions is None:
             self._overflowed.append(pair)
             self.stats.solver_overflows += 1
@@ -830,14 +724,6 @@ class _Engine:
                 f"no decomposition of the remainder of {p.names(pair)} satisfies the "
                 "inner-product constraints",
             )
-        if len(solutions) > 1:
-            solutions = self._matching(pair, solutions)
-            if not solutions:
-                raise Contradiction(
-                    p.names(pair) + ("no-decomposition",),
-                    f"no decomposition of the remainder of {p.names(pair)} matches its "
-                    "inner products against known products",
-                )
         chosen: Optional[dict[int, int]] = None
         if len(solutions) == 1:
             chosen = solutions[0][1]
@@ -932,12 +818,12 @@ class _Engine:
         for other in solutions:
             if other == best:
                 continue
-            perm = self._matching_relabeling(best, other)
+            perm = self._relabeling(best, other)
             if perm is None or not self._fixes_knowledge(perm):
                 return None
         return best
 
-    def _matching_relabeling(
+    def _relabeling(
         self, a: dict[int, int], b: dict[int, int]
     ) -> Optional[dict[int, int]]:
         """Degree- and duality-respecting involution mapping solution a to b,
@@ -1001,8 +887,8 @@ class _Engine:
         p = self.p
         try:
             # everything known at seed time triggers the initial agenda
-            p.newly_known = sorted(p.known)
-            self._claimed.update(p.known)
+            p.newly_known = sorted(p.rows)
+            self._claimed.update(p.rows)
             self._timed("seed", self.sync)
             while not self._budget_hit:
                 if self._timed("R1", self.r1_scan):
@@ -1056,6 +942,8 @@ def propagate(
     ``stats`` what each rule attempted.  A table that completes is
     re-verified with ``verify_axioms`` before it is reported completed.
     """
+    if max_steps <= 0:
+        raise TableAlgebraError("max_steps must be positive")
     work = table.copy()
     engine = _Engine(work, introduce_names=introduce_names, max_steps=max_steps)
     engine.run()
@@ -1071,7 +959,5 @@ def complete_or_refute(
     table: PartialTable, max_steps: int = 1_000_000, introduce_names: bool = False
 ) -> DeductionTrace:
     """Run propagation to its fixed point and classify the outcome."""
-    if max_steps <= 0:
-        raise TableAlgebraError("max_steps must be positive")
     _, trace = propagate(table, max_steps=max_steps, introduce_names=introduce_names)
     return trace

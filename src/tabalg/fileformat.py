@@ -86,7 +86,8 @@ def parse_element_expr(text: str, basis: TableBasis) -> Element:
 
 
 def _parse_lines(text: str):
-    """Shared front end: returns (name, basis, product rows, derived-pair set)."""
+    """Shared front end: returns (name, basis, product rows), the rows
+    completed under the involution and the identity."""
     name = None
     flags = {FLAG_NO_DEG1: False, FLAG_NO_DEG2: False}
     raw_elements: list[tuple[int, str, int, str]] = []  # line, name, degree, dual
@@ -137,11 +138,10 @@ def _parse_lines(text: str):
         if deg < 1:
             raise ParseError(f"element {ename!r} has degree {deg}", line_no)
     for line_no, ename, deg, dual_name in raw_elements:
-        dual_key = "1" if dual_name == "1" else dual_name
-        if dual_key not in index:
+        if dual_name not in index:
             raise ParseError(f"unknown dual name {dual_name!r}", line_no)
         i = index[ename]
-        elements[i] = BasisElement(i, ename, deg, index[dual_key])
+        elements[i] = BasisElement(i, ename, deg, index[dual_name])
     basis = TableBasis(
         elements, no_degree_one=flags[FLAG_NO_DEG1], no_degree_two=flags[FLAG_NO_DEG2]
     )

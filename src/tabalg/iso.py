@@ -85,14 +85,16 @@ def _fingerprints(a: TableAlgebra) -> list:
     return refined
 
 
-def _compatible(a: TableAlgebra, b: TableAlgebra, mapping: dict[int, int], i: int, ii: int) -> bool:
+def _compatible(
+    a: TableAlgebra, b: TableAlgebra, mapping: dict[int, int], used: set[int], i: int, ii: int
+) -> bool:
     """Check all constraints among already-assigned elements after i -> ii:
     each row (i, j) with j assigned, mapped through the partial mapping
-    (unassigned elements to -1), equals the row (ii, mapping[j])."""
-    assigned_b = set(mapping.values())
+    (unassigned elements to -1), equals the row (ii, mapping[j]).  ``used``
+    is the image of ``mapping``."""
     for j, jj in mapping.items():
         row_a = sorted((mapping.get(m, -1), v) for m, v in a.constants.row_items(i, j))
-        row_b = sorted((mm if mm in assigned_b else -1, v) for mm, v in b.constants.row_items(ii, jj))
+        row_b = sorted((mm if mm in used else -1, v) for mm, v in b.constants.row_items(ii, jj))
         if row_a != row_b:
             return False
     return True
@@ -137,7 +139,7 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
             pairs.append((a.basis.dual(i), b.basis.dual(ii)))
         made: list[int] = []
         for x, xx in pairs:
-            if xx in used or not _compatible(a, b, mapping, x, xx):
+            if xx in used or not _compatible(a, b, mapping, used, x, xx):
                 undo(made)
                 return []
             mapping[x] = xx

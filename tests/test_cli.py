@@ -174,6 +174,12 @@ class TestDeduce:
         assert code == 1
         assert "contradiction" in out
 
+    @pytest.mark.parametrize("max_steps", ["0", "-3"])
+    def test_nonpositive_max_steps_exit_two(self, capsys, max_steps):
+        code, out, err = invoke(capsys, "deduce", "bundled:PSL27-partial", "--max-steps", max_steps)
+        assert code == 2
+        assert out == ""
+        assert err == "error: max_steps must be positive\n"
 
     def test_machine_format_reports_stats(self, capsys, tmp_path):
         trace = tmp_path / "trace.log"

@@ -15,10 +15,10 @@ from tabalg import (
     propagate,
 )
 from tabalg.bundled import data_text
-from tabalg.core import CheckResult, TableAlgebra, VerificationReport
+from tabalg.core import CheckResult, TableAlgebra, TableAlgebraError, VerificationReport
 from tabalg.deduction import PartialTable
 
-from conftest import lemma72_seed
+from conftest import LEMMA72_D_NAMES, lemma72_seed
 from oracles import psl27_fusion
 
 LEMMA72_FIRST_BLOCK = [
@@ -107,8 +107,38 @@ class TestPropagate:
 
     def test_max_steps_validated(self, B32):
         seed = lemma72_seed(B32)
-        with pytest.raises(Exception):
-            complete_or_refute(seed, max_steps=0)
+        for run in (complete_or_refute, propagate):
+            for max_steps in (0, -3):
+                with pytest.raises(TableAlgebraError, match="max_steps must be positive"):
+                    run(seed, max_steps=max_steps)
+
+
+class TestR4Contradictions:
+    @pytest.mark.parametrize("naming", [False, True])
+    def test_no_decomposition(self, B32, naming):
+        """Without b3*b3 and with every degree-6 coefficient of it zero, its
+        remainder has no decomposition within the square budget."""
+        seed = lemma72_seed(B32, with_b3b3=False)
+        b3 = B32.basis.index_of("b3")
+        for m, e in enumerate(B32.basis):
+            if e.degree == 6:
+                seed.set_cell(b3, b3, m, 0)
+        _, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        assert trace.status == "contradiction"
+        assert len(trace.steps) == 1
+        assert trace.witness == ("b3", "b3", "no-decomposition")
+
+    @pytest.mark.parametrize("naming", [False, True])
+    def test_inner(self, B32, naming):
+        """(b3 b3, b3 b3) = (b3 b3bar, b3 b3bar) = 2, which a coefficient 2
+        of c3 in b3*b3 already exceeds."""
+        idx = B32.basis.index_of
+        seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
+        seed.set_cell(idx("b3"), idx("b3"), idx("c3"), 2)
+        _, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        assert trace.status == "contradiction"
+        assert trace.steps == []
+        assert trace.witness == ("b3", "b3", "inner")
 
 
 class TestLemma22:
@@ -170,11 +200,7 @@ class TestConfluence:
     def test_seed_order_does_not_change_fixed_point(self, B32, lemma72_run):
         table_a, _ = lemma72_run
         idx = B32.basis.index_of
-        d_names = [
-            "1", "b8", "x10", "b5", "c5", "c8", "x9",
-            "c3", "c3bar", "d3", "d3bar", "c9", "c9bar", "b6", "b6bar", "y15", "y15bar",
-        ]
-        d = [idx(n) for n in d_names]
+        d = [idx(n) for n in LEMMA72_D_NAMES]
         pairs = [(i, j) for i in d for j in d if i <= j]
         rng = random.Random(11)
         rng.shuffle(pairs)
@@ -507,32 +533,6 @@ def canonical(solutions):
     return sorted((sorted(assign.items()), sorted(vec.items())) for assign, vec in solutions)
 
 
-def reference_cross(p, i, j):
-    """Inner products (b_i b_j, b_x b_y) of a pending product against every
-    known (x, y), x, y >= 1, from a full scan of the known products."""
-    out = {}
-    for pp, qq in p.known:
-        if pp == 0:
-            continue
-        for x, y in ((pp, qq), (qq, pp)):
-            d = p.dual
-            if p.is_known(j, d[y]) and p.is_known(d[i], x):
-                u, w = p.value(j, d[y]), p.value(d[i], x)
-            elif p.is_known(i, d[x]) and p.is_known(d[j], y):
-                u, w = p.value(i, d[x]), p.value(d[j], y)
-            else:
-                continue
-            out[(x, y)] = sum(c * w[m] for m, c in u.items())
-    return out
-
-
-class _Forgetful(dict):
-    """A cache that never keeps anything."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 class TestSolverFastPaths:
     @pytest.mark.parametrize("seed", ["Lemma72", "B32stall"])
     def test_search_matches_plain_enumeration(self, B32, monkeypatch, seed):
@@ -587,28 +587,13 @@ class TestSolverFastPaths:
         assert trace.status == "completed"
         assert 1 in checked_counts and max(checked_counts) > 1
 
-    def test_cross_inner_products_match_a_full_scan(self, B32, monkeypatch):
-        matching = deduction._Engine._matching
-        calls = []
+    def test_shared_count_does_not_change_the_trace(self, B32, lemma72_run, monkeypatch):
+        search = deduction._Engine._search
 
-        def checked(self, pair, solutions):
-            out = matching(self, pair, solutions)
-            assert self._cross[pair].kappas == reference_cross(self.p, *pair)
-            calls.append(pair)
-            return out
+        def fresh(self, *args):
+            self._counts, self._suffixes = {}, {}
+            return search(self, *args)
 
-        monkeypatch.setattr(deduction._Engine, "_matching", checked)
-        propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
-        assert len(calls) > len(set(calls))  # the incremental path ran
-
-    def test_caches_do_not_change_the_trace(self, B32, lemma72_run, monkeypatch):
-        init = deduction._Engine.__init__
-
-        def forgetful(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            self._memo, self._cross = _Forgetful(), _Forgetful()
-
-        monkeypatch.setattr(deduction._Engine, "__init__", forgetful)
+        monkeypatch.setattr(deduction._Engine, "_search", fresh)
         _, trace = propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
-        assert trace.stats.solver_memo_hits == 0
         assert trace.serialize() == lemma72_run[1].serialize()
