@@ -49,7 +49,7 @@ _SOURCES = {
     **dict.fromkeys(
         ("IsoCertificate", "NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"), "iso"
     ),
-    **dict.fromkeys(("PartialTable", "DeductionTrace", "propagate", "complete_or_refute"), "deduction"),
+    **dict.fromkeys(("PartialTable", "DeductionTrace", "propagate"), "deduction"),
     **dict.fromkeys(("bundled", "load", "resolve"), "bundled"),
 }
 

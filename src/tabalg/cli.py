@@ -2,10 +2,10 @@
 
 Subcommands map one-to-one onto library operations; exit code 0 means
 success or a positive answer, 1 a verification failure or negative
-answer, 2 a usage or input error.  Output is deterministic; timing is
-printed only with --timing.  Each subcommand imports its own layer
-(structure, iso or deduction) when it runs, so start-up pays only for
-the command in hand.
+answer, 2 a usage or input error.  Output is deterministic; ``verify``
+and ``deduce`` print timing to stderr only with their own --timing.  Each
+subcommand imports its own layer (structure, iso or deduction) when it
+runs, so start-up pays only for the command in hand.
 """
 
 from __future__ import annotations
@@ -176,9 +176,7 @@ def cmd_deduce(args, out: _Out) -> int:
     name, basis, products = resolve_partial(args.table)
     seed = PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0})
     t0 = time.perf_counter()
-    table, trace = propagate(
-        seed, max_steps=args.max_steps, introduce_names=not args.no_names
-    )
+    table, trace = propagate(seed, introduce_names=not args.no_names)
     dt = time.perf_counter() - t0
     out.fact("status", trace.status)
     out.fact("steps", len(trace.steps))
@@ -192,8 +190,6 @@ def cmd_deduce(args, out: _Out) -> int:
         out.text(f"  unresolved products: {len(trace.unresolved)}")
         for a, b in trace.unresolved[:10]:
             out.text(f"    {a}*{b}")
-        if trace.budget_exhausted:
-            out.text("  (step budget exhausted)")
         if trace.capped:
             out.text(f"  (solver cap hit on {len(trace.capped)} products: "
                      + " ".join(f"{a}*{b}" for a, b in trace.capped) + ")")
@@ -246,13 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact arithmetic for normalized integral table algebras.",
     )
     ap.add_argument("--format", choices=("text", "machine"), default="text")
-    ap.add_argument("--timing", action="store_true", help="print timing to stderr")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the axiom verifier")
     p.add_argument("algebra")
     p.add_argument("--exact", action="store_true", help="pure-Python full k³ sweep")
-    p.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--timing", action="store_true",
                    help="print the time of each check to stderr")
     p.set_defaults(func=cmd_verify)
 
@@ -301,11 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deduce", help="complete a partial product table")
     p.add_argument("table")
-    p.add_argument("--max-steps", type=int, default=1_000_000)
     p.add_argument("--trace")
     p.add_argument("--no-names", action="store_true",
                    help="disable the fresh-constituent naming convention")
-    p.add_argument("--timing", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--timing", action="store_true",
                    help="print the time of each deduction phase to stderr")
     p.set_defaults(func=cmd_deduce)
 

@@ -89,10 +89,6 @@ class BasisElement(NamedTuple):
     degree: int
     dual: int
 
-    @property
-    def is_real(self) -> bool:
-        return self.dual == self.index
-
 
 class TableBasis:
     """Ordered basis with degrees and the involution pairing.
@@ -541,14 +537,12 @@ class TableAlgebra:
         basis: TableBasis,
         constants: StructureConstants,
         name: str = "",
-        notes: str = "",
     ):
         if constants.k != basis.size:
             raise TableAlgebraError("basis size and tensor size disagree")
         self.basis = basis
         self.constants = constants
         self.name = name
-        self.notes = notes
         self._report: VerificationReport | None = None
 
     @property
@@ -563,7 +557,6 @@ class TableAlgebra:
         basis: TableBasis,
         products: Mapping[tuple[int, int], Mapping[int, int]],
         name: str = "",
-        notes: str = "",
     ) -> "TableAlgebra":
         """Build from products on unordered pairs; identity rows are implied."""
         k = basis.size
@@ -578,7 +571,7 @@ class TableAlgebra:
                     raise TableAlgebraError(f"identity row for {basis.name(j)} is not trivial")
                 continue
             rows[(i, j)] = dict(row)
-        return cls(basis, StructureConstants(k, rows), name=name, notes=notes)
+        return cls(basis, StructureConstants(k, rows), name=name)
 
     @classmethod
     def from_tensor(

@@ -17,6 +17,9 @@ mirroring the lemma calculus used to pin down such algebras by hand:
       are read from known products via (ab, cd) = (b dbar, abar c); a
       remainder with exactly one decomposition that meets them resolves.
 
+Every firing completes one pending product, so a run makes at most one
+step per product pending at seed and needs no step budget.
+
 Propagation itself only ever writes forced values.  The optional naming
 mode additionally models the working convention of christening a new
 constituent ("let x be such that ..."): when the candidate decompositions
@@ -66,7 +69,10 @@ product with more decompositions than the limit is capped and its search
 returns nothing; otherwise the search walks only states that count a
 decomposition and keeps those of the right reality mass.  The limit is the
 only budget R4 has: it is counted in ``DeductionStats``, and a stall lists
-every product its final fixed point capped.
+every product its final fixed point capped.  One scan serves both R4 and
+naming: it searches each pending product once, fires the first with
+exactly one decomposition, and only when there is none tries naming on
+the ambiguous products it already holds.
 
 The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
 triple whose factors are known, once, and evaluates each one the agenda
@@ -94,7 +100,6 @@ __all__ = [
     "DeductionStats",
     "DeductionTrace",
     "propagate",
-    "complete_or_refute",
 ]
 
 # the most decompositions R4 enumerates for one product; a product with
@@ -135,10 +140,11 @@ class DeductionStats:
 
     ``attempts`` per rule: R1 counts pending products the degree scan
     examined, R2 coefficients transported around their orbits, R3 agenda
-    evaluations of a decidable triple, R4 decomposition searches requested
-    (forced and naming).  ``firings`` counts the trace's steps per rule;
-    naming steps are R1.  ``seconds`` is the time of each phase of the
-    main loop, syncs included, and of the ``recheck`` of a completed table.
+    evaluations of a decidable triple, R4 pending products searched, once
+    per scan.  ``firings`` counts the trace's steps per rule; naming steps
+    are R1.  ``seconds`` is the time of each phase of the main loop, syncs
+    included, and of the ``recheck`` of a completed table; naming shares
+    R4's scan, so its time is under ``R4``.
     """
 
     attempts: dict[str, int] = field(default_factory=_per_rule)
@@ -163,8 +169,6 @@ class DeductionStats:
         overflowed = " ".join(f"{a}*{b}" for a, b in self.overflow_pairs) or "-"
         out += [
             ("stats.r3.activated", self.r3_activated),
-            ("stats.r3.evaluated", self.attempts["R3"]),
-            ("stats.solver.calls", self.attempts["R4"]),
             ("stats.solver.searches", self.solver_searches),
             ("stats.solver.count_states", self.solver_count_states),
             ("stats.solver.overflows", self.solver_overflows),
@@ -182,7 +186,6 @@ class DeductionTrace:
     witness: Optional[tuple] = None
     message: str = ""
     unresolved: tuple[tuple[str, str], ...] = ()
-    budget_exhausted: bool = False
     # pending products with more than DECOMPOSITION_LIMIT decompositions at
     # the final fixed point of a stall: with a larger limit they might resolve
     capped: tuple[tuple[str, str], ...] = ()
@@ -193,8 +196,6 @@ class DeductionTrace:
         tail = f"STATUS {self.status}"
         if self.witness:
             tail += " WITNESS " + ",".join(str(w) for w in self.witness)
-        if self.budget_exhausted:
-            tail += " BUDGET-EXHAUSTED"
         if self.capped:
             tail += " SOLVER-CAP " + ",".join(f"{a}*{b}" for a, b in self.capped)
         lines.append(tail)
@@ -403,14 +404,12 @@ _CHECKED = "checked"
 
 
 class _Engine:
-    def __init__(self, table: PartialTable, introduce_names: bool, max_steps: int):
+    def __init__(self, table: PartialTable, introduce_names: bool):
         self.p = table
         k = table.k
         self.naming = introduce_names
-        self.max_steps = max_steps
         self.trace = DeductionTrace()
         self.stats = self.trace.stats
-        self._budget_hit = False
         self._claimed: set[tuple[int, int]] = set()
         self._partners: list[set[int]] = [set() for _ in range(k)]
         self._triples: dict[tuple[int, int, int], _Triple] = {}
@@ -421,7 +420,7 @@ class _Engine:
         # (first degree, id of the rest)
         self._counts: dict[tuple[int, int, Optional[int]], int] = {}
         self._suffixes: dict[tuple[int, int], int] = {}
-        # pairs whose search was capped during the latest solver scans
+        # pairs whose search was capped during the latest solver scan
         self._overflowed: list[tuple[int, int]] = []
         self._by_degree = sorted(range(k), key=lambda m: table.deg[m])
 
@@ -434,8 +433,14 @@ class _Engine:
         value = format_element(self.p.basis, self.p.rows[pair])
         self.trace.steps.append(DeductionStep(n, rule, t, names, value))
         self.stats.firings[rule] += 1
-        if n >= self.max_steps:
-            self._budget_hit = True
+
+    def _resolve(self, rule: str, triple, pair: tuple[int, int], coeffs: Mapping[int, int]) -> None:
+        """Fire a rule: write the product of ``pair``, log the step and
+        sync.  R1, R3, R4 and naming write through here; R2 is the sync."""
+        self._claimed.add(pair)
+        self.p.set_product(pair[0], pair[1], coeffs)
+        self.log(rule, triple, pair)
+        self.sync()
 
     # -- R2 transport plus trigger maintenance -----------------------------
 
@@ -487,15 +492,8 @@ class _Engine:
                     f"known part of {p.names(pair)} already exceeds the degree identity",
                 )
             if rem == 0:
-                self._claimed.add(pair)
-                for m in range(p.k):
-                    if row[m] is None:
-                        p.set_cell(pair[0], pair[1], m, 0)
-                self.log("R1", None, pair)
+                self._resolve("R1", None, pair, {m: v for m, v in enumerate(row) if v})
                 fired = True
-                if self._budget_hit:
-                    return fired
-                self.sync()
                 continue
             smallest = next(m for m in self._by_degree if row[m] is None)
             if p.deg[smallest] > rem:
@@ -564,13 +562,8 @@ class _Engine:
             self.stats.attempts["R3"] += 1
             # _rewatch queued t watching all its unknown products, so a t
             # left undecided already watches the one it waits for
-            outcome = self._evaluate(t.i, t.j, t.l, t.terms)
-            t.done = outcome is not None
-            if outcome is _FIRED:
+            if self._evaluate(t) is _FIRED:
                 fired = True
-                if self._budget_hit:
-                    return fired
-                self.sync()
         return fired
 
     def r3_full_sweep(self) -> bool:
@@ -587,25 +580,24 @@ class _Engine:
                         continue
                     t = self._triples.get((i, j, l))
                     self.stats.sweep_triples += 1
-                    if t is not None and t.done:
+                    if t is None:
+                        t = _Triple(i, j, l, self._terms(i, j, l))
+                    elif t.done:
                         continue
-                    terms = t.terms if t is not None else self._terms(i, j, l)
-                    if terms and self._evaluate(i, j, l, terms) is _FIRED:
+                    if t.terms and self._evaluate(t) is _FIRED:
                         self.stats.sweep_firings += 1
                         fired = True
-                        if self._budget_hit:
-                            return fired
-                        self.sync()
         return fired
 
-    def _evaluate(self, i: int, j: int, l: int, terms: tuple):
-        """Decide the triple (i, j, l) with expansion ``terms``: _FIRED when
-        it solved its one unknown product, _CHECKED when it had none, None
-        when two or more are unknown or the one unknown product's net
-        coefficient is not +-1.  Raises Contradiction when associativity
-        cannot hold."""
+    def _evaluate(self, t: _Triple):
+        """Decide the triple t: _FIRED when it solved its one unknown
+        product, _CHECKED when it had none, None when two or more are
+        unknown or the one unknown product's net coefficient is not +-1.
+        A decided t is marked done before its product is written.  Raises
+        Contradiction when associativity cannot hold."""
         p = self.p
         rows = p.rows
+        i, j, l, terms = t.i, t.j, t.l, t.terms
         unknown = None
         for q, c in terms:
             if q not in rows:
@@ -630,6 +622,7 @@ class _Engine:
                     f"associativity fails on triple {names3} at "
                     + ", ".join(p.basis.name(m) for m in bad),
                 )
+            t.done = True
             return _CHECKED
         pair, net = unknown
         solved: dict[int, int] = {}
@@ -643,9 +636,8 @@ class _Engine:
                 )
             if value:
                 solved[m] = value
-        self._claimed.add(pair)
-        p.set_product(pair[0], pair[1], solved)
-        self.log("R3", names3, pair)
+        t.done = True
+        self._resolve("R3", names3, pair, solved)
         return _FIRED
 
     # -- R4 / R1b: inner-product constrained resolution --------------------------
@@ -667,23 +659,30 @@ class _Engine:
                 return _inner(a, b)
         return None
 
-    def solver_scan(self, naming_phase: bool) -> bool:
-        p = self.p
-        pending = p.pending_pairs()
-        if naming_phase:
-            # christen new names on the newest element's products first,
-            # mirroring the order in which generators introduce constituents
-            pending.sort(key=lambda q: (q[1], q[0]))
-        else:
-            self._overflowed = []
-        for pair in pending:
+    def solver_scan(self) -> bool:
+        """R4 and naming: search each pending product once and resolve the
+        first with exactly one decomposition; failing that, with naming on,
+        name the first ambiguous product that admits a canonical naming."""
+        self._overflowed = []
+        ambiguous = []
+        for pair in self.p.pending_pairs():
             if self._conjugate_primary(pair) != pair:
                 continue
-            if self._solve_entry(pair, naming_phase):
-                rule = "R1" if naming_phase else "R4"
-                self.log(rule, None, pair)
-                if not self._budget_hit:
-                    self.sync()
+            solutions = self._solve_entry(pair)
+            if not solutions:
+                continue
+            if len(solutions) == 1:
+                self._resolve("R4", None, pair, solutions[0][1])
+                return True
+            if self.naming:
+                ambiguous.append((pair, solutions))
+        # christen new names on the newest element's products first,
+        # mirroring the order in which generators introduce constituents
+        ambiguous.sort(key=lambda entry: entry[0][::-1])
+        for pair, solutions in ambiguous:
+            best = self._canonical_naming([assign for assign, _ in solutions])
+            if best is not None:
+                self._resolve("R1", None, pair, next(vec for assign, vec in solutions if assign == best))
                 return True
         return False
 
@@ -692,13 +691,16 @@ class _Engine:
         other = _canon(p.dual[pair[0]], p.dual[pair[1]])
         return min(pair, other)
 
-    def _solve_entry(self, pair: tuple[int, int], naming_phase: bool) -> bool:
+    def _solve_entry(self, pair: tuple[int, int]) -> Optional[list]:
+        """The decompositions of the remainder of ``pair`` that meet its
+        inner products, as ``_search`` returns them; None when the product
+        needs no search or its search was capped."""
         p = self.p
         i, j = pair
         row = p.cells[pair]
         rem = p._rem[pair]
         if not p._open[pair] or rem <= 0:
-            return False
+            return None
         self.stats.attempts["R4"] += 1
         s_exact = self._inner_exact(i, j)
         budget2 = None
@@ -711,31 +713,20 @@ class _Engine:
                 )
         candidates = [m for m in self._by_degree if row[m] is None and p.deg[m] <= rem]
         if not candidates:
-            return False  # r1_scan raises on the impossible case
+            return None  # r1_scan raises on the impossible case
         solutions = self._search(row, rem, candidates, budget2, self._reality_mass(i, j))
         if solutions is None:
             self._overflowed.append(pair)
             self.stats.solver_overflows += 1
             self.stats.overflow_pairs[p.names(pair)] = None
-            return False
+            return None
         if not solutions:
             raise Contradiction(
                 p.names(pair) + ("no-decomposition",),
                 f"no decomposition of the remainder of {p.names(pair)} satisfies the "
                 "inner-product constraints",
             )
-        chosen: Optional[dict[int, int]] = None
-        if len(solutions) == 1:
-            chosen = solutions[0][1]
-        elif naming_phase and self.naming:
-            best = self._canonical_naming([assign for assign, _ in solutions])
-            if best is not None:
-                chosen = next(vec for assign, vec in solutions if assign == best)
-        if chosen is None:
-            return False
-        self._claimed.add(pair)
-        p.set_product(i, j, chosen)
-        return True
+        return solutions
 
     def _search(self, row, rem, candidates, budget2, r_mass) -> Optional[list]:
         """Every decomposition of the remainder ``rem`` over ``candidates``,
@@ -875,10 +866,10 @@ class _Engine:
 
     # -- main loop -----------------------------------------------------------
 
-    def _timed(self, phase: str, step, *args) -> bool:
+    def _timed(self, phase: str, step) -> bool:
         t0 = time.perf_counter()
         try:
-            return step(*args)
+            return step()
         finally:
             seconds = self.stats.seconds
             seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - t0
@@ -890,18 +881,15 @@ class _Engine:
             p.newly_known = sorted(p.rows)
             self._claimed.update(p.rows)
             self._timed("seed", self.sync)
-            while not self._budget_hit:
-                if self._timed("R1", self.r1_scan):
-                    continue
-                if self._timed("R3", self.r3_process):
-                    continue
-                if self._timed("R4", self.solver_scan, False):
-                    continue
-                if self.naming and self._timed("naming", self.solver_scan, True):
-                    continue
-                if self._timed("sweep", self.r3_full_sweep):
-                    continue
-                break
+            phases = (
+                ("R1", self.r1_scan),
+                ("R3", self.r3_process),
+                ("R4", self.solver_scan),
+                ("sweep", self.r3_full_sweep),
+            )
+            # each firing restarts from R1; the loop ends when no phase fires
+            while any(self._timed(phase, step) for phase, step in phases):
+                pass
         except Contradiction as c:
             self.trace.status = "contradiction"
             self.trace.witness = c.witness
@@ -911,9 +899,7 @@ class _Engine:
         if pending:
             self.trace.status = "stalled"
             self.trace.unresolved = tuple(p.names(q) for q in pending)
-            self.trace.budget_exhausted = self._budget_hit
-            if not self._budget_hit:
-                self.trace.capped = tuple(p.names(q) for q in dict.fromkeys(self._overflowed))
+            self.trace.capped = tuple(p.names(q) for q in self._overflowed)
         else:
             self.trace.status = "completed"
 
@@ -932,7 +918,7 @@ def _recheck(table: PartialTable, trace: DeductionTrace) -> None:
 
 
 def propagate(
-    table: PartialTable, max_steps: int = 1_000_000, introduce_names: bool = False
+    table: PartialTable, introduce_names: bool = False
 ) -> tuple[PartialTable, DeductionTrace]:
     """Fixed point of R1-R4 on a copy of the table.
 
@@ -942,10 +928,8 @@ def propagate(
     ``stats`` what each rule attempted.  A table that completes is
     re-verified with ``verify_axioms`` before it is reported completed.
     """
-    if max_steps <= 0:
-        raise TableAlgebraError("max_steps must be positive")
     work = table.copy()
-    engine = _Engine(work, introduce_names=introduce_names, max_steps=max_steps)
+    engine = _Engine(work, introduce_names=introduce_names)
     engine.run()
     trace = engine.trace
     # drop the rule state first, so the re-check does not add to peak memory
@@ -953,11 +937,3 @@ def propagate(
     if trace.status == "completed":
         _recheck(work, trace)
     return work, trace
-
-
-def complete_or_refute(
-    table: PartialTable, max_steps: int = 1_000_000, introduce_names: bool = False
-) -> DeductionTrace:
-    """Run propagation to its fixed point and classify the outcome."""
-    _, trace = propagate(table, max_steps=max_steps, introduce_names=introduce_names)
-    return trace

@@ -28,7 +28,6 @@ class UnverifiedAlgebraError(TableAlgebraError):
 
 class IsoCertificate(NamedTuple):
     mapping: tuple[int, ...]
-    verified: bool
 
     def as_names(self, a: TableAlgebra, b: TableAlgebra) -> dict[str, str]:
         return {a.basis.name(i): b.basis.name(self.mapping[i]) for i in range(len(self.mapping))}
@@ -174,4 +173,4 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
             row = {psi[m]: v for m, v in a.constants.row_items(i, j)}
             if row != dict(b.constants.row_items(psi[i], psi[j])):
                 return None
-    return IsoCertificate(psi, verified=True)
+    return IsoCertificate(psi)

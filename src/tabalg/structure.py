@@ -293,7 +293,8 @@ def _invariant_factors(order: int, element_orders: Sequence[int]) -> Optional[tu
 
 
 def is_group_like(q: QuotientClassTable) -> Optional[GroupTable]:
-    """Group table when every composition is a single class, else None."""
+    """Group table when every composition is a single class and some power
+    of every class is the identity class, else None."""
     n = q.size
     table = []
     for p in range(n):
@@ -308,6 +309,8 @@ def is_group_like(q: QuotientClassTable) -> Optional[GroupTable]:
     for p in range(n):
         x, o = p, 1
         while x != q.identity_class:
+            if o == n:
+                return None  # no power reaches the identity class: not a group
             x = table[x][p]
             o += 1
         orders.append(o)

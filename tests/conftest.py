@@ -59,4 +59,4 @@ def lemma72_run(B32):
     """The (table, trace) fixed point of the Lemma-7.2-style seed, shared
     across test modules because it takes a few seconds."""
     seed = lemma72_seed(B32)
-    return propagate(seed, max_steps=10**6, introduce_names=True)
+    return propagate(seed, introduce_names=True)

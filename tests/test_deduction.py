@@ -8,14 +8,13 @@ import pytest
 from tabalg import (
     BasisElement,
     TableBasis,
-    complete_or_refute,
     deduction,
     load,
     parse_partial,
     propagate,
 )
 from tabalg.bundled import data_text
-from tabalg.core import CheckResult, TableAlgebra, TableAlgebraError, VerificationReport
+from tabalg.core import CheckResult, TableAlgebra, VerificationReport
 from tabalg.deduction import PartialTable
 
 from conftest import LEMMA72_D_NAMES, lemma72_seed
@@ -84,33 +83,20 @@ class TestPropagate:
         assert trace.steps == []
 
     def test_theorem41_contradiction(self):
-        trace = complete_or_refute(theorem41_seed(), max_steps=10**4)
+        trace = propagate(theorem41_seed())[1]
         assert trace.status == "contradiction"
         assert trace.witness is not None
 
     def test_contradiction_even_with_naming(self):
-        trace = complete_or_refute(theorem41_seed(), max_steps=10**4, introduce_names=True)
+        trace = propagate(theorem41_seed(), introduce_names=True)[1]
         assert trace.status == "contradiction"
 
     def test_under_seeded_stalls(self, B32):
         idx = B32.basis.index_of
         seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
-        trace = complete_or_refute(seed, max_steps=10**5, introduce_names=True)
+        trace = propagate(seed, introduce_names=True)[1]
         assert trace.status == "stalled"
         assert trace.unresolved
-
-    def test_step_budget_flag(self, B32):
-        seed = lemma72_seed(B32)
-        trace = complete_or_refute(seed, max_steps=25, introduce_names=True)
-        assert trace.status == "stalled"
-        assert trace.budget_exhausted
-
-    def test_max_steps_validated(self, B32):
-        seed = lemma72_seed(B32)
-        for run in (complete_or_refute, propagate):
-            for max_steps in (0, -3):
-                with pytest.raises(TableAlgebraError, match="max_steps must be positive"):
-                    run(seed, max_steps=max_steps)
 
 
 class TestR4Contradictions:
@@ -123,7 +109,7 @@ class TestR4Contradictions:
         for m, e in enumerate(B32.basis):
             if e.degree == 6:
                 seed.set_cell(b3, b3, m, 0)
-        _, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        _, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "contradiction"
         assert len(trace.steps) == 1
         assert trace.witness == ("b3", "b3", "no-decomposition")
@@ -135,7 +121,7 @@ class TestR4Contradictions:
         idx = B32.basis.index_of
         seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
         seed.set_cell(idx("b3"), idx("b3"), idx("c3"), 2)
-        _, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        _, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "contradiction"
         assert trace.steps == []
         assert trace.witness == ("b3", "b3", "inner")
@@ -174,7 +160,7 @@ class TestSoundness:
         pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
         for trial in range(2):
             sub = rng.sample(pairs, len(pairs) // 3)
-            out, trace = propagate(PartialTable.from_subtable(A, sub), max_steps=10**6)
+            out, trace = propagate(PartialTable.from_subtable(A, sub))
             assert trace.status != "contradiction"
             for (i, j) in out.known:
                 if i == 0:
@@ -192,7 +178,7 @@ class TestSoundness:
         pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
         for trial in range(3):
             sub = rng.sample(pairs, rng.randrange(3, len(pairs)))
-            trace = complete_or_refute(PartialTable.from_subtable(B22, sub), max_steps=10**6)
+            trace = propagate(PartialTable.from_subtable(B22, sub))[1]
             assert trace.status != "contradiction"
 
 
@@ -208,7 +194,7 @@ class TestConfluence:
         seed.set_product(idx("b3"), idx("c3bar"), {idx("b3bar"): 1, idx("x6bar"): 1})
         seed.set_product(idx("b3"), idx("b3"), {idx("c3"): 1, idx("b6"): 1})
         seed.set_product(idx("b3"), idx("b3bar"), {0: 1, idx("b8"): 1})
-        table_b, trace_b = propagate(seed, max_steps=10**6, introduce_names=True)
+        table_b, trace_b = propagate(seed, introduce_names=True)
         assert trace_b.status == "completed"
         assert table_b.known == table_a.known
         for pair in table_a.known:
@@ -242,7 +228,7 @@ class TestPSL27:
     def test_partial_completes_and_matches_character_oracle(self):
         name, basis, products = parse_partial(data_text("PSL27-partial"))
         seed = PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0})
-        table, trace = propagate(seed, max_steps=10**5, introduce_names=True)
+        table, trace = propagate(seed, introduce_names=True)
         assert trace.status == "completed"
         algebra = table.as_algebra("PSL27")
         assert algebra.verify_axioms().ok
@@ -375,6 +361,13 @@ for _seed in (1, 2, 3):
     PINNED[f"D17third{_seed}"] = (lambda s=_seed: _third("D17", s), "completed", 91, "all")
 
 
+def _seed(name):
+    """A PINNED seed, or the Lemma 7.2 seed with naming, as (seed, naming)."""
+    if name == "Lemma72":
+        return lemma72_seed(load("B32")), True
+    return PINNED[name][0]()
+
+
 class TestAgenda:
     def check(self, table, trace, status, steps, known):
         assert trace.status == status
@@ -392,7 +385,7 @@ class TestAgenda:
     def test_fixed_point_is_pinned_and_r3_closed(self, name):
         make, status, steps, known = PINNED[name]
         seed, naming = make()
-        table, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        table, trace = propagate(seed, introduce_names=naming)
         self.check(table, trace, status, steps, known)
 
     @pytest.mark.parametrize("name", ["PSL27", "D17third1", "B22third1", "B22third2"])
@@ -409,7 +402,7 @@ class TestAgenda:
         monkeypatch.setattr(deduction._Engine, "r3_process", checked)
         make, status, _, _ = PINNED[name]
         seed, naming = make()
-        _, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        _, trace = propagate(seed, introduce_names=naming)
         assert trace.status == status
         assert True in drained
 
@@ -419,7 +412,7 @@ class TestAgenda:
         (l, j, i) and conjugation, with exactly its nonzero net terms, and
         is decided by the end of a completed run."""
         seed, naming = _third("B22", 1)
-        engine = deduction._Engine(seed.copy(), introduce_names=naming, max_steps=10**6)
+        engine = deduction._Engine(seed.copy(), introduce_names=naming)
         engine.run()
         p = engine.p
         k, d = p.k, p.dual
@@ -450,14 +443,46 @@ class TestAgenda:
 
         # R4 alone would complete this seed without R3, so it is stubbed too
         monkeypatch.setattr(deduction._Engine, "_rewatch", never_queue)
-        monkeypatch.setattr(deduction._Engine, "solver_scan", lambda self, naming_phase: False)
+        monkeypatch.setattr(deduction._Engine, "solver_scan", lambda self: False)
         seed, naming = _third("B22", 1)
-        table, trace = propagate(seed, max_steps=10**6, introduce_names=naming)
+        table, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "completed"
         assert trace.stats.attempts["R3"] == 0
         assert trace.stats.sweep_firings > 0
         for i, j in table.known:
             assert table.value(i, j).coeffs == dict(B22.constants.row_items(i, j))
+
+    @pytest.mark.parametrize("name", sorted(PINNED) + ["Lemma72"])
+    def test_each_step_completes_a_distinct_pending_product(self, name):
+        """Why a run needs no step budget: every step completes a product
+        that was pending, so a run makes at most one step per product
+        pending at seed."""
+        seed, naming = _seed(name)
+        pending = {seed.names(q) for q in seed.pending_pairs()}
+        _, trace = propagate(seed, introduce_names=naming)
+        entries = [step.entry for step in trace.steps]
+        assert len(set(entries)) == len(entries)
+        assert set(entries) <= pending
+        assert len(entries) <= len(pending)
+
+    @pytest.mark.parametrize("name", ["B32stall", "Lemma72"])
+    def test_no_product_is_searched_twice_on_one_table(self, name, monkeypatch):
+        """R4 and naming share one scan: between two steps, that is on one
+        state of the table, each pending product is searched at most once."""
+        search = deduction._Engine._search
+        searched = []
+
+        def recorded(self, row, *args):
+            pair = next(q for q, cells in self.p.cells.items() if cells is row)
+            searched.append((len(self.trace.steps), pair))
+            return search(self, row, *args)
+
+        monkeypatch.setattr(deduction._Engine, "_search", recorded)
+        seed, naming = _seed(name)
+        _, trace = propagate(seed, introduce_names=naming)
+        assert searched
+        assert len(set(searched)) == len(searched)
+        assert trace.stats.solver_searches == len(searched)
 
     def test_lemma72_fixed_point(self, lemma72_run):
         table, trace = lemma72_run
@@ -474,7 +499,7 @@ class TestAgenda:
         # the stall's fixed point caps 271 products: every one has more than
         # DECOMPOSITION_LIMIT decompositions
         seed, naming = _b32_stall()
-        trace = complete_or_refute(seed, introduce_names=naming)
+        trace = propagate(seed, introduce_names=naming)[1]
         assert trace.status == "stalled"
         assert len(trace.capped) == 271
         assert set(trace.capped) <= set(trace.stats.overflow_pairs)
@@ -555,7 +580,7 @@ class TestSolverFastPaths:
 
         monkeypatch.setattr(deduction._Engine, "_search", checked)
         table = lemma72_seed(B32) if seed == "Lemma72" else _b32_stall()[0]
-        propagate(table, max_steps=10**6, introduce_names=True)
+        propagate(table, introduce_names=True)
         # both answers occur: some searches are capped, some finish
         assert True in outcomes and False in outcomes
 
@@ -583,7 +608,7 @@ class TestSolverFastPaths:
             return got
 
         monkeypatch.setattr(deduction._Engine, "_search", checked)
-        _, trace = propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
+        _, trace = propagate(lemma72_seed(B32), introduce_names=True)
         assert trace.status == "completed"
         assert 1 in checked_counts and max(checked_counts) > 1
 
@@ -595,5 +620,5 @@ class TestSolverFastPaths:
             return search(self, *args)
 
         monkeypatch.setattr(deduction._Engine, "_search", fresh)
-        _, trace = propagate(lemma72_seed(B32), max_steps=10**6, introduce_names=True)
+        _, trace = propagate(lemma72_seed(B32), introduce_names=True)
         assert trace.serialize() == lemma72_run[1].serialize()
