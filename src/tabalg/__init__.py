@@ -10,8 +10,6 @@ no submodule, and ``tabalg.propagate``, say, imports ``tabalg.deduction``
 only when it is first read.
 """
 
-import sys
-import types
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -50,7 +48,7 @@ _SOURCES = {
         ("IsoCertificate", "NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"), "iso"
     ),
     **dict.fromkeys(("PartialTable", "DeductionTrace", "propagate"), "deduction"),
-    **dict.fromkeys(("bundled", "load", "resolve"), "bundled"),
+    **dict.fromkeys(("load", "resolve"), "bundled"),
 }
 
 __all__ = list(_SOURCES)
@@ -63,15 +61,3 @@ def __getattr__(name):
     value = getattr(import_module(f".{source}", __name__), name)
     globals()[name] = value
     return value
-
-
-class _Package(types.ModuleType):
-    def __setattr__(self, name, value):
-        # Importing a submodule binds it on the package; the submodule
-        # ``tabalg.bundled`` must not shadow the public function ``bundled``.
-        if name in _SOURCES and isinstance(value, types.ModuleType):
-            return
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -23,7 +23,6 @@ __all__ = [
     "NAMED_SUBSETS",
     "data_text",
     "load",
-    "bundled",
     "resolve",
 ]
 
@@ -72,18 +71,6 @@ def load(name: str) -> TableAlgebra:
     if name not in _cache:
         _cache[name] = parse(data_text(name))
     return _cache[name]
-
-
-def bundled() -> list[TableAlgebra]:
-    """The four verified algebras, re-verified once per process."""
-    out = []
-    for name in BUNDLED:
-        algebra = load(name)
-        report = algebra.verified()
-        if not report.ok:
-            raise RuntimeError(f"bundled algebra {name} failed verification: {report.summary()}")
-        out.append(algebra)
-    return out
 
 
 def resolve(uri: str) -> TableAlgebra:

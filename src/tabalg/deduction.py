@@ -4,8 +4,8 @@ A partial table holds exact per-coefficient knowledge for every unordered
 pair of basis elements.  Propagation closes it under four rule families,
 mirroring the lemma calculus used to pin down such algebras by hand:
 
-  R1  degree bookkeeping: a remainder of degree zero vanishes; a remainder
-      whose constraints force a single decomposition resolves.
+  R1  degree bookkeeping: a product whose remainder reaches degree zero
+      has zeros in every unknown cell.
   R2  the normalized-basis symmetry (b_m, b_i b_j) = (b_i, b_jbar b_m):
       every known coefficient transports around its symmetry orbit, which
       also keeps commutativity and the involution closure maintained.
@@ -15,7 +15,7 @@ mirroring the lemma calculus used to pin down such algebras by hand:
   R4  inner products: the square budget (xy, xy) = (x xbar, y ybar) and the
       reality mass (xy, xbar ybar) = (y y, xbar xbar) of a pending product xy
       are read from known products via (ab, cd) = (b dbar, abar c); a
-      remainder with exactly one decomposition that meets them resolves.
+      remainder whose constraints force a single decomposition resolves.
 
 Every firing completes one pending product, so a run makes at most one
 step per product pending at seed and needs no step budget.
@@ -40,39 +40,40 @@ and (i, m) for m in b_j b_l.  T is *activated* when (i, j) and (j, l) are
 both known; from then on the net coefficient of every product in its
 expansion is fixed.  A product whose contributions cancel to a net
 coefficient 0 drops out of T at activation: R3 ignores it, so it never
-holds a watch and never keeps T from being decided.  T is decidable when
-at most one of its remaining products is unknown: with none it is checked
-for an associativity contradiction, with one of net coefficient +-1 that
-product is solved.  The watch invariant holds after every sync: each
-activated triple not yet finished is on the agenda, or watches two unknown
-products of its expansion, or (evaluated with one unknown product whose
-net coefficient is not +-1) watches that one.  A product becoming known
-visits only the triples watching it; each moves the watch to another
-unknown product or, when fewer than two remain, goes on the agenda.  A
-triple's unknown count only falls, and it can fall to one or to none only
-when a watched product becomes known, so every triple is evaluated as soon
-as it is decidable, and a triple stuck on a non-unit coefficient again
-when that product becomes known and it can be checked.  Triples are taken
-up to two symmetries of the rule: (l, j, i) negates every net coefficient,
-and the involution maps T to (ibar, jbar, lbar), under which R2 keeps the
-known products closed.  So only T with 0 < i < l and T no larger than its
-conjugate is activated; a triple with the identity as a factor or i = l
-expands to nothing.
+keeps T from being decided.  T is decidable when at most one of its
+remaining products is unknown: with none it is checked for an
+associativity contradiction, with one of net coefficient +-1 that product
+is solved.  Each activated T is listed under each unknown product of its
+expansion and counts them; after every sync the count is exact.  A product
+becoming known lowers the count of every triple listed under it, and T
+goes on the agenda when its count is at most one at activation and again
+each time it falls to one or to none.  So every triple is evaluated as
+soon as it is decidable, and a triple stuck on a non-unit coefficient
+again when that product becomes known.  Propagation never retracts a fact,
+so a count only falls and watched pairs, which pay only when backtracking
+must undo work, are not needed.  Triples are taken up to two symmetries
+of the rule: (l, j, i) negates every net coefficient, and the involution
+maps T to (ibar, jbar, lbar), under which R2 keeps the known products
+closed.  So only T with 0 < i < l and T no larger than its conjugate is
+activated; a triple with the identity as a factor or i = l expands to
+nothing.
 
 The R4 search.  The decompositions of a pending product's remainder are
 the assignments to its unknown coefficients that meet the degree and, when
 the exact inner product ``s_exact`` is known, the square budget.  One
-exact count decides the search: the number of decompositions, memoised on
-(candidate-degree suffix, degree left, squares left) and shared by every
-search of a propagation, saturating at ``DECOMPOSITION_LIMIT + 1``.  A
-product with more decompositions than the limit is capped and its search
-returns nothing; otherwise the search walks only states that count a
-decomposition and keeps those of the right reality mass.  The limit is the
-only budget R4 has: it is counted in ``DeductionStats``, and a stall lists
-every product its final fixed point capped.  One scan serves both R4 and
-naming: it searches each pending product once, fires the first with
-exactly one decomposition, and only when there is none tries naming on
-the ambiguous products it already holds.
+exact count at the root decides the search: the number of decompositions,
+memoised on (candidate-degree suffix, degree left, squares left) and
+shared by every search of a propagation, saturating at
+``DECOMPOSITION_LIMIT + 1``.  A count of zero is a ``no-decomposition``
+contradiction.  A product with more decompositions than the limit is
+capped and its search returns nothing; otherwise the search walks only
+states that count a decomposition and keeps those of the right reality
+mass.  The limit is the only budget R4 has: it is counted in
+``DeductionStats``, and a stall lists every product its final fixed point
+capped.  One scan serves both R4 and naming: it searches each pending
+product once, fires the first with exactly one decomposition, and only
+when there is none tries naming on the ambiguous products it already
+holds.
 
 The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
 triple whose factors are known, once, and evaluates each one the agenda
@@ -138,19 +139,18 @@ def _per_rule() -> dict[str, int]:
 class DeductionStats:
     """What one propagation did.
 
-    ``attempts`` per rule: R1 counts pending products the degree scan
-    examined, R2 coefficients transported around their orbits, R3 agenda
-    evaluations of a decidable triple, R4 pending products searched, once
-    per scan.  ``firings`` counts the trace's steps per rule; naming steps
-    are R1.  ``seconds`` is the time of each phase of the main loop, syncs
-    included, and of the ``recheck`` of a completed table; naming shares
-    R4's scan, so its time is under ``R4``.
+    ``attempts`` per rule: R1 counts pending products whose remainder
+    reached zero, R2 coefficients transported around their orbits, R3
+    agenda evaluations of a decidable triple, R4 searches.  ``firings``
+    counts the trace's steps per rule; naming steps are R1.  ``seconds`` is
+    the time of each phase of the main loop, syncs included, and of the
+    ``recheck`` of a completed table; naming shares R4's scan, so its time
+    is under ``R4``.
     """
 
     attempts: dict[str, int] = field(default_factory=_per_rule)
     firings: dict[str, int] = field(default_factory=_per_rule)
     r3_activated: int = 0
-    solver_searches: int = 0
     # states of the shared decomposition count, each computed once
     solver_count_states: int = 0
     solver_overflows: int = 0
@@ -169,7 +169,6 @@ class DeductionStats:
         overflowed = " ".join(f"{a}*{b}" for a, b in self.overflow_pairs) or "-"
         out += [
             ("stats.r3.activated", self.r3_activated),
-            ("stats.solver.searches", self.solver_searches),
             ("stats.solver.count_states", self.solver_count_states),
             ("stats.solver.overflows", self.solver_overflows),
             ("stats.solver.overflow_pairs", overflowed),
@@ -243,6 +242,8 @@ class PartialTable:
                 self._open[(i, j)] = k
         self.rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
         self.newly_known: list[tuple[int, int]] = []
+        # pending products a write left with a remainder of zero or below
+        self.spent: deque[tuple[int, int]] = deque()
         self._queue: deque[tuple[tuple[int, int], int, int]] = deque()
         # symmetry orbits of coefficient positions; they depend on the basis only
         self._orbits: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
@@ -298,6 +299,7 @@ class PartialTable:
         out._open = dict(self._open)
         out.rows = dict(self.rows)
         out.newly_known = list(self.newly_known)
+        out.spent = deque(self.spent)
         out._queue = deque(self._queue)
         out._orbits = self._orbits
         return out
@@ -328,7 +330,9 @@ class PartialTable:
 
     def _write(self, pair: tuple[int, int], m: int, v: int) -> bool:
         """Record coefficient v of b_m in the product of ``pair``; True when
-        it was unknown.  Completing a row freezes it and marks it known."""
+        it was unknown.  Completing a row freezes it and marks it known; a
+        nonzero write that leaves a pending product a remainder of zero or
+        below lists it in ``spent`` for R1."""
         if v < 0:
             raise Contradiction(
                 self.names(pair) + (self.basis.name(m),),
@@ -348,8 +352,8 @@ class PartialTable:
         row[m] = v
         self._rem[pair] -= v * self.deg[m]
         self._open[pair] -= 1
+        rem = self._rem[pair]
         if not self._open[pair]:
-            rem = self._rem[pair]
             if rem != 0:
                 raise Contradiction(
                     self.names(pair) + ("degree",),
@@ -358,6 +362,8 @@ class PartialTable:
                 )
             self.rows[pair] = tuple((n, w) for n, w in enumerate(row) if w)
             self.newly_known.append(pair)
+        elif v and rem <= 0:
+            self.spent.append(pair)
         return True
 
     def orbit(self, i: int, j: int, m: int) -> tuple[tuple[int, int, int], ...]:
@@ -385,16 +391,15 @@ class PartialTable:
 
 
 class _Triple:
-    """An activated R3 triple: its nonzero-net expansion terms, the unknown
-    products it watches, and whether it is queued or finished."""
+    """An activated R3 triple: its nonzero-net expansion terms, how many of
+    their products are unknown, and whether it is finished."""
 
-    __slots__ = ("i", "j", "l", "terms", "watches", "queued", "done")
+    __slots__ = ("i", "j", "l", "terms", "unknown", "done")
 
     def __init__(self, i: int, j: int, l: int, terms):
         self.i, self.j, self.l = i, j, l
         self.terms = terms
-        self.watches: list[tuple[int, int]] = []
-        self.queued = False
+        self.unknown = 0
         self.done = False
 
 
@@ -413,7 +418,8 @@ class _Engine:
         self._claimed: set[tuple[int, int]] = set()
         self._partners: list[set[int]] = [set() for _ in range(k)]
         self._triples: dict[tuple[int, int, int], _Triple] = {}
-        self._watch: dict[tuple[int, int], list[_Triple]] = {}
+        # activated triples listed under each unknown product of their expansion
+        self._waiting: dict[tuple[int, int], list[_Triple]] = {}
         self._agenda: deque[_Triple] = deque()
         # the decomposition count shared by every search: states keyed by
         # (suffix id, degree left, squares left), suffix ids keyed by
@@ -471,37 +477,31 @@ class _Engine:
                 for x in self._partners[j]:
                     if x and x != other:
                         self._activate(min(other, x), j, max(other, x))
-        for t in self._watch.pop(pair, ()):
-            if not t.done and pair in t.watches:
-                self._rewatch(t)
+        for t in self._waiting.pop(pair, ()):
+            t.unknown -= 1
+            if t.unknown < 2:
+                self._agenda.append(t)
 
     # -- R1: pure degree rule ------------------------------------------------
 
-    def r1_scan(self) -> bool:
+    def r1_process(self) -> bool:
+        """Fill with zeros every product a write left with no remainder; a
+        product whose known part exceeds its degree is a contradiction."""
         p = self.p
+        spent = p.spent
         fired = False
-        for pair in p.pending_pairs():
+        while spent:
+            pair = spent.popleft()
             if pair in p.rows:
-                continue  # resolved by a sync within this scan
+                continue
             self.stats.attempts["R1"] += 1
-            row = p.cells[pair]
-            rem = p._rem[pair]
-            if rem < 0:
+            if p._rem[pair] < 0:
                 raise Contradiction(
                     p.names(pair) + ("degree",),
                     f"known part of {p.names(pair)} already exceeds the degree identity",
                 )
-            if rem == 0:
-                self._resolve("R1", None, pair, {m: v for m, v in enumerate(row) if v})
-                fired = True
-                continue
-            smallest = next(m for m in self._by_degree if row[m] is None)
-            if p.deg[smallest] > rem:
-                raise Contradiction(
-                    p.names(pair) + ("degree",),
-                    f"remainder of degree {rem} in {p.names(pair)} cannot be met by any "
-                    "undetermined constituent",
-                )
+            self._resolve("R1", None, pair, {m: v for m, v in enumerate(p.cells[pair]) if v})
+            fired = True
         return fired
 
     # -- R3: associativity -----------------------------------------------------
@@ -532,23 +532,12 @@ class _Engine:
             return
         self.stats.r3_activated += 1
         t = self._triples[(i, j, l)] = _Triple(i, j, l, terms)
-        self._rewatch(t)
-
-    def _rewatch(self, t: _Triple) -> None:
-        """Watch two unknown products of t, or queue t when fewer remain."""
         rows = self.p.rows
-        watches = []
-        for q, _ in t.terms:
+        for q, _ in terms:
             if q not in rows:
-                watches.append(q)
-                if len(watches) == 2:
-                    break
-        for q in watches:
-            if q not in t.watches:
-                self._watch.setdefault(q, []).append(t)
-        t.watches = watches
-        if len(watches) < 2 and not t.queued:
-            t.queued = True
+                t.unknown += 1
+                self._waiting.setdefault(q, []).append(t)
+        if t.unknown < 2:
             self._agenda.append(t)
 
     def r3_process(self) -> bool:
@@ -556,12 +545,9 @@ class _Engine:
         agenda = self._agenda
         while agenda:
             t = agenda.popleft()
-            t.queued = False
             if t.done:
                 continue
             self.stats.attempts["R3"] += 1
-            # _rewatch queued t watching all its unknown products, so a t
-            # left undecided already watches the one it waits for
             if self._evaluate(t) is _FIRED:
                 fired = True
         return fired
@@ -669,7 +655,7 @@ class _Engine:
             if self._conjugate_primary(pair) != pair:
                 continue
             solutions = self._solve_entry(pair)
-            if not solutions:
+            if solutions is None:
                 continue
             if len(solutions) == 1:
                 self._resolve("R4", None, pair, solutions[0][1])
@@ -693,15 +679,12 @@ class _Engine:
 
     def _solve_entry(self, pair: tuple[int, int]) -> Optional[list]:
         """The decompositions of the remainder of ``pair`` that meet its
-        inner products, as ``_search`` returns them; None when the product
-        needs no search or its search was capped."""
+        inner products, as ``_search`` returns them; None when its search
+        was capped.  R1 has drained every product with no remainder."""
         p = self.p
         i, j = pair
         row = p.cells[pair]
         rem = p._rem[pair]
-        if not p._open[pair] or rem <= 0:
-            return None
-        self.stats.attempts["R4"] += 1
         s_exact = self._inner_exact(i, j)
         budget2 = None
         if s_exact is not None:
@@ -712,8 +695,7 @@ class _Engine:
                     f"{p.names(pair)} already exceeds its inner product {s_exact}",
                 )
         candidates = [m for m in self._by_degree if row[m] is None and p.deg[m] <= rem]
-        if not candidates:
-            return None  # r1_scan raises on the impossible case
+        self.stats.attempts["R4"] += 1
         solutions = self._search(row, rem, candidates, budget2, self._reality_mass(i, j))
         if solutions is None:
             self._overflowed.append(pair)
@@ -723,8 +705,8 @@ class _Engine:
         if not solutions:
             raise Contradiction(
                 p.names(pair) + ("no-decomposition",),
-                f"no decomposition of the remainder of {p.names(pair)} satisfies the "
-                "inner-product constraints",
+                f"no decomposition of the remainder of {p.names(pair)} satisfies its "
+                "degree and inner-product constraints",
             )
         return solutions
 
@@ -735,7 +717,6 @@ class _Engine:
         (assignment, full row) pairs; None when more than
         DECOMPOSITION_LIMIT decompositions meet the degree and square
         budgets.  ``candidates`` ascend by degree."""
-        self.stats.solver_searches += 1
         limit = DECOMPOSITION_LIMIT
         deg, dual = self.p.deg, self.p.dual
         degrees = [deg[m] for m in candidates]
@@ -771,10 +752,12 @@ class _Engine:
                 counts[key] = total
             return total
 
-        over = count(0, rem, budget2) > limit
+        total = count(0, rem, budget2)
         self.stats.solver_count_states = len(counts)
-        if over:
+        if total > limit:
             return None
+        if not total:
+            return []
         base = {m: v for m, v in enumerate(row) if v}
         solutions: list[tuple[dict[int, int], dict[int, int]]] = []
         assign: dict[int, int] = {}
@@ -882,7 +865,7 @@ class _Engine:
             self._claimed.update(p.rows)
             self._timed("seed", self.sync)
             phases = (
-                ("R1", self.r1_scan),
+                ("R1", self.r1_process),
                 ("R3", self.r3_process),
                 ("R4", self.solver_scan),
                 ("sweep", self.r3_full_sweep),

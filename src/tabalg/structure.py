@@ -35,7 +35,6 @@ __all__ = [
     "is_group_like",
 ]
 
-LATTICE_SIZE_CAP = 64
 LATTICE_NODE_CAP = 4096
 
 
@@ -116,10 +115,8 @@ def all_closed_subsets(algebra: TableAlgebra) -> list[ClosedSubset]:
     Every closed subset is the join of the closures of its members, so a
     worklist that joins each subset found with each distinct singleton
     closure reaches all of them.  Sorted by size, then lexicographically by
-    member indices.  Capped at basis size 64 and 4096 lattice nodes.
+    member indices.  Capped at ``LATTICE_NODE_CAP`` lattice nodes.
     """
-    if algebra.size > LATTICE_SIZE_CAP:
-        raise TableAlgebraError(f"subset lattice capped at basis size {LATTICE_SIZE_CAP}")
     found: dict[frozenset[int], ClosedSubset] = {}
     worklist: list[frozenset[int]] = []
 

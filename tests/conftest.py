@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
-from tabalg import bundled, load
+from tabalg import load
 from tabalg.deduction import PartialTable, propagate
 
 
@@ -27,11 +27,6 @@ def D17():
 @pytest.fixture(scope="session")
 def C7():
     return load("C7")
-
-
-@pytest.fixture(scope="session")
-def all_bundled():
-    return bundled()
 
 
 LEMMA72_D_NAMES = [

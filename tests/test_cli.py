@@ -323,8 +323,6 @@ def test_each_command_imports_only_its_layer(argv, layers):
 
 
 def test_star_import_binds_the_defining_objects():
-    # tabalg.cli imports the submodule tabalg.bundled first, which must not
-    # shadow the function tabalg.bundled
     script = (
         "import sys, tabalg.cli, tabalg\n"
         "from tabalg import *\n"
@@ -333,7 +331,6 @@ def test_star_import_binds_the_defining_objects():
         "    assert value.__module__.startswith('tabalg.'), name\n"
         "    assert value is getattr(sys.modules[value.__module__], name), name\n"
         "    assert getattr(tabalg, name) is value, name\n"
-        "assert callable(tabalg.bundled) and len(tabalg.bundled()) > 0\n"
         "try:\n"
         "    tabalg.no_such_name\n"
         "except AttributeError:\n"

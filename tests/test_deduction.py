@@ -19,6 +19,7 @@ from tabalg.deduction import PartialTable
 
 from conftest import LEMMA72_D_NAMES, lemma72_seed
 from oracles import psl27_fusion
+from test_core import B32_PRINTED_LINES, b32_as_printed
 
 LEMMA72_FIRST_BLOCK = [
     ("b3", "b3bar", {"1": 1, "b8": 1}),
@@ -56,6 +57,10 @@ def theorem41_seed():
     )
 
 
+THEOREM41_WITNESS = ("b3", "b3", "b3bar")
+THEOREM41_MESSAGE = "forces a negative coefficient of b6bar in b3bar*b6"
+
+
 class TestPropagate:
     def test_lemma72_first_block(self, B32, lemma72_run):
         table, trace = lemma72_run
@@ -85,11 +90,14 @@ class TestPropagate:
     def test_theorem41_contradiction(self):
         trace = propagate(theorem41_seed())[1]
         assert trace.status == "contradiction"
-        assert trace.witness is not None
+        assert trace.witness == THEOREM41_WITNESS
+        assert trace.message.endswith(THEOREM41_MESSAGE)
 
     def test_contradiction_even_with_naming(self):
         trace = propagate(theorem41_seed(), introduce_names=True)[1]
         assert trace.status == "contradiction"
+        assert trace.witness == THEOREM41_WITNESS
+        assert trace.message.endswith(THEOREM41_MESSAGE)
 
     def test_under_seeded_stalls(self, B32):
         idx = B32.basis.index_of
@@ -97,6 +105,42 @@ class TestPropagate:
         trace = propagate(seed, introduce_names=True)[1]
         assert trace.status == "stalled"
         assert trace.unresolved
+
+
+class TestRefutations:
+    @pytest.mark.parametrize("lines, witness", zip(B32_PRINTED_LINES, [
+        ("c8", "b6", "d3"), ("x6", "x15", "d3bar"), ("x6", "b9", "c9bar"),
+    ]))
+    def test_b32_as_printed(self, lines, witness):
+        """Each of the three lines as printed in the paper breaks the
+        normalization symmetry, which R2 finds before any step."""
+        A = b32_as_printed(*lines)
+        k = A.size
+        seed = PartialTable.from_subtable(A, [(i, j) for i in range(1, k) for j in range(i, k)])
+        _, trace = propagate(seed)
+        assert trace.status == "contradiction"
+        assert trace.steps == []
+        assert trace.witness == witness
+        assert trace.message.startswith("conflicting values")
+
+    @pytest.mark.parametrize("naming", [False, True])
+    def test_negative_remainder(self, B32, naming):
+        """5 c3 in b3*b3 has degree 15 > 9."""
+        idx = B32.basis.index_of
+        seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
+        seed.set_cell(idx("b3"), idx("b3"), idx("c3"), 5)
+        _, trace = propagate(seed, introduce_names=naming)
+        assert trace.status == "contradiction"
+        assert trace.steps == []
+        assert trace.witness[-1] == "degree"
+        assert trace.message.endswith("already exceeds the degree identity")
+
+    def test_negative_value_is_refused_at_once(self, B32):
+        seed = PartialTable(B32.basis)
+        with pytest.raises(deduction.Contradiction) as err:
+            seed.set_cell(1, 1, 2, -1)
+        assert err.value.witness[-1] == B32.basis.name(2)
+        assert "negative coefficient" in str(err.value)
 
 
 class TestR4Contradictions:
@@ -113,6 +157,22 @@ class TestR4Contradictions:
         assert trace.status == "contradiction"
         assert len(trace.steps) == 1
         assert trace.witness == ("b3", "b3", "no-decomposition")
+
+    @pytest.mark.parametrize("naming", [False, True])
+    def test_no_constituent_fits(self, B32, naming):
+        """With every coefficient of degree at most 9 in b3*b3 zero, no
+        constituent fits its remainder of 9: the search counts no
+        decomposition."""
+        idx = B32.basis.index_of
+        seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
+        for m, e in enumerate(B32.basis):
+            if e.degree <= 9:
+                seed.set_cell(idx("b3"), idx("b3"), m, 0)
+        _, trace = propagate(seed, introduce_names=naming)
+        assert trace.status == "contradiction"
+        assert trace.steps == []
+        assert trace.witness == ("b3", "b3", "no-decomposition")
+        assert "degree and inner-product constraints" in trace.message
 
     @pytest.mark.parametrize("naming", [False, True])
     def test_inner(self, B32, naming):
@@ -438,11 +498,9 @@ class TestAgenda:
         assert engine.stats.r3_activated == len(expected)
 
     def test_sweep_recovers_from_a_broken_agenda(self, B22, monkeypatch):
-        def never_queue(self, t):
-            t.watches = []
-
-        # R4 alone would complete this seed without R3, so it is stubbed too
-        monkeypatch.setattr(deduction._Engine, "_rewatch", never_queue)
+        # the agenda is dropped unevaluated; R4 alone would complete this
+        # seed without R3, so it is stubbed too
+        monkeypatch.setattr(deduction._Engine, "r3_process", lambda self: self._agenda.clear())
         monkeypatch.setattr(deduction._Engine, "solver_scan", lambda self: False)
         seed, naming = _third("B22", 1)
         table, trace = propagate(seed, introduce_names=naming)
@@ -482,7 +540,43 @@ class TestAgenda:
         _, trace = propagate(seed, introduce_names=naming)
         assert searched
         assert len(set(searched)) == len(searched)
-        assert trace.stats.solver_searches == len(searched)
+        assert trace.stats.attempts["R4"] == len(searched)
+
+    @pytest.mark.parametrize("name", ["Lemma72", "B32third1", "D17third2"])
+    def test_counter_invariant_holds_after_every_sync(self, name, monkeypatch):
+        """After every sync each activated triple counts exactly its unknown
+        products, and one that is not done with a count of at most one is
+        on the agenda, unless it waits on a product of net coefficient
+        other than +-1."""
+        sync = deduction._Engine.sync
+        checked = []
+
+        def checked_sync(self):
+            sync(self)
+            rows = self.p.rows
+            on_agenda = set(map(id, self._agenda))
+            for t in self._triples.values():
+                unknown = [c for q, c in t.terms if q not in rows]
+                assert t.unknown == len(unknown)
+                if not t.done and len(unknown) < 2 and id(t) not in on_agenda:
+                    assert len(unknown) == 1 and abs(unknown[0]) != 1
+            checked.append(len(self._triples))
+
+        monkeypatch.setattr(deduction._Engine, "sync", checked_sync)
+        seed, naming = _seed(name)
+        _, trace = propagate(seed, introduce_names=naming)
+        assert trace.status == "completed"
+        # one sync at seed and one per step that is not R2
+        firings = trace.stats.firings
+        assert len(checked) == 1 + firings["R1"] + firings["R3"] + firings["R4"]
+        assert checked[-1] > 0
+
+    def test_r1_attempts_only_products_whose_remainder_reached_zero(self, B32, lemma72_run):
+        # a scan of every pending product after each firing made 7,257
+        _, trace = lemma72_run
+        pending = len(lemma72_seed(B32).pending_pairs())
+        assert pending == 357
+        assert trace.stats.attempts["R1"] <= pending
 
     def test_lemma72_fixed_point(self, lemma72_run):
         table, trace = lemma72_run
@@ -519,7 +613,7 @@ class TestAgenda:
         _, trace = lemma72_run
         facts = dict(trace.stats.facts())
         assert facts["stats.solver.count_states"] > 0
-        assert facts["stats.solver.searches"] > 0
+        assert facts["stats.R4.attempts"] > 0
         assert not any("gated" in key or "nodes" in key for key in facts)
 
 

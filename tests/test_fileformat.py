@@ -82,6 +82,31 @@ product abar abar = 2 abar
             parse(MINI.replace("product g g2 = 1\n", ""))
         assert "incomplete" in str(err.value)
 
+    @pytest.mark.parametrize("text, fragment, line_no", [
+        (MINI.replace("= g2\n", "= g2 +\n"), "trailing '+'", 4),
+        (MINI.replace("= g2\n", "= x g2\n"), "bad coefficient 'x'", 4),
+        (MINI.replace("= g2\n", "= 2 3 g2\n"), "malformed term '2 3 g2'", 4),
+        (MINI.replace("= g2\n", "= 0 g2\n"), "coefficient must be positive, got 0", 4),
+        (MINI + "algebra other\n", "duplicate algebra header", 7),
+        (MINI.replace("algebra mini", "algebra mini extra"), "expected: algebra <name>", 1),
+        (MINI + "assume no-degree-3\n", "unknown flag 'no-degree-3'", 7),
+        (MINI + "element h degree 1\n", "expected: element <name> degree <int> dual <name>", 7),
+        (MINI + "element 9h degree 1 dual 9h\n", "bad element name '9h'", 7),
+        (MINI + "element h degree x dual h\n", "bad degree 'x'", 7),
+        (MINI + "product g g2 1\n", "expected: product <name> <name> = <expr>", 7),
+        (MINI.replace("algebra mini\n", ""), "missing 'algebra <name>' header", None),
+        (MINI + "element g degree 1 dual g2\n", "duplicate element 'g'", 7),
+        (MINI + "element h degree 0 dual h\n", "element 'h' has degree 0", 7),
+        (MINI + "element h degree 1 dual hbar\n", "unknown dual name 'hbar'", 7),
+        (MINI + "product 1 g = g2\n", "identity product must reproduce the other factor", 7),
+    ])
+    def test_rejections(self, text, fragment, line_no):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert fragment in str(err.value)
+        assert err.value.line_no == line_no
+        assert str(err.value).startswith(f"line {line_no}: " if line_no else fragment)
+
     def test_partial_parse_allows_holes(self):
         name, basis, products = parse_partial(MINI.replace("product g g2 = 1\n", ""))
         assert name == "mini"

@@ -8,6 +8,7 @@ from tabalg import (
     Element,
     MalformedElementError,
     TableAlgebra,
+    TableAlgebraError,
     TableBasis,
     all_closed_subsets,
     closure,
@@ -17,6 +18,7 @@ from tabalg import (
     quotient_by,
     restrict,
 )
+from tabalg import structure
 from tabalg.structure import ClosedSubset
 
 from oracles import class_algebra_tensor, cyclic, direct_product, klein_four, subgroup_class_unions, symmetric3
@@ -131,6 +133,17 @@ class TestLattice:
     def test_z6_lattice_is_divisor_lattice(self):
         A = oracle_algebra(cyclic(6))
         assert sorted(len(s) for s in all_closed_subsets(A)) == [1, 2, 3, 6]
+
+    def test_z66_lattice_is_divisor_lattice(self):
+        # k = 66: the lattice is bounded by its node count, not by k
+        A = oracle_algebra(cyclic(66))
+        assert A.size == 66
+        assert sorted(len(s) for s in all_closed_subsets(A)) == [1, 2, 3, 6, 11, 22, 33, 66]
+
+    def test_node_cap(self, B32, monkeypatch):
+        monkeypatch.setattr(structure, "LATTICE_NODE_CAP", 3)
+        with pytest.raises(TableAlgebraError, match="exceeded 3 nodes"):
+            all_closed_subsets(B32)
 
 
 class TestPowers:
