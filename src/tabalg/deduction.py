@@ -39,24 +39,23 @@ expanding both sides writes it over the products (m, l) for m in b_i b_j
 and (i, m) for m in b_j b_l.  T is *activated* when (i, j) and (j, l) are
 both known; from then on the net coefficient of every product in its
 expansion is fixed.  A product whose contributions cancel to a net
-coefficient 0 drops out of T at activation: R3 ignores it, so it never
-keeps T from being decided.  T is decidable when at most one of its
-remaining products is unknown: with none it is checked for an
-associativity contradiction, with one of net coefficient +-1 that product
-is solved.  Each activated T is listed under each unknown product of its
-expansion and counts them; after every sync the count is exact.  A product
-becoming known lowers the count of every triple listed under it, and T
-goes on the agenda when its count is at most one at activation and again
-each time it falls to one or to none.  So every triple is evaluated as
-soon as it is decidable, and a triple stuck on a non-unit coefficient
-again when that product becomes known.  Propagation never retracts a fact,
-so a count only falls and watched pairs, which pay only when backtracking
-must undo work, are not needed.  Triples are taken up to two symmetries
-of the rule: (l, j, i) negates every net coefficient, and the involution
-maps T to (ibar, jbar, lbar), under which R2 keeps the known products
-closed.  So only T with 0 < i < l and T no larger than its conjugate is
-activated; a triple with the identity as a factor or i = l expands to
-nothing.
+coefficient 0 drops out of T at activation: R3 ignores it.  R3 can fire
+only on a T with exactly one unknown product, of net coefficient +-1, and
+solves that product as an exact difference.  A T activated with every
+product known can never fire: it is counted but not stored, and its
+associativity is left to the certificate.  Every other activated T is
+listed under each unknown product of its expansion and counts them; after
+every sync the count is exact.  A product becoming known lowers the count
+of every triple listed under it, and T goes on the agenda when its count
+is one at activation or falls to one.  So every triple is evaluated once,
+as soon as it has one unknown product; one whose count reaches zero before
+it is taken up is skipped.  Propagation never retracts a fact, so a count
+only falls and watched pairs, which pay only when backtracking must undo
+work, are not needed.  Triples are taken up to two symmetries of the
+rule: (l, j, i) negates every net coefficient, and the involution maps T
+to (ibar, jbar, lbar), under which R2 keeps the known products closed.  So
+only T with 0 < i < l and T no larger than its conjugate is activated; a
+triple with the identity as a factor or i = l expands to nothing.
 
 The R4 search.  The decompositions of a pending product's remainder are
 the assignments to its unknown coefficients that meet the degree and, when
@@ -75,21 +74,22 @@ product once, fires the first with exactly one decomposition, and only
 when there is none tries naming on the ambiguous products it already
 holds.
 
-The certificate.  When no rule fires, ``r3_full_sweep`` enumerates every
-triple whose factors are known, once, and evaluates each one the agenda
-has not decided.  A decided triple was evaluated on frozen rows, so its
-answer cannot change.  A firing in the sweep would mean the agenda missed
-a triple; it is counted in ``DeductionStats.sweep_firings``.  A table
-that completes is re-verified by ``verify_axioms``, which shares no code
-with the rules; if any axiom check fails, the status is ``contradiction``
-and the message names the failed checks.
+The certificate.  The agenda checks no triple whose products are all
+known; the certificate does.  A table that completes is re-verified by
+``verify_axioms``, which certifies every axiom, associativity included; if
+any check fails, the status is ``contradiction`` and the message names the
+failed checks.  When no rule fires and products are still pending,
+``r3_full_sweep`` enumerates every triple whose factors are known, once,
+and evaluates each one the agenda has not decided: those never stored and
+those stored but not done.  A decided triple was evaluated on frozen rows,
+so its answer cannot change.  A firing in the sweep would mean the agenda
+missed a triple; it is counted in ``DeductionStats.sweep_firings``.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass, field
 from math import isqrt
 from typing import Mapping, Optional
 
@@ -115,13 +115,9 @@ class Contradiction(TableAlgebraError):
         super().__init__(message)
 
 
-@dataclass
 class DeductionStep:
-    number: int
-    rule: str
-    triple: tuple[str, str, str]
-    entry: tuple[str, str]
-    value: str
+    def __init__(self, number: int, rule: str, triple: tuple[str, str, str], entry: tuple[str, str], value: str):
+        self.number, self.rule, self.triple, self.entry, self.value = number, rule, triple, entry, value
 
     def line(self) -> str:
         i, j, l = self.triple
@@ -131,34 +127,33 @@ class DeductionStep:
         )
 
 
-def _per_rule() -> dict[str, int]:
-    return dict.fromkeys(RULES, 0)
-
-
-@dataclass
 class DeductionStats:
     """What one propagation did.
 
     ``attempts`` per rule: R1 counts pending products whose remainder
     reached zero, R2 coefficients transported around their orbits, R3
-    agenda evaluations of a decidable triple, R4 searches.  ``firings``
-    counts the trace's steps per rule; naming steps are R1.  ``seconds`` is
-    the time of each phase of the main loop, syncs included, and of the
-    ``recheck`` of a completed table; naming shares R4's scan, so its time
-    is under ``R4``.
+    agenda evaluations of a triple with exactly one unknown product, R4
+    searches.  ``firings`` counts the trace's steps per rule; naming steps
+    are R1.  ``r3_activated`` counts the triples activated with a nonzero
+    net expansion, stored or not.  The sweep runs only on a stall, when no
+    rule fires and products are still pending; ``sweep_triples`` counts the
+    triples it enumerated.  ``seconds`` is the time of each phase of the
+    main loop, syncs included, and of the ``recheck`` of a completed table;
+    naming shares R4's scan, so its time is under ``R4``.
     """
 
-    attempts: dict[str, int] = field(default_factory=_per_rule)
-    firings: dict[str, int] = field(default_factory=_per_rule)
-    r3_activated: int = 0
-    # states of the shared decomposition count, each computed once
-    solver_count_states: int = 0
-    solver_overflows: int = 0
-    # the capped pairs, as an insertion-ordered set
-    overflow_pairs: dict[tuple[str, str], None] = field(default_factory=dict)
-    sweep_triples: int = 0
-    sweep_firings: int = 0
-    seconds: dict[str, float] = field(default_factory=dict)
+    def __init__(self):
+        self.attempts = dict.fromkeys(RULES, 0)
+        self.firings = dict.fromkeys(RULES, 0)
+        self.r3_activated = 0
+        # states of the shared decomposition count, each computed once
+        self.solver_count_states = 0
+        self.solver_overflows = 0
+        # the capped pairs, as an insertion-ordered set
+        self.overflow_pairs: dict[tuple[str, str], None] = {}
+        self.sweep_triples = 0
+        self.sweep_firings = 0
+        self.seconds: dict[str, float] = {}
 
     def facts(self) -> list[tuple[str, object]]:
         """The counters as ``(key, value)`` pairs, in a fixed order."""
@@ -178,17 +173,17 @@ class DeductionStats:
         return out
 
 
-@dataclass
 class DeductionTrace:
-    steps: list[DeductionStep] = field(default_factory=list)
-    status: str = "stalled"  # completed | stalled | contradiction
-    witness: Optional[tuple] = None
-    message: str = ""
-    unresolved: tuple[tuple[str, str], ...] = ()
-    # pending products with more than DECOMPOSITION_LIMIT decompositions at
-    # the final fixed point of a stall: with a larger limit they might resolve
-    capped: tuple[tuple[str, str], ...] = ()
-    stats: DeductionStats = field(default_factory=DeductionStats, compare=False, repr=False)
+    def __init__(self):
+        self.steps: list[DeductionStep] = []
+        self.status = "stalled"  # completed | stalled | contradiction
+        self.witness: Optional[tuple] = None
+        self.message = ""
+        self.unresolved: tuple[tuple[str, str], ...] = ()
+        # pending products with more than DECOMPOSITION_LIMIT decompositions at
+        # the final fixed point of a stall: with a larger limit they might resolve
+        self.capped: tuple[tuple[str, str], ...] = ()
+        self.stats = DeductionStats()
 
     def serialize(self) -> str:
         lines = [s.line() for s in self.steps]
@@ -288,6 +283,10 @@ class PartialTable:
     def names(self, pair: tuple[int, int]) -> tuple[str, str]:
         return (self.basis.name(pair[0]), self.basis.name(pair[1]))
 
+    def label(self, pair: tuple[int, int]) -> str:
+        """The product of ``pair`` as ``a*b``."""
+        return "{}*{}".format(*self.names(pair))
+
     def copy(self) -> "PartialTable":
         out = PartialTable.__new__(PartialTable)
         out.basis = self.basis
@@ -317,7 +316,7 @@ class PartialTable:
         total = sum(c * self.deg[m] for m, c in coeffs.items())
         if total != self.deg[i] * self.deg[j]:
             raise TableAlgebraError(
-                f"product {self.basis.name(i)}*{self.basis.name(j)} violates the degree identity"
+                f"product {self.label((i, j))} violates the degree identity"
             )
         for m in range(self.k):
             self.set_cell(i, j, m, coeffs.get(m, 0))
@@ -336,8 +335,7 @@ class PartialTable:
         if v < 0:
             raise Contradiction(
                 self.names(pair) + (self.basis.name(m),),
-                f"negative coefficient of {self.basis.name(m)} in "
-                f"{self.basis.name(pair[0])}*{self.basis.name(pair[1])}",
+                f"negative coefficient of {self.basis.name(m)} in {self.label(pair)}",
             )
         row = self.cells[pair]
         old = row[m]
@@ -346,7 +344,7 @@ class PartialTable:
                 raise Contradiction(
                     self.names(pair) + (self.basis.name(m),),
                     f"conflicting values {old} and {v} for coefficient of "
-                    f"{self.basis.name(m)} in {self.basis.name(pair[0])}*{self.basis.name(pair[1])}",
+                    f"{self.basis.name(m)} in {self.label(pair)}",
                 )
             return False
         row[m] = v
@@ -357,8 +355,7 @@ class PartialTable:
             if rem != 0:
                 raise Contradiction(
                     self.names(pair) + ("degree",),
-                    f"completed product {self.basis.name(pair[0])}*{self.basis.name(pair[1])} "
-                    f"misses the degree identity by {rem}",
+                    f"completed product {self.label(pair)} misses the degree identity by {rem}",
                 )
             self.rows[pair] = tuple((n, w) for n, w in enumerate(row) if w)
             self.newly_known.append(pair)
@@ -368,44 +365,35 @@ class PartialTable:
 
     def orbit(self, i: int, j: int, m: int) -> tuple[tuple[int, int, int], ...]:
         """Closure of the coefficient position (i, j, m) under commutativity,
-        the involution and the normalization symmetry (i, j, m) -> (jbar, m, i),
-        as positions (a, b, c) with a <= b."""
+        the involution and the normalization symmetry (a, b, c) -> (bbar, c, a),
+        as positions (a, b, c) with a <= b.  That symmetry has order six, its
+        cube is the involution, and commutativity inverts it; so the closure
+        is the canonical forms of its six powers: (a, b, c), (abar, bbar,
+        cbar), (bbar, c, a), (b, cbar, abar), (abar, c, b), (a, cbar, bbar)."""
         start = (*_canon(i, j), m)
         out = self._orbits.get(start)
         if out is None:
-            seen = set()
-            stack = [start]
-            while stack:
-                t = stack.pop()
-                if t in seen:
-                    continue
-                seen.add(t)
-                a, b, c = t
-                stack.append((b, a, c))
-                stack.append((self.dual[a], self.dual[b], self.dual[c]))
-                stack.append((self.dual[b], c, a))
-            out = tuple(sorted({(*_canon(a, b), c) for a, b, c in seen}))
+            a, b, c = start
+            d = self.dual
+            images = ((a, b, c), (d[a], d[b], d[c]), (d[b], c, a), (b, d[c], d[a]), (d[a], c, b), (a, d[c], d[b]))
+            out = tuple(sorted({(*_canon(x, y), z) for x, y, z in images}))
             for t in out:
                 self._orbits[t] = out
         return out
 
 
 class _Triple:
-    """An activated R3 triple: its nonzero-net expansion terms, how many of
-    their products are unknown, and whether it is finished."""
+    """An R3 triple: its nonzero-net expansion terms, how many of their
+    products are unknown (counted for a stored triple, 0 for one the sweep
+    builds), and whether it is finished."""
 
     __slots__ = ("i", "j", "l", "terms", "unknown", "done")
 
-    def __init__(self, i: int, j: int, l: int, terms):
+    def __init__(self, i: int, j: int, l: int, terms, unknown: int):
         self.i, self.j, self.l = i, j, l
         self.terms = terms
-        self.unknown = 0
+        self.unknown = unknown
         self.done = False
-
-
-# outcomes of deciding a triple
-_FIRED = "fired"
-_CHECKED = "checked"
 
 
 class _Engine:
@@ -479,7 +467,7 @@ class _Engine:
                         self._activate(min(other, x), j, max(other, x))
         for t in self._waiting.pop(pair, ()):
             t.unknown -= 1
-            if t.unknown < 2:
+            if t.unknown == 1:
                 self._agenda.append(t)
 
     # -- R1: pure degree rule ------------------------------------------------
@@ -498,7 +486,7 @@ class _Engine:
             if p._rem[pair] < 0:
                 raise Contradiction(
                     p.names(pair) + ("degree",),
-                    f"known part of {p.names(pair)} already exceeds the degree identity",
+                    f"known part of {p.label(pair)} already exceeds the degree identity",
                 )
             self._resolve("R1", None, pair, {m: v for m, v in enumerate(p.cells[pair]) if v})
             fired = True
@@ -531,13 +519,14 @@ class _Engine:
         if not terms:
             return
         self.stats.r3_activated += 1
-        t = self._triples[(i, j, l)] = _Triple(i, j, l, terms)
         rows = self.p.rows
-        for q, _ in terms:
-            if q not in rows:
-                t.unknown += 1
-                self._waiting.setdefault(q, []).append(t)
-        if t.unknown < 2:
+        unknown = [q for q, _ in terms if q not in rows]
+        if not unknown:
+            return
+        t = self._triples[(i, j, l)] = _Triple(i, j, l, terms, len(unknown))
+        for q in unknown:
+            self._waiting.setdefault(q, []).append(t)
+        if t.unknown == 1:
             self._agenda.append(t)
 
     def r3_process(self) -> bool:
@@ -545,18 +534,23 @@ class _Engine:
         agenda = self._agenda
         while agenda:
             t = agenda.popleft()
-            if t.done:
+            if t.done or not t.unknown:
                 continue
             self.stats.attempts["R3"] += 1
-            if self._evaluate(t) is _FIRED:
+            if self._evaluate(t):
                 fired = True
         return fired
 
     def r3_full_sweep(self) -> bool:
-        """Fixed-point certificate: every triple whose factors are known is
-        decided, or else evaluated now.  A decided triple was evaluated on
-        frozen rows, so evaluating it again would repeat the answer."""
+        """Stall certificate: evaluate every triple whose factors are known
+        and which the agenda has not decided, that is one activated with
+        every product known, never stored, or one stored and not done.  A
+        decided triple was evaluated on frozen rows, so evaluating it again
+        would repeat the answer.  With nothing pending there is no stall,
+        and the re-check of the completed table certifies associativity."""
         p = self.p
+        if len(p.rows) == len(p.cells):
+            return False
         fired = False
         for j in range(1, p.k):
             partners = sorted(x for x in self._partners[j] if x)
@@ -567,17 +561,17 @@ class _Engine:
                     t = self._triples.get((i, j, l))
                     self.stats.sweep_triples += 1
                     if t is None:
-                        t = _Triple(i, j, l, self._terms(i, j, l))
+                        t = _Triple(i, j, l, self._terms(i, j, l), 0)
                     elif t.done:
                         continue
-                    if t.terms and self._evaluate(t) is _FIRED:
+                    if t.terms and self._evaluate(t):
                         self.stats.sweep_firings += 1
                         fired = True
         return fired
 
-    def _evaluate(self, t: _Triple):
-        """Decide the triple t: _FIRED when it solved its one unknown
-        product, _CHECKED when it had none, None when two or more are
+    def _evaluate(self, t: _Triple) -> bool:
+        """Decide the triple t: True when it solved its one unknown product;
+        False when it had none and was checked, or when two or more are
         unknown or the one unknown product's net coefficient is not +-1.
         A decided t is marked done before its product is written.  Raises
         Contradiction when associativity cannot hold."""
@@ -588,10 +582,10 @@ class _Engine:
         for q, c in terms:
             if q not in rows:
                 if unknown is not None:
-                    return None
+                    return False
                 unknown = (q, c)
         if unknown is not None and abs(unknown[1]) != 1:
-            return None
+            return False
         known_part: dict[int, int] = {}
         get = known_part.get
         for q, c in terms:
@@ -609,7 +603,7 @@ class _Engine:
                     + ", ".join(p.basis.name(m) for m in bad),
                 )
             t.done = True
-            return _CHECKED
+            return False
         pair, net = unknown
         solved: dict[int, int] = {}
         for m, c in known_part.items():
@@ -618,13 +612,13 @@ class _Engine:
                 raise Contradiction(
                     names3,
                     f"triple {names3} forces a negative coefficient of "
-                    f"{p.basis.name(m)} in {p.basis.name(pair[0])}*{p.basis.name(pair[1])}",
+                    f"{p.basis.name(m)} in {p.label(pair)}",
                 )
             if value:
                 solved[m] = value
         t.done = True
         self._resolve("R3", names3, pair, solved)
-        return _FIRED
+        return True
 
     # -- R4 / R1b: inner-product constrained resolution --------------------------
 
@@ -692,7 +686,7 @@ class _Engine:
             if budget2 < 0:
                 raise Contradiction(
                     p.names(pair) + ("inner",),
-                    f"{p.names(pair)} already exceeds its inner product {s_exact}",
+                    f"{p.label(pair)} already exceeds its inner product {s_exact}",
                 )
         candidates = [m for m in self._by_degree if row[m] is None and p.deg[m] <= rem]
         self.stats.attempts["R4"] += 1
@@ -705,7 +699,7 @@ class _Engine:
         if not solutions:
             raise Contradiction(
                 p.names(pair) + ("no-decomposition",),
-                f"no decomposition of the remainder of {p.names(pair)} satisfies its "
+                f"no decomposition of the remainder of {p.label(pair)} satisfies its "
                 "degree and inner-product constraints",
             )
         return solutions

@@ -307,19 +307,20 @@ BASE_MODULES = {"tabalg", "tabalg.cli", "tabalg.core", "tabalg.fileformat", "tab
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_each_command_imports_only_its_layer(argv, layers):
-    # only the deduction engine may pay for dataclasses (and inspect, ast, dis)
+    # no command pays for dataclasses, nor for the inspect, ast and dis it imports
     script = (
         "import contextlib, io, sys, tabalg.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = tabalg.cli.run({argv!r})\n"
-        "print(code, 'dataclasses' in sys.modules, *sorted(m for m in sys.modules if m.startswith('tabalg')))\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules]\n"
+        "print(code, ','.join(heavy) or '-', *sorted(m for m in sys.modules if m.startswith('tabalg')))\n"
     )
     done = run_script(script)
     assert done.returncode == 0, done.stderr
-    code, dataclasses, *modules = done.stdout.split()
+    code, heavy, *modules = done.stdout.split()
     assert code == "0"
     assert set(modules) == BASE_MODULES | {f"tabalg.{layer}" for layer in layers}
-    assert dataclasses == str(argv[0] == "deduce")
+    assert heavy == "-"
 
 
 def test_star_import_binds_the_defining_objects():

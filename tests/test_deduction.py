@@ -1,7 +1,7 @@
 import random
 import re
 import zlib
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
@@ -55,6 +55,47 @@ def theorem41_seed():
             ("b3", "b3"): {2: 1, 3: 1},
         },
     )
+
+
+def d17_moved_coefficient(D17, rng):
+    """A random sample of D17's products, a half, a third or all of them,
+    with one coefficient of one sampled product moved to another element of
+    equal degree."""
+    k = D17.size
+    deg = [e.degree for e in D17.basis]
+    pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
+
+    def others(m):
+        return [n for n in range(k) if n != m and deg[n] == deg[m]]
+
+    sub = rng.sample(pairs, len(pairs) // rng.choice((1, 2, 3)))
+    known = {q: dict(D17.constants.row_items(*q)) for q in sub}
+    pair = rng.choice([q for q in sub if any(others(m) for m in known[q])])
+    m = rng.choice([m for m in sorted(known[pair]) if others(m)])
+    n = rng.choice(others(m))
+    row = known[pair]
+    row[n] = row.get(n, 0) + row.pop(m)
+    return PartialTable(D17.basis, known)
+
+
+def steiner_loop_seed(extra_degree=None):
+    """Every product of the Steiner loop of the affine plane of order 3: ten
+    real elements of degree 1, x*x = 1 and x*y = z for each line {x, y, z}.
+    It meets every axiom but associativity, so no rule refutes it.  With
+    ``extra_degree`` the basis gains a real element z of that degree, none
+    of whose products is known."""
+    points = list(product(range(3), repeat=2))
+    els = [BasisElement(0, "1", 1, 0)]
+    els += [BasisElement(a, f"p{x}{y}", 1, a) for a, (x, y) in enumerate(points, 1)]
+    if extra_degree:
+        els.append(BasisElement(len(els), "z", extra_degree, len(els)))
+    known = {}
+    for a, u in enumerate(points, 1):
+        known[(a, a)] = {0: 1}
+        for b, v in enumerate(points[a:], a + 1):
+            w = tuple((-x - y) % 3 for x, y in zip(u, v))
+            known[(a, b)] = {points.index(w) + 1: 1}
+    return PartialTable(TableBasis(els), known)
 
 
 THEOREM41_WITNESS = ("b3", "b3", "b3bar")
@@ -133,7 +174,19 @@ class TestRefutations:
         assert trace.status == "contradiction"
         assert trace.steps == []
         assert trace.witness[-1] == "degree"
-        assert trace.message.endswith("already exceeds the degree identity")
+        assert trace.message == "known part of b3*b3 already exceeds the degree identity"
+
+    @pytest.mark.parametrize("naming", [False, True])
+    def test_moved_coefficient_is_refuted_after_the_agenda(self, D17, naming):
+        """b10*b10 with its b5 moved to c5, in a sample of D17.  An engine
+        that checked every triple whose products were all known refuted
+        this at step 78, on (b3, b6, b10); the agenda skips such triples, so
+        propagation runs on until a completed product misses its degree."""
+        _, trace = propagate(d17_moved_coefficient(D17, random.Random(95)), introduce_names=naming)
+        assert trace.status == "contradiction"
+        assert len(trace.steps) == 84
+        assert trace.witness == ("b5", "b10", "degree")
+        assert trace.message == "completed product b5*b10 misses the degree identity by 20"
 
     def test_negative_value_is_refused_at_once(self, B32):
         seed = PartialTable(B32.basis)
@@ -157,6 +210,7 @@ class TestR4Contradictions:
         assert trace.status == "contradiction"
         assert len(trace.steps) == 1
         assert trace.witness == ("b3", "b3", "no-decomposition")
+        assert trace.message.startswith("no decomposition of the remainder of b3*b3 satisfies")
 
     @pytest.mark.parametrize("naming", [False, True])
     def test_no_constituent_fits(self, B32, naming):
@@ -185,6 +239,7 @@ class TestR4Contradictions:
         assert trace.status == "contradiction"
         assert trace.steps == []
         assert trace.witness == ("b3", "b3", "inner")
+        assert trace.message == "b3*b3 already exceeds its inner product 2"
 
 
 class TestLemma22:
@@ -331,6 +386,17 @@ class TestCompletionRecheck:
         assert trace.serialize().endswith("STATUS contradiction WITNESS 1,2,3,4\n")
 
 
+    def test_recheck_refutes_a_non_associative_table(self):
+        """No rule checks a triple whose products are all known, so only the
+        re-check refutes a complete table that fails associativity alone."""
+        _, trace = propagate(steiner_loop_seed())
+        assert trace.status == "contradiction"
+        assert trace.steps == []
+        assert trace.message == "completed table fails the axiom re-check: FAIL (associativity)"
+        assert trace.witness == (1, 2, 4, 5)
+        assert trace.stats.attempts["R3"] == 0
+
+
 class TestFullCompletion:
     def test_lemma72_completes_all_of_B32(self, B32, lemma72_run):
         """The naming convention turns the Lemma-7.2 seed into the whole
@@ -389,6 +455,44 @@ def naive_r3_findings(table):
     return found
 
 
+def nonzero_net_representatives(table):
+    """Every triple (i, j, l) of a completed table that the agenda takes as
+    the representative of its symmetry class, mapped to its nonzero net
+    expansion {product: coefficient}."""
+    k, d = table.k, table.dual
+    out = {}
+    for i in range(1, k):
+        for j in range(1, k):
+            for l in range(i + 1, k):
+                if (i, j, l) > (min(d[i], d[l]), d[j], max(d[i], d[l])):
+                    continue
+                net = {}
+                for m, c in table.value(i, j).items():
+                    q = (min(m, l), max(m, l))
+                    net[q] = net.get(q, 0) + c
+                for m, c in table.value(j, l).items():
+                    q = (min(i, m), max(i, m))
+                    net[q] = net.get(q, 0) - c
+                net = {q: c for q, c in net.items() if c}
+                if net:
+                    out[(i, j, l)] = net
+    return out
+
+
+def assert_unchecked_triples_hold(table, stored, expected):
+    """Each representative the agenda did not decide, because it was never
+    stored or is not done, satisfies associativity on the completed table:
+    its net expansion sums to zero."""
+    unchecked = [key for key in expected if key not in stored or not stored[key].done]
+    assert unchecked
+    for key in unchecked:
+        total = {}
+        for q, c in expected[key].items():
+            for m, v in table.value(*q).items():
+                total[m] = total.get(m, 0) + c * v
+        assert not any(total.values()), key
+
+
 def _third(name, seed):
     """A random third of the products of a bundled algebra, as the deduce
     benchmark draws it; completed without naming."""
@@ -419,6 +523,22 @@ for _seed in (1, 2, 3):
     PINNED[f"B32third{_seed}"] = (lambda s=_seed: _third("B32", s), "completed", 331, "all")
     PINNED[f"B22third{_seed}"] = (lambda s=_seed: _third("B22", s), "completed", 154, "all")
     PINNED[f"D17third{_seed}"] = (lambda s=_seed: _third("D17", s), "completed", 91, "all")
+
+
+TRACE_CRC32 = {
+    "B22third1": 0x56E2902E,
+    "B22third2": 0x1B99F9AE,
+    "B22third3": 0x6C3553E6,
+    "B32stall": 0x308137E0,
+    "B32third1": 0xD830972C,
+    "B32third2": 0x3314CFA2,
+    "B32third3": 0xD5A6573E,
+    "D17third1": 0x1C1AC2AB,
+    "D17third2": 0x935FFBFE,
+    "D17third3": 0xFAEAEAF7,
+    "PSL27": 0xC5D6C193,
+    "Lemma72": 0x55E3C37A,
+}
 
 
 def _seed(name):
@@ -466,36 +586,35 @@ class TestAgenda:
         assert trace.status == status
         assert True in drained
 
-    def test_activated_triples_are_one_per_symmetry_class(self):
+    def test_activated_triples_are_one_per_symmetry_class(self, monkeypatch):
         """Every triple of the k^3 with a nonzero net expansion is activated
         through exactly one representative of its class under (i, j, l) ->
-        (l, j, i) and conjugation, with exactly its nonzero net terms, and
-        is decided by the end of a completed run."""
+        (l, j, i) and conjugation, with exactly its nonzero net terms.  The
+        stored ones are those activated with an unknown product; every
+        representative not stored or not done holds on the completed
+        table."""
+        expand = deduction._Engine._terms
+        expanded = []
+
+        def recorded(self, i, j, l):
+            terms = expand(self, i, j, l)
+            expanded.append(((i, j, l), terms))
+            return terms
+
+        monkeypatch.setattr(deduction._Engine, "_terms", recorded)
         seed, naming = _third("B22", 1)
         engine = deduction._Engine(seed.copy(), introduce_names=naming)
         engine.run()
         p = engine.p
-        k, d = p.k, p.dual
-        expected = {}
-        for i in range(1, k):
-            for j in range(1, k):
-                for l in range(i + 1, k):
-                    if (i, j, l) > (min(d[i], d[l]), d[j], max(d[i], d[l])):
-                        continue
-                    net = {}
-                    for m, c in p.value(i, j).items():
-                        q = (min(m, l), max(m, l))
-                        net[q] = net.get(q, 0) + c
-                    for m, c in p.value(j, l).items():
-                        q = (min(i, m), max(i, m))
-                        net[q] = net.get(q, 0) - c
-                    net = {q: c for q, c in net.items() if c}
-                    if net:
-                        expected[(i, j, l)] = net
+        expected = nonzero_net_representatives(p)
         assert engine.trace.status == "completed"
-        assert {key: dict(t.terms) for key, t in engine._triples.items()} == expected
-        assert all(t.done for t in engine._triples.values())
+        activated = [key for key, terms in expanded if terms]
+        assert len(set(activated)) == len(activated)
+        assert {key: dict(terms) for key, terms in expanded if terms} == expected
         assert engine.stats.r3_activated == len(expected)
+        assert {key: dict(t.terms) for key, t in engine._triples.items()}.items() <= expected.items()
+        assert 0 < len(engine._triples) < len(expected)
+        assert_unchecked_triples_hold(p, engine._triples, expected)
 
     def test_sweep_recovers_from_a_broken_agenda(self, B22, monkeypatch):
         # the agenda is dropped unevaluated; R4 alone would complete this
@@ -509,6 +628,26 @@ class TestAgenda:
         assert trace.stats.sweep_firings > 0
         for i, j in table.known:
             assert table.value(i, j).coeffs == dict(B22.constants.row_items(i, j))
+
+    def test_sweep_checks_the_triples_the_agenda_never_stored(self, monkeypatch):
+        """A stall leaves the triples whose products were all known at
+        activation to the sweep, which finds the failed associativity."""
+        monkeypatch.setattr(deduction._Engine, "solver_scan", lambda self: False)
+        _, trace = propagate(steiner_loop_seed(extra_degree=2))
+        assert trace.status == "contradiction"
+        assert trace.steps == []
+        assert trace.witness == ("p01", "p00", "p10")
+        assert trace.message == "associativity fails on triple ('p01', 'p00', 'p10') at p12, p21"
+        assert trace.stats.attempts["R3"] == 0
+        assert trace.stats.sweep_triples > 0
+
+    @pytest.mark.parametrize("name", sorted(PINNED) + ["Lemma72"])
+    def test_serialized_trace_is_pinned(self, name):
+        """The zlib.crc32 of each serialized trace, as the engine that also
+        checked every triple whose products were all known wrote it."""
+        seed, naming = _seed(name)
+        _, trace = propagate(seed, introduce_names=naming)
+        assert zlib.crc32(trace.serialize().encode()) == TRACE_CRC32[name]
 
     @pytest.mark.parametrize("name", sorted(PINNED) + ["Lemma72"])
     def test_each_step_completes_a_distinct_pending_product(self, name):
@@ -544,12 +683,14 @@ class TestAgenda:
 
     @pytest.mark.parametrize("name", ["Lemma72", "B32third1", "D17third2"])
     def test_counter_invariant_holds_after_every_sync(self, name, monkeypatch):
-        """After every sync each activated triple counts exactly its unknown
-        products, and one that is not done with a count of at most one is
-        on the agenda, unless it waits on a product of net coefficient
-        other than +-1."""
+        """After every sync each stored triple counts exactly its unknown
+        products, and one that is not done, has a count of one and waits on
+        a product of net coefficient +-1 is on the agenda.  At return every
+        nonzero-net representative was activated, and each one the agenda
+        did not decide holds on the completed table."""
         sync = deduction._Engine.sync
         checked = []
+        engines = []
 
         def checked_sync(self):
             sync(self)
@@ -558,18 +699,22 @@ class TestAgenda:
             for t in self._triples.values():
                 unknown = [c for q, c in t.terms if q not in rows]
                 assert t.unknown == len(unknown)
-                if not t.done and len(unknown) < 2 and id(t) not in on_agenda:
-                    assert len(unknown) == 1 and abs(unknown[0]) != 1
+                if not t.done and unknown in ([1], [-1]):
+                    assert id(t) in on_agenda
             checked.append(len(self._triples))
+            engines.append(self)
 
         monkeypatch.setattr(deduction._Engine, "sync", checked_sync)
         seed, naming = _seed(name)
-        _, trace = propagate(seed, introduce_names=naming)
+        table, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "completed"
         # one sync at seed and one per step that is not R2
         firings = trace.stats.firings
         assert len(checked) == 1 + firings["R1"] + firings["R3"] + firings["R4"]
         assert checked[-1] > 0
+        expected = nonzero_net_representatives(table)
+        assert trace.stats.r3_activated == len(expected)
+        assert_unchecked_triples_hold(table, engines[-1]._triples, expected)
 
     def test_r1_attempts_only_products_whose_remainder_reached_zero(self, B32, lemma72_run):
         # a scan of every pending product after each firing made 7,257
@@ -583,11 +728,13 @@ class TestAgenda:
         self.check(table, trace, "completed", 357, "all")
 
     def test_lemma72_evaluates_under_a_tenth_of_the_former_triples(self, lemma72_run):
-        # the engine that re-evaluated every affected triple made 104,171
-        # evaluations on this seed
+        # the engine that also checked every triple whose products were all
+        # known made 7,672 evaluations on this seed, and the sweep after it
+        # 7,565 more
         _, trace = lemma72_run
-        assert trace.stats.attempts["R3"] < 10_417
+        assert trace.stats.attempts["R3"] < 767
         assert trace.stats.firings["R3"] == sum(s.rule == "R3" for s in trace.steps)
+        assert trace.stats.sweep_triples == 0
 
     def test_stall_reports_the_solver_caps_it_hit(self):
         # the stall's fixed point caps 271 products: every one has more than
@@ -716,3 +863,30 @@ class TestSolverFastPaths:
         monkeypatch.setattr(deduction._Engine, "_search", fresh)
         _, trace = propagate(lemma72_seed(B32), introduce_names=True)
         assert trace.serialize() == lemma72_run[1].serialize()
+
+
+def orbit_by_search(dual, i, j, m):
+    """The closure of the position (i, j, m) under (a, b, c) -> (b, a, c),
+    (abar, bbar, cbar) and (bbar, c, a), by depth-first search, as sorted
+    positions with a <= b."""
+    seen, stack = set(), [(i, j, m)]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            a, b, c = t
+            stack += [(b, a, c), (dual[a], dual[b], dual[c]), (dual[b], c, a)]
+    return tuple(sorted({(min(a, b), max(a, b), c) for a, b, c in seen}))
+
+
+class TestOrbit:
+    @pytest.mark.parametrize("name", ["C7", "D17", "B22", "B32", "S3", "PSL27"])
+    def test_closed_form_matches_the_search(self, name):
+        basis = _psl27()[0].basis if name == "PSL27" else load(name).basis
+        table = PartialTable(basis)
+        k, dual = table.k, table.dual
+        for i in range(k):
+            for j in range(k):
+                for m in range(k):
+                    table._orbits.clear()
+                    assert table.orbit(i, j, m) == orbit_by_search(dual, i, j, m), (i, j, m)
