@@ -2,29 +2,21 @@
 
 Four fully verified algebras ship with the package: C7, D17, B22 and B32.
 Five small group class algebras (Z2, Z3, Z4, Z6, S3) and one partial table
-(PSL27-partial) are included as auxiliary data.  ``bundled:`` URIs resolve
-against these without filesystem access; the environment variable
-TABALG_DATA_DIR optionally points at a directory searched first, so user
-corpora can shadow or extend the bundled set.
+(PSL27-partial) are included as auxiliary data.  A ``bundled:NAME`` URI
+reads ``NAME.alg`` from the first of two folders that has it: the folder
+named by the environment variable TABALG_DATA_DIR, when set, so user
+corpora can shadow or extend the bundled set; then the package's own
+``data/`` folder.
 """
 
 from __future__ import annotations
 
 import os
-from importlib import resources
 
 from .core import TableAlgebra
 from .fileformat import parse, parse_partial
 
-__all__ = [
-    "BUNDLED",
-    "AUXILIARY",
-    "PARTIAL",
-    "NAMED_SUBSETS",
-    "data_text",
-    "load",
-    "resolve",
-]
+__all__ = ["BUNDLED", "AUXILIARY", "PARTIAL", "NAMED_SUBSETS", "data_text", "load", "resolve"]
 
 BUNDLED = ("C7", "D17", "B22", "B32")
 AUXILIARY = ("Z2", "Z3", "Z4", "Z6", "S3")
@@ -47,21 +39,26 @@ NAMED_SUBSETS = {
 }
 
 _cache: dict[str, TableAlgebra] = {}
+_PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_text(name: str) -> str:
-    """Raw text of a data file, honouring TABALG_DATA_DIR."""
+    """Raw text of ``NAME.alg``, from TABALG_DATA_DIR or else the package."""
     fname = f"{name}.alg"
-    override = os.environ.get("TABALG_DATA_DIR")
-    if override:
-        path = os.path.join(override, fname)
-        if os.path.exists(path):
+    for folder in filter(None, (os.environ.get("TABALG_DATA_DIR"), _PACKAGE_DATA)):
+        path = os.path.join(folder, fname)
+        if os.path.isfile(path):
             with open(path, encoding="utf-8") as fh:
                 return fh.read()
-    ref = resources.files("tabalg").joinpath("data").joinpath(fname)
-    if not ref.is_file():
-        raise FileNotFoundError(f"no bundled data file {fname}")
-    return ref.read_text(encoding="utf-8")
+    raise FileNotFoundError(f"no bundled data file {fname}")
+
+
+def _read(uri: str) -> str:
+    """Raw text of a ``bundled:NAME`` URI or of a file path."""
+    if uri.startswith("bundled:"):
+        return data_text(uri[len("bundled:"):])
+    with open(uri, encoding="utf-8") as fh:
+        return fh.read()
 
 
 def load(name: str) -> TableAlgebra:
@@ -77,14 +74,10 @@ def resolve(uri: str) -> TableAlgebra:
     """``bundled:NAME`` or a filesystem path to an algebra file."""
     if uri.startswith("bundled:"):
         return load(uri[len("bundled:"):])
-    with open(uri, encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(_read(uri))
 
 
 def resolve_partial(uri: str):
     """Like resolve but without the completeness requirement; returns
     (name, basis, products)."""
-    if uri.startswith("bundled:"):
-        return parse_partial(data_text(uri[len("bundled:"):]))
-    with open(uri, encoding="utf-8") as fh:
-        return parse_partial(fh.read())
+    return parse_partial(_read(uri))

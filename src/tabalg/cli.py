@@ -51,6 +51,16 @@ def _fmt_members(algebra: TableAlgebra, members) -> str:
     return " ".join(algebra.basis.name(i) for i in sorted(members))
 
 
+def _emit(out: _Out, text: str, path: str | None, what: str) -> None:
+    """Write text to path, or print it when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out.text(f"wrote {what} to {path}")
+    else:
+        print(text, end="")
+
+
 def cmd_verify(args, out: _Out) -> int:
     algebra = resolve(args.algebra)
     t0 = time.perf_counter()
@@ -160,13 +170,7 @@ def cmd_restrict(args, out: _Out) -> int:
     from .iso import restrict
     algebra = resolve(args.algebra)
     sub = restrict(algebra, _subset_from_spec(algebra, args.to))
-    text = serialize(sub)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        out.text(f"wrote {sub.name} (k={sub.size}) to {args.output}")
-    else:
-        print(text, end="")
+    _emit(out, serialize(sub), args.output, f"{sub.name} (k={sub.size})")
     out.fact("size", sub.size)
     return 0
 
@@ -174,7 +178,7 @@ def cmd_restrict(args, out: _Out) -> int:
 def cmd_deduce(args, out: _Out) -> int:
     from .deduction import PartialTable, propagate
     name, basis, products = resolve_partial(args.table)
-    seed = PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0})
+    seed = PartialTable(basis, products)
     t0 = time.perf_counter()
     table, trace = propagate(seed, introduce_names=not args.no_names)
     dt = time.perf_counter() - t0
@@ -213,23 +217,14 @@ def cmd_deduce(args, out: _Out) -> int:
 
 def cmd_bundled(args, out: _Out) -> int:
     if args.export:
-        algebra = load(args.export)
-        text = serialize(algebra)
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            out.text(f"wrote {args.export} to {args.output}")
-        else:
-            print(text, end="")
+        _emit(out, serialize(load(args.export)), args.output, args.export)
         return 0
-    for name in BUNDLED:
-        algebra = load(name)
-        out.fact(f"bundled.{name}", algebra.size)
-        out.text(f"{name:<6} k={algebra.size:<3} verified table algebra")
-    for name in AUXILIARY:
-        algebra = load(name)
-        out.fact(f"aux.{name}", algebra.size)
-        out.text(f"{name:<6} k={algebra.size:<3} group class algebra")
+    for key, names, kind in (("bundled", BUNDLED, "verified table algebra"),
+                             ("aux", AUXILIARY, "group class algebra")):
+        for name in names:
+            algebra = load(name)
+            out.fact(f"{key}.{name}", algebra.size)
+            out.text(f"{name:<6} k={algebra.size:<3} {kind}")
     for name in PARTIAL:
         out.fact(f"partial.{name}", "-")
         out.text(f"{name:<6} partial table (deduction seed)")

@@ -599,7 +599,7 @@ class _Engine:
             if bad:
                 raise Contradiction(
                     names3,
-                    f"associativity fails on triple {names3} at "
+                    "associativity fails on triple ({}*{})*{} at ".format(*names3)
                     + ", ".join(p.basis.name(m) for m in bad),
                 )
             t.done = True
@@ -611,8 +611,9 @@ class _Engine:
             if value < 0:
                 raise Contradiction(
                     names3,
-                    f"triple {names3} forces a negative coefficient of "
-                    f"{p.basis.name(m)} in {p.label(pair)}",
+                    "triple ({}*{})*{} forces a negative coefficient of {} in {}".format(
+                        *names3, p.basis.name(m), p.label(pair)
+                    ),
                 )
             if value:
                 solved[m] = value
@@ -795,7 +796,8 @@ class _Engine:
         self, a: dict[int, int], b: dict[int, int]
     ) -> Optional[dict[int, int]]:
         """Degree- and duality-respecting involution mapping solution a to b,
-        identity outside the differing elements; None if the shapes differ."""
+        identity outside the differing elements; None if the shapes differ.
+        Consistent swaps within a degree group, closed under duals, are such a map."""
         p = self.p
         diff_a = sorted(m for m in a if a.get(m) != b.get(m))
         diff_b = sorted(m for m in b if a.get(m) != b.get(m))
@@ -818,12 +820,6 @@ class _Engine:
                         return None
                     swaps[s] = t
         perm.update(swaps)
-        if sorted(perm.values()) != list(range(p.k)):
-            return None
-        if any(perm[p.dual[m]] != p.dual[perm[m]] for m in range(p.k)):
-            return None
-        if any(p.deg[perm[m]] != p.deg[m] for m in range(p.k)):
-            return None
         if {perm[m]: c for m, c in a.items()} != b:
             return None
         return perm
@@ -890,7 +886,7 @@ def _recheck(table: PartialTable, trace: DeductionTrace) -> None:
     if not report.ok:
         failed = next(c for c in report.checks if not c.passed)
         trace.status = "contradiction"
-        trace.witness = failed.witnesses[0]
+        trace.witness = tuple(table.basis.name(m) for m in failed.witnesses[0])
         trace.message = f"completed table fails the axiom re-check: {report.summary()}"
 
 

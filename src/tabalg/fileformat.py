@@ -8,11 +8,13 @@ Grammar (UTF-8, ``#`` starts a comment, blank lines ignored)::
     product <name> <name> = <int>? <name> (+ <int>? <name>)*
 
 The identity is implicit: it is index 0, named ``1``, and may appear on
-product right-hand sides.  An omitted coefficient means 1.  Element
+product right-hand sides.  Its rows are implied, never stored; a listed
+identity line is only checked.  An omitted coefficient means 1.  Element
 names match ``[A-Za-z][A-Za-z0-9]*``; by convention the dual of ``x6``
 is written ``x6bar``.  Only unordered pairs need product lines: ``(j,i)``
 and the dual-image pair ``(ibar,jbar)`` are filled in by symmetry, and a
-line that conflicts with an earlier or symmetry-derived one is rejected.
+line that conflicts with an earlier line or with the dual image of one
+is rejected.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def _strip(line: str) -> str:
     return line.strip()
 
 
-def _parse_rhs(tokens: list[str], basis: TableBasis, line_no: int) -> dict[int, int]:
+def _parse_rhs(tokens: list[str], index: dict[str, int], line_no: int) -> dict[int, int]:
     """Right-hand side: terms separated by '+', each an optional count then a name."""
     terms: list[list[str]] = [[]]
     for tok in tokens:
@@ -67,27 +69,27 @@ def _parse_rhs(tokens: list[str], basis: TableBasis, line_no: int) -> dict[int, 
             raise ParseError(f"malformed term {' '.join(term)!r}", line_no)
         if coeff < 1:
             raise ParseError(f"coefficient must be positive, got {coeff}", line_no)
-        idx = 0 if name == "1" else _lookup(basis, name, line_no)
+        idx = _lookup(index, name, line_no)
         out[idx] = out.get(idx, 0) + coeff
     return out
 
 
-def _lookup(basis: TableBasis, name: str, line_no: int) -> int:
-    try:
-        return basis.index_of(name)
-    except TableAlgebraError:
-        raise ParseError(f"unknown element name {name!r}", line_no) from None
+def _lookup(index: dict[str, int], name: str, line_no: int) -> int:
+    idx = index.get(name)
+    if idx is None:
+        raise ParseError(f"unknown element name {name!r}", line_no)
+    return idx
 
 
 def parse_element_expr(text: str, basis: TableBasis) -> Element:
     """Parse an element expression such as ``1 + 3 b5 + x9`` against a basis."""
     tokens = text.replace("+", " + ").split()
-    return Element(_parse_rhs(tokens, basis, 0))
+    return Element(_parse_rhs(tokens, {e.name: e.index for e in basis}, 0))
 
 
 def _parse_lines(text: str):
-    """Shared front end: returns (name, basis, product rows), the rows
-    completed under the involution and the identity."""
+    """Shared front end: returns (name, basis, product rows), the
+    non-identity rows completed under the involution."""
     name = None
     flags = {FLAG_NO_DEG1: False, FLAG_NO_DEG2: False}
     raw_elements: list[tuple[int, str, int, str]] = []  # line, name, degree, dual
@@ -149,61 +151,51 @@ def _parse_lines(text: str):
     products: dict[tuple[int, int], dict[int, int]] = {}
     origins: dict[tuple[int, int], int] = {}
     degs = [e.degree for e in basis]
+    dual = [e.dual for e in basis]
 
-    def put(i: int, j: int, row: dict[int, int], line_no: int, derived: bool) -> None:
+    def put(i: int, j: int, row: dict[int, int], line_no: int) -> None:
         key = (i, j) if i <= j else (j, i)
-        if key in products:
-            if products[key] != row:
-                raise ParseError(
-                    f"conflicting redefinition of product {basis.name(key[0])} {basis.name(key[1])}"
-                    f" (first seen at line {origins[key]})",
-                    line_no,
-                )
-            return
-        products[key] = row
-        origins[key] = line_no
-        if not derived:
+        old = products.get(key)
+        if old is None:
             s = sum(c * degs[m] for m, c in row.items())
             if s != degs[i] * degs[j]:
                 raise ParseError(
                     f"degree sum {s} does not match {degs[i]}*{degs[j]}={degs[i]*degs[j]}", line_no
                 )
+            products[key] = row
+            origins[key] = line_no
+        elif old != row:
+            raise ParseError(
+                f"conflicting value for product {basis.name(key[0])} {basis.name(key[1])}"
+                f" (also given at line {origins[key]})",
+                line_no,
+            )
 
     for line_no, a, b, rhs in raw_products:
-        ia = 0 if a == "1" else _lookup(basis, a, line_no)
-        ib = 0 if b == "1" else _lookup(basis, b, line_no)
-        row = _parse_rhs(rhs, basis, line_no)
-        if ia == 0 or ib == 0:
-            other = ib if ia == 0 else ia
-            if row != {other: 1}:
-                raise ParseError("identity product must reproduce the other factor", line_no)
-        put(ia, ib, row, line_no, derived=False)
+        ia, ib = _lookup(index, a, line_no), _lookup(index, b, line_no)
+        row = _parse_rhs(rhs, index, line_no)
+        if ia and ib:
+            put(ia, ib, row, line_no)
+        elif row != {ia or ib: 1}:
+            raise ParseError("identity product must reproduce the other factor", line_no)
 
-    # symmetry completion: dual image of every known pair
-    pending = list(products.keys())
-    while pending:
-        i, j = pending.pop()
-        row = products[(i, j)]
-        di, dj = basis.dual(i), basis.dual(j)
-        key = (di, dj) if di <= dj else (dj, di)
-        if key not in products:
-            dual_row = {}
-            for m, c in row.items():
-                dual_row[basis.dual(m)] = c
-            put(key[0], key[1], dual_row, origins[(i, j)], derived=True)
-            pending.append(key)
-    for j in range(basis.size):
-        products.setdefault((0, j), {j: 1})
+    # put the dual image of every listed line, except where that image is a
+    # line listed earlier, which already put its own image onto this one
+    for (i, j), row in list(products.items()):
+        line_no = origins[(i, j)]
+        di, dj = dual[i], dual[j]
+        if origins.get((di, dj) if di <= dj else (dj, di), line_no) >= line_no:
+            put(di, dj, {dual[m]: c for m, c in row.items()}, line_no)
     return name, basis, products
 
 
 def parse(text: str) -> TableAlgebra:
-    """Parse a complete algebra file; every unordered pair must be determined."""
+    """Parse a complete algebra file; every non-identity pair must be determined."""
     name, basis, products = _parse_lines(text)
     k = basis.size
     missing = [
         (basis.name(i), basis.name(j))
-        for i in range(k)
+        for i in range(1, k)
         for j in range(i, k)
         if (i, j) not in products
     ]
@@ -215,8 +207,9 @@ def parse(text: str) -> TableAlgebra:
 
 
 def parse_partial(text: str):
-    """Parse a partial table: returns (name, basis, known products) without
-    requiring completeness.  Used to seed the deduction engine."""
+    """Parse a partial table: returns (name, basis, known non-identity
+    products) without requiring completeness.  Used to seed the deduction
+    engine."""
     return _parse_lines(text)
 
 

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 from tabalg import load
+from tabalg.bundled import NAMED_SUBSETS
 from tabalg.deduction import PartialTable, propagate
 
 
@@ -29,18 +30,12 @@ def C7():
     return load("C7")
 
 
-LEMMA72_D_NAMES = [
-    "1", "b8", "x10", "b5", "c5", "c8", "x9",
-    "c3", "c3bar", "d3", "d3bar", "c9", "c9bar", "b6", "b6bar", "y15", "y15bar",
-]
-
-
 def lemma72_seed(B32, with_b3b3=True):
     """Basis of B32, the full C and D tables, and the three hypothesis
     products b3*b3bar, b3*b3, b3*c3bar (b3*b3 left out when ``with_b3b3``
     is False)."""
     idx = B32.basis.index_of
-    d = [idx(n) for n in LEMMA72_D_NAMES]
+    d = [idx(n) for n in NAMED_SUBSETS["B32"]["D"]]
     seed = PartialTable.from_subtable(B32, [(i, j) for i in d for j in d if i <= j])
     seed.set_product(idx("b3"), idx("b3bar"), {0: 1, idx("b8"): 1})
     if with_b3b3:

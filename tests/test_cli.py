@@ -174,6 +174,16 @@ class TestDeduce:
         assert code == 1
         assert "contradiction" in out
 
+    def test_clashing_dual_image_lines_are_an_input_error(self, capsys, tmp_path):
+        # the dual image of b3*b3 = c3 + b6 is b3bar*b3bar = c3bar + b6bar
+        lines = [l for l in serialize(load("B32")).splitlines() if not l.startswith("product")]
+        path = tmp_path / "clash.alg"
+        path.write_text("\n".join(lines + ["product b3 b3 = c3 + b6", "product b3bar b3bar = c3 + b6"]) + "\n")
+        code, out, err = invoke(capsys, "deduce", str(path))
+        assert code == 2
+        assert out == ""
+        assert "conflicting value for product b3bar b3bar" in err
+
     def test_machine_format_reports_stats(self, capsys, tmp_path):
         trace = tmp_path / "trace.log"
         code, out, _ = invoke(capsys, "--format", "machine", "deduce", "bundled:PSL27-partial",
@@ -220,10 +230,12 @@ class TestDeduce:
         assert "gated" not in facts
 
 
-def run_script(script, timeout=120):
+def run_script(script, timeout=120, flags=()):
     src = str(pathlib.Path(tabalg.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+    )
 
 
 def test_no_command_imports_numpy():
@@ -307,15 +319,16 @@ BASE_MODULES = {"tabalg", "tabalg.cli", "tabalg.core", "tabalg.fileformat", "tab
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
 def test_each_command_imports_only_its_layer(argv, layers):
-    # no command pays for dataclasses, nor for the inspect, ast and dis it imports
+    # no command pays for dataclasses, nor for the inspect, ast and dis it
+    # imports, nor for importlib.resources; -S keeps out what site imports
     script = (
         "import contextlib, io, sys, tabalg.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = tabalg.cli.run({argv!r})\n"
-        "heavy = [m for m in ('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules]\n"
+        "heavy = [m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources') if m in sys.modules]\n"
         "print(code, ','.join(heavy) or '-', *sorted(m for m in sys.modules if m.startswith('tabalg')))\n"
     )
-    done = run_script(script)
+    done = run_script(script, flags=("-S",))
     assert done.returncode == 0, done.stderr
     code, heavy, *modules = done.stdout.split()
     assert code == "0"
@@ -361,6 +374,17 @@ class TestBundled:
         monkeypatch.setenv("TABALG_DATA_DIR", str(tmp_path))
         code, out, _ = invoke(capsys, "verify", "bundled:MyAlg")
         assert code == 0
+
+    def test_data_dir_without_the_file_falls_back_to_the_package(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("TABALG_DATA_DIR", str(tmp_path))
+        code, out, _ = invoke(capsys, "bundled", "--export", "C7")
+        assert code == 0
+        assert out == serialize(load("C7"))
+
+    def test_unknown_bundled_name_exit_two(self, capsys):
+        code, _, err = invoke(capsys, "verify", "bundled:NoSuch")
+        assert code == 2
+        assert err == "error: no bundled data file NoSuch.alg\n"
 
     def test_usage_error_exit_two(self, capsys):
         assert invoke(capsys, "powers", "bundled:B32")[0] == 2

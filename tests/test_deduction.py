@@ -13,11 +13,11 @@ from tabalg import (
     parse_partial,
     propagate,
 )
-from tabalg.bundled import data_text
+from tabalg.bundled import NAMED_SUBSETS, data_text
 from tabalg.core import CheckResult, TableAlgebra, VerificationReport
 from tabalg.deduction import PartialTable
 
-from conftest import LEMMA72_D_NAMES, lemma72_seed
+from conftest import lemma72_seed
 from oracles import psl27_fusion
 from test_core import B32_PRINTED_LINES, b32_as_printed
 
@@ -301,7 +301,7 @@ class TestConfluence:
     def test_seed_order_does_not_change_fixed_point(self, B32, lemma72_run):
         table_a, _ = lemma72_run
         idx = B32.basis.index_of
-        d = [idx(n) for n in LEMMA72_D_NAMES]
+        d = [idx(n) for n in NAMED_SUBSETS["B32"]["D"]]
         pairs = [(i, j) for i in d for j in d if i <= j]
         rng = random.Random(11)
         rng.shuffle(pairs)
@@ -342,7 +342,7 @@ class TestTraceFormat:
 class TestPSL27:
     def test_partial_completes_and_matches_character_oracle(self):
         name, basis, products = parse_partial(data_text("PSL27-partial"))
-        seed = PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0})
+        seed = PartialTable(basis, products)
         table, trace = propagate(seed, introduce_names=True)
         assert trace.status == "completed"
         algebra = table.as_algebra("PSL27")
@@ -381,9 +381,9 @@ class TestCompletionRecheck:
         monkeypatch.setattr(TableAlgebra, "verify_axioms", lambda A, **kw: failing)
         _, trace = propagate(complete_c7_seed())
         assert trace.status == "contradiction"
-        assert trace.witness == (1, 2, 3, 4)
+        assert trace.witness == ("b8", "x10", "b5", "c5")
         assert trace.message == "completed table fails the axiom re-check: FAIL (associativity)"
-        assert trace.serialize().endswith("STATUS contradiction WITNESS 1,2,3,4\n")
+        assert trace.serialize().endswith("STATUS contradiction WITNESS b8,x10,b5,c5\n")
 
 
     def test_recheck_refutes_a_non_associative_table(self):
@@ -393,7 +393,7 @@ class TestCompletionRecheck:
         assert trace.status == "contradiction"
         assert trace.steps == []
         assert trace.message == "completed table fails the axiom re-check: FAIL (associativity)"
-        assert trace.witness == (1, 2, 4, 5)
+        assert trace.witness == ("p00", "p01", "p10", "p11")
         assert trace.stats.attempts["R3"] == 0
 
 
@@ -504,7 +504,7 @@ def _third(name, seed):
 
 def _psl27():
     _, basis, products = parse_partial(data_text("PSL27-partial"))
-    return PartialTable(basis, {p: v for p, v in products.items() if p[0] != 0}), True
+    return PartialTable(basis, products), True
 
 
 def _b32_stall():
@@ -637,7 +637,7 @@ class TestAgenda:
         assert trace.status == "contradiction"
         assert trace.steps == []
         assert trace.witness == ("p01", "p00", "p10")
-        assert trace.message == "associativity fails on triple ('p01', 'p00', 'p10') at p12, p21"
+        assert trace.message == "associativity fails on triple (p01*p00)*p10 at p12, p21"
         assert trace.stats.attempts["R3"] == 0
         assert trace.stats.sweep_triples > 0
 
@@ -890,3 +890,25 @@ class TestOrbit:
                 for m in range(k):
                     table._orbits.clear()
                     assert table.orbit(i, j, m) == orbit_by_search(dual, i, j, m), (i, j, m)
+
+
+class TestCanonicalNaming:
+    """Naming picks one of two solutions only when a relabeling that fixes
+    everything known maps one to the other."""
+
+    def engine(self, known):
+        basis = TableBasis([
+            BasisElement(0, "1", 1, 0),
+            BasisElement(1, "x", 3, 1),
+            BasisElement(2, "y", 3, 2),
+            BasisElement(3, "z", 8, 3),
+        ])
+        return deduction._Engine(PartialTable(basis, known), introduce_names=True)
+
+    def test_swap_of_indistinguishable_elements_names_the_first(self):
+        assert self.engine({})._canonical_naming([{1: 1}, {2: 1}]) == {1: 1}
+
+    def test_swap_that_moves_a_known_product_is_refused(self):
+        # swapping x and y would move x*x = 1 + z onto the unknown y*y
+        engine = self.engine({("x", "x"): {0: 1, 3: 1}})
+        assert engine._canonical_naming([{1: 1}, {2: 1}]) is None

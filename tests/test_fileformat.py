@@ -62,14 +62,18 @@ class TestParse:
     def test_conflict_with_symmetry_derived_row(self):
         text = """\
 algebra bad
-element a degree 2 dual abar
-element abar degree 2 dual a
-product a a = abar + a
-product abar abar = 2 abar
+element a degree 1 dual abar
+element abar degree 1 dual a
+product a a = abar
+product a abar = 1
+product abar abar = abar
 """
-        # the dual image of a*a is abar*abar = a + abar; the explicit line clashes
-        with pytest.raises(ParseError):
-            parse(text)
+        # every product is listed, but the dual image of a*a is abar*abar = a,
+        # which clashes with the explicit line; a partial parse rejects it too
+        for reader in (parse, parse_partial):
+            with pytest.raises(ParseError) as err:
+                reader(text)
+            assert str(err.value) == "line 4: conflicting value for product abar abar (also given at line 6)"
 
     def test_derivable_pair_may_be_omitted(self):
         # g2*g2 is the dual image of g*g, so its line is redundant
@@ -99,6 +103,8 @@ product abar abar = 2 abar
         (MINI + "element h degree 0 dual h\n", "element 'h' has degree 0", 7),
         (MINI + "element h degree 1 dual hbar\n", "unknown dual name 'hbar'", 7),
         (MINI + "product 1 g = g2\n", "identity product must reproduce the other factor", 7),
+        # g*g2 is its own dual image, so its row must be closed under duals
+        (MINI.replace("g2 = 1", "g2 = g"), "conflicting value for product g g2 (also given at line 5)", 5),
     ])
     def test_rejections(self, text, fragment, line_no):
         with pytest.raises(ParseError) as err:
@@ -112,6 +118,8 @@ product abar abar = 2 abar
         assert name == "mini"
         assert basis.size == 3
         assert (1, 1) in products and (1, 2) not in products
+        # identity rows are implied, never returned
+        assert set(products) == {(1, 1), (2, 2)}
 
 
 class TestRoundTrip:
