@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .bundled import AUXILIARY, BUNDLED, NAMED_SUBSETS, PARTIAL, load, resolve, resolve_partial
 from .core import TableAlgebra, TableAlgebraError, format_element
-from .fileformat import ParseError, parse_element_expr, serialize
+from .fileformat import parse_element_expr, serialize
 
 if TYPE_CHECKING:
     from .structure import ClosedSubset
@@ -201,7 +201,7 @@ def cmd_deduce(args, out: _Out) -> int:
         for (i, j) in sorted(table.known):
             if 0 < i <= j:
                 out.text(f"  {basis.name(i)}*{basis.name(j)} = "
-                         + format_element(basis, table.rows[(i, j)]))
+                         + format_element(basis, table.rows[(i, j)].items()))
     for key, value in trace.stats.facts():
         out.fact(key, value)
     if args.trace:
@@ -314,7 +314,7 @@ def run(argv=None) -> int:
     out = _Out(machine=args.format == "machine")
     try:
         return args.func(args, out)
-    except (ParseError, TableAlgebraError, FileNotFoundError, OSError) as e:
+    except (TableAlgebraError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -6,10 +6,13 @@ the nonnegative integer structure constants ``delta[i][j][m]``, the
 coefficient of ``b_m`` in ``b_i * b_j``.  All arithmetic is exact;
 scalars are Python integers.
 
-One store.  ``StructureConstants`` keeps one sparse row of
-``(m, delta[i][j][m])`` pairs, ``m`` ascending, per unordered pair
-``i <= j``, for every k.  Multiplication, closure, isomorphism, deduction
-and the verifier all read these rows; nothing builds a dense array.
+One table.  ``StructureConstants.rows`` is the k x k table of product
+rows: ``rows[i][j]`` is the sparse row ``{m: delta[i][j][m]}``, ``m``
+ascending and zeros dropped, and ``rows[i][j] is rows[j][i]``.  It is built
+and validated once and never mutated.  Multiplication, closure,
+isomorphism, serialization and the verifier all index it; the deduction
+engine freezes its completed products into rows of the same form.  Nothing
+builds a dense array.
 
 The verifier.  Identity, involution, degree-homomorphism and
 normalization-symmetry walk the rows.  Associativity is decided on a
@@ -233,25 +236,26 @@ def format_element(basis: TableBasis, terms: Iterable[tuple[int, int]]) -> str:
 
 
 # rows[i][j] is the {m: delta[i][j][m]} row of the ordered pair (i, j)
-_Rows = list[list[dict[int, int]]]
+_Rows = Sequence[Sequence[dict[int, int]]]
 
 
 class StructureConstants:
     """The structure constants ``delta[i][j][m]`` of a commutative algebra.
 
-    One store serves every k: each unordered pair ``i <= j`` keeps a sparse
-    row ``{m: delta[i][j][m]}`` with ``m`` ascending and zeros dropped, and
-    lookups symmetrize.  ``delta()`` and ``row_items()`` read these rows.
-    The constructor rejects a missing row, an index outside ``range(k)``
-    and any entry that is not a nonnegative ``int`` (``bool`` included), so
-    a stored table is nonnegative, integral and commutative by construction.
+    ``rows[i][j]`` is the row ``{m: delta[i][j][m]}`` of the ordered pair
+    ``(i, j)``, ``m`` ascending and zeros dropped, and ``rows[i][j] is
+    rows[j][i]``.  The constructor reads the row of each unordered pair
+    ``i <= j`` from ``rows`` and keeps its own copy; it rejects a missing
+    row, an index outside ``range(k)`` and any entry that is not a
+    nonnegative ``int`` (``bool`` included), so the table is nonnegative,
+    integral and commutative by construction.  No caller may mutate it.
     """
 
-    __slots__ = ("k", "_rows")
+    __slots__ = ("k", "rows")
 
     def __init__(self, k: int, rows: Mapping[tuple[int, int], Mapping[int, int]]):
         self.k = k
-        store: dict[tuple[int, int], dict[int, int]] = {}
+        table: list[list] = [[None] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
                 row = rows.get((i, j))
@@ -263,25 +267,15 @@ class StructureConstants:
                         raise TableAlgebraError(f"row ({i},{j}) hits index {m} out of range")
                     if type(v) is not int or v < 0:
                         raise TableAlgebraError(f"row ({i},{j}) has a non-integer or negative entry")
-                store[(i, j)] = {m: row[m] for m in sorted(row) if row[m]}
-        self._rows = store
+                table[i][j] = table[j][i] = {m: row[m] for m in sorted(row) if row[m]}
+        self.rows: tuple[tuple[dict[int, int], ...], ...] = tuple(map(tuple, table))
 
     def delta(self, i: int, j: int, m: int) -> int:
-        if i > j:
-            i, j = j, i
-        return self._rows[(i, j)].get(m, 0)
+        return self.rows[i][j].get(m, 0)
 
     def row_items(self, i: int, j: int) -> Iterable[tuple[int, int]]:
         """Nonzero (m, delta[i][j][m]) pairs, m ascending."""
-        if i > j:
-            i, j = j, i
-        return self._rows[(i, j)].items()
-
-    def ordered_rows(self) -> _Rows:
-        """``rows[i][j]``, the ``{m: delta[i][j][m]}`` row of every ordered
-        pair; rows are shared with the store and must not be mutated."""
-        k, store = self.k, self._rows
-        return [[store[(i, j) if i <= j else (j, i)] for j in range(k)] for i in range(k)]
+        return self.rows[i][j].items()
 
 
 class CheckResult:
@@ -455,15 +449,17 @@ def _packed_store(constants: StructureConstants) -> tuple[list[int], int]:
     of ``(b_x b_g) b_y`` is a sum of nonnegative terms at most (largest row
     sum) * (largest entry), and w bytes hold that, so sums of scaled
     ``T_m`` never carry from one field into the next."""
-    k, store = constants.k, constants._rows
-    values = [row.values() for row in store.values()]
+    k, rows = constants.k, constants.rows
+    halves = [rows[i][i:] for i in range(k)]
+    values = [row.values() for half in halves for row in half]
     top_entry = max(map(max, filter(None, values)), default=0)
     width = max(1, ((max(map(sum, values)) * top_entry).bit_length() + 7) // 8)
     bits, size = 8 * width, k * width
     blocks = [[b""] * k for _ in range(k)]
-    for (i, j), row in store.items():
-        block = sum(v << bits * n for n, v in row.items()).to_bytes(size, "little")
-        blocks[i][j] = blocks[j][i] = block
+    for i, half in enumerate(halves):
+        for j, row in enumerate(half, i):
+            block = sum(v << bits * n for n, v in row.items()).to_bytes(size, "little")
+            blocks[i][j] = blocks[j][i] = block
     packed = [int.from_bytes(b"".join(row), "little") for row in blocks]
     return packed, width
 
@@ -560,17 +556,15 @@ class TableAlgebra:
     ) -> "TableAlgebra":
         """Build from products on unordered pairs; identity rows are implied."""
         k = basis.size
-        rows: dict[tuple[int, int], dict[int, int]] = {}
-        for j in range(k):
-            rows[(0, j)] = {j: 1}
+        rows = {(0, j): {j: 1} for j in range(k)}
         for (i, j), row in products.items():
             if i > j:
                 i, j = j, i
             if i == 0:
-                if dict(row) != {j: 1}:
+                if row != {j: 1}:
                     raise TableAlgebraError(f"identity row for {basis.name(j)} is not trivial")
                 continue
-            rows[(i, j)] = dict(row)
+            rows[(i, j)] = row
         return cls(basis, StructureConstants(k, rows), name=name)
 
     @classmethod
@@ -605,17 +599,18 @@ class TableAlgebra:
     # -- the four arithmetic operations ---------------------------------
 
     def basis_product(self, i: int, j: int) -> Element:
-        return Element(dict(self.constants.row_items(i, j)))
+        return Element(self.constants.rows[i][j])
 
     def multiply(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the basis products; exact and nonnegative."""
         self._check_element(x)
         self._check_element(y)
+        rows = self.constants.rows
         out: dict[int, int] = {}
         for i, a in x.coeffs.items():
             for j, b in y.coeffs.items():
                 ab = a * b
-                for m, v in self.constants.row_items(i, j):
+                for m, v in rows[i][j].items():
                     out[m] = out.get(m, 0) + ab * v
         return Element(out)
 
@@ -655,7 +650,7 @@ class TableAlgebra:
         basis, k = self.basis, self.size
         rep = VerificationReport()
         maxw = VerificationReport.MAX_WITNESSES
-        rows = self.constants.ordered_rows()
+        rows = self.constants.rows
         dual = [e.dual for e in basis]
         deg = [e.degree for e in basis]
 
@@ -732,7 +727,7 @@ class TableAlgebra:
         """Every (i, j, l, n) with ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n,
         in Python integers over rows fetched once."""
         k = self.size
-        rows = [[list(self.constants.row_items(i, j)) for j in range(k)] for i in range(k)]
+        rows = [[list(r.items()) for r in row] for row in self.constants.rows]
         found = []
         for i in range(k):
             row_i = rows[i]

@@ -30,9 +30,11 @@ about already-distinguished elements are unaffected; only the naming of
 so-far-indistinguishable ones is convention.
 
 Frozen rows.  A product never changes once all its coefficients are
-known, so at that moment it is frozen into a sparse ``((m, v), ...)``
-tuple, ``m`` ascending and zeros dropped (``PartialTable.rows``).  The
-rules, the inner products and the trace read these tuples.
+known, so at that moment it is frozen into a row ``{m: v}``, ``m``
+ascending and zeros dropped (``PartialTable.rows``): the form of the rows
+of ``StructureConstants.rows``, so a completed table becomes an algebra
+without a conversion.  The rules, the inner products and the trace read
+these rows, and nothing mutates one once frozen.
 
 The R3 agenda.  A triple T = (i, j, l) says (b_i b_j) b_l = b_i (b_j b_l);
 expanding both sides writes it over the products (m, l) for m in b_i b_j
@@ -200,10 +202,9 @@ def _canon(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i <= j else (j, i)
 
 
-def _inner(u: tuple, w: tuple) -> int:
+def _inner(u: dict[int, int], w: dict[int, int]) -> int:
     """Inner product of two frozen rows."""
-    w = dict(w)
-    return sum(c * w.get(m, 0) for m, c in u)
+    return sum(c * w.get(m, 0) for m, c in u.items())
 
 
 class PartialTable:
@@ -212,7 +213,7 @@ class PartialTable:
     ``cells[(i, j)][m]`` is the proven coefficient of ``b_m`` in
     ``b_i b_j``, or None while undetermined; entries are canonicalized to
     i <= j and identity rows are filled at construction.  ``rows[(i, j)]``
-    is the frozen sparse row of a known product.  Seeded products must
+    is the frozen ``{m: v}`` row of a known product.  Seeded products must
     satisfy the degree identity.
     """
 
@@ -235,7 +236,7 @@ class PartialTable:
                 self.cells[(i, j)] = [None] * k
                 self._rem[(i, j)] = self.deg[i] * self.deg[j]
                 self._open[(i, j)] = k
-        self.rows: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self.rows: dict[tuple[int, int], dict[int, int]] = {}
         self.newly_known: list[tuple[int, int]] = []
         # pending products a write left with a remainder of zero or below
         self.spent: deque[tuple[int, int]] = deque()
@@ -247,8 +248,7 @@ class PartialTable:
         if known:
             for pair, value in known.items():
                 i, j = (self.basis.index_of(x) if isinstance(x, str) else x for x in pair)
-                coeffs = value.coeffs if isinstance(value, Element) else dict(value)
-                self.set_product(i, j, coeffs)
+                self.set_product(i, j, value.coeffs if isinstance(value, Element) else value)
 
     @classmethod
     def from_subtable(
@@ -258,7 +258,7 @@ class PartialTable:
         known = {}
         for pair in pairs:
             i, j = (algebra.basis.index_of(x) if isinstance(x, str) else x for x in pair)
-            known[(i, j)] = dict(algebra.constants.row_items(i, j))
+            known[(i, j)] = algebra.constants.rows[i][j]
         return cls(algebra.basis, known)
 
     # -- accessors --------------------------------------------------------
@@ -275,7 +275,7 @@ class PartialTable:
         row = self.rows.get(_canon(i, j))
         if row is None:
             raise TableAlgebraError(f"product {i},{j} not known")
-        return Element(dict(row))
+        return Element(row)
 
     def pending_pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p in self.cells if p not in self.rows)
@@ -307,8 +307,7 @@ class PartialTable:
         """Completed table as a TableAlgebra (fails if anything is pending)."""
         if len(self.rows) != len(self.cells):
             raise TableAlgebraError("table is not complete")
-        products = {pair: dict(row) for pair, row in self.rows.items()}
-        return TableAlgebra.from_products(self.basis, products, name=name)
+        return TableAlgebra.from_products(self.basis, self.rows, name=name)
 
     # -- writing facts ----------------------------------------------------
 
@@ -357,7 +356,7 @@ class PartialTable:
                     self.names(pair) + ("degree",),
                     f"completed product {self.label(pair)} misses the degree identity by {rem}",
                 )
-            self.rows[pair] = tuple((n, w) for n, w in enumerate(row) if w)
+            self.rows[pair] = {n: w for n, w in enumerate(row) if w}
             self.newly_known.append(pair)
         elif v and rem <= 0:
             self.spent.append(pair)
@@ -424,7 +423,7 @@ class _Engine:
         n = len(self.trace.steps) + 1
         names = self.p.names(pair)
         t = tuple(triple) if triple else (names[0], names[1], "-")
-        value = format_element(self.p.basis, self.p.rows[pair])
+        value = format_element(self.p.basis, self.p.rows[pair].items())
         self.trace.steps.append(DeductionStep(n, rule, t, names, value))
         self.stats.firings[rule] += 1
 
@@ -504,10 +503,10 @@ class _Engine:
         products it expands into; (i, j) and (j, l) must be known."""
         rows = self.p.rows
         net: dict[tuple[int, int], int] = {}
-        for m, c in rows[_canon(i, j)]:
+        for m, c in rows[_canon(i, j)].items():
             q = _canon(m, l)
             net[q] = net.get(q, 0) + c
-        for m, c in rows[_canon(j, l)]:
+        for m, c in rows[_canon(j, l)].items():
             q = _canon(i, m)
             net[q] = net.get(q, 0) - c
         return tuple((q, c) for q, c in net.items() if c)
@@ -591,7 +590,7 @@ class _Engine:
         for q, c in terms:
             row = rows.get(q)
             if row is not None:
-                for n, w in row:
+                for n, w in row.items():
                     known_part[n] = get(n, 0) + c * w
         names3 = (p.basis.name(i), p.basis.name(j), p.basis.name(l))
         if unknown is None:

@@ -44,19 +44,19 @@ def _strip(line: str) -> str:
 
 
 def _parse_rhs(tokens: list[str], index: dict[str, int], line_no: int) -> dict[int, int]:
-    """Right-hand side: terms separated by '+', each an optional count then a name."""
-    terms: list[list[str]] = [[]]
-    for tok in tokens:
-        if tok == "+":
-            if not terms[-1]:
-                raise ParseError("empty term on right-hand side", line_no)
-            terms.append([])
-        else:
-            terms[-1].append(tok)
-    if not terms[-1]:
-        raise ParseError("trailing '+' on right-hand side", line_no)
+    """Right-hand side: terms separated by '+', each an optional count then a
+    name.  Read left to right, so a line's leftmost fault is reported."""
+    if not tokens:
+        raise ParseError("empty expression", line_no)
     out: dict[int, int] = {}
-    for term in terms:
+    term: list[str] = []
+    # None closes the last term
+    for tok in (*tokens, None):
+        if tok is not None and tok != "+":
+            term.append(tok)
+            continue
+        if not term:
+            raise ParseError(("empty term" if tok else "trailing '+'") + " on right-hand side", line_no)
         if len(term) == 1:
             coeff, name = 1, term[0]
         elif len(term) == 2:
@@ -71,6 +71,7 @@ def _parse_rhs(tokens: list[str], index: dict[str, int], line_no: int) -> dict[i
             raise ParseError(f"coefficient must be positive, got {coeff}", line_no)
         idx = _lookup(index, name, line_no)
         out[idx] = out.get(idx, 0) + coeff
+        term = []
     return out
 
 
@@ -130,20 +131,27 @@ def _parse_lines(text: str):
     if name is None:
         raise ParseError("missing 'algebra <name>' header")
 
-    elements = [BasisElement(0, "1", 1, 0)]
-    index = {"1": 0}
-    for line_no, ename, deg, _ in raw_elements:
-        if ename in index:
+    declared = {"1": (1, "1")}  # name -> (degree, dual name)
+    for line_no, ename, deg, dual_name in raw_elements:
+        if ename in declared:
             raise ParseError(f"duplicate element {ename!r}", line_no)
-        index[ename] = len(elements)
-        elements.append(None)  # placeholder until duals resolve
         if deg < 1:
             raise ParseError(f"element {ename!r} has degree {deg}", line_no)
+        declared[ename] = (deg, dual_name)
+    index = {ename: i for i, ename in enumerate(declared)}
+    # what TableBasis would reject is reported at the element's line
+    elements = [BasisElement(0, "1", 1, 0)]
     for line_no, ename, deg, dual_name in raw_elements:
-        if dual_name not in index:
+        if dual_name not in declared:
             raise ParseError(f"unknown dual name {dual_name!r}", line_no)
-        i = index[ename]
-        elements[i] = BasisElement(i, ename, deg, index[dual_name])
+        dual_deg, dual_dual = declared[dual_name]
+        if dual_dual != ename:
+            raise ParseError(f"dual pairing of {ename!r} is not an involution", line_no)
+        if dual_deg != deg:
+            raise ParseError(f"{ename!r} and its dual differ in degree", line_no)
+        if flags.get(f"no-degree-{deg}"):
+            raise ParseError(f"element {ename!r} has degree {deg}, but the basis assumes no-degree-{deg}", line_no)
+        elements.append(BasisElement(len(elements), ename, deg, index[dual_name]))
     basis = TableBasis(
         elements, no_degree_one=flags[FLAG_NO_DEG1], no_degree_two=flags[FLAG_NO_DEG2]
     )
@@ -231,9 +239,9 @@ def serialize(algebra: TableAlgebra) -> str:
         out.append("assume " + " ".join(flags))
     for e in basis.elements[1:]:
         out.append(f"element {e.name} degree {e.degree} dual {basis.name(e.dual)}")
-    k = basis.size
+    k, rows = basis.size, algebra.constants.rows
     for i in range(1, k):
         for j in range(i, k):
-            row = format_element(basis, algebra.constants.row_items(i, j))
+            row = format_element(basis, rows[i][j].items())
             out.append(f"product {basis.name(i)} {basis.name(j)} = {row}")
     return "\n".join(out) + "\n"

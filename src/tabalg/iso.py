@@ -53,12 +53,11 @@ def restrict(algebra: TableAlgebra, subset: ClosedSubset) -> TableAlgebra:
         no_degree_one=algebra.basis.no_degree_one,
         no_degree_two=algebra.basis.no_degree_two,
     )
+    rows = algebra.constants.rows
     products = {}
     for ni, oi in enumerate(members):
         for nj, oj in enumerate(members[ni:], start=ni):
-            products[(ni, nj)] = {
-                old_to_new[m]: v for m, v in algebra.constants.row_items(oi, oj)
-            }
+            products[(ni, nj)] = {old_to_new[m]: v for m, v in rows[oi][oj].items()}
     name = f"{algebra.name}|{len(members)}" if algebra.name else f"restriction({len(members)})"
     return TableAlgebra.from_products(basis, products, name=name)
 
@@ -66,19 +65,19 @@ def restrict(algebra: TableAlgebra, subset: ClosedSubset) -> TableAlgebra:
 def _fingerprints(a: TableAlgebra) -> list:
     """Per-element invariants: degree, self-duality, dual-product row,
     self-inner-product profile, then one neighbourhood refinement round."""
-    k, rows = a.size, a.constants.row_items
+    k, rows = a.size, a.constants.rows
     base = []
     for i in range(k):
         di = a.basis.dual(i)
-        row_dual = tuple(sorted(v for _, v in rows(i, di)))
+        row_dual = tuple(sorted(rows[i][di].values()))
         # (b_i b_j, b_i b_j) is the sum of the squared constants of the row
-        profile = tuple(sorted(sum(v * v for _, v in rows(i, j)) for j in range(k)))
+        profile = tuple(sorted(sum(v * v for v in row.values()) for row in rows[i]))
         base.append((a.basis.degree(i), i == di, row_dual, profile))
     refined = []
     for i in range(k):
         neigh = []
         for j in range(k):
-            row = tuple(sorted((base[m][0], v) for m, v in rows(i, j)))
+            row = tuple(sorted((base[m][0], v) for m, v in rows[i][j].items()))
             neigh.append((base[j], row))
         refined.append((base[i], tuple(sorted(neigh))))
     return refined
@@ -91,9 +90,10 @@ def _compatible(
     each row (i, j) with j assigned, mapped through the partial mapping
     (unassigned elements to -1), equals the row (ii, mapping[j]).  ``used``
     is the image of ``mapping``."""
+    rows_i, rows_ii = a.constants.rows[i], b.constants.rows[ii]
     for j, jj in mapping.items():
-        row_a = sorted((mapping.get(m, -1), v) for m, v in a.constants.row_items(i, j))
-        row_b = sorted((mm if mm in used else -1, v) for mm, v in b.constants.row_items(ii, jj))
+        row_a = sorted((mapping.get(m, -1), v) for m, v in rows_i[j].items())
+        row_b = sorted((mm if mm in used else -1, v) for mm, v in rows_ii[jj].items())
         if row_a != row_b:
             return False
     return True
@@ -166,11 +166,11 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
     # full re-verification, independent of the search bookkeeping
     if sorted(psi) != list(range(b.size)):
         return None
+    rows_a, rows_b = a.constants.rows, b.constants.rows
     for i in range(a.size):
         if a.basis.degree(i) != b.basis.degree(psi[i]) or psi[a.basis.dual(i)] != b.basis.dual(psi[i]):
             return None
         for j in range(i, a.size):
-            row = {psi[m]: v for m, v in a.constants.row_items(i, j)}
-            if row != dict(b.constants.row_items(psi[i], psi[j])):
+            if {psi[m]: v for m, v in rows_a[i][j].items()} != rows_b[psi[i]][psi[j]]:
                 return None
     return IsoCertificate(psi)

@@ -70,17 +70,14 @@ class ClosedSubset:
             return False
         if any(algebra.basis.dual(i) not in s for i in s):
             return False
-        for i in s:
-            for j in s:
-                for m, _ in algebra.constants.row_items(i, j):
-                    if m not in s:
-                        return False
-        return True
+        rows = algebra.constants.rows
+        return all(s.issuperset(rows[i][j]) for i in s for j in s)
 
 
 def _support_product(constants: StructureConstants, xs: Iterable[int], ys: Collection[int]) -> set[int]:
     """``Supp(x y)`` for any x, y of nonnegative coefficients with supports xs, ys."""
-    return {m for i in xs for j in ys for m, _ in constants.row_items(i, j)}
+    rows = constants.rows
+    return {m for i in xs for j in ys for m in rows[i][j]}
 
 
 def _resolve(algebra: TableAlgebra, seed: Iterable[int | str]) -> set[int]:
@@ -228,7 +225,7 @@ class QuotientClassTable:
                 value: frozenset[int] | None = None
                 for bp in self.classes[p]:
                     for bq in self.classes[q]:
-                        supp = frozenset(class_of[m] for m, _ in constants.row_items(bp, bq))
+                        supp = frozenset(class_of[m] for m in constants.rows[bp][bq])
                         if value is None:
                             value = supp
                         elif value != supp:

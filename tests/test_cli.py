@@ -87,6 +87,11 @@ class TestMult:
         assert code == 2
         assert "error" in err
 
+    def test_empty_expression_exit_two(self, capsys):
+        code, _, err = invoke(capsys, "mult", "bundled:C7", "", "b8")
+        assert code == 2
+        assert err == "error: empty expression\n"
+
 
 class TestStructureCommands:
     def test_quotient_line(self, capsys):
@@ -385,6 +390,11 @@ class TestBundled:
         code, _, err = invoke(capsys, "verify", "bundled:NoSuch")
         assert code == 2
         assert err == "error: no bundled data file NoSuch.alg\n"
+
+    def test_directory_path_exit_two(self, capsys, tmp_path):
+        code, _, err = invoke(capsys, "verify", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and "Is a directory" in err
 
     def test_usage_error_exit_two(self, capsys):
         assert invoke(capsys, "powers", "bundled:B32")[0] == 2

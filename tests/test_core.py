@@ -384,6 +384,18 @@ class TestStructureConstantsGuards:
             with pytest.raises(TableAlgebraError):
                 StructureConstants(k, rows)
 
+    @pytest.mark.parametrize("name", BUNDLED + AUXILIARY)
+    def test_row_table_invariants(self, name):
+        rows = load(name).constants.rows
+        k = len(rows)
+        assert all(len(row) == k for row in rows)
+        for i in range(k):
+            for j in range(k):
+                row = rows[i][j]
+                assert row is rows[j][i], (name, i, j)
+                assert list(row) == sorted(row), (name, i, j)
+                assert all(row.values()), (name, i, j)
+
     def test_rows_sparse_and_ascending(self, C7):
         rows = rows_of(C7)
         rows[(1, 2)] = {5: 1, 3: 0, 2: 4}
@@ -483,3 +495,29 @@ class TestBasisInvariants:
         TableBasis(els)  # fine without flags
         with pytest.raises(TableAlgebraError):
             TableBasis(els, no_degree_one=True)
+
+
+E, ONE = BasisElement, BasisElement(0, "1", 1, 0)
+Z2 = [ONE, E(1, "g", 1, 1)]
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TableBasis([]), "empty basis"),
+    (lambda: TableBasis([ONE, E(2, "a", 1, 1)]), "element 'a' stored at wrong index"),
+    (lambda: TableBasis([ONE, E(1, "a", 1, 1), E(2, "a", 1, 2)]), "duplicate element name 'a'"),
+    (lambda: TableBasis([ONE, E(1, "a", 0, 1)]), "element 'a' has degree < 1"),
+    (lambda: TableBasis([ONE, E(1, "a", 1, 2)]), "dual index of 'a' out of range"),
+    (lambda: TableBasis([ONE, E(1, "a", 2, 2), E(2, "b", 3, 1)]), "'a' and its dual differ in degree"),
+    (lambda: TableBasis([ONE, E(1, "a", 2, 1)], no_degree_two=True),
+     "basis claims no degree-2 element but has one"),
+    (lambda: StructureConstants(2, {(0, 0): {0: 1}, (0, 1): {1: 1}}), "missing structure row for pair (1,1)"),
+    (lambda: TableAlgebra.from_products(TableBasis(Z2), {(1, 0): {0: 1}}), "identity row for g is not trivial"),
+    (lambda: TableAlgebra.from_tensor(TableBasis(Z2), [[[1, 0], [0, 1]], [[0, 0], [1, 0]]]),
+     "tensor not commutative at pair (0,1)"),
+    (lambda: TableAlgebra(TableBasis(Z2), StructureConstants(1, {(0, 0): {0: 1}})),
+     "basis size and tensor size disagree"),
+])
+def test_input_validation_messages(build, message):
+    with pytest.raises(TableAlgebraError) as err:
+        build()
+    assert str(err.value) == message

@@ -408,6 +408,16 @@ class TestFullCompletion:
                 continue
             assert table.value(i, j).coeffs == dict(B32.constants.row_items(i, j))
 
+    def test_frozen_rows_are_the_algebra_rows(self, lemma72_run):
+        # frozen rows have the form of StructureConstants.rows, so as_algebra
+        # keeps each of them as it is
+        table, _ = lemma72_run
+        rows = table.as_algebra().constants.rows
+        assert len(table.rows) == 33 * 32 // 2
+        for (i, j), row in table.rows.items():
+            assert row == rows[i][j]
+            assert list(row) == sorted(row) and all(row.values())
+
     def test_completion_set_example(self, B32, lemma72_run):
         table, _ = lemma72_run
         idx = B32.basis.index_of
@@ -896,12 +906,13 @@ class TestCanonicalNaming:
     """Naming picks one of two solutions only when a relabeling that fixes
     everything known maps one to the other."""
 
-    def engine(self, known):
+    def engine(self, known, extra=()):
         basis = TableBasis([
             BasisElement(0, "1", 1, 0),
             BasisElement(1, "x", 3, 1),
             BasisElement(2, "y", 3, 2),
             BasisElement(3, "z", 8, 3),
+            *extra,
         ])
         return deduction._Engine(PartialTable(basis, known), introduce_names=True)
 
@@ -912,3 +923,18 @@ class TestCanonicalNaming:
         # swapping x and y would move x*x = 1 + z onto the unknown y*y
         engine = self.engine({("x", "x"): {0: 1, 3: 1}})
         assert engine._canonical_naming([{1: 1}, {2: 1}]) is None
+
+    def test_relabeling_that_is_no_involution_is_refused(self):
+        # x + 2 y goes to y + 2 w only by the 3-cycle x -> y -> w: pairing x
+        # with y and then y with w asks two images of y
+        engine = self.engine({}, [BasisElement(4, "w", 3, 4)])
+        assert engine._relabeling({1: 1, 2: 2}, {2: 1, 4: 2}) is None
+
+    def test_dual_swap_that_moves_a_shared_coefficient_is_refused(self):
+        # swapping pbar with q also swaps their duals p and qbar, which moves
+        # the coefficient of p that both solutions share
+        pairs = [BasisElement(4, "p", 3, 5), BasisElement(5, "pbar", 3, 4),
+                 BasisElement(6, "q", 3, 7), BasisElement(7, "qbar", 3, 6)]
+        engine = self.engine({}, pairs)
+        assert engine._relabeling({4: 1, 5: 1}, {4: 1, 6: 1}) is None
+        assert engine._canonical_naming([{4: 1, 5: 1}, {4: 1, 6: 1}]) is None

@@ -87,7 +87,10 @@ product abar abar = abar
         assert "incomplete" in str(err.value)
 
     @pytest.mark.parametrize("text, fragment, line_no", [
-        (MINI.replace("= g2\n", "= g2 +\n"), "trailing '+'", 4),
+        (MINI.replace("= g2\n", "= g2 +\n"), "trailing '+' on right-hand side", 4),
+        (MINI.replace("= g2\n", "= + g2\n"), "empty term on right-hand side", 4),
+        # a line with two faults reports the leftmost one
+        (MINI.replace("= g2\n", "= zz +\n"), "unknown element name 'zz'", 4),
         (MINI.replace("= g2\n", "= x g2\n"), "bad coefficient 'x'", 4),
         (MINI.replace("= g2\n", "= 2 3 g2\n"), "malformed term '2 3 g2'", 4),
         (MINI.replace("= g2\n", "= 0 g2\n"), "coefficient must be positive, got 0", 4),
@@ -102,6 +105,13 @@ product abar abar = abar
         (MINI + "element g degree 1 dual g2\n", "duplicate element 'g'", 7),
         (MINI + "element h degree 0 dual h\n", "element 'h' has degree 0", 7),
         (MINI + "element h degree 1 dual hbar\n", "unknown dual name 'hbar'", 7),
+        # what the basis rejects is reported at the offending element line
+        (MINI + "element h degree 1 dual g\n", "dual pairing of 'h' is not an involution", 7),
+        (MINI + "element a degree 2 dual b\nelement b degree 3 dual a\n", "'a' and its dual differ in degree", 7),
+        (MINI.replace("algebra mini\n", "algebra mini\nassume no-degree-1\n"),
+         "element 'g' has degree 1, but the basis assumes no-degree-1", 3),
+        (MINI + "assume no-degree-2\nelement h degree 2 dual h\n",
+         "element 'h' has degree 2, but the basis assumes no-degree-2", 8),
         (MINI + "product 1 g = g2\n", "identity product must reproduce the other factor", 7),
         # g*g2 is its own dual image, so its row must be closed under duals
         (MINI.replace("g2 = 1", "g2 = g"), "conflicting value for product g g2 (also given at line 5)", 5),
