@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the axiom verifier")
     p.add_argument("algebra")
-    p.add_argument("--exact", action="store_true", help="pure-Python full k³ sweep")
+    p.add_argument("--exact", action="store_true", help="pure-Python k³ sweep, no Light shortcut")
     p.add_argument("--timing", action="store_true",
                    help="print the time of each check to stderr")
     p.set_defaults(func=cmd_verify)

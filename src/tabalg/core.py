@@ -15,8 +15,9 @@ engine freezes its completed products into rows of the same form.  Nothing
 builds a dense array.
 
 The verifier.  Identity, involution, degree-homomorphism and
-normalization-symmetry walk the rows.  Associativity is decided on a
-packed copy of the store, in exact integers:
+normalization-symmetry walk the rows.  Associativity is certified on a
+packed copy of the store and refuted by the exact sweep, both in exact
+integers:
 
 * Packing.  Kronecker substitution packs the k x k matrix
   ``T_m[a][n] = delta[m][a][n]`` into one Python int, w bytes per field.
@@ -45,16 +46,26 @@ packed copy of the store, in exact integers:
   word vectors have a k*k integer minor that is nonzero mod p, hence
   nonzero, so they span the algebra over Q.  Then ``|G| k^2`` triples
   ``(x, g, y)`` certify all ``k^3``.
-* The full sweep runs when the identity check fails or Light's test finds
-  an unequal coefficient.  It builds the ``W`` blocks for every ``j`` in
-  turn, compares all k^3 triples, and expands unequal blocks into
-  ``(i, j, l, n)`` witnesses only while they can rank among the first
-  ``MAX_WITNESSES`` in lexicographic order, the exact sweep's witnesses.
+* The exact sweep runs when the identity check fails or Light's test finds
+  an unequal block; Light's attempt is then discarded.  It evaluates the
+  triples ``(i, j, l)`` in lexicographic order, in Python dicts over rows
+  fetched once, and yields its ``(i, j, l, n)`` witnesses lazily, so the
+  verifier stops it at the ``MAX_WITNESSES``-th.
 
-``force_exact`` runs the exact sweep instead: all ``k^3`` triples in
-Python dicts over rows fetched once, with no packing and no Light
-shortcut.  It shares no code with the packed path and is its independent
-reference.
+The sweep's cost.  A triple whose first factor lies in the left nucleus
+(the ``a`` with ``(a x) y = a (x y)`` for all x, y) always associates, so
+the cost is set by the lowest basis index outside the nucleus.  The
+printed B32 and its tensor products fail at ``i = 1``: the sweep stops
+after 1,194 to 1,723 of B32's 32,768 triples, and after about 4,500 of
+262,144 at k = 64.  The worst case is an input with fewer than
+``MAX_WITNESSES`` witnesses, or whose failures all have a high first
+index: it pays the full k^3 sweep, 1.1 to 1.7 s at k = 64 on a shared
+2-CPU Xeon, where a packed full sweep took about 0.2 s.  No failing
+bundled, test or benchmark input comes close to that.
+
+``force_exact`` runs the exact sweep on every input, passing or failing:
+all ``k^3`` triples when associativity holds, with no packing and no
+Light shortcut.
 """
 
 from __future__ import annotations
@@ -315,7 +326,9 @@ class VerificationReport:
         # k^3: the triples whose associativity the report certifies or refutes
         self.associativity_triples = associativity_triples
         # distinct triples actually evaluated: |G| k^2 when Light's test
-        # certified associativity, k^3 after a full sweep
+        # certified associativity; after the exact sweep, the lexicographic
+        # rank of the triple of its MAX_WITNESSES-th witness plus 1, or k^3
+        # when it found fewer.  A discarded Light attempt is not counted.
         self.associativity_evaluated = associativity_evaluated
         # names of the generating set G that certified associativity, or ()
         self.generators = generators
@@ -476,53 +489,21 @@ def _right_products(packed: list[int], width: int, row_g: list[dict[int, int]]) 
     ]
 
 
-def _unequal_blocks(products: list[bytes], width: int) -> Iterator[tuple[int, int]]:
-    """Every ``(x, y)``, x < y, whose block y of ``W_x`` differs from block
-    x of ``W_y``: the triples ``(x, g, y)`` and ``(y, g, x)`` where
-    ``(b_x b_g) b_y != b_x (b_g b_y)``."""
-    k = len(products)
+def _light_holds(constants: StructureConstants, gens: Sequence[int]) -> bool:
+    """Light's test on the packed store: (b_x b_g) b_y == b_x (b_g b_y) for
+    every g in gens and all basis x, y.  False at the first unequal block."""
+    packed, width = _packed_store(constants)
+    k, rows = constants.k, constants.rows
     stride = k * width
-    for x, wx in enumerate(products):
-        lo = x * stride
-        for y in range(x + 1, k):
-            if wx[y * stride : (y + 1) * stride] != products[y][lo : lo + stride]:
-                yield x, y
-
-
-def _light_holds(packed: list[int], width: int, rows: _Rows, gens: Sequence[int]) -> bool:
-    """Light's test: (b_x b_g) b_y == b_x (b_g b_y) for every g in gens and
-    all basis x, y."""
-    return not any(
-        next(_unequal_blocks(_right_products(packed, width, rows[g]), width), None) for g in gens
-    )
-
-
-def _sweep(packed: list[int], width: int, rows: _Rows, limit: int) -> list[tuple[int, int, int, int]]:
-    """The first ``limit``, in lexicographic order, of the (i, j, l, n) with
-    ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n, over all k^3 triples.
-
-    One j at a time: each unequal block pair names two triples, and a
-    triple is expanded into its coefficients only while it can still rank
-    among the first ``limit`` witnesses."""
-    k = len(rows)
-    stride = k * width
-    found: list[tuple[int, int, int, int]] = []
-    for j in range(k):
-        products = _right_products(packed, width, rows[j])
-        triples = sorted(t for x, y in _unequal_blocks(products, width) for t in ((x, y), (y, x)))
-        new: list[tuple[int, int, int, int]] = []
-        for i, l in triples:
-            if len(new) >= limit or (len(found) >= limit and (i, j, l) > found[-1][:3]):
-                break
-            lhs = products[i][l * stride : (l + 1) * stride]
-            rhs = products[l][i * stride : (i + 1) * stride]
-            new += [
-                (i, j, l, n)
-                for n in range(k)
-                if lhs[n * width : (n + 1) * width] != rhs[n * width : (n + 1) * width]
-            ]
-        found = sorted(found + new)[:limit]
-    return found
+    for g in gens:
+        products = _right_products(packed, width, rows[g])
+        for x, wx in enumerate(products):
+            lo = x * stride
+            for y in range(x + 1, k):
+                # block y of W_x is (b_x b_g) b_y, block x of W_y is b_x (b_g b_y)
+                if wx[y * stride : (y + 1) * stride] != products[y][lo : lo + stride]:
+                    return False
+    return True
 
 
 class TableAlgebra:
@@ -640,12 +621,13 @@ class TableAlgebra:
         lexicographic order.  Nonnegativity, integrality and commutativity
         hold by construction of ``StructureConstants`` and are reported
         without a rescan.  Identity, involution, degree-homomorphism and
-        normalization-symmetry walk the sparse rows.  Associativity is
-        certified by Light's test on a generating set when the identity
-        check passed; otherwise, or when Light's test finds an unequal
-        coefficient, the full k^3 sweep runs.  Both work on the packed
-        store in exact integers.  ``force_exact`` runs the pure-Python
-        sweep instead, with no Light shortcut (see the module docstring).
+        normalization-symmetry walk the sparse rows.  Associativity has one
+        source of witnesses, the exact sweep, stopped at the
+        ``MAX_WITNESSES``-th.  When the identity check passed and
+        ``force_exact`` is off, Light's test on the packed store is tried
+        first; if it certifies associativity there are no witnesses and no
+        sweep.  ``force_exact`` always runs the sweep.  The module
+        docstring states the sweep's worst case.
         """
         basis, k = self.basis, self.size
         rep = VerificationReport()
@@ -663,14 +645,17 @@ class TableAlgebra:
             now = time.perf_counter()
             rep.checks.append(CheckResult(name, not witnesses, tuple(witnesses), checked, seconds=now - lap))
             lap = now
+            return witnesses
 
         record("nonnegativity", ())
         record("integrality", ())
 
+        # b_0 b_j = b_j: delta[0][j][m] is 1 at m = j and 0 elsewhere
         row0 = rows[0]
-        bad = [(0, j, m) for j in range(k) for m, v in row0[j].items() if m != j or v != 1][:maxw]
-        bad += [(0, j, j) for j in range(k) if row0[j].get(j) != 1][:maxw]
-        record("identity", bad)
+        record(
+            "identity",
+            ((0, j, m) for j in range(k) for m in sorted({j, *row0[j]}) if row0[j].get(m, 0) != (m == j)),
+        )
 
         record("commutativity", ())
 
@@ -706,29 +691,28 @@ class TableAlgebra:
 
         triples = k**3
         gens: list[int] = []
-        if force_exact:
-            witnesses = self._exact_sweep()
-        else:
-            packed, width = _packed_store(self.constants)
-            if rep.check("identity").passed:
-                gens = _generating_set(rows)
-            if gens and _light_holds(packed, width, rows, gens):
-                witnesses = []
-            else:
+        if not force_exact and rep.check("identity").passed:
+            gens = _generating_set(rows)
+            if gens and not _light_holds(self.constants, gens):
                 gens = []
-                witnesses = _sweep(packed, width, rows, maxw)
+        witnesses = record("associativity", () if gens else self._exact_sweep(), checked=triples)
         rep.associativity_triples = triples
-        rep.associativity_evaluated = len(gens) * k * k if gens else triples
+        if gens:
+            rep.associativity_evaluated = len(gens) * k * k
+        elif len(witnesses) == maxw:
+            i, j, l, _ = witnesses[-1]
+            rep.associativity_evaluated = (i * k + j) * k + l + 1
+        else:
+            rep.associativity_evaluated = triples
         rep.generators = tuple(basis.name(g) for g in gens)
-        record("associativity", witnesses, checked=triples)
         return rep
 
-    def _exact_sweep(self) -> list[tuple[int, int, int, int]]:
+    def _exact_sweep(self) -> Iterator[tuple[int, int, int, int]]:
         """Every (i, j, l, n) with ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n,
-        in Python integers over rows fetched once."""
+        lazily and in lexicographic order, in Python integers over rows
+        fetched once; the caller stops it when it has enough witnesses."""
         k = self.size
         rows = [[list(r.items()) for r in row] for row in self.constants.rows]
-        found = []
         for i in range(k):
             row_i = rows[i]
             for j in range(k):
@@ -743,12 +727,9 @@ class TableAlgebra:
                         for n, w in row_i[m]:
                             rhs[n] = rhs.get(n, 0) + v * w
                     if lhs != rhs:
-                        found.extend(
-                            (i, j, l, n)
-                            for n in sorted(lhs.keys() | rhs.keys())
-                            if lhs.get(n, 0) != rhs.get(n, 0)
-                        )
-        return found
+                        for n in sorted(lhs.keys() | rhs.keys()):
+                            if lhs.get(n, 0) != rhs.get(n, 0):
+                                yield i, j, l, n
 
     def verified(self) -> VerificationReport:
         """Cached verification report (immutable algebra, computed once)."""

@@ -1,3 +1,4 @@
+import ast
 import os
 import pathlib
 import re
@@ -8,6 +9,7 @@ import pytest
 
 import tabalg
 from tabalg import load, parse, serialize
+from tabalg.bundled import data_text
 from tabalg.cli import run
 
 
@@ -49,6 +51,27 @@ class TestVerify:
         code, out, _ = invoke(capsys, "--format", "machine", "verify", "--exact", "bundled:B32")
         facts = dict(line.split("\t") for line in out.strip().splitlines())
         assert (facts["evaluated"], facts["generators"]) == ("32768", "-")
+
+    def test_printed_b32_fails_alike_with_and_without_exact(self, capsys, tmp_path):
+        # the paper prints b6 in d3*c8 where the table needs b6bar
+        fixed, printed = "product d3 c8 = y15bar + b6bar + d3\n", "product d3 c8 = y15bar + b6 + d3\n"
+        path = tmp_path / "b32printed.alg"
+        path.write_text(data_text("B32").replace(fixed, printed))
+        code, out, _ = invoke(capsys, "verify", str(path))
+        assert (code, out) == invoke(capsys, "verify", "--exact", str(path))[:2]
+        assert code == 1
+        assert out.splitlines()[-1] == "FAIL (normalization-symmetry, associativity)"
+        prefix = "FAIL associativity witnesses="
+        line = next(line for line in out.splitlines() if line.startswith(prefix))
+        witnesses = ast.literal_eval(line[len(prefix):])
+        assert len(witnesses) == 20
+        # the sweep stops at the triple of the 20th witness, in lexicographic order
+        i, j, l, _ = witnesses[-1]
+        code, out, _ = invoke(capsys, "--format", "machine", "verify", str(path))
+        facts = dict(line.split("\t") for line in out.strip().splitlines())
+        assert code == 1
+        assert (facts["triples"], facts["generators"]) == ("32768", "-")
+        assert int(facts["evaluated"]) == (i * 32 + j) * 32 + l + 1 < 32768
 
     def test_timing_per_check_on_stderr(self, capsys):
         plain = invoke(capsys, "verify", "bundled:C7")[1]

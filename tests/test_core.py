@@ -1,3 +1,5 @@
+from operator import mul
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -192,20 +194,22 @@ def word_rank_mod_p(A, generators, p):
     return len(rows)
 
 
+# the dense associativity reference costs k^5 products: up to D17 it is cheap
+DENSE_ASSOCIATIVITY_K = 17
+
+
 def dense_witnesses(A):
-    """Each row-walking check's witnesses, straight from its definition over
-    every position of the dense k*k*k tensor; independent of the verifier."""
+    """Each check's witnesses, straight from its definition over every
+    position of the dense k*k*k tensor; independent of the verifier.
+    Associativity is left out when k > DENSE_ASSOCIATIVITY_K."""
     k = A.size
     t = [[[A.constants.delta(i, j, m) for m in range(k)] for j in range(k)] for i in range(k)]
     dual = [e.dual for e in A.basis]
     deg = [e.degree for e in A.basis]
     cells = [(i, j, m) for i in range(k) for j in range(k) for m in range(k)]
-    maxw = core.VerificationReport.MAX_WITNESSES
-    # b_0 b_j = b_j: no stray coefficient, then a coefficient 1 on b_j
-    identity = [(0, j, m) for j in range(k) for m in range(k) if t[0][j][m] and not (m == j and t[0][j][m] == 1)]
-    identity = identity[:maxw] + [(0, j, j) for j in range(k) if t[0][j][j] != 1][:maxw]
-    return {
-        "identity": identity,
+    witnesses = {
+        # b_0 b_j = b_j: delta[0][j][m] is 1 at m = j and 0 elsewhere
+        "identity": [(0, j, m) for j in range(k) for m in range(k) if t[0][j][m] != (m == j)],
         "involution": [(i, j, m) for i, j, m in cells if i <= j and t[i][j][m] != t[dual[i]][dual[j]][dual[m]]],
         "degree-homomorphism": [
             (i, j) for i in range(k) for j in range(i, k)
@@ -213,6 +217,26 @@ def dense_witnesses(A):
         ],
         "normalization-symmetry": [(i, j, m) for i, j, m in cells if t[i][j][m] != t[dual[j]][m][i]],
     }
+    if k <= DENSE_ASSOCIATIVITY_K:
+        # ((b_i b_j) b_l)_n = sum_m delta[i][j][m] delta[m][l][n] and
+        # (b_i (b_j b_l))_n = sum_m delta[j][l][m] delta[i][m][n]
+        by_left = [[[t[m][l][n] for m in range(k)] for n in range(k)] for l in range(k)]
+        by_right = [[[t[i][m][n] for m in range(k)] for n in range(k)] for i in range(k)]
+        witnesses["associativity"] = [
+            (i, j, l, n)
+            for i in range(k) for j in range(k) for l in range(k) for n in range(k)
+            if sum(map(mul, t[i][j], by_left[l][n])) != sum(map(mul, t[j][l], by_right[i][n]))
+        ]
+    return witnesses
+
+
+def sweep_evaluated(k, witnesses):
+    """The triples the exact sweep evaluates before it stops: through the
+    triple of the MAX_WITNESSES-th witness, or all k^3 with fewer."""
+    if len(witnesses) < core.VerificationReport.MAX_WITNESSES:
+        return k**3
+    i, j, l, _ = witnesses[-1]
+    return (i * k + j) * k + l + 1
 
 
 def assert_matches_dense(A, report):
@@ -246,7 +270,9 @@ class TestVerify:
         assert A.verify_axioms().ok
 
     def test_exact_sweep_agrees_with_vectorized(self, C7, D17, B22, B32):
-        # whole reports, on passing and failing inputs, including k = 66
+        # whole reports, on passing and failing inputs, including k = 66:
+        # Light's test on the packed store certifies exactly when the
+        # exact sweep finds no witness
         cases = [C7, D17, B22, B32, load("S3"), z66_oracle(), perturbed_b32(B32)]
         cases += [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
         failing = 0
@@ -255,17 +281,38 @@ class TestVerify:
             exact = A.verify_axioms(force_exact=True)
             assert report_key(fast) == report_key(exact), A.name
             assert fast == exact, A.name
-            assert exact.associativity_evaluated == A.size ** 3
+            evaluated = sweep_evaluated(A.size, exact.check("associativity").witnesses)
+            assert exact.associativity_evaluated == evaluated, A.name
+            if not fast.check("associativity").passed:
+                assert fast.associativity_evaluated == evaluated < A.size**3, A.name
             assert exact.generators == ()
             failing += not fast.ok
         assert failing == 5
 
     def test_printed_b32_lines_fail_symmetry_and_associativity(self):
+        # the sweep stops in row i = 1, at the triple of the 20th witness
+        evaluated = []
         for fixed, printed in B32_PRINTED_LINES:
             report = b32_as_printed(fixed, printed).verify_axioms()
             bad = [c.name for c in report.checks if not c.passed]
             assert bad == ["normalization-symmetry", "associativity"], printed
-            assert report.associativity_evaluated == 32 ** 3
+            witnesses = report.check("associativity").witnesses
+            assert report.associativity_evaluated == sweep_evaluated(32, witnesses), printed
+            evaluated.append(report.associativity_evaluated)
+        assert evaluated == [1194, 1723, 1688]
+
+    def test_identity_witnesses_are_distinct_and_ordered(self, C7):
+        # b_0 b_1 = 2 b_1 fails at one position, reported once
+        A = with_entry(C7, (0, 1), 1, 2)
+        # a stray b_5 in b_0 b_2 and an empty b_0 b_1, in (j, m) order
+        rows = rows_of(C7)
+        rows[(0, 2)][5] = 1
+        rows[(0, 1)] = {}
+        B = TableAlgebra(C7.basis, StructureConstants(C7.size, rows), name="C7-edited")
+        for X, witnesses in ((A, ((0, 1, 1),)), (B, ((0, 1, 1), (0, 2, 5)))):
+            report = X.verify_axioms()
+            assert report.check("identity").witnesses == witnesses
+            assert_matches_dense(X, report)
 
     def test_s3_fails_only_normalization(self):
         from tabalg import load
@@ -300,14 +347,6 @@ def refuse(*args):
     raise AssertionError("this path must not run")
 
 
-def counted(fn, calls):
-    def wrapper(*args):
-        calls.append(args)
-        return fn(*args)
-
-    return wrapper
-
-
 class TestLightCertificate:
     def test_generators_are_pinned(self):
         pinned = {
@@ -328,18 +367,19 @@ class TestLightCertificate:
             assert report.associativity_evaluated == len(gens) * k * k, name
             assert word_rank_mod_p(A, gens, _RANK_PRIME) == k, name
 
-    def test_broken_identity_row_runs_full_sweep(self, C7, monkeypatch):
+    def test_broken_identity_row_goes_straight_to_the_sweep(self, C7, monkeypatch):
+        # without the identity Light's lemma does not apply: no generating
+        # set is sought and no packed store is built
         A = with_entry(C7, (0, 1), 2, 1)
-        sweeps = []
         monkeypatch.setattr(core, "_generating_set", refuse)
-        monkeypatch.setattr(core, "_sweep", counted(core._sweep, sweeps))
+        monkeypatch.setattr(core, "_packed_store", refuse)
         report = A.verify_axioms()
-        assert len(sweeps) == 1
         assert not report.check("identity").passed
         assert report.check("identity").witnesses == ((0, 1, 2),)
         assert report.generators == ()
-        assert report.associativity_evaluated == C7.size ** 3
-        assert report_key(report) == report_key(A.verify_axioms(force_exact=True))
+        witnesses = report.check("associativity").witnesses
+        assert report.associativity_evaluated == sweep_evaluated(C7.size, witnesses) == 12
+        assert_matches_dense(A, report)
 
     def test_huge_entries_widen_fields_and_agree_with_exact_sweep(self, C7):
         # 2**40, 2**62 and 2**70 pass the limits of exact float64 sums, of
@@ -352,9 +392,11 @@ class TestLightCertificate:
             assert 256**width > top
             report = A.verify_axioms()
             assert not report.ok
-            assert report.associativity_evaluated == C7.size ** 3
+            witnesses = report.check("associativity").witnesses
+            assert report.associativity_evaluated == sweep_evaluated(C7.size, witnesses) == 68
             assert report.generators == ()
             assert report_key(report) == report_key(A.verify_axioms(force_exact=True)), value
+            assert_matches_dense(A, report)
 
     def test_evaluated_is_not_part_of_equality(self, B32):
         fast, exact = B32.verify_axioms(), B32.verify_axioms(force_exact=True)
