@@ -47,21 +47,29 @@ integers:
   nonzero, so they span the algebra over Q.  Then ``|G| k^2`` triples
   ``(x, g, y)`` certify all ``k^3``.
 * The exact sweep runs when the identity check fails or Light's test finds
-  an unequal block; Light's attempt is then discarded.  It evaluates the
-  triples ``(i, j, l)`` in lexicographic order, in Python dicts over rows
-  fetched once, and yields its ``(i, j, l, n)`` witnesses lazily, so the
-  verifier stops it at the ``MAX_WITNESSES``-th.
+  an unequal block; Light's attempt is then discarded.  The table is
+  commutative by construction, so with ``R(x, {y, z}) = b_x (b_y b_z) =
+  sum_m delta[y][z][m] b_x b_m``, ``(b_i b_j) b_l = R(l, {i, j})`` and
+  ``b_i (b_j b_l) = R(i, {j, l})``.  On a multiset ``x <= y <= z`` the
+  values A, B, C of R at x, y, z decide every ordering: A != C fails
+  (x, y, z) and (z, y, x), A != B (x, z, y) and (y, z, x), B != C
+  (y, x, z) and (z, x, y); with a repeated index only A != C is left, and
+  i = l associates.  That is about k^2 (k + 1) / 2 row products in Python
+  dicts, against 2 k^3 for ordered triples one at a time.  Failures wait
+  under their first index until layer x (the multisets of least index x)
+  is done; then first index x is complete and is yielded in lexicographic
+  order, so the verifier can stop the sweep at the ``MAX_WITNESSES``-th
+  witness.  When every ``b_0 b_j`` row is exactly ``b_j``, layer 0 is
+  skipped: each triple holding index 0 then associates.
 
 The sweep's cost.  A triple whose first factor lies in the left nucleus
 (the ``a`` with ``(a x) y = a (x y)`` for all x, y) always associates, so
-the cost is set by the lowest basis index outside the nucleus.  The
-printed B32 and its tensor products fail at ``i = 1``: the sweep stops
-after 1,194 to 1,723 of B32's 32,768 triples, and after about 4,500 of
-262,144 at k = 64.  The worst case is an input with fewer than
-``MAX_WITNESSES`` witnesses, or whose failures all have a high first
-index: it pays the full k^3 sweep, 1.1 to 1.7 s at k = 64 on a shared
-2-CPU Xeon, where a packed full sweep took about 0.2 s.  No failing
-bundled, test or benchmark input comes close to that.
+the first layer to yield is the lowest index outside the nucleus.  A
+stopped sweep finishes the whole layer of its ``MAX_WITNESSES``-th
+witness: layer 1 on the printed B32 and its tensor products.  An input
+with fewer witnesses, or whose failures all have a high first index,
+pays the full sweep: 0.37 to 0.47 s for Z2 x B32 (k = 64) on a shared
+2-CPU Xeon.
 
 ``force_exact`` runs the exact sweep on every input, passing or failing:
 all ``k^3`` triples when associativity holds, with no packing and no
@@ -626,8 +634,10 @@ class TableAlgebra:
         ``MAX_WITNESSES``-th.  When the identity check passed and
         ``force_exact`` is off, Light's test on the packed store is tried
         first; if it certifies associativity there are no witnesses and no
-        sweep.  ``force_exact`` always runs the sweep.  The module
-        docstring states the sweep's worst case.
+        sweep.  ``force_exact`` always runs the sweep.  After a sweep,
+        ``associativity_evaluated`` counts the lexicographic prefix of
+        triples through the ``MAX_WITNESSES``-th witness's, each of them
+        decided, or k^3.  The module docstring states the sweep's worst case.
         """
         basis, k = self.basis, self.size
         rep = VerificationReport()
@@ -709,27 +719,46 @@ class TableAlgebra:
 
     def _exact_sweep(self) -> Iterator[tuple[int, int, int, int]]:
         """Every (i, j, l, n) with ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n,
-        lazily and in lexicographic order, in Python integers over rows
-        fetched once; the caller stops it when it has enough witnesses."""
+        lazily and in lexicographic order, layer by layer over the multisets
+        ``x <= y <= z`` as the module docstring derives, in Python integers
+        over rows fetched once; the caller stops it at enough witnesses."""
         k = self.size
         rows = [[list(r.items()) for r in row] for row in self.constants.rows]
-        for i in range(k):
-            row_i = rows[i]
-            for j in range(k):
-                row_ij, row_j = row_i[j], rows[j]
-                for l in range(k):
-                    lhs: dict[int, int] = {}
-                    for m, v in row_ij:
-                        for n, w in rows[m][l]:
-                            lhs[n] = lhs.get(n, 0) + v * w
-                    rhs: dict[int, int] = {}
-                    for m, v in row_j[l]:
-                        for n, w in row_i[m]:
-                            rhs[n] = rhs.get(n, 0) + v * w
-                    if lhs != rhs:
-                        for n in sorted(lhs.keys() | rhs.keys()):
-                            if lhs.get(n, 0) != rhs.get(n, 0):
-                                yield i, j, l, n
+        # an exact identity row makes every multiset holding 0 associate
+        start = int(all(r == [(j, 1)] for j, r in enumerate(rows[0])))
+
+        def times(row_a: list, pair: list[tuple[int, int]]) -> dict[int, int]:
+            # R(a, {b, c}) for the rows of b_a and the row ``pair`` of b_b b_c
+            out: dict[int, int] = {}
+            for m, v in pair:
+                for n, w in row_a[m]:
+                    out[n] = out.get(n, 0) + v * w
+            return out
+
+        pending: dict[int, list[tuple[int, int, int]]] = {}  # first index -> (j, l, n)
+
+        def fail(p: dict[int, int], q: dict[int, int], i: int, j: int, l: int) -> None:
+            # p != q: (i, j, l) and (l, j, i) fail at each n where they differ
+            ns = [n for n in p.keys() | q.keys() if p.get(n, 0) != q.get(n, 0)]
+            pending.setdefault(i, []).extend((j, l, n) for n in ns)
+            pending.setdefault(l, []).extend((j, i, n) for n in ns)
+
+        for x in range(start, k):
+            row_x = rows[x]
+            for y in range(x, k):
+                row_y, pair_xy = rows[y], row_x[y]
+                for z in range(y + (x == y), k):
+                    a, c = times(row_x, row_y[z]), times(rows[z], pair_xy)
+                    if a != c:
+                        fail(a, c, x, y, z)
+                    if x < y < z:
+                        b = times(row_y, row_x[z])
+                        if a != b:
+                            fail(a, b, x, z, y)
+                        if b != c:
+                            fail(b, c, y, x, z)
+            for j, l, n in sorted(pending.pop(x, ())):
+                yield x, j, l, n
 
     def verified(self) -> VerificationReport:
         """Cached verification report (immutable algebra, computed once)."""

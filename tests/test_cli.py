@@ -65,7 +65,7 @@ class TestVerify:
         line = next(line for line in out.splitlines() if line.startswith(prefix))
         witnesses = ast.literal_eval(line[len(prefix):])
         assert len(witnesses) == 20
-        # the sweep stops at the triple of the 20th witness, in lexicographic order
+        # evaluated counts the triples through the 20th witness's, in lexicographic order
         i, j, l, _ = witnesses[-1]
         code, out, _ = invoke(capsys, "--format", "machine", "verify", str(path))
         facts = dict(line.split("\t") for line in out.strip().splitlines())

@@ -230,9 +230,56 @@ def dense_witnesses(A):
     return witnesses
 
 
+def lex_sweep(A):
+    """Every associativity witness (i, j, l, n), lazily and in lexicographic
+    order: both brackets of each ordered triple, evaluated one triple at a
+    time; the independent reference for the verifier's multiset sweep."""
+    k = A.size
+    rows = [[list(r.items()) for r in row] for row in A.constants.rows]
+    for i in range(k):
+        row_i = rows[i]
+        for j in range(k):
+            row_ij, row_j = row_i[j], rows[j]
+            for l in range(k):
+                lhs = {}
+                for m, v in row_ij:
+                    for n, w in rows[m][l]:
+                        lhs[n] = lhs.get(n, 0) + v * w
+                rhs = {}
+                for m, v in row_j[l]:
+                    for n, w in row_i[m]:
+                        rhs[n] = rhs.get(n, 0) + v * w
+                if lhs != rhs:
+                    for n in sorted(lhs.keys() | rhs.keys()):
+                        if lhs.get(n, 0) != rhs.get(n, 0):
+                            yield i, j, l, n
+
+
+def tensor_product(a, b):
+    """a (x) b, the second factor varying fastest: degrees, duals and
+    structure constants multiply factorwise."""
+    ka, kb = a.size, b.size
+    k = ka * kb
+    basis = TableBasis([
+        BasisElement(p, f"t{p}" if p else "1", a.basis.degree(p // kb) * b.basis.degree(p % kb),
+                     a.basis.dual(p // kb) * kb + b.basis.dual(p % kb))
+        for p in range(k)
+    ])
+    rows = {
+        (p, q): {m * kb + n: v * w
+                 for m, v in a.constants.row_items(p // kb, q // kb)
+                 for n, w in b.constants.row_items(p % kb, q % kb)}
+        for p in range(k) for q in range(p, k)
+    }
+    return TableAlgebra(basis, StructureConstants(k, rows), name=f"{a.name}x{b.name}")
+
+
 def sweep_evaluated(k, witnesses):
-    """The triples the exact sweep evaluates before it stops: through the
-    triple of the MAX_WITNESSES-th witness, or all k^3 with fewer."""
+    """``associativity_evaluated`` after the exact sweep: the size of the
+    lexicographic prefix of triples through the MAX_WITNESSES-th witness's,
+    every one of which the sweep decided, or k^3 with fewer witnesses.  The
+    sweep finishes the whole layer of that witness's first index, so it
+    decides more triples than this; the count names only the prefix."""
     if len(witnesses) < core.VerificationReport.MAX_WITNESSES:
         return k**3
     i, j, l, _ = witnesses[-1]
@@ -270,10 +317,10 @@ class TestVerify:
         assert A.verify_axioms().ok
 
     def test_exact_sweep_agrees_with_vectorized(self, C7, D17, B22, B32):
-        # whole reports, on passing and failing inputs, including k = 66:
-        # Light's test on the packed store certifies exactly when the
-        # exact sweep finds no witness
-        cases = [C7, D17, B22, B32, load("S3"), z66_oracle(), perturbed_b32(B32)]
+        # whole reports, on passing and failing inputs, including k = 42
+        # and 66: Light's test on the packed store certifies exactly when
+        # the exact sweep finds no witness
+        cases = [C7, D17, B22, B32, load("S3"), z66_oracle(), tensor_product(C7, load("Z6")), perturbed_b32(B32)]
         cases += [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
         failing = 0
         for A in cases:
@@ -300,6 +347,25 @@ class TestVerify:
             assert report.associativity_evaluated == sweep_evaluated(32, witnesses), printed
             evaluated.append(report.associativity_evaluated)
         assert evaluated == [1194, 1723, 1688]
+
+    def test_multiset_sweep_matches_lex_sweep_in_full(self, C7, D17, B32):
+        cases = [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
+        cases.append(perturbed_b32(B32))
+        # diagonal pairs and identity rows: repeated indices and layer 0
+        cases += [with_entry(C7, (2, 2), 4, 1), with_entry(D17, (5, 5), 0, 2),
+                  with_entry(C7, (0, 3), 5, 1), with_entry(C7, (0, 3), 3, 0)]
+        counts, shapes = [], set()
+        for A in cases:
+            swept = list(A._exact_sweep())
+            assert swept == list(lex_sweep(A)), A.name
+            assert all(u < v for u, v in zip(swept, swept[1:])), A.name
+            counts.append(len(swept))
+            for i, j, l, _ in swept:
+                # (x, x, z), (z, x, x), (x, y, y), (y, y, x) and layer 0
+                shapes.update(s for s, hit in (("xxz", i == j < l), ("zxx", j == l < i), ("xyy", i < j == l),
+                                               ("yyx", l < i == j), ("0", i == 0)) if hit)
+        assert counts[:3] == [3004, 2904, 7232]
+        assert shapes == {"xxz", "zxx", "xyy", "yyx", "0"}
 
     def test_identity_witnesses_are_distinct_and_ordered(self, C7):
         # b_0 b_1 = 2 b_1 fails at one position, reported once
@@ -341,6 +407,7 @@ class TestVerify:
         report = B.verify_axioms()
         assert_matches_dense(B, report)
         assert report_key(report) == report_key(B.verify_axioms(force_exact=True))
+        assert list(B._exact_sweep()) == list(lex_sweep(B))
 
 
 def refuse(*args):
