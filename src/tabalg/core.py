@@ -139,6 +139,9 @@ class TableBasis:
             raise TableAlgebraError("index 0 must be the identity '1' of degree 1, self-dual")
         names = set()
         for i, e in enumerate(elements):
+            # type() rather than isinstance(): bool is an int subclass
+            if type(e.index) is not int or type(e.degree) is not int or type(e.dual) is not int:
+                raise TableAlgebraError(f"element {e.name!r} has an index, degree or dual that is not an int")
             if e.index != i:
                 raise TableAlgebraError(f"element {e.name!r} stored at wrong index")
             if e.name in names:
@@ -167,11 +170,15 @@ class TableBasis:
     def size(self) -> int:
         return len(self.elements)
 
-    def index_of(self, name: str) -> int:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise MalformedElementError(f"unknown element name {name!r}") from None
+    def index_of(self, ref: str | int) -> int:
+        """The index of a basis element given by its name or by its index, an
+        ``int`` in ``range(size)``: the one resolver of element references.
+        Anything else, ``bool`` included, raises MalformedElementError."""
+        if type(ref) is int and 0 <= ref < len(self.elements):
+            return ref
+        if isinstance(ref, str) and ref in self._by_name:
+            return self._by_name[ref]
+        raise MalformedElementError(f"unknown element {'name' if isinstance(ref, str) else 'index'} {ref!r}")
 
     def name(self, i: int) -> str:
         return self.elements[i].name
@@ -515,7 +522,10 @@ def _light_holds(constants: StructureConstants, gens: Sequence[int]) -> bool:
 
 
 class TableAlgebra:
-    """Immutable table algebra: basis plus verified-on-demand structure constants."""
+    """Immutable table algebra: basis plus verified-on-demand structure
+    constants.  Arithmetic is ``multiply`` and ``inner`` on ``Element``
+    values, which ``parse_element_expr`` builds from names; the product of
+    basis elements i and j is the row ``constants.rows[i][j]``."""
 
     def __init__(
         self,
@@ -534,7 +544,7 @@ class TableAlgebra:
     def size(self) -> int:
         return self.basis.size
 
-    # -- constructors --------------------------------------------------
+    # -- constructor -----------------------------------------------------
 
     @classmethod
     def from_products(
@@ -556,39 +566,12 @@ class TableAlgebra:
             rows[(i, j)] = row
         return cls(basis, StructureConstants(k, rows), name=name)
 
-    @classmethod
-    def from_tensor(
-        cls, basis: TableBasis, tensor: Sequence[Sequence[Sequence[int]]], name: str = ""
-    ) -> "TableAlgebra":
-        """Build from a full k*k*k tensor, checking commutativity on the way."""
-        k = basis.size
-        rows: dict[tuple[int, int], dict[int, int]] = {}
-        for i in range(k):
-            for j in range(i, k):
-                row_ij = tensor[i][j]
-                row_ji = tensor[j][i]
-                if list(row_ij) != list(row_ji):
-                    raise TableAlgebraError(f"tensor not commutative at pair ({i},{j})")
-                rows[(i, j)] = {m: v for m, v in enumerate(row_ij) if v}
-        return cls(basis, StructureConstants(k, rows), name=name)
-
-    # -- element helpers -----------------------------------------------
-
-    def element(self, spec: Mapping[str, int] | str) -> Element:
-        """Element from a name->coefficient map or a single basis name."""
-        if isinstance(spec, str):
-            return Element.basis(self.basis.index_of(spec))
-        return Element({self.basis.index_of(n): c for n, c in spec.items()})
+    # -- arithmetic: product and inner product ---------------------------
 
     def _check_element(self, x: Element) -> None:
         for i in x.coeffs:
             if not (0 <= i < self.size):
                 raise MalformedElementError(f"index {i} out of range for {self.name or 'algebra'}")
-
-    # -- the four arithmetic operations ---------------------------------
-
-    def basis_product(self, i: int, j: int) -> Element:
-        return Element(self.constants.rows[i][j])
 
     def multiply(self, x: Element, y: Element) -> Element:
         """Bilinear extension of the basis products; exact and nonnegative."""
@@ -603,10 +586,6 @@ class TableAlgebra:
                     out[m] = out.get(m, 0) + ab * v
         return Element(out)
 
-    def conjugate(self, x: Element) -> Element:
-        self._check_element(x)
-        return Element({self.basis.dual(i): c for i, c in x.coeffs.items()})
-
     def inner(self, x: Element, y: Element) -> int:
         """Hermitian form with the basis orthonormal: sum of coefficient products."""
         self._check_element(x)
@@ -614,10 +593,6 @@ class TableAlgebra:
         if len(y.coeffs) < len(x.coeffs):
             x, y = y, x
         return sum(c * y.coeffs.get(i, 0) for i, c in x.coeffs.items())
-
-    def degree_of(self, x: Element) -> int:
-        self._check_element(x)
-        return sum(c * self.basis.degree(i) for i, c in x.coeffs.items())
 
     # -- verification ----------------------------------------------------
 

@@ -93,9 +93,9 @@ from __future__ import annotations
 import time
 from collections import deque
 from math import isqrt
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
-from .core import Element, TableAlgebra, TableBasis, TableAlgebraError, format_element
+from .core import MalformedElementError, TableAlgebra, TableBasis, TableAlgebraError, format_element
 
 __all__ = [
     "PartialTable",
@@ -213,15 +213,13 @@ class PartialTable:
     ``cells[(i, j)][m]`` is the proven coefficient of ``b_m`` in
     ``b_i b_j``, or None while undetermined; entries are canonicalized to
     i <= j and identity rows are filled at construction.  ``rows[(i, j)]``
-    is the frozen ``{m: v}`` row of a known product.  Seeded products must
-    satisfy the degree identity.
+    is the frozen ``{m: v}`` row of a known product.  A seed maps pairs to
+    ``{m: v}`` rows; there and in ``set_product``, ``set_cell`` and
+    ``from_subtable`` an element is a name or an index, resolved by
+    ``TableBasis.index_of``.  Seeded products must satisfy the degree identity.
     """
 
-    def __init__(
-        self,
-        basis: TableBasis,
-        known: Mapping[tuple, Mapping[int, int] | Element] | None = None,
-    ):
+    def __init__(self, basis: TableBasis, known: Mapping[tuple, Mapping] | None = None):
         self.basis = basis
         k = basis.size
         self.k = k
@@ -246,18 +244,15 @@ class PartialTable:
         for j in range(k):
             self.set_product(0, j, {j: 1})
         if known:
-            for pair, value in known.items():
-                i, j = (self.basis.index_of(x) if isinstance(x, str) else x for x in pair)
-                self.set_product(i, j, value.coeffs if isinstance(value, Element) else value)
+            for (i, j), row in known.items():
+                self.set_product(i, j, row)
 
     @classmethod
-    def from_subtable(
-        cls, algebra: TableAlgebra, pairs: Mapping[tuple, object] | list
-    ) -> "PartialTable":
+    def from_subtable(cls, algebra: TableAlgebra, pairs: Iterable[tuple]) -> "PartialTable":
         """Seed with the algebra's own values on the given pairs."""
         known = {}
         for pair in pairs:
-            i, j = (algebra.basis.index_of(x) if isinstance(x, str) else x for x in pair)
+            i, j = map(algebra.basis.index_of, pair)
             known[(i, j)] = algebra.constants.rows[i][j]
         return cls(algebra.basis, known)
 
@@ -267,15 +262,6 @@ class PartialTable:
     def known(self):
         """The known pairs: a read-only view of the keys of ``rows``."""
         return self.rows.keys()
-
-    def is_known(self, i: int, j: int) -> bool:
-        return _canon(i, j) in self.rows
-
-    def value(self, i: int, j: int) -> Element:
-        row = self.rows.get(_canon(i, j))
-        if row is None:
-            raise TableAlgebraError(f"product {i},{j} not known")
-        return Element(row)
 
     def pending_pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p in self.cells if p not in self.rows)
@@ -311,18 +297,26 @@ class PartialTable:
 
     # -- writing facts ----------------------------------------------------
 
-    def set_product(self, i: int, j: int, coeffs: Mapping[int, int]) -> None:
-        total = sum(c * self.deg[m] for m, c in coeffs.items())
-        if total != self.deg[i] * self.deg[j]:
-            raise TableAlgebraError(
-                f"product {self.label((i, j))} violates the degree identity"
-            )
-        for m in range(self.k):
-            self.set_cell(i, j, m, coeffs.get(m, 0))
-
-    def set_cell(self, i: int, j: int, m: int, v: int) -> None:
-        """Record a coefficient and queue its transport around its orbit."""
+    def set_product(self, i: int | str, j: int | str, coeffs: Mapping[int | str, int]) -> None:
+        """Record the whole product b_i b_j, coefficient ``coeffs[m]`` of
+        b_m and 0 off its keys, and queue the transports."""
+        index_of = self.basis.index_of
+        i, j = index_of(i), index_of(j)
+        row = {index_of(m): v for m, v in coeffs.items()}
+        if len(row) != len(coeffs):
+            raise MalformedElementError(f"product {self.label((i, j))} names an element twice")
+        if sum(v * self.deg[m] for m, v in row.items()) != self.deg[i] * self.deg[j]:
+            raise TableAlgebraError(f"product {self.label((i, j))} violates the degree identity")
         pair = _canon(i, j)
+        for m in range(self.k):
+            v = row.get(m, 0)
+            if self._write(pair, m, v):
+                self._queue.append((pair, m, v))
+
+    def set_cell(self, i: int | str, j: int | str, m: int | str, v: int) -> None:
+        """Record a coefficient and queue its transport around its orbit."""
+        index_of = self.basis.index_of
+        pair, m = _canon(index_of(i), index_of(j)), index_of(m)
         if self._write(pair, m, v):
             self._queue.append((pair, m, v))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import prod
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .core import MalformedElementError, StructureConstants, TableAlgebra, TableAlgebraError
+from .core import StructureConstants, TableAlgebra, TableAlgebraError
 
 __all__ = [
     "ClosedSubset",
@@ -80,19 +80,10 @@ def _support_product(constants: StructureConstants, xs: Iterable[int], ys: Colle
     return {m for i in xs for j in ys for m in rows[i][j]}
 
 
-def _resolve(algebra: TableAlgebra, seed: Iterable[int | str]) -> set[int]:
-    out = set()
-    for x in seed:
-        out.add(algebra.basis.index_of(x) if isinstance(x, str) else x)
-    for i in out:
-        if not (0 <= i < algebra.size):
-            raise TableAlgebraError(f"seed index {i} out of range")
-    return out
-
-
 def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> ClosedSubset:
-    """Smallest closed subset containing the seed (fixed-point iteration)."""
-    current = _resolve(algebra, seed)
+    """Smallest closed subset containing the seed, a collection of element
+    names or indices (fixed-point iteration)."""
+    current = set(map(algebra.basis.index_of, seed))
     if not current:
         raise TableAlgebraError("closure of an empty seed")
     current.add(0)
@@ -153,9 +144,7 @@ def power_supports(algebra: TableAlgebra, b: int | str, max_n: int) -> PowerTabl
     ``Supp(b^(n-1)) b``."""
     if max_n < 1:
         raise TableAlgebraError("max_n must be >= 1")
-    i = algebra.basis.index_of(b) if isinstance(b, str) else b
-    if not 0 <= i < algebra.size:
-        raise MalformedElementError(f"index {i} out of range for {algebra.name or 'algebra'}")
+    i = algebra.basis.index_of(b)
     support = frozenset((i,))
     rows = [(1, support)]
     for n in range(2, max_n + 1):
@@ -248,7 +237,7 @@ class QuotientClassTable:
 
 def quotient_by(algebra: TableAlgebra, by: ClosedSubset | Iterable[int | str]) -> QuotientClassTable:
     if not isinstance(by, ClosedSubset):
-        by = ClosedSubset(tuple(_resolve(algebra, by)))
+        by = ClosedSubset(map(algebra.basis.index_of, by))
     return QuotientClassTable(algebra, by)
 
 

@@ -3,7 +3,9 @@ import sys
 
 import pytest
 
-sys.path.insert(0, str(pathlib.Path(__file__).parent))
+# tests/ for the oracles, perfbench/ for its corpus builders (tensor2)
+HERE = pathlib.Path(__file__).parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
 from tabalg import load
 from tabalg.bundled import NAMED_SUBSETS

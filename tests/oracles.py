@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 
+from tabalg import BasisElement, TableAlgebra, TableBasis
+
 
 class FiniteGroup:
     def __init__(self, elements, mult, name):
@@ -125,6 +127,19 @@ def class_algebra_tensor(group: FiniteGroup):
     sizes = [len(c) for c in classes]
     duals = [index_of[group.inverse(reps[i])] for i in range(k)]
     return sizes, duals, tensor
+
+
+def class_algebra(group: FiniteGroup, names=None) -> TableAlgebra:
+    """The class algebra of ``group`` from the convolution tensor, its basis
+    named ``names`` or ``1, c1, c2, ...``."""
+    sizes, duals, tensor = class_algebra_tensor(group)
+    k = len(sizes)
+    names = names or ["1"] + [f"c{i}" for i in range(1, k)]
+    # class sums commute: each class is closed under conjugation
+    assert all(tensor[i][j] == tensor[j][i] for i in range(k) for j in range(i, k)), group.name
+    basis = TableBasis([BasisElement(i, n, s, d) for i, (n, s, d) in enumerate(zip(names, sizes, duals))])
+    products = {(i, j): {m: v for m, v in enumerate(tensor[i][j]) if v} for i in range(k) for j in range(i, k)}
+    return TableAlgebra.from_products(basis, products, name=f"{group.name}-oracle")
 
 
 def subgroup_class_unions(group: FiniteGroup):

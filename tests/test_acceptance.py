@@ -17,6 +17,7 @@ from tabalg import (
     is_group_like,
     load,
     parse,
+    parse_element_expr,
     power_supports,
     quotient_by,
     restrict,
@@ -27,7 +28,7 @@ from tabalg.deduction import PartialTable, propagate
 
 from conftest import lemma72_seed
 from oracles import class_algebra_tensor, cyclic, subgroup_class_unions, symmetric3
-from test_deduction import LEMMA72_FIRST_BLOCK, theorem41_seed
+from test_deduction import LEMMA72_FIRST_BLOCK, product_row, theorem41_seed
 
 
 def report(n, ok, detail):
@@ -57,11 +58,11 @@ def test_criterion_2_main_theorem_inner_products():
     values = {}
     for name in ("B32", "B22"):
         A = load(name)
-        x = A.multiply(A.element("b3"), A.element("b8"))
+        x = A.multiply(parse_element_expr("b3", A.basis), parse_element_expr("b8", A.basis))
         values[name] = A.inner(x, x)
     B32 = load("B32")
-    b3c3 = B32.multiply(B32.element("b3"), B32.element("c3"))
-    assert b3c3 == B32.element({"r3": 1, "s6": 1})
+    b3c3 = B32.multiply(parse_element_expr("b3", B32.basis), parse_element_expr("c3", B32.basis))
+    assert b3c3 == parse_element_expr("r3 + s6", B32.basis)
     inner_b3c3 = B32.inner(b3c3, b3c3)
     ok = values == {"B32": 3, "B22": 3} and inner_b3c3 == 2
     report(2, ok, f"(b3 b8, b3 b8) = {values}, (b3 c3, b3 c3) = {inner_b3c3}")
@@ -166,13 +167,13 @@ def test_criterion_7_deduction(B32, lemma72_run):
     idx = B32.basis.index_of
     ok = trace.status == "completed"
     for a, b, want in LEMMA72_FIRST_BLOCK:
-        got = {B32.basis.name(m): v for m, v in table.value(idx(a), idx(b)).items()}
+        got = {B32.basis.name(m): v for m, v in product_row(table, idx(a), idx(b)).items()}
         ok = ok and got == want
     # every derived product equals bundled B32 exactly
     for (i, j) in table.known:
         if i == 0:
             continue
-        ok = ok and table.value(i, j).coeffs == dict(B32.constants.row_items(i, j))
+        ok = ok and table.rows[(i, j)] == B32.constants.rows[i][j]
     refute = propagate(theorem41_seed())[1]
     ok = ok and refute.status == "contradiction"
     report(

@@ -98,6 +98,11 @@ def steiner_loop_seed(extra_degree=None):
     return PartialTable(TableBasis(els), known)
 
 
+def product_row(table, i, j):
+    """The frozen row of b_i b_j; KeyError while the product is pending."""
+    return table.rows[(i, j) if i <= j else (j, i)]
+
+
 THEOREM41_WITNESS = ("b3", "b3", "b3bar")
 THEOREM41_MESSAGE = "forces a negative coefficient of b6bar in b3bar*b6"
 
@@ -107,17 +112,16 @@ class TestPropagate:
         table, trace = lemma72_run
         idx = B32.basis.index_of
         for a, b, want in LEMMA72_FIRST_BLOCK:
-            assert table.is_known(idx(a), idx(b)), (a, b)
-            got = {B32.basis.name(m): v for m, v in table.value(idx(a), idx(b)).items()}
+            got = {B32.basis.name(m): v for m, v in product_row(table, idx(a), idx(b)).items()}
             assert got == want, (a, b)
 
     def test_lemma72_derives_b3b8_and_b3x6(self, B32, lemma72_run):
         table, _ = lemma72_run
         idx = B32.basis.index_of
-        assert table.value(idx("b3"), idx("b8")).coeffs == {
+        assert product_row(table, idx("b3"), idx("b8")) == {
             idx("b3"): 1, idx("x6"): 1, idx("x15"): 1,
         }
-        assert table.value(idx("b3"), idx("x6")).coeffs == {idx("c3"): 1, idx("y15"): 1}
+        assert product_row(table, idx("b3"), idx("x6")) == {idx("c3"): 1, idx("y15"): 1}
 
     def test_complete_table_is_noop(self, C7):
         k = C7.size
@@ -250,14 +254,14 @@ class TestLemma22:
         seed = lemma72_seed(B32)
         idx, els = B32.basis.index_of, list(B32.basis)
         b3, b8 = idx("b3"), idx("b8")
-        assert table.value(b3, idx("b3bar")).coeffs == {0: 1, b8: 1}
+        assert product_row(table, b3, idx("b3bar")) == {0: 1, b8: 1}
         set_by_trace = {s.entry for s in trace.steps}
         derived = []
         for t, e in enumerate(els):
             if e.degree != 3 or sum(c * c for _, c in B32.constants.row_items(*sorted((b3, t)))) != 2:
                 continue
-            assert table.value(t, e.dual).coeffs == {0: 1, b8: 1}, e.name
-            if not seed.is_known(t, e.dual):
+            assert product_row(table, t, e.dual) == {0: 1, b8: 1}, e.name
+            if tuple(sorted((t, e.dual))) not in seed.known:
                 names = (B32.basis.name(min(t, e.dual)), B32.basis.name(max(t, e.dual)))
                 assert names in set_by_trace
                 derived.append(e.name)
@@ -280,7 +284,7 @@ class TestSoundness:
             for (i, j) in out.known:
                 if i == 0:
                     continue
-                assert out.value(i, j).coeffs == dict(A.constants.row_items(i, j))
+                assert out.rows[(i, j)] == A.constants.rows[i][j]
 
     def test_monotone_knowledge(self, B32, lemma72_run):
         table, _ = lemma72_run
@@ -313,7 +317,7 @@ class TestConfluence:
         assert trace_b.status == "completed"
         assert table_b.known == table_a.known
         for pair in table_a.known:
-            assert table_a.value(*pair) == table_b.value(*pair)
+            assert table_a.rows[pair] == table_b.rows[pair]
 
 
 class TestTraceFormat:
@@ -406,7 +410,7 @@ class TestFullCompletion:
         for (i, j) in sorted(table.known):
             if i == 0:
                 continue
-            assert table.value(i, j).coeffs == dict(B32.constants.row_items(i, j))
+            assert table.rows[(i, j)] == B32.constants.rows[i][j]
 
     def test_frozen_rows_are_the_algebra_rows(self, lemma72_run):
         # frozen rows have the form of StructureConstants.rows, so as_algebra
@@ -424,7 +428,7 @@ class TestFullCompletion:
         names = ["b3", "b3bar", "c3", "c3bar", "b6", "b6bar", "b8", "x6", "x6bar", "x10"]
         for ai, a in enumerate(names):
             for b in names[ai:]:
-                assert table.is_known(idx(a), idx(b)), (a, b)
+                assert tuple(sorted((idx(a), idx(b)))) in table.known, (a, b)
 
 
 def naive_r3_findings(table):
@@ -433,7 +437,7 @@ def naive_r3_findings(table):
     symmetry reduction, and list those on which R3 would still fire (one
     unknown product of net coefficient +-1) or find a contradiction."""
     k = table.k
-    rows = {pair: table.value(*pair).coeffs for pair in table.known}
+    rows = table.rows
 
     def row(a, b):
         return rows.get((a, b) if a <= b else (b, a))
@@ -477,10 +481,10 @@ def nonzero_net_representatives(table):
                 if (i, j, l) > (min(d[i], d[l]), d[j], max(d[i], d[l])):
                     continue
                 net = {}
-                for m, c in table.value(i, j).items():
+                for m, c in product_row(table, i, j).items():
                     q = (min(m, l), max(m, l))
                     net[q] = net.get(q, 0) + c
-                for m, c in table.value(j, l).items():
+                for m, c in product_row(table, j, l).items():
                     q = (min(i, m), max(i, m))
                     net[q] = net.get(q, 0) - c
                 net = {q: c for q, c in net.items() if c}
@@ -498,7 +502,7 @@ def assert_unchecked_triples_hold(table, stored, expected):
     for key in unchecked:
         total = {}
         for q, c in expected[key].items():
-            for m, v in table.value(*q).items():
+            for m, v in table.rows[q].items():
                 total[m] = total.get(m, 0) + c * v
         assert not any(total.values()), key
 
@@ -637,7 +641,7 @@ class TestAgenda:
         assert trace.stats.attempts["R3"] == 0
         assert trace.stats.sweep_firings > 0
         for i, j in table.known:
-            assert table.value(i, j).coeffs == dict(B22.constants.row_items(i, j))
+            assert table.rows[(i, j)] == B22.constants.rows[i][j]
 
     def test_sweep_checks_the_triples_the_agenda_never_stored(self, monkeypatch):
         """A stall leaves the triples whose products were all known at

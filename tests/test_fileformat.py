@@ -1,6 +1,6 @@
 import pytest
 
-from tabalg import ParseError, parse, parse_element_expr, parse_partial, serialize
+from tabalg import Element, ParseError, parse, parse_element_expr, parse_partial, serialize
 from tabalg.bundled import AUXILIARY, BUNDLED, data_text
 
 MINI = """\
@@ -13,6 +13,10 @@ product g2 g2 = g
 """
 
 
+def elem(A, text):
+    return parse_element_expr(text, A.basis)
+
+
 class TestParse:
     def test_product_line_with_coefficients(self, C7):
         # "product b5 b5 = 1 + x9 + x10 + b5" gives unit entries
@@ -22,7 +26,7 @@ class TestParse:
 
     def test_identity_row_from_file(self):
         A = parse(MINI + "product 1 g = g\n")
-        assert A.multiply(A.element("1"), A.element("g")) == A.element("g")
+        assert A.multiply(elem(A, "1"), elem(A, "g")) == elem(A, "g")
 
     def test_multiplicity_coefficients(self, B32):
         idx = B32.basis.index_of
@@ -78,7 +82,7 @@ product abar abar = abar
     def test_derivable_pair_may_be_omitted(self):
         # g2*g2 is the dual image of g*g, so its line is redundant
         A = parse(MINI.replace("product g2 g2 = g\n", ""))
-        assert A.multiply(A.element("g2"), A.element("g2")) == A.element("g")
+        assert A.multiply(elem(A, "g2"), elem(A, "g2")) == elem(A, "g")
 
     def test_incomplete_table_rejected(self):
         # g*g2 is its own dual-image pair, so nothing can supply it
@@ -153,7 +157,8 @@ class TestRoundTrip:
 class TestElementExpr:
     def test_expression_with_coefficients(self, B32):
         x = parse_element_expr("1 + 3 b5 + x9", B32.basis)
-        assert x == B32.element({"1": 1, "b5": 3, "x9": 1})
+        idx = B32.basis.index_of
+        assert x == Element({0: 1, idx("b5"): 3, idx("x9"): 1})
 
     def test_bad_token(self, B32):
         with pytest.raises(ParseError):

@@ -19,9 +19,7 @@ from tabalg import (
 from tabalg.bundled import AUXILIARY, BUNDLED
 from tabalg.structure import ClosedSubset
 
-from oracles import FiniteGroup, class_algebra_tensor, cyclic, klein_four
-
-from test_structure import oracle_algebra
+from oracles import FiniteGroup, class_algebra, cyclic, klein_four
 
 
 def elementary_abelian(p, n):
@@ -118,7 +116,7 @@ class TestExactIsomorphic:
 
     def test_quotient_vs_group_oracle(self, B32):
         # the Z6 class algebra equals itself through the oracle route
-        z6 = oracle_algebra(cyclic(6))
+        z6 = class_algebra(cyclic(6))
         from tabalg import load
 
         cert = exact_isomorphic(load("Z6"), z6)
@@ -142,10 +140,10 @@ class TestExactIsomorphic:
         assert exact_isomorphic(B32, B22) is None
 
     def test_same_size_nonisomorphic(self):
-        z4 = oracle_algebra(cyclic(4))
+        z4 = class_algebra(cyclic(4))
         from oracles import klein_four
 
-        v4 = oracle_algebra(klein_four())
+        v4 = class_algebra(klein_four())
         assert exact_isomorphic(z4, v4) is None
 
     def test_symmetry(self, B32, D17):
@@ -174,9 +172,9 @@ class TestExactIsomorphic:
     @pytest.mark.parametrize(
         "a, b",
         [
-            (load("Z4"), oracle_algebra(klein_four())),
+            (load("Z4"), class_algebra(klein_four())),
             # every element of both has the same fingerprint: the search decides
-            (oracle_algebra(cyclic(9)), oracle_algebra(elementary_abelian(3, 2))),
+            (class_algebra(cyclic(9)), class_algebra(elementary_abelian(3, 2))),
         ],
         ids=["Z4-V4", "Z9-Z3xZ3"],
     )
