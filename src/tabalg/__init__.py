@@ -19,7 +19,6 @@ _SOURCES = {
     **dict.fromkeys(
         (
             "BasisElement",
-            "Element",
             "TableBasis",
             "StructureConstants",
             "TableAlgebra",

@@ -11,7 +11,8 @@ rows: ``rows[i][j]`` is the sparse row ``{m: delta[i][j][m]}``, ``m``
 ascending and zeros dropped, and ``rows[i][j] is rows[j][i]``.  It is built
 and validated once and never mutated.  Multiplication, closure,
 isomorphism, serialization and the verifier all index it; the deduction
-engine freezes its completed products into rows of the same form.  Nothing
+engine freezes its completed products into rows of the same form, and an
+element is a row of that form too, checked by ``TableBasis.row``.  Nothing
 builds a dense array.
 
 The verifier.  Identity, involution, degree-homomorphism and
@@ -88,7 +89,6 @@ __all__ = [
     "MalformedElementError",
     "BasisElement",
     "TableBasis",
-    "Element",
     "format_element",
     "StructureConstants",
     "TableAlgebra",
@@ -102,7 +102,7 @@ class TableAlgebraError(Exception):
 
 
 class MalformedElementError(TableAlgebraError):
-    """An element refers to basis indices outside the algebra."""
+    """A reference outside the basis, or a coefficient not a nonnegative int."""
 
 
 class BasisElement(NamedTuple):
@@ -137,16 +137,16 @@ class TableBasis:
         e0 = elements[0]
         if e0.index != 0 or e0.name != "1" or e0.degree != 1 or e0.dual != 0:
             raise TableAlgebraError("index 0 must be the identity '1' of degree 1, self-dual")
-        names = set()
+        by_name: dict[str, int] = {}
         for i, e in enumerate(elements):
             # type() rather than isinstance(): bool is an int subclass
             if type(e.index) is not int or type(e.degree) is not int or type(e.dual) is not int:
                 raise TableAlgebraError(f"element {e.name!r} has an index, degree or dual that is not an int")
             if e.index != i:
                 raise TableAlgebraError(f"element {e.name!r} stored at wrong index")
-            if e.name in names:
+            if e.name in by_name:
                 raise TableAlgebraError(f"duplicate element name {e.name!r}")
-            names.add(e.name)
+            by_name[e.name] = i
             if e.degree < 1:
                 raise TableAlgebraError(f"element {e.name!r} has degree < 1")
             if not (0 <= e.dual < len(elements)):
@@ -164,7 +164,7 @@ class TableBasis:
         self.elements = elements
         self.no_degree_one = no_degree_one
         self.no_degree_two = no_degree_two
-        self._by_name = {e.name: e.index for e in elements}
+        self._by_name = by_name
 
     @property
     def size(self) -> int:
@@ -179,6 +179,20 @@ class TableBasis:
         if isinstance(ref, str) and ref in self._by_name:
             return self._by_name[ref]
         raise MalformedElementError(f"unknown element {'name' if isinstance(ref, str) else 'index'} {ref!r}")
+
+    def row(self, coeffs: Mapping[str | int, int]) -> dict[int, int]:
+        """The checked row of ``coeffs``: keys resolved by ``index_of``, ascending, zeros dropped.
+        An element given twice or a coefficient not a nonnegative ``int`` is malformed."""
+        out: dict[int, int] = {}
+        for ref, v in coeffs.items():
+            i = self.index_of(ref)
+            if i in out:
+                raise MalformedElementError(f"row names an element twice: {self.name(i)}")
+            # type() rather than isinstance(): bool is an int subclass
+            if type(v) is not int or v < 0:
+                raise MalformedElementError(f"coefficient {v!r} of {self.name(i)} is not a nonnegative int")
+            out[i] = v
+        return {i: out[i] for i in sorted(out) if out[i]}
 
     def name(self, i: int) -> str:
         return self.elements[i].name
@@ -197,55 +211,6 @@ class TableBasis:
 
     def __hash__(self):
         return hash(self.elements)
-
-
-class Element:
-    """A component: formal nonnegative integer combination of basis elements."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        clean: dict[int, int] = {}
-        for i, c in items:
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise MalformedElementError(f"coefficient of index {i} is not an integer")
-            if c < 0:
-                raise MalformedElementError(f"negative coefficient at index {i}")
-            if c:
-                clean[i] = clean.get(i, 0) + c
-        self.coeffs = clean
-
-    @classmethod
-    def basis(cls, i: int) -> "Element":
-        return cls({i: 1})
-
-    def support(self) -> frozenset[int]:
-        return frozenset(self.coeffs)
-
-    def __getitem__(self, i: int) -> int:
-        return self.coeffs.get(i, 0)
-
-    def __add__(self, other: "Element") -> "Element":
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            out[i] = out.get(i, 0) + c
-        return Element(out)
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Element) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def items(self):
-        return self.coeffs.items()
-
-    def __repr__(self):
-        return f"Element({self.coeffs!r})"
 
 
 def format_element(basis: TableBasis, terms: Iterable[tuple[int, int]]) -> str:
@@ -523,9 +488,9 @@ def _light_holds(constants: StructureConstants, gens: Sequence[int]) -> bool:
 
 class TableAlgebra:
     """Immutable table algebra: basis plus verified-on-demand structure
-    constants.  Arithmetic is ``multiply`` and ``inner`` on ``Element``
-    values, which ``parse_element_expr`` builds from names; the product of
-    basis elements i and j is the row ``constants.rows[i][j]``."""
+    constants.  Arithmetic is ``multiply`` and ``inner`` on rows, checked by
+    ``TableBasis.row``; the product of basis elements i and j is the row
+    ``constants.rows[i][j]``."""
 
     def __init__(
         self,
@@ -568,31 +533,24 @@ class TableAlgebra:
 
     # -- arithmetic: product and inner product ---------------------------
 
-    def _check_element(self, x: Element) -> None:
-        for i in x.coeffs:
-            if not (0 <= i < self.size):
-                raise MalformedElementError(f"index {i} out of range for {self.name or 'algebra'}")
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        """Bilinear extension of the basis products; exact and nonnegative."""
-        self._check_element(x)
-        self._check_element(y)
+    def multiply(self, x: Mapping[str | int, int], y: Mapping[str | int, int]) -> dict[int, int]:
+        """Bilinear extension of the basis products, as a row; exact and nonnegative."""
+        x, y = self.basis.row(x), self.basis.row(y)
         rows = self.constants.rows
         out: dict[int, int] = {}
-        for i, a in x.coeffs.items():
-            for j, b in y.coeffs.items():
+        for i, a in x.items():
+            for j, b in y.items():
                 ab = a * b
                 for m, v in rows[i][j].items():
                     out[m] = out.get(m, 0) + ab * v
-        return Element(out)
+        return {m: out[m] for m in sorted(out)}
 
-    def inner(self, x: Element, y: Element) -> int:
+    def inner(self, x: Mapping[str | int, int], y: Mapping[str | int, int]) -> int:
         """Hermitian form with the basis orthonormal: sum of coefficient products."""
-        self._check_element(x)
-        self._check_element(y)
-        if len(y.coeffs) < len(x.coeffs):
+        x, y = self.basis.row(x), self.basis.row(y)
+        if len(y) < len(x):
             x, y = y, x
-        return sum(c * y.coeffs.get(i, 0) for i, c in x.coeffs.items())
+        return sum(c * y.get(i, 0) for i, c in x.items())
 
     # -- verification ----------------------------------------------------
 

@@ -214,9 +214,9 @@ class PartialTable:
     ``b_i b_j``, or None while undetermined; entries are canonicalized to
     i <= j and identity rows are filled at construction.  ``rows[(i, j)]``
     is the frozen ``{m: v}`` row of a known product.  A seed maps pairs to
-    ``{m: v}`` rows; there and in ``set_product``, ``set_cell`` and
-    ``from_subtable`` an element is a name or an index, resolved by
-    ``TableBasis.index_of``.  Seeded products must satisfy the degree identity.
+    rows, checked like those of ``set_product`` by ``TableBasis.row``;
+    elsewhere an element is a name or an index, resolved by ``index_of``.
+    Seeded products must satisfy the degree identity.
     """
 
     def __init__(self, basis: TableBasis, known: Mapping[tuple, Mapping] | None = None):
@@ -300,11 +300,8 @@ class PartialTable:
     def set_product(self, i: int | str, j: int | str, coeffs: Mapping[int | str, int]) -> None:
         """Record the whole product b_i b_j, coefficient ``coeffs[m]`` of
         b_m and 0 off its keys, and queue the transports."""
-        index_of = self.basis.index_of
-        i, j = index_of(i), index_of(j)
-        row = {index_of(m): v for m, v in coeffs.items()}
-        if len(row) != len(coeffs):
-            raise MalformedElementError(f"product {self.label((i, j))} names an element twice")
+        i, j = self.basis.index_of(i), self.basis.index_of(j)
+        row = self.basis.row(coeffs)
         if sum(v * self.deg[m] for m, v in row.items()) != self.deg[i] * self.deg[j]:
             raise TableAlgebraError(f"product {self.label((i, j))} violates the degree identity")
         pair = _canon(i, j)
@@ -314,9 +311,12 @@ class PartialTable:
                 self._queue.append((pair, m, v))
 
     def set_cell(self, i: int | str, j: int | str, m: int | str, v: int) -> None:
-        """Record a coefficient and queue its transport around its orbit."""
+        """Record a coefficient and queue its transport around its orbit; a
+        value not an ``int`` is malformed, a negative one a Contradiction."""
         index_of = self.basis.index_of
         pair, m = _canon(index_of(i), index_of(j)), index_of(m)
+        if type(v) is not int:
+            raise MalformedElementError(f"coefficient {v!r} of {self.basis.name(m)} is not an int")
         if self._write(pair, m, v):
             self._queue.append((pair, m, v))
 

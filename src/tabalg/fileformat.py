@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 
-from .core import Element, BasisElement, TableAlgebra, TableBasis, TableAlgebraError, format_element
+from .core import BasisElement, TableAlgebra, TableBasis, TableAlgebraError, format_element
 
 __all__ = ["ParseError", "parse", "parse_partial", "serialize", "parse_element_expr"]
 
@@ -82,10 +82,12 @@ def _lookup(index: dict[str, int], name: str, line_no: int) -> int:
     return idx
 
 
-def parse_element_expr(text: str, basis: TableBasis) -> Element:
-    """Parse an element expression such as ``1 + 3 b5 + x9`` against a basis."""
+def parse_element_expr(text: str, basis: TableBasis) -> dict[int, int]:
+    """Parse an element expression such as ``1 + 3 b5 + x9`` against a basis
+    into its row ``{index: coefficient}`` (see ``TableBasis.row``); names are
+    looked up in the basis, and an unknown one raises ParseError."""
     tokens = text.replace("+", " + ").split()
-    return Element(_parse_rhs(tokens, {e.name: e.index for e in basis}, 0))
+    return basis.row(_parse_rhs(tokens, basis._by_name, 0))
 
 
 def _parse_lines(text: str):

@@ -64,9 +64,10 @@ class ClosedSubset:
         return tuple(algebra.basis.name(i) for i in self.members)
 
     def verify(self, algebra: TableAlgebra) -> bool:
-        """Independent membership re-check: range, identity, duals, all pair supports."""
+        """Independent membership re-check: each member an ``int`` index in
+        range (``bool`` excluded), identity, duals, all pair supports."""
         s = set(self.members)
-        if 0 not in s or not all(0 <= i < algebra.size for i in s):
+        if 0 not in s or not all(type(i) is int and 0 <= i < algebra.size for i in s):
             return False
         if any(algebra.basis.dual(i) not in s for i in s):
             return False

@@ -1,10 +1,12 @@
+import ast
+from collections import Counter
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tabalg import (
-    Element,
     MalformedElementError,
     StructureConstants,
     TableAlgebra,
@@ -55,13 +57,13 @@ class TestMultiply:
 
     def test_out_of_range_rejected(self, B32):
         with pytest.raises(MalformedElementError):
-            B32.multiply(Element({99: 1}), elem(B32, "b3"))
+            B32.multiply({99: 1}, elem(B32, "b3"))
 
     def test_bilinear(self, B32):
         x = elem(B32, "2 b3 + c3")
         y = elem(B32, "b8 + 3 x10")
         direct = B32.multiply(x, y)
-        split = B32.multiply(elem(B32, "2 b3"), y) + B32.multiply(elem(B32, "c3"), y)
+        split = Counter(B32.multiply(elem(B32, "2 b3"), y)) + Counter(B32.multiply(elem(B32, "c3"), y))
         assert direct == split
 
 
@@ -476,7 +478,7 @@ def components(draw, k):
             max_size=5,
         )
     )
-    return Element(dict(items))
+    return dict(items)
 
 
 class TestAlgebraProperties:
@@ -487,8 +489,8 @@ class TestAlgebraProperties:
         x = data.draw(components(B32.size))
         y = data.draw(components(B32.size))
         i = data.draw(st.integers(0, B32.size - 1))
-        bi = Element.basis(i)
-        bidual = Element.basis(B32.basis.dual(i))
+        bi = {i: 1}
+        bidual = {B32.basis.dual(i): 1}
         lhs = B32.inner(B32.multiply(bi, x), y)
         rhs = B32.inner(x, B32.multiply(bidual, y))
         assert lhs == rhs
@@ -499,11 +501,11 @@ class TestAlgebraProperties:
         pairs = [("b3", "c3"), ("b3", "r3"), ("d3", "y3"), ("d3", "z3")]
         for a, b in pairs:
             ea, eb = elem(B32, a), elem(B32, b)
-            prod_a = B32.multiply(ea, Element.basis(B32.basis.dual(idx(a))))
-            prod_b = B32.multiply(eb, Element.basis(B32.basis.dual(idx(b))))
+            prod_a = B32.multiply(ea, {B32.basis.dual(idx(a)): 1})
+            prod_b = B32.multiply(eb, {B32.basis.dual(idx(b)): 1})
             assert prod_a == prod_b, (a, b)
             for u in range(B32.size):
-                eu = Element.basis(u)
+                eu = {u: 1}
                 xa = B32.multiply(ea, eu)
                 xb = B32.multiply(eb, eu)
                 assert B32.inner(xa, xa) == B32.inner(xb, xb)
@@ -596,6 +598,8 @@ REFERENCE_ENTRY_POINTS = {
     "set_product": lambda A, r: written(A, lambda t: t.set_product(1, 1, row_with_key(A, r))),
     "set_cell_pair": lambda A, r: written(A, lambda t: t.set_cell(r, 2, 0, 0)),
     "set_cell_m": lambda A, r: written(A, lambda t: t.set_cell(2, 2, r, A.constants.rows[2][2][1])),
+    "multiply": lambda A, r: A.multiply({r: 1}, {1: 1}),
+    "inner": lambda A, r: A.inner({r: 1}, {1: 1}),
 }
 
 
@@ -617,3 +621,48 @@ class TestElementReferences:
         row[1] = row["b8"]
         with pytest.raises(MalformedElementError, match="names an element twice"):
             PartialTable(C7.basis).set_product(1, 1, row)
+
+
+def with_identity_coefficient(A, c):
+    """The row of b_1 b_1 with the coefficient of the identity set to c."""
+    return {**A.constants.rows[1][1], 0: c}
+
+
+# every entry point that takes a row, called with a row of A holding the
+# coefficient c
+COEFFICIENT_ENTRY_POINTS = {
+    "multiply": lambda A, c: A.multiply({0: c, 1: 1}, {1: 1}),
+    "inner": lambda A, c: A.inner({1: c}, {1: 1}),
+    "PartialTable": lambda A, c: PartialTable(A.basis, {(1, 1): with_identity_coefficient(A, c)}),
+    "set_product": lambda A, c: PartialTable(A.basis).set_product(1, 1, with_identity_coefficient(A, c)),
+}
+
+
+@pytest.mark.parametrize("entry", COEFFICIENT_ENTRY_POINTS)
+@pytest.mark.parametrize("c", [True, 1.0, -1, "1"])
+def test_rejects_coefficients_that_are_not_nonnegative_ints(C7, entry, c):
+    with pytest.raises(MalformedElementError):
+        COEFFICIENT_ENTRY_POINTS[entry](C7, c)
+
+
+def test_basis_products_are_the_rows(B32):
+    rows = B32.constants.rows
+    for i in range(B32.size):
+        for j in range(B32.size):
+            got = B32.multiply({i: 1}, {j: 1})
+            assert got == rows[i][j]
+            assert list(got) == sorted(got)
+
+
+def test_src_never_asks_isinstance_of_int():
+    """``bool`` is an ``int`` subclass, so an index or coefficient check must
+    read ``type(x) is int``; no module calls ``isinstance(x, int)``."""
+    src = Path(core.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance" and len(node.args) == 2:
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                if any(getattr(kind, "id", None) == "int" for kind in kinds):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

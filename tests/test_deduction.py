@@ -7,6 +7,7 @@ import pytest
 
 from tabalg import (
     BasisElement,
+    MalformedElementError,
     TableBasis,
     deduction,
     load,
@@ -198,6 +199,13 @@ class TestRefutations:
             seed.set_cell(1, 1, 2, -1)
         assert err.value.witness[-1] == B32.basis.name(2)
         assert "negative coefficient" in str(err.value)
+
+    @pytest.mark.parametrize("v", [True, 1.0, "1"])
+    def test_a_value_that_is_not_an_int_is_malformed(self, B32, v):
+        seed = PartialTable(B32.basis)
+        with pytest.raises(MalformedElementError):
+            seed.set_cell(1, 1, 0, v)
+        assert seed.cells[(1, 1)][0] is None
 
 
 class TestR4Contradictions:

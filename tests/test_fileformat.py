@@ -1,6 +1,6 @@
 import pytest
 
-from tabalg import Element, ParseError, parse, parse_element_expr, parse_partial, serialize
+from tabalg import ParseError, parse, parse_element_expr, parse_partial, serialize
 from tabalg.bundled import AUXILIARY, BUNDLED, data_text
 
 MINI = """\
@@ -158,7 +158,7 @@ class TestElementExpr:
     def test_expression_with_coefficients(self, B32):
         x = parse_element_expr("1 + 3 b5 + x9", B32.basis)
         idx = B32.basis.index_of
-        assert x == Element({0: 1, idx("b5"): 3, idx("x9"): 1})
+        assert x == {0: 1, idx("b5"): 3, idx("x9"): 1}
 
     def test_bad_token(self, B32):
         with pytest.raises(ParseError):

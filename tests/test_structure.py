@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from tabalg import (
     BasisElement,
-    Element,
     MalformedElementError,
+    NotClosedError,
     TableAlgebra,
     TableAlgebraError,
     TableBasis,
@@ -49,6 +49,17 @@ class TestClosure:
     @pytest.mark.parametrize("members", [(0, 40), (0, -32), (0, -1), (0, 32)])
     def test_members_outside_the_basis_are_not_closed(self, B32, members):
         assert not ClosedSubset(members).verify(B32)
+
+    def test_bool_member_is_not_closed(self):
+        # taken as index 1, True would make {0, True} pass as {1, g} of Z2
+        Z2 = load("Z2")
+        assert ClosedSubset((0, 1)).verify(Z2)
+        s = ClosedSubset((0, True))
+        assert not s.verify(Z2)
+        with pytest.raises(TableAlgebraError, match="verified closed subset"):
+            quotient_by(Z2, s)
+        with pytest.raises(NotClosedError):
+            restrict(Z2, s)
 
     def test_repeated_members_count_once(self, C7):
         s = ClosedSubset((0, 0))
@@ -231,18 +242,18 @@ class TestQuotient:
 
 
 def element_sandwich(algebra, subset, b):
-    """Supp(e_C b e_C) through exact Element arithmetic."""
-    e_c = Element({i: 1 for i in subset.members})
-    return algebra.multiply(algebra.multiply(e_c, Element.basis(b)), e_c).support()
+    """Supp(e_C b e_C) through exact element arithmetic."""
+    e_c = {i: 1 for i in subset.members}
+    return algebra.multiply(algebra.multiply(e_c, {b: 1}), e_c).keys()
 
 
 def element_powers(algebra, b, max_n):
     """Supp(b^n), n = 1..max_n, by exact repeated multiplication."""
-    power = base = Element.basis(b)
-    rows = [(1, power.support())]
+    power = base = {b: 1}
+    rows = [(1, power.keys())]
     for n in range(2, max_n + 1):
         power = algebra.multiply(power, base)
-        rows.append((n, power.support()))
+        rows.append((n, power.keys()))
     return tuple(rows)
 
 
@@ -257,10 +268,10 @@ class TestSupportsAgainstElementArithmetic:
             q = quotient_by(A, subset)
             for b in range(A.size):
                 assert set(q.classes[q.class_of[b]]) == element_sandwich(A, subset, b)
-            class_sums = [Element({m: 1 for m in members}) for members in q.classes]
+            class_sums = [{m: 1 for m in members} for members in q.classes]
             for p in range(q.size):
                 for r in range(q.size):
-                    support = A.multiply(class_sums[p], class_sums[r]).support()
+                    support = A.multiply(class_sums[p], class_sums[r]).keys()
                     assert q.compose(p, r) == {q.class_of[m] for m in support}
 
     @pytest.mark.parametrize("name", ["B32", "B22", "D17"])
