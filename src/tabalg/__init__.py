@@ -31,7 +31,7 @@ _SOURCES = {
     **dict.fromkeys(("ParseError", "parse", "parse_partial", "parse_element_expr", "serialize"), "fileformat"),
     **dict.fromkeys(
         (
-            "ClosedSubset",
+            "is_closed",
             "PowerTable",
             "QuotientClassTable",
             "GroupTable",

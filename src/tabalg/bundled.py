@@ -38,7 +38,7 @@ NAMED_SUBSETS = {
     },
 }
 
-_cache: dict[str, TableAlgebra] = {}
+_cache: dict[tuple[str | None, str], TableAlgebra] = {}
 _PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -62,12 +62,12 @@ def _read(uri: str) -> str:
 
 
 def load(name: str) -> TableAlgebra:
-    """Parse a bundled or data-dir algebra by name (cached per process)."""
-    if os.environ.get("TABALG_DATA_DIR"):
-        return parse(data_text(name))
-    if name not in _cache:
-        _cache[name] = parse(data_text(name))
-    return _cache[name]
+    """Parse a bundled or data-dir algebra by name (cached per process and
+    per TABALG_DATA_DIR)."""
+    key = (os.environ.get("TABALG_DATA_DIR"), name)
+    if key not in _cache:
+        _cache[key] = parse(data_text(name))
+    return _cache[key]
 
 
 def resolve(uri: str) -> TableAlgebra:

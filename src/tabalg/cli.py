@@ -13,14 +13,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import TYPE_CHECKING
 
 from .bundled import AUXILIARY, BUNDLED, NAMED_SUBSETS, PARTIAL, load, resolve, resolve_partial
 from .core import TableAlgebra, TableAlgebraError, format_element
 from .fileformat import parse_element_expr, serialize
-
-if TYPE_CHECKING:
-    from .structure import ClosedSubset
 
 
 class _Out:
@@ -36,7 +32,7 @@ class _Out:
             print(f"{key}\t{value}")
 
 
-def _subset_from_spec(algebra: TableAlgebra, spec: str) -> ClosedSubset:
+def _subset_from_spec(algebra: TableAlgebra, spec: str) -> tuple[int, ...]:
     """A named subset (C/D/E of a bundled algebra), a comma list of element
     names, or a single element name; closure is always taken."""
     from .structure import closure
@@ -108,8 +104,8 @@ def cmd_subsets(args, out: _Out) -> int:
     lattice = all_closed_subsets(algebra)
     out.fact("count", len(lattice))
     for s in lattice:
-        out.fact(f"subset.{len(s)}", _fmt_members(algebra, s.members))
-        out.text(f"size {len(s):>3}: {_fmt_members(algebra, s.members)}")
+        out.fact(f"subset.{len(s)}", _fmt_members(algebra, s))
+        out.text(f"size {len(s):>3}: {_fmt_members(algebra, s)}")
     return 0
 
 
@@ -117,8 +113,8 @@ def cmd_closure(args, out: _Out) -> int:
     from .structure import closure
     algebra = resolve(args.algebra)
     s = closure(algebra, args.names)
-    out.fact("closure", _fmt_members(algebra, s.members))
-    out.text(f"size {len(s)}: {_fmt_members(algebra, s.members)}")
+    out.fact("closure", _fmt_members(algebra, s))
+    out.text(f"size {len(s)}: {_fmt_members(algebra, s)}")
     return 0
 
 

@@ -270,24 +270,23 @@ class StructureConstants:
 
 
 class CheckResult:
-    """One axiom class: pass or fail, its first witnesses, the triples it
-    checked and the seconds it took; ``seconds`` is left out of ``==``."""
+    """One axiom class: pass or fail, its first witnesses and the seconds it
+    took; ``seconds`` is left out of ``==``."""
 
-    def __init__(self, name: str, passed: bool, witnesses: tuple = (), checked: int = 0, seconds: float = 0.0):
+    def __init__(self, name: str, passed: bool, witnesses: tuple = (), seconds: float = 0.0):
         self.name = name
         self.passed = passed
         self.witnesses = witnesses
-        self.checked = checked
         self.seconds = seconds
 
     def _key(self):
-        return (self.name, self.passed, self.witnesses, self.checked)
+        return (self.name, self.passed, self.witnesses)
 
     def __eq__(self, other):
         return self._key() == other._key() if type(other) is CheckResult else NotImplemented
 
     def __repr__(self):
-        return "CheckResult(name={!r}, passed={!r}, witnesses={!r}, checked={!r})".format(*self._key())
+        return "CheckResult(name={!r}, passed={!r}, witnesses={!r})".format(*self._key())
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -581,12 +580,12 @@ class TableAlgebra:
 
         lap = time.perf_counter()
 
-        def record(name, witnesses, checked=0):
+        def record(name, witnesses):
             # a check's time runs from the previous record to this one
             nonlocal lap
             witnesses = list(islice(witnesses, maxw))
             now = time.perf_counter()
-            rep.checks.append(CheckResult(name, not witnesses, tuple(witnesses), checked, seconds=now - lap))
+            rep.checks.append(CheckResult(name, not witnesses, tuple(witnesses), seconds=now - lap))
             lap = now
             return witnesses
 
@@ -638,7 +637,7 @@ class TableAlgebra:
             gens = _generating_set(rows)
             if gens and not _light_holds(self.constants, gens):
                 gens = []
-        witnesses = record("associativity", () if gens else self._exact_sweep(), checked=triples)
+        witnesses = record("associativity", () if gens else self._exact_sweep())
         rep.associativity_triples = triples
         if gens:
             rep.associativity_evaluated = len(gens) * k * k

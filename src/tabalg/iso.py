@@ -8,12 +8,9 @@ re-verified constant by constant before it is returned.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import BasisElement, TableAlgebra, TableBasis, TableAlgebraError
-
-if TYPE_CHECKING:  # an annotation only: exact_isomorphic runs without the structure layer
-    from .structure import ClosedSubset
 
 __all__ = ["IsoCertificate", "NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"]
 
@@ -33,12 +30,15 @@ class IsoCertificate(NamedTuple):
         return {a.basis.name(i): b.basis.name(self.mapping[i]) for i in range(len(self.mapping))}
 
 
-def restrict(algebra: TableAlgebra, subset: ClosedSubset) -> TableAlgebra:
-    """Sub-table-algebra on a closed subset, reindexed in member order."""
-    if not subset.verify(algebra):
-        names = (algebra.basis.name(i) if 0 <= i < algebra.size else str(i) for i in subset.members)
-        raise NotClosedError(f"subset {{{', '.join(names)}}} is not closed in {algebra.name}")
-    members = list(subset.members)
+def restrict(algebra: TableAlgebra, subset: Iterable[int | str]) -> TableAlgebra:
+    """Sub-table-algebra on a closed subset, members given as names or
+    indices and resolved through ``index_of``, reindexed in index order."""
+    from .structure import is_closed  # here, so exact_isomorphic runs without the structure layer
+
+    members = sorted(set(map(algebra.basis.index_of, subset)))
+    if not is_closed(algebra, members):
+        names = ", ".join(map(algebra.basis.name, members))
+        raise NotClosedError(f"subset {{{names}}} is not closed in {algebra.name}")
     old_to_new = {old: new for new, old in enumerate(members)}
     basis = TableBasis(
         [

@@ -1,7 +1,9 @@
 """Closed subsets, power supports, and support-level quotients.
 
 A closed subset (table subset) contains the identity, is closed under the
-involution and under supports of products.  Quotients are taken at support
+involution and under supports of products.  It is a sorted tuple of basis
+indices; entry points take members as names or indices and resolve them
+through ``TableBasis.index_of``.  Quotients are taken at support
 level only: classes are the double cosets through a closed subset and the
 class composition records which classes meet each product support.
 
@@ -24,7 +26,7 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 from .core import StructureConstants, TableAlgebra, TableAlgebraError
 
 __all__ = [
-    "ClosedSubset",
+    "is_closed",
     "PowerTable",
     "QuotientClassTable",
     "GroupTable",
@@ -38,52 +40,29 @@ __all__ = [
 LATTICE_NODE_CAP = 4096
 
 
-class ClosedSubset:
-    """A set of basis indices, kept sorted and without repeats; ``verify``
-    decides whether it is closed."""
-
-    def __init__(self, members: Iterable[int]):
-        self.members: tuple[int, ...] = tuple(sorted(set(members)))
-
-    def __eq__(self, other):
-        return self.members == other.members if type(other) is ClosedSubset else NotImplemented
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __repr__(self):
-        return f"ClosedSubset(members={self.members!r})"
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def names(self, algebra: TableAlgebra) -> tuple[str, ...]:
-        return tuple(algebra.basis.name(i) for i in self.members)
-
-    def verify(self, algebra: TableAlgebra) -> bool:
-        """Independent membership re-check: each member an ``int`` index in
-        range (``bool`` excluded), identity, duals, all pair supports."""
-        s = set(self.members)
-        if 0 not in s or not all(type(i) is int and 0 <= i < algebra.size for i in s):
-            return False
-        if any(algebra.basis.dual(i) not in s for i in s):
-            return False
-        rows = algebra.constants.rows
-        return all(s.issuperset(rows[i][j]) for i in s for j in s)
-
-
 def _support_product(constants: StructureConstants, xs: Iterable[int], ys: Collection[int]) -> set[int]:
     """``Supp(x y)`` for any x, y of nonnegative coefficients with supports xs, ys."""
     rows = constants.rows
     return {m for i in xs for j in ys for m in rows[i][j]}
 
 
-def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> ClosedSubset:
+def is_closed(algebra: TableAlgebra, members: Iterable[int]) -> bool:
+    """Independent membership re-check of basis indices: each member an
+    ``int`` index in range (``bool`` excluded), identity, duals, all pair
+    supports."""
+    s = set(members)
+    if 0 not in s or not all(type(i) is int and 0 <= i < algebra.size for i in s):
+        return False
+    if any(algebra.basis.dual(i) not in s for i in s):
+        return False
+    rows = algebra.constants.rows
+    return all(s.issuperset(rows[i][j]) for i in s for j in s)
+
+
+def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> tuple[int, ...]:
     """Smallest closed subset containing the seed, a collection of element
-    names or indices (fixed-point iteration)."""
+    names or indices resolved through ``index_of`` (fixed-point iteration),
+    as a sorted tuple of indices."""
     current = set(map(algebra.basis.index_of, seed))
     if not current:
         raise TableAlgebraError("closure of an empty seed")
@@ -95,10 +74,10 @@ def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> ClosedSubset:
         new |= {algebra.basis.dual(m) for m in new}
         current |= new
         frontier = new
-    return ClosedSubset(tuple(current))
+    return tuple(sorted(current))
 
 
-def all_closed_subsets(algebra: TableAlgebra) -> list[ClosedSubset]:
+def all_closed_subsets(algebra: TableAlgebra) -> list[tuple[int, ...]]:
     """Complete lattice of closed subsets.
 
     Every closed subset is the join of the closures of its members, so a
@@ -106,18 +85,18 @@ def all_closed_subsets(algebra: TableAlgebra) -> list[ClosedSubset]:
     closure reaches all of them.  Sorted by size, then lexicographically by
     member indices.  Capped at ``LATTICE_NODE_CAP`` lattice nodes.
     """
-    found: dict[frozenset[int], ClosedSubset] = {}
+    found: dict[frozenset[int], tuple[int, ...]] = {}
     worklist: list[frozenset[int]] = []
 
-    def add(s: ClosedSubset):
-        key = frozenset(s.members)
+    def add(s: tuple[int, ...]):
+        key = frozenset(s)
         if key not in found:
             if len(found) >= LATTICE_NODE_CAP:
                 raise TableAlgebraError(f"subset lattice exceeded {LATTICE_NODE_CAP} nodes")
             found[key] = s
             worklist.append(key)
 
-    add(ClosedSubset((0,)))
+    add((0,))
     for i in range(algebra.size):
         add(closure(algebra, [i]))
     atoms = list(found)
@@ -126,18 +105,12 @@ def all_closed_subsets(algebra: TableAlgebra) -> list[ClosedSubset]:
         for atom in atoms:
             if not atom <= s:
                 add(closure(algebra, s | atom))
-    return sorted(found.values(), key=lambda s: (len(s.members), s.members))
+    return sorted(found.values(), key=lambda s: (len(s), s))
 
 
 class PowerTable(NamedTuple):
     element: int
     rows: tuple[tuple[int, frozenset[int]], ...]
-
-    def row(self, n: int) -> frozenset[int]:
-        for e, s in self.rows:
-            if e == n:
-                return s
-        raise KeyError(n)
 
 
 def power_supports(algebra: TableAlgebra, b: int | str, max_n: int) -> PowerTable:
@@ -175,14 +148,13 @@ class QuotientClassTable:
     the chosen representatives.
     """
 
-    def __init__(self, algebra: TableAlgebra, by: ClosedSubset):
-        if not by.verify(algebra):
+    def __init__(self, algebra: TableAlgebra, by: tuple[int, ...]):
+        if not is_closed(algebra, by):
             raise TableAlgebraError("quotient requires a verified closed subset")
         self.algebra = algebra
-        self.by = by
-        constants, c = algebra.constants, by.members
+        constants = algebra.constants
         sandwich = [
-            tuple(sorted(_support_product(constants, _support_product(constants, c, (b,)), c)))
+            tuple(sorted(_support_product(constants, _support_product(constants, by, (b,)), by)))
             for b in range(algebra.size)
         ]
         class_of: dict[int, int] = {}
@@ -236,10 +208,10 @@ class QuotientClassTable:
         return self.composition[(p, q)]
 
 
-def quotient_by(algebra: TableAlgebra, by: ClosedSubset | Iterable[int | str]) -> QuotientClassTable:
-    if not isinstance(by, ClosedSubset):
-        by = ClosedSubset(map(algebra.basis.index_of, by))
-    return QuotientClassTable(algebra, by)
+def quotient_by(algebra: TableAlgebra, by: Iterable[int | str]) -> QuotientClassTable:
+    """Quotient by the closed subset ``by``, members given as names or
+    indices and resolved through ``index_of``."""
+    return QuotientClassTable(algebra, tuple(sorted(set(map(algebra.basis.index_of, by)))))
 
 
 def _invariant_factors(order: int, element_orders: Sequence[int]) -> Optional[tuple[int, ...]]:

@@ -70,8 +70,8 @@ def test_criterion_2_main_theorem_inner_products():
 
 def test_criterion_3_subset_lattices():
     B32, B22 = load("B32"), load("B22")
-    names32 = {len(s): set(s.names(B32)) for s in all_closed_subsets(B32)}
-    names22 = {len(s): set(s.names(B22)) for s in all_closed_subsets(B22)}
+    names32 = {len(s): {B32.basis.name(i) for i in s} for s in all_closed_subsets(B32)}
+    names22 = {len(s): {B22.basis.name(i) for i in s} for s in all_closed_subsets(B22)}
     c = {"1", "b8", "x10", "b5", "c5", "c8", "x9"}
     e = c | {"r3", "s6", "t15", "d9", "y3"}
     d = c | {"c3", "c3bar", "d3", "d3bar", "c9", "c9bar", "b6", "b6bar", "y15", "y15bar"}
@@ -104,9 +104,9 @@ def test_criterion_4_quotients_and_power_tables():
         9: {"r3", "s6", "t15", "d9", "y3"},
         10: {"c3bar", "b6bar", "y15bar", "c9bar", "d3"},
     }
-    pt32 = power_supports(B32, "b3", 10)
+    pt32 = dict(power_supports(B32, "b3", 10).rows)
     for n, want in table1.items():
-        got = {B32.basis.name(i) for i in pt32.row(n)}
+        got = {B32.basis.name(i) for i in pt32[n]}
         ok = ok and got == want
 
     table2 = {
@@ -118,9 +118,9 @@ def test_criterion_4_quotients_and_power_tables():
         6: {"r3", "s6", "t15", "d9", "y3"},
         7: {"b3bar", "t6", "b15bar", "y9bar", "x3bar"},
     }
-    pt22 = power_supports(B22, "b3", 7)
+    pt22 = dict(power_supports(B22, "b3", 7).rows)
     for n, want in table2.items():
-        got = {B22.basis.name(i) for i in pt22.row(n)}
+        got = {B22.basis.name(i) for i in pt22[n]}
         ok = ok and got == want
     report(4, ok, "B32/C cyclic(6), B22/C cyclic(4); power rows n=1..10 and n=1..7 match")
 
@@ -156,7 +156,7 @@ def test_criterion_6_oracle_equivalence():
             for j in range(A.size):
                 for m in range(A.size):
                     ok = ok and A.constants.delta(i, j, m) == tensor[i][j][m]
-        ours = {frozenset(s.members) for s in all_closed_subsets(A)}
+        ours = {frozenset(s) for s in all_closed_subsets(A)}
         oracle = {frozenset(s) for s in subgroup_class_unions(group)}
         ok = ok and ours == oracle
     report(6, ok, "Z2/Z3/Z4/Z6/S3 class algebras equal the convolution oracle; lattices match subgroups")

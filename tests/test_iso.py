@@ -6,6 +6,7 @@ import pytest
 
 from tabalg import (
     BasisElement,
+    MalformedElementError,
     NotClosedError,
     UnverifiedAlgebraError,
     TableAlgebra,
@@ -17,7 +18,6 @@ from tabalg import (
     restrict,
 )
 from tabalg.bundled import AUXILIARY, BUNDLED
-from tabalg.structure import ClosedSubset
 
 from oracles import FiniteGroup, class_algebra, cyclic, klein_four
 
@@ -68,7 +68,7 @@ class TestRestrict:
         assert sub.verify_axioms().ok
 
     def test_restrict_to_identity(self, B32):
-        sub = restrict(B32, ClosedSubset((0,)))
+        sub = restrict(B32, (0,))
         assert sub.size == 1
 
     def test_restrict_to_C_matches_C7(self, B32, C7):
@@ -86,21 +86,28 @@ class TestRestrict:
 
     def test_not_closed_rejected(self, B32):
         with pytest.raises(NotClosedError):
-            restrict(B32, ClosedSubset((0, B32.basis.index_of("b3"))))
+            restrict(B32, (0, B32.basis.index_of("b3")))
+
+    @pytest.mark.parametrize("members", [("1", "b8"), (0, "b8"), ("b8", 1, 0)])
+    def test_names_and_indices_resolve_and_the_message_names_them(self, C7, members):
+        # b8 b8 leaves {1, b8}; names, indices and a mix of both resolve
+        # through index_of, and the error names the resolved members
+        with pytest.raises(NotClosedError, match=r"^subset \{1, b8\} is not closed in C7$"):
+            restrict(C7, members)
 
     @pytest.mark.parametrize("members", [(0, 40), (0, -32), (0, -1)])
     def test_members_outside_the_basis_rejected(self, B32, members):
-        with pytest.raises(NotClosedError):
-            restrict(B32, ClosedSubset(members))
+        with pytest.raises(MalformedElementError):
+            restrict(B32, members)
 
     def test_restriction_lattice_consistent(self, B32):
         d = subset_of_size(B32, 17)
         sub = restrict(B32, d)
-        inner = {frozenset(sub.basis.name(i) for i in s.members) for s in all_closed_subsets(sub)}
+        inner = {frozenset(sub.basis.name(i) for i in s) for s in all_closed_subsets(sub)}
         outer = {
-            frozenset(B32.basis.name(i) for i in s.members)
+            frozenset(B32.basis.name(i) for i in s)
             for s in all_closed_subsets(B32)
-            if set(s.members) <= set(d.members)
+            if set(s) <= set(d)
         }
         assert inner == outer
 

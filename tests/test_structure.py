@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from tabalg import (
     BasisElement,
     MalformedElementError,
-    NotClosedError,
     TableAlgebra,
     TableAlgebraError,
     TableBasis,
     all_closed_subsets,
     closure,
+    is_closed,
     is_group_like,
     load,
     power_supports,
@@ -19,7 +19,6 @@ from tabalg import (
     restrict,
 )
 from tabalg import structure
-from tabalg.structure import ClosedSubset
 
 from oracles import class_algebra, cyclic, direct_product, klein_four, subgroup_class_unions, symmetric3
 
@@ -31,41 +30,43 @@ D_NAMES = C_NAMES | {"c3", "c3bar", "d3", "d3bar", "c9", "c9bar", "b6", "b6bar",
 ORACLE_GROUPS = (cyclic(4), cyclic(5), cyclic(6), klein_four(), symmetric3())
 
 
+def names(A, indices):
+    return {A.basis.name(i) for i in indices}
+
+
 class TestClosure:
     def test_b8_generates_C(self, B32):
         s = closure(B32, ["b8"])
-        assert set(s.names(B32)) == C_NAMES
+        assert names(B32, s) == C_NAMES
 
     def test_identity_generates_itself(self, B32):
-        assert closure(B32, ["1"]).members == (0,)
+        assert closure(B32, ["1"]) == (0,)
 
     def test_b3_is_faithful(self, B32):
         assert len(closure(B32, ["b3"])) == 32
 
     def test_members_recheck(self, B32):
-        assert closure(B32, ["c3"]).verify(B32)
-        assert not ClosedSubset((0, 1)).verify(B32)
+        assert is_closed(B32, closure(B32, ["c3"]))
+        assert not is_closed(B32, (0, 1))
 
     @pytest.mark.parametrize("members", [(0, 40), (0, -32), (0, -1), (0, 32)])
     def test_members_outside_the_basis_are_not_closed(self, B32, members):
-        assert not ClosedSubset(members).verify(B32)
+        assert not is_closed(B32, members)
 
     def test_bool_member_is_not_closed(self):
         # taken as index 1, True would make {0, True} pass as {1, g} of Z2
         Z2 = load("Z2")
-        assert ClosedSubset((0, 1)).verify(Z2)
-        s = ClosedSubset((0, True))
-        assert not s.verify(Z2)
-        with pytest.raises(TableAlgebraError, match="verified closed subset"):
-            quotient_by(Z2, s)
-        with pytest.raises(NotClosedError):
-            restrict(Z2, s)
+        assert is_closed(Z2, (0, 1))
+        assert not is_closed(Z2, (0, True))
+        # entry points resolve members through index_of, which refuses a bool
+        with pytest.raises(MalformedElementError):
+            quotient_by(Z2, (0, True))
+        with pytest.raises(MalformedElementError):
+            restrict(Z2, (0, True))
 
     def test_repeated_members_count_once(self, C7):
-        s = ClosedSubset((0, 0))
-        assert s == ClosedSubset((0,)) and hash(s) == hash(ClosedSubset((0,)))
-        assert len(s) == 1 and s.members == (0,)
-        assert restrict(C7, s).size == 1
+        assert restrict(C7, (0, 0)).size == 1
+        assert quotient_by(C7, (0, 0)).size == C7.size
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -74,14 +75,14 @@ class TestClosure:
         seed_t = seed_s | data.draw(st.sets(st.integers(0, 31), max_size=2))
         cs = closure(B32, seed_s)
         ct = closure(B32, seed_t)
-        assert set(cs.members) <= set(ct.members)
-        assert closure(B32, cs.members).members == cs.members
+        assert set(cs) <= set(ct)
+        assert closure(B32, cs) == cs
 
 
 class TestLattice:
     def test_B32_lattice(self, B32):
         subsets = all_closed_subsets(B32)
-        by_size = {len(s): set(s.names(B32)) for s in subsets}
+        by_size = {len(s): names(B32, s) for s in subsets}
         assert sorted(by_size) == [1, 7, 12, 17, 32]
         assert by_size[7] == C_NAMES
         assert by_size[12] == E_NAMES
@@ -98,18 +99,18 @@ class TestLattice:
         # nothing strictly between D (or E) and the whole basis
         for s in subsets:
             assert not (17 < len(s) < 32)
-            assert not (12 < len(s) < 32 and set(s.members) > set(e.members))
-        assert set(d.members) & set(e.members) == set(closure(B32, ["b8"]).members)
+            assert not (12 < len(s) < 32 and set(s) > set(e))
+        assert set(d) & set(e) == set(closure(B32, ["b8"]))
 
     def test_trivial_algebra(self):
         basis = TableBasis([BasisElement(0, "1", 1, 0)])
         A = TableAlgebra.from_products(basis, {}, name="unit")
-        assert [s.members for s in all_closed_subsets(A)] == [(0,)]
+        assert all_closed_subsets(A) == [(0,)]
 
     def test_group_lattice_matches_subgroup_oracle(self):
         for group in (cyclic(6), symmetric3()):
             A = class_algebra(group)
-            ours = {frozenset(s.members) for s in all_closed_subsets(A)}
+            ours = {frozenset(s) for s in all_closed_subsets(A)}
             oracle = {frozenset(s) for s in subgroup_class_unions(group)}
             assert ours == oracle, group.name
 
@@ -126,9 +127,9 @@ class TestLattice:
             members
             for r in range(1, k + 1)
             for members in combinations(range(k), r)
-            if ClosedSubset(members).verify(algebra)
+            if is_closed(algebra, members)
         }
-        assert [s.members for s in all_closed_subsets(algebra)] == sorted(
+        assert all_closed_subsets(algebra) == sorted(
             brute, key=lambda m: (len(m), m)
         )
 
@@ -151,27 +152,29 @@ class TestLattice:
 class TestPowers:
     def test_table1_rows(self, B32):
         table = power_supports(B32, "b3", 10)
-        names = lambda n: {B32.basis.name(i) for i in table.row(n)}
-        assert names(2) == {"c3", "b6"}
-        assert names(3) == {"r3", "s6", "t15"}
-        assert names(4) == {"c3bar", "b6bar", "y15bar", "c9bar"}
-        assert names(5) == {"b3bar", "x6bar", "x15bar", "b9bar", "z3"}
-        assert names(6) == C_NAMES
-        assert names(7) == {"b3", "x6", "x15", "b9", "z3bar"}
-        assert names(8) == {"c3", "b6", "y15", "c9", "d3bar"}
-        assert names(9) == {"r3", "s6", "t15", "d9", "y3"}
-        assert names(10) == {"c3bar", "b6bar", "y15bar", "c9bar", "d3"}
+        rows = dict(table.rows)
+        power = lambda n: names(B32, rows[n])
+        assert power(2) == {"c3", "b6"}
+        assert power(3) == {"r3", "s6", "t15"}
+        assert power(4) == {"c3bar", "b6bar", "y15bar", "c9bar"}
+        assert power(5) == {"b3bar", "x6bar", "x15bar", "b9bar", "z3"}
+        assert power(6) == C_NAMES
+        assert power(7) == {"b3", "x6", "x15", "b9", "z3bar"}
+        assert power(8) == {"c3", "b6", "y15", "c9", "d3bar"}
+        assert power(9) == {"r3", "s6", "t15", "d9", "y3"}
+        assert power(10) == {"c3bar", "b6bar", "y15bar", "c9bar", "d3"}
 
     def test_table2_rows(self, B22):
         table = power_supports(B22, "b3", 7)
-        names = lambda n: {B22.basis.name(i) for i in table.row(n)}
-        assert names(1) == {"b3"}
-        assert names(2) == {"r3", "s6"}
-        assert names(3) == {"b3bar", "t6", "b15bar"}
-        assert names(4) == C_NAMES
-        assert names(5) == {"b3", "t6bar", "b15", "y9", "x3"}
-        assert names(6) == {"r3", "s6", "t15", "d9", "y3"}
-        assert names(7) == {"b3bar", "t6", "b15bar", "y9bar", "x3bar"}
+        rows = dict(table.rows)
+        power = lambda n: names(B22, rows[n])
+        assert power(1) == {"b3"}
+        assert power(2) == {"r3", "s6"}
+        assert power(3) == {"b3bar", "t6", "b15bar"}
+        assert power(4) == C_NAMES
+        assert power(5) == {"b3", "t6bar", "b15", "y9", "x3"}
+        assert power(6) == {"r3", "s6", "t15", "d9", "y3"}
+        assert power(7) == {"b3bar", "t6", "b15bar", "y9bar", "x3bar"}
 
     def test_identity_powers(self, B32):
         table = power_supports(B32, "1", 4)
@@ -193,7 +196,7 @@ class TestQuotient:
         assert g is not None and g.invariant_factors == (4,)
 
     def test_quotient_by_trivial(self, B32):
-        q = quotient_by(B32, ClosedSubset((0,)))
+        q = quotient_by(B32, (0,))
         assert q.size == 32
         # composition = support products
         idx = B32.basis.index_of
@@ -202,13 +205,17 @@ class TestQuotient:
         got = {q.classes[c][0] for c in q.compose(p, r)}
         assert got == set(B32.constants.rows[idx("b3")][idx("b3bar")])
 
+    def test_not_closed_rejected(self, B32):
+        with pytest.raises(TableAlgebraError, match="verified closed subset"):
+            quotient_by(B32, ["1", "b3"])
+
     def test_quotient_by_everything(self, B32):
         q = quotient_by(B32, closure(B32, ["b3"]))
         assert q.size == 1
 
     def test_klein_four_quotient(self):
         A = class_algebra(klein_four())
-        q = quotient_by(A, ClosedSubset((0,)))
+        q = quotient_by(A, (0,))
         g = is_group_like(q)
         assert g is not None and g.invariant_factors == (2, 2)
         assert g.description == "cyclic(2) x cyclic(2)"
@@ -224,14 +231,14 @@ class TestQuotient:
         ids=lambda v: v.name if hasattr(v, "name") else None,
     )
     def test_group_of_any_order_gets_its_invariant_factors(self, group, factors):
-        g = is_group_like(quotient_by(class_algebra(group), ClosedSubset((0,))))
+        g = is_group_like(quotient_by(class_algebra(group), (0,)))
         assert g is not None and g.order == len(group.elements)
         assert g.invariant_factors == factors
         assert g.description == " x ".join(f"cyclic({d})" for d in factors)
 
     def test_not_group_like(self, B32):
         # modding by the trivial subset leaves multi-valued composition
-        q = quotient_by(B32, ClosedSubset((0,)))
+        q = quotient_by(B32, (0,))
         assert is_group_like(q) is None
 
     def test_class_labels_lex_least(self, B32):
@@ -243,7 +250,7 @@ class TestQuotient:
 
 def element_sandwich(algebra, subset, b):
     """Supp(e_C b e_C) through exact element arithmetic."""
-    e_c = {i: 1 for i in subset.members}
+    e_c = {i: 1 for i in subset}
     return algebra.multiply(algebra.multiply(e_c, {b: 1}), e_c).keys()
 
 
