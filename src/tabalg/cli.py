@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from .bundled import AUXILIARY, BUNDLED, NAMED_SUBSETS, PARTIAL, load, resolve, resolve_partial
+from .bundled import AUXILIARY, BUNDLED, NAMED_SUBSETS, PARTIAL, data_text, load, resolve, resolve_partial
 from .core import TableAlgebra, TableAlgebraError, format_element
 from .fileformat import parse_element_expr, serialize
 
@@ -213,7 +213,7 @@ def cmd_deduce(args, out: _Out) -> int:
 
 def cmd_bundled(args, out: _Out) -> int:
     if args.export:
-        _emit(out, serialize(load(args.export)), args.output, args.export)
+        _emit(out, data_text(args.export), args.output, args.export)
         return 0
     for key, names, kind in (("bundled", BUNDLED, "verified table algebra"),
                              ("aux", AUXILIARY, "group class algebra")):

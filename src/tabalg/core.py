@@ -116,21 +116,14 @@ class TableBasis:
     """Ordered basis with degrees and the involution pairing.
 
     The identity sits at index 0, is named ``"1"``, has degree 1 and is
-    self-dual.  Optional flags record the standing hypotheses that the
-    basis has no nonidentity element of degree 1 (``no_degree_one``) and
-    no element of degree 2 (``no_degree_two``); when claimed they are
-    enforced here.
+    self-dual.  Degrees are read from the elements; a hypothesis on them,
+    such as the paper's "no nonidentity element of degree 1 or 2", is a
+    property of the listed degrees, not a setting of the basis.
     """
 
-    __slots__ = ("elements", "no_degree_one", "no_degree_two", "_by_name")
+    __slots__ = ("elements", "_by_name")
 
-    def __init__(
-        self,
-        elements: Sequence[BasisElement],
-        *,
-        no_degree_one: bool = False,
-        no_degree_two: bool = False,
-    ):
+    def __init__(self, elements: Sequence[BasisElement]):
         elements = tuple(elements)
         if not elements:
             raise TableAlgebraError("empty basis")
@@ -157,13 +150,7 @@ class TableBasis:
                 raise TableAlgebraError(f"dual pairing of {e.name!r} is not an involution")
             if d.degree != e.degree:
                 raise TableAlgebraError(f"{e.name!r} and its dual differ in degree")
-        if no_degree_one and any(e.degree == 1 for e in elements[1:]):
-            raise TableAlgebraError("basis claims no nonidentity degree-1 element but has one")
-        if no_degree_two and any(e.degree == 2 for e in elements):
-            raise TableAlgebraError("basis claims no degree-2 element but has one")
         self.elements = elements
-        self.no_degree_one = no_degree_one
-        self.no_degree_two = no_degree_two
         self._by_name = by_name
 
     @property

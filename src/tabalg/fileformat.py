@@ -3,7 +3,6 @@
 Grammar (UTF-8, ``#`` starts a comment, blank lines ignored)::
 
     algebra <name>
-    assume no-degree-1 no-degree-2          # optional flags line
     element <name> degree <int> dual <name>
     product <name> <name> = <int>? <name> (+ <int>? <name>)*
 
@@ -26,8 +25,6 @@ from .core import BasisElement, TableAlgebra, TableBasis, TableAlgebraError, for
 __all__ = ["ParseError", "parse", "parse_partial", "serialize", "parse_element_expr"]
 
 NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*$")
-FLAG_NO_DEG1 = "no-degree-1"
-FLAG_NO_DEG2 = "no-degree-2"
 
 
 class ParseError(TableAlgebraError):
@@ -94,7 +91,6 @@ def _parse_lines(text: str):
     """Shared front end: returns (name, basis, product rows), the
     non-identity rows completed under the involution."""
     name = None
-    flags = {FLAG_NO_DEG1: False, FLAG_NO_DEG2: False}
     raw_elements: list[tuple[int, str, int, str]] = []  # line, name, degree, dual
     raw_products: list[tuple[int, str, str, list[str]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -109,11 +105,6 @@ def _parse_lines(text: str):
             if len(tokens) != 2:
                 raise ParseError("expected: algebra <name>", line_no)
             name = tokens[1]
-        elif head == "assume":
-            for tok in tokens[1:]:
-                if tok not in flags:
-                    raise ParseError(f"unknown flag {tok!r}", line_no)
-                flags[tok] = True
         elif head == "element":
             if len(tokens) != 6 or tokens[2] != "degree" or tokens[4] != "dual":
                 raise ParseError("expected: element <name> degree <int> dual <name>", line_no)
@@ -151,12 +142,8 @@ def _parse_lines(text: str):
             raise ParseError(f"dual pairing of {ename!r} is not an involution", line_no)
         if dual_deg != deg:
             raise ParseError(f"{ename!r} and its dual differ in degree", line_no)
-        if flags.get(f"no-degree-{deg}"):
-            raise ParseError(f"element {ename!r} has degree {deg}, but the basis assumes no-degree-{deg}", line_no)
         elements.append(BasisElement(len(elements), ename, deg, index[dual_name]))
-    basis = TableBasis(
-        elements, no_degree_one=flags[FLAG_NO_DEG1], no_degree_two=flags[FLAG_NO_DEG2]
-    )
+    basis = TableBasis(elements)
 
     products: dict[tuple[int, int], dict[int, int]] = {}
     origins: dict[tuple[int, int], int] = {}
@@ -232,13 +219,6 @@ def serialize(algebra: TableAlgebra) -> str:
     """
     basis = algebra.basis
     out = [f"algebra {algebra.name or 'unnamed'}"]
-    flags = []
-    if basis.no_degree_one:
-        flags.append(FLAG_NO_DEG1)
-    if basis.no_degree_two:
-        flags.append(FLAG_NO_DEG2)
-    if flags:
-        out.append("assume " + " ".join(flags))
     for e in basis.elements[1:]:
         out.append(f"element {e.name} degree {e.degree} dual {basis.name(e.dual)}")
     k, rows = basis.size, algebra.constants.rows

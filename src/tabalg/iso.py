@@ -38,7 +38,7 @@ def restrict(algebra: TableAlgebra, subset: Iterable[int | str]) -> TableAlgebra
     members = sorted(set(map(algebra.basis.index_of, subset)))
     if not is_closed(algebra, members):
         names = ", ".join(map(algebra.basis.name, members))
-        raise NotClosedError(f"subset {{{names}}} is not closed in {algebra.name}")
+        raise NotClosedError(f"subset {{{names}}} is not closed in {algebra.name or 'algebra'}")
     old_to_new = {old: new for new, old in enumerate(members)}
     basis = TableBasis(
         [
@@ -49,9 +49,7 @@ def restrict(algebra: TableAlgebra, subset: Iterable[int | str]) -> TableAlgebra
                 old_to_new[algebra.basis.dual(old)],
             )
             for old in members
-        ],
-        no_degree_one=algebra.basis.no_degree_one,
-        no_degree_two=algebra.basis.no_degree_two,
+        ]
     )
     rows = algebra.constants.rows
     products = {}

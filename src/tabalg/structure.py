@@ -151,7 +151,6 @@ class QuotientClassTable:
     def __init__(self, algebra: TableAlgebra, by: tuple[int, ...]):
         if not is_closed(algebra, by):
             raise TableAlgebraError("quotient requires a verified closed subset")
-        self.algebra = algebra
         constants = algebra.constants
         sandwich = [
             tuple(sorted(_support_product(constants, _support_product(constants, by, (b,)), by)))

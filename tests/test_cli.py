@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import tabalg
-from tabalg import load, parse, serialize
+from tabalg import load, parse, parse_partial, serialize
 from tabalg.bundled import data_text
 from tabalg.cli import run
 
@@ -407,7 +407,14 @@ class TestBundled:
         monkeypatch.setenv("TABALG_DATA_DIR", str(tmp_path))
         code, out, _ = invoke(capsys, "bundled", "--export", "C7")
         assert code == 0
-        assert out == serialize(load("C7"))
+        assert out == data_text("C7")
+
+    def test_export_of_a_partial_table(self, capsys, tmp_path):
+        # a listed name exports although it is no complete algebra
+        target = tmp_path / "exported.alg"
+        code, _, _ = invoke(capsys, "bundled", "--export", "PSL27-partial", "-o", str(target))
+        assert code == 0
+        assert parse_partial(target.read_text()) == parse_partial(data_text("PSL27-partial"))
 
     def test_unknown_bundled_name_exit_two(self, capsys):
         code, _, err = invoke(capsys, "verify", "bundled:NoSuch")

@@ -541,12 +541,6 @@ class TestBasisInvariants:
         with pytest.raises(TableAlgebraError):
             TableBasis(els)
 
-    def test_degree_flags(self):
-        els = [BasisElement(0, "1", 1, 0), BasisElement(1, "g", 1, 1)]
-        TableBasis(els)  # fine without flags
-        with pytest.raises(TableAlgebraError):
-            TableBasis(els, no_degree_one=True)
-
 
 E, ONE = BasisElement, BasisElement(0, "1", 1, 0)
 Z2 = [ONE, E(1, "g", 1, 1)]
@@ -562,12 +556,14 @@ Z2 = [ONE, E(1, "g", 1, 1)]
     (lambda: TableBasis([ONE, E(True, "g", 1, 1)]), "element 'g' has an index, degree or dual that is not an int"),
     (lambda: TableBasis([ONE, E(1, "g", 1.5, 1)]), "element 'g' has an index, degree or dual that is not an int"),
     (lambda: TableBasis([ONE, E(1, "g", 1, True)]), "element 'g' has an index, degree or dual that is not an int"),
-    (lambda: TableBasis([ONE, E(1, "a", 2, 1)], no_degree_two=True),
-     "basis claims no degree-2 element but has one"),
     (lambda: StructureConstants(2, {(0, 0): {0: 1}, (0, 1): {1: 1}}), "missing structure row for pair (1,1)"),
     (lambda: TableAlgebra.from_products(TableBasis(Z2), {(1, 0): {0: 1}}), "identity row for g is not trivial"),
     (lambda: TableAlgebra(TableBasis(Z2), StructureConstants(1, {(0, 0): {0: 1}})),
      "basis size and tensor size disagree"),
+    (lambda: PartialTable(load("C7").basis).set_product(1, 1, {0: 1}), "product b8*b8 violates the degree identity"),
+    (lambda: PartialTable(load("C7").basis).as_algebra(), "table is not complete"),
+    (lambda: closure(load("C7"), []), "closure of an empty seed"),
+    (lambda: power_supports(load("C7"), "b8", 0), "max_n must be >= 1"),
 ])
 def test_input_validation_messages(build, message):
     with pytest.raises(TableAlgebraError) as err:

@@ -1,7 +1,7 @@
 import pytest
 
 from tabalg import ParseError, parse, parse_element_expr, parse_partial, serialize
-from tabalg.bundled import AUXILIARY, BUNDLED, data_text
+from tabalg.bundled import AUXILIARY, BUNDLED, PARTIAL, data_text
 
 MINI = """\
 algebra mini
@@ -100,7 +100,6 @@ product abar abar = abar
         (MINI.replace("= g2\n", "= 0 g2\n"), "coefficient must be positive, got 0", 4),
         (MINI + "algebra other\n", "duplicate algebra header", 7),
         (MINI.replace("algebra mini", "algebra mini extra"), "expected: algebra <name>", 1),
-        (MINI + "assume no-degree-3\n", "unknown flag 'no-degree-3'", 7),
         (MINI + "element h degree 1\n", "expected: element <name> degree <int> dual <name>", 7),
         (MINI + "element 9h degree 1 dual 9h\n", "bad element name '9h'", 7),
         (MINI + "element h degree x dual h\n", "bad degree 'x'", 7),
@@ -112,10 +111,9 @@ product abar abar = abar
         # what the basis rejects is reported at the offending element line
         (MINI + "element h degree 1 dual g\n", "dual pairing of 'h' is not an involution", 7),
         (MINI + "element a degree 2 dual b\nelement b degree 3 dual a\n", "'a' and its dual differ in degree", 7),
-        (MINI.replace("algebra mini\n", "algebra mini\nassume no-degree-1\n"),
-         "element 'g' has degree 1, but the basis assumes no-degree-1", 3),
-        (MINI + "assume no-degree-2\nelement h degree 2 dual h\n",
-         "element 'h' has degree 2, but the basis assumes no-degree-2", 8),
+        # degrees are read from the element lines; no directive restates them
+        (MINI.replace("algebra mini\n", "algebra mini\nassume no-degree-1 no-degree-2\n"),
+         "unknown directive 'assume'", 2),
         (MINI + "product 1 g = g2\n", "identity product must reproduce the other factor", 7),
         # g*g2 is its own dual image, so its row must be closed under duals
         (MINI.replace("g2 = 1", "g2 = g"), "conflicting value for product g g2 (also given at line 5)", 5),
@@ -152,6 +150,14 @@ class TestRoundTrip:
 
     def test_serializer_is_deterministic(self, B22):
         assert serialize(B22) == serialize(B22)
+
+
+@pytest.mark.parametrize("name", BUNDLED + PARTIAL)
+def test_shipped_data_meets_the_paper_hypothesis(name):
+    # no nonidentity element of degree 1 and no element of degree 2, read
+    # from the degrees each file lists
+    _, basis, _ = parse_partial(data_text(name))
+    assert all(e.degree not in (1, 2) for e in basis.elements[1:])
 
 
 class TestElementExpr:

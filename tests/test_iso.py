@@ -95,6 +95,10 @@ class TestRestrict:
         with pytest.raises(NotClosedError, match=r"^subset \{1, b8\} is not closed in C7$"):
             restrict(C7, members)
 
+    def test_message_names_an_unnamed_algebra(self, C7):
+        with pytest.raises(NotClosedError, match=r"^subset \{1, b8\} is not closed in algebra$"):
+            restrict(TableAlgebra(C7.basis, C7.constants), ["1", "b8"])
+
     @pytest.mark.parametrize("members", [(0, 40), (0, -32), (0, -1)])
     def test_members_outside_the_basis_rejected(self, B32, members):
         with pytest.raises(MalformedElementError):
