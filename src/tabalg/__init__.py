@@ -32,7 +32,6 @@ _SOURCES = {
     **dict.fromkeys(
         (
             "is_closed",
-            "PowerTable",
             "QuotientClassTable",
             "GroupTable",
             "closure",

@@ -3,18 +3,18 @@
 Four fully verified algebras ship with the package: C7, D17, B22 and B32.
 Five small group class algebras (Z2, Z3, Z4, Z6, S3) and one partial table
 (PSL27-partial) are included as auxiliary data.  A ``bundled:NAME`` URI
-reads ``NAME.alg`` from the first of two folders that has it: the folder
-named by the environment variable TABALG_DATA_DIR, when set, so user
-corpora can shadow or extend the bundled set; then the package's own
-``data/`` folder.
+names one of these shipped files, the package's own ``data/NAME.alg``, and
+no other: any other name is not found.  Every command that takes a URI
+also takes a file path, which reads any other file.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cache
 
 from .core import TableAlgebra
-from .fileformat import parse, parse_partial
+from .fileformat import ParseError, parse, parse_partial
 
 __all__ = ["BUNDLED", "AUXILIARY", "PARTIAL", "NAMED_SUBSETS", "data_text", "load", "resolve"]
 
@@ -38,36 +38,32 @@ NAMED_SUBSETS = {
     },
 }
 
-_cache: dict[tuple[str | None, str], TableAlgebra] = {}
 _PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def data_text(name: str) -> str:
-    """Raw text of ``NAME.alg``, from TABALG_DATA_DIR or else the package."""
-    fname = f"{name}.alg"
-    for folder in filter(None, (os.environ.get("TABALG_DATA_DIR"), _PACKAGE_DATA)):
-        path = os.path.join(folder, fname)
-        if os.path.isfile(path):
-            with open(path, encoding="utf-8") as fh:
-                return fh.read()
-    raise FileNotFoundError(f"no bundled data file {fname}")
-
-
-def _read(uri: str) -> str:
-    """Raw text of a ``bundled:NAME`` URI or of a file path."""
-    if uri.startswith("bundled:"):
-        return data_text(uri[len("bundled:"):])
-    with open(uri, encoding="utf-8") as fh:
+    """Raw text of the shipped ``data/NAME.alg``, NAME one of the listed names."""
+    if name not in BUNDLED + AUXILIARY + PARTIAL:
+        raise FileNotFoundError(f"no bundled data file {name}.alg")
+    with open(os.path.join(_PACKAGE_DATA, f"{name}.alg"), encoding="utf-8") as fh:
         return fh.read()
 
 
+def _read(uri: str) -> str:
+    """Raw text of a ``bundled:NAME`` URI or of a file path, which must be UTF-8."""
+    if uri.startswith("bundled:"):
+        return data_text(uri[len("bundled:"):])
+    try:
+        with open(uri, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{uri} is not UTF-8: {e.reason} at byte {e.start}") from None
+
+
+@cache
 def load(name: str) -> TableAlgebra:
-    """Parse a bundled or data-dir algebra by name (cached per process and
-    per TABALG_DATA_DIR)."""
-    key = (os.environ.get("TABALG_DATA_DIR"), name)
-    if key not in _cache:
-        _cache[key] = parse(data_text(name))
-    return _cache[key]
+    """Parse a bundled algebra by name, cached per process."""
+    return parse(data_text(name))
 
 
 def resolve(uri: str) -> TableAlgebra:

@@ -57,6 +57,13 @@ def _emit(out: _Out, text: str, path: str | None, what: str) -> None:
         print(text, end="")
 
 
+def _print_timing(seconds: dict[str, float], total: float) -> None:
+    """The ``--timing`` block on stderr: one line per phase, then the total."""
+    for phase, s in seconds.items():
+        print(f"timing: {phase} {s:.3f}s", file=sys.stderr)
+    print(f"timing: {total:.3f}s", file=sys.stderr)
+
+
 def cmd_verify(args, out: _Out) -> int:
     algebra = resolve(args.algebra)
     t0 = time.perf_counter()
@@ -72,9 +79,7 @@ def cmd_verify(args, out: _Out) -> int:
     out.fact("result", "pass" if report.ok else "fail")
     out.text(report.summary())
     if args.timing:
-        for check in report.checks:
-            print(f"timing: {check.name} {check.seconds:.3f}s", file=sys.stderr)
-        print(f"timing: {dt:.3f}s", file=sys.stderr)
+        _print_timing(report.seconds, dt)
     return 0 if report.ok else 1
 
 
@@ -121,8 +126,7 @@ def cmd_closure(args, out: _Out) -> int:
 def cmd_powers(args, out: _Out) -> int:
     from .structure import power_supports
     algebra = resolve(args.algebra)
-    table = power_supports(algebra, args.name, args.max)
-    for n, supp in table.rows:
+    for n, supp in enumerate(power_supports(algebra, args.name, args.max), 1):
         out.fact(f"power.{n}", _fmt_members(algebra, supp))
         out.text(f"{args.name}^{n}: {_fmt_members(algebra, supp)}")
     return 0
@@ -205,9 +209,7 @@ def cmd_deduce(args, out: _Out) -> int:
             fh.write(trace.serialize())
         out.text(f"trace written to {args.trace}")
     if args.timing:
-        for phase, seconds in trace.stats.seconds.items():
-            print(f"timing: {phase} {seconds:.3f}s", file=sys.stderr)
-        print(f"timing: {dt:.3f}s", file=sys.stderr)
+        _print_timing(trace.stats.seconds, dt)
     return 0 if trace.status == "completed" else 1
 
 

@@ -196,9 +196,6 @@ class TableBasis:
     def __eq__(self, other) -> bool:
         return isinstance(other, TableBasis) and self.elements == other.elements
 
-    def __hash__(self):
-        return hash(self.elements)
-
 
 def format_element(basis: TableBasis, terms: Iterable[tuple[int, int]]) -> str:
     """``2 b3 + x6`` form of the (index, coefficient) pairs ``terms``, by
@@ -256,24 +253,12 @@ class StructureConstants:
         return self.rows[i][j].items()
 
 
-class CheckResult:
-    """One axiom class: pass or fail, its first witnesses and the seconds it
-    took; ``seconds`` is left out of ``==``."""
+class CheckResult(NamedTuple):
+    """One axiom class: pass or fail and its first witnesses."""
 
-    def __init__(self, name: str, passed: bool, witnesses: tuple = (), seconds: float = 0.0):
-        self.name = name
-        self.passed = passed
-        self.witnesses = witnesses
-        self.seconds = seconds
-
-    def _key(self):
-        return (self.name, self.passed, self.witnesses)
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is CheckResult else NotImplemented
-
-    def __repr__(self):
-        return "CheckResult(name={!r}, passed={!r}, witnesses={!r})".format(*self._key())
+    name: str
+    passed: bool
+    witnesses: tuple = ()
 
     def __str__(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -284,7 +269,8 @@ class CheckResult:
 class VerificationReport:
     """The checks of one ``verify_axioms`` run.  ``==`` compares the checks
     and ``associativity_triples`` only: how associativity was certified
-    (``associativity_evaluated``, ``generators``) is left out."""
+    (``associativity_evaluated``, ``generators``) and how long each check
+    took (``seconds``) are left out."""
 
     def __init__(self, checks: list[CheckResult] | None = None, associativity_triples: int = 0,
                  associativity_evaluated: int = 0, generators: tuple[str, ...] = ()):
@@ -298,6 +284,8 @@ class VerificationReport:
         self.associativity_evaluated = associativity_evaluated
         # names of the generating set G that certified associativity, or ()
         self.generators = generators
+        # check name -> seconds it took
+        self.seconds: dict[str, float] = {}
 
     def __eq__(self, other):
         if type(other) is not VerificationReport:
@@ -572,7 +560,8 @@ class TableAlgebra:
             nonlocal lap
             witnesses = list(islice(witnesses, maxw))
             now = time.perf_counter()
-            rep.checks.append(CheckResult(name, not witnesses, tuple(witnesses), seconds=now - lap))
+            rep.checks.append(CheckResult(name, not witnesses, tuple(witnesses)))
+            rep.seconds[name] = now - lap
             lap = now
             return witnesses
 

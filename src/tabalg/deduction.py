@@ -93,7 +93,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from math import isqrt
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .core import MalformedElementError, TableAlgebra, TableBasis, TableAlgebraError, format_element
 
@@ -246,15 +246,6 @@ class PartialTable:
         if known:
             for (i, j), row in known.items():
                 self.set_product(i, j, row)
-
-    @classmethod
-    def from_subtable(cls, algebra: TableAlgebra, pairs: Iterable[tuple]) -> "PartialTable":
-        """Seed with the algebra's own values on the given pairs."""
-        known = {}
-        for pair in pairs:
-            i, j = map(algebra.basis.index_of, pair)
-            known[(i, j)] = algebra.constants.rows[i][j]
-        return cls(algebra.basis, known)
 
     # -- accessors --------------------------------------------------------
 

@@ -8,12 +8,13 @@ Grammar (UTF-8, ``#`` starts a comment, blank lines ignored)::
 
 The identity is implicit: it is index 0, named ``1``, and may appear on
 product right-hand sides.  Its rows are implied, never stored; a listed
-identity line is only checked.  An omitted coefficient means 1.  Element
-names match ``[A-Za-z][A-Za-z0-9]*``; by convention the dual of ``x6``
-is written ``x6bar``.  Only unordered pairs need product lines: ``(j,i)``
-and the dual-image pair ``(ibar,jbar)`` are filled in by symmetry, and a
-line that conflicts with an earlier line or with the dual image of one
-is rejected.
+identity line is only checked.  An ``<int>`` is ASCII digits ``[0-9]+``;
+an omitted coefficient means 1.  Element names match
+``[A-Za-z][A-Za-z0-9]*``; by convention the dual of ``x6`` is written
+``x6bar``.  Only unordered pairs need product lines: ``(j,i)`` and the
+dual-image pair ``(ibar,jbar)`` are filled in by symmetry, and a line
+that conflicts with an earlier line or with the dual image of one is
+rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +33,17 @@ class ParseError(TableAlgebraError):
         self.line_no = line_no
         where = f"line {line_no}: " if line_no else ""
         super().__init__(f"{where}{message}")
+
+
+def _number(token: str, what: str, line_no: int) -> int:
+    """The value of ``token``, which must be ASCII digits: ``int`` alone would
+    also read signs, ``_`` separators and other scripts' digits."""
+    if token.isascii() and token.isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError(f"bad {what} {token!r}", line_no)
 
 
 def _strip(line: str) -> str:
@@ -57,11 +69,7 @@ def _parse_rhs(tokens: list[str], index: dict[str, int], line_no: int) -> dict[i
         if len(term) == 1:
             coeff, name = 1, term[0]
         elif len(term) == 2:
-            try:
-                coeff = int(term[0])
-            except ValueError:
-                raise ParseError(f"bad coefficient {term[0]!r}", line_no) from None
-            name = term[1]
+            coeff, name = _number(term[0], "coefficient", line_no), term[1]
         else:
             raise ParseError(f"malformed term {' '.join(term)!r}", line_no)
         if coeff < 1:
@@ -110,11 +118,7 @@ def _parse_lines(text: str):
                 raise ParseError("expected: element <name> degree <int> dual <name>", line_no)
             if not NAME_RE.match(tokens[1]):
                 raise ParseError(f"bad element name {tokens[1]!r}", line_no)
-            try:
-                deg = int(tokens[3])
-            except ValueError:
-                raise ParseError(f"bad degree {tokens[3]!r}", line_no) from None
-            raw_elements.append((line_no, tokens[1], deg, tokens[5]))
+            raw_elements.append((line_no, tokens[1], _number(tokens[3], "degree", line_no), tokens[5]))
         elif head == "product":
             if len(tokens) < 5 or tokens[3] != "=":
                 raise ParseError("expected: product <name> <name> = <expr>", line_no)

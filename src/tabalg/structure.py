@@ -27,7 +27,6 @@ from .core import StructureConstants, TableAlgebra, TableAlgebraError
 
 __all__ = [
     "is_closed",
-    "PowerTable",
     "QuotientClassTable",
     "GroupTable",
     "closure",
@@ -108,28 +107,20 @@ def all_closed_subsets(algebra: TableAlgebra) -> list[tuple[int, ...]]:
     return sorted(found.values(), key=lambda s: (len(s), s))
 
 
-class PowerTable(NamedTuple):
-    element: int
-    rows: tuple[tuple[int, frozenset[int]], ...]
-
-
-def power_supports(algebra: TableAlgebra, b: int | str, max_n: int) -> PowerTable:
-    """Supports of b, b^2, ..., b^max_n; ``Supp(b^n)`` is the support of
-    ``Supp(b^(n-1)) b``."""
+def power_supports(algebra: TableAlgebra, b: int | str, max_n: int) -> tuple[frozenset[int], ...]:
+    """Supports of b, b^2, ..., b^max_n, ``Supp(b^n)`` at index n - 1;
+    ``Supp(b^n)`` is the support of ``Supp(b^(n-1)) b``."""
     if max_n < 1:
         raise TableAlgebraError("max_n must be >= 1")
     i = algebra.basis.index_of(b)
-    support = frozenset((i,))
-    rows = [(1, support)]
-    for n in range(2, max_n + 1):
-        support = frozenset(_support_product(algebra.constants, support, (i,)))
-        rows.append((n, support))
-    return PowerTable(i, tuple(rows))
+    supports = [frozenset((i,))]
+    for _ in range(1, max_n):
+        supports.append(frozenset(_support_product(algebra.constants, supports[-1], (i,))))
+    return tuple(supports)
 
 
 class GroupTable(NamedTuple):
     order: int
-    cayley: tuple[tuple[int, ...], ...]
     invariant_factors: Optional[tuple[int, ...]]
 
     @property
@@ -269,4 +260,4 @@ def is_group_like(q: QuotientClassTable) -> Optional[GroupTable]:
             x = table[x][p]
             o += 1
         orders.append(o)
-    return GroupTable(n, tuple(table), _invariant_factors(n, orders))
+    return GroupTable(n, _invariant_factors(n, orders))

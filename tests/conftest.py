@@ -32,13 +32,18 @@ def C7():
     return load("C7")
 
 
+def subtable_seed(A, pairs):
+    """A PartialTable on A's basis seeded with A's own rows on the index pairs."""
+    return PartialTable(A.basis, {(i, j): A.constants.rows[i][j] for i, j in pairs})
+
+
 def lemma72_seed(B32, with_b3b3=True):
     """Basis of B32, the full C and D tables, and the three hypothesis
     products b3*b3bar, b3*b3, b3*c3bar (b3*b3 left out when ``with_b3b3``
     is False)."""
     idx = B32.basis.index_of
     d = [idx(n) for n in NAMED_SUBSETS["B32"]["D"]]
-    seed = PartialTable.from_subtable(B32, [(i, j) for i in d for j in d if i <= j])
+    seed = subtable_seed(B32, [(i, j) for i in d for j in d if i <= j])
     seed.set_product(idx("b3"), idx("b3bar"), {0: 1, idx("b8"): 1})
     if with_b3b3:
         seed.set_product(idx("b3"), idx("b3"), {idx("c3"): 1, idx("b6"): 1})

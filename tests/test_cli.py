@@ -115,6 +115,11 @@ class TestMult:
         assert code == 2
         assert err == "error: empty expression\n"
 
+    def test_coefficient_of_ascii_digits_only(self, capsys):
+        code, out, err = invoke(capsys, "mult", "bundled:C7", "1_0 b8", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: bad coefficient '1_0'\n"
+
 
 class TestStructureCommands:
     def test_quotient_line(self, capsys):
@@ -396,19 +401,6 @@ class TestBundled:
         assert code == 0
         assert parse(target.read_text()).size == 17
 
-    def test_data_dir_override(self, capsys, tmp_path, monkeypatch):
-        custom = serialize(load("Z4")).replace("algebra Z4", "algebra Z4custom")
-        (tmp_path / "MyAlg.alg").write_text(custom)
-        monkeypatch.setenv("TABALG_DATA_DIR", str(tmp_path))
-        code, out, _ = invoke(capsys, "verify", "bundled:MyAlg")
-        assert code == 0
-
-    def test_data_dir_without_the_file_falls_back_to_the_package(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("TABALG_DATA_DIR", str(tmp_path))
-        code, out, _ = invoke(capsys, "bundled", "--export", "C7")
-        assert code == 0
-        assert out == data_text("C7")
-
     def test_export_of_a_partial_table(self, capsys, tmp_path):
         # a listed name exports although it is no complete algebra
         target = tmp_path / "exported.alg"
@@ -420,6 +412,20 @@ class TestBundled:
         code, _, err = invoke(capsys, "verify", "bundled:NoSuch")
         assert code == 2
         assert err == "error: no bundled data file NoSuch.alg\n"
+
+    def test_bundled_name_reads_no_file_outside_the_listed_names(self, capsys):
+        # the path exists from the package's data folder, but names no listed file
+        code, out, err = invoke(capsys, "verify", "bundled:../data/C7")
+        assert (code, out) == (2, "")
+        assert err == "error: no bundled data file ../data/C7.alg\n"
+
+    @pytest.mark.parametrize("command", ["verify", "deduce"])
+    def test_file_not_utf8_exit_two(self, capsys, tmp_path, command):
+        path = tmp_path / "binary.alg"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = invoke(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path} is not UTF-8: invalid start byte at byte 0\n"
 
     def test_directory_path_exit_two(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "verify", str(tmp_path))

@@ -18,7 +18,7 @@ from tabalg.bundled import NAMED_SUBSETS, data_text
 from tabalg.core import CheckResult, TableAlgebra, VerificationReport
 from tabalg.deduction import PartialTable
 
-from conftest import lemma72_seed
+from conftest import lemma72_seed, subtable_seed
 from oracles import psl27_fusion
 from test_core import B32_PRINTED_LINES, b32_as_printed
 
@@ -126,9 +126,7 @@ class TestPropagate:
 
     def test_complete_table_is_noop(self, C7):
         k = C7.size
-        seed = PartialTable.from_subtable(
-            C7, [(i, j) for i in range(1, k) for j in range(i, k)]
-        )
+        seed = subtable_seed(C7, [(i, j) for i in range(1, k) for j in range(i, k)])
         _, trace = propagate(seed)
         assert trace.status == "completed"
         assert trace.steps == []
@@ -162,7 +160,7 @@ class TestRefutations:
         normalization symmetry, which R2 finds before any step."""
         A = b32_as_printed(*lines)
         k = A.size
-        seed = PartialTable.from_subtable(A, [(i, j) for i in range(1, k) for j in range(i, k)])
+        seed = subtable_seed(A, [(i, j) for i in range(1, k) for j in range(i, k)])
         _, trace = propagate(seed)
         assert trace.status == "contradiction"
         assert trace.steps == []
@@ -287,7 +285,7 @@ class TestSoundness:
         pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
         for trial in range(2):
             sub = rng.sample(pairs, len(pairs) // 3)
-            out, trace = propagate(PartialTable.from_subtable(A, sub))
+            out, trace = propagate(subtable_seed(A, sub))
             assert trace.status != "contradiction"
             for (i, j) in out.known:
                 if i == 0:
@@ -305,7 +303,7 @@ class TestSoundness:
         pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
         for trial in range(3):
             sub = rng.sample(pairs, rng.randrange(3, len(pairs)))
-            trace = propagate(PartialTable.from_subtable(B22, sub))[1]
+            trace = propagate(subtable_seed(B22, sub))[1]
             assert trace.status != "contradiction"
 
 
@@ -317,7 +315,7 @@ class TestConfluence:
         pairs = [(i, j) for i in d for j in d if i <= j]
         rng = random.Random(11)
         rng.shuffle(pairs)
-        seed = PartialTable.from_subtable(B32, pairs)
+        seed = subtable_seed(B32, pairs)
         seed.set_product(idx("b3"), idx("c3bar"), {idx("b3bar"): 1, idx("x6bar"): 1})
         seed.set_product(idx("b3"), idx("b3"), {idx("c3"): 1, idx("b6"): 1})
         seed.set_product(idx("b3"), idx("b3bar"), {0: 1, idx("b8"): 1})
@@ -373,7 +371,7 @@ class TestPSL27:
 
 def complete_c7_seed():
     C7 = load("C7")
-    return PartialTable.from_subtable(C7, [(i, j) for i in range(1, C7.size) for j in range(i, C7.size)])
+    return subtable_seed(C7, [(i, j) for i in range(1, C7.size) for j in range(i, C7.size)])
 
 
 class TestCompletionRecheck:
@@ -521,7 +519,7 @@ def _third(name, seed):
     A = load(name)
     k = A.size
     pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
-    return PartialTable.from_subtable(A, random.Random(seed).sample(pairs, len(pairs) // 3)), False
+    return subtable_seed(A, random.Random(seed).sample(pairs, len(pairs) // 3)), False
 
 
 def _psl27():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from tabalg import ParseError, parse, parse_element_expr, parse_partial, serialize
@@ -96,6 +98,9 @@ product abar abar = abar
         # a line with two faults reports the leftmost one
         (MINI.replace("= g2\n", "= zz +\n"), "unknown element name 'zz'", 4),
         (MINI.replace("= g2\n", "= x g2\n"), "bad coefficient 'x'", 4),
+        # numbers are ASCII digits: no '_' separator, no sign, no other script's digits
+        (MINI.replace("= g2\n", "= 1_0 g2\n"), "bad coefficient '1_0'", 4),
+        (MINI.replace("g2 = 1", "g2 = +1 1"), "bad coefficient '+1'", 5),
         (MINI.replace("= g2\n", "= 2 3 g2\n"), "malformed term '2 3 g2'", 4),
         (MINI.replace("= g2\n", "= 0 g2\n"), "coefficient must be positive, got 0", 4),
         (MINI + "algebra other\n", "duplicate algebra header", 7),
@@ -103,6 +108,7 @@ product abar abar = abar
         (MINI + "element h degree 1\n", "expected: element <name> degree <int> dual <name>", 7),
         (MINI + "element 9h degree 1 dual 9h\n", "bad element name '9h'", 7),
         (MINI + "element h degree x dual h\n", "bad degree 'x'", 7),
+        (MINI + "element a degree \u0663 dual a\n", "bad degree '\u0663'", 7),
         (MINI + "product g g2 1\n", "expected: product <name> <name> = <expr>", 7),
         (MINI.replace("algebra mini\n", ""), "missing 'algebra <name>' header", None),
         (MINI + "element g degree 1 dual g2\n", "duplicate element 'g'", 7),
@@ -124,6 +130,16 @@ product abar abar = abar
         assert fragment in str(err.value)
         assert err.value.line_no == line_no
         assert str(err.value).startswith(f"line {line_no}: " if line_no else fragment)
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
+    @pytest.mark.parametrize("line, what", [
+        ("element h degree {} dual h\n", "degree"),
+        ("product g g = {} g2\n", "coefficient"),
+    ])
+    def test_number_longer_than_int_converts(self, line, what):
+        # int() refuses a numeral of more than 4300 digits with a ValueError
+        with pytest.raises(ParseError, match=f"^line 7: bad {what} '1{{5000}}'$"):
+            parse(MINI + line.format("1" * 5000))
 
     def test_partial_parse_allows_holes(self):
         name, basis, products = parse_partial(MINI.replace("product g g2 = 1\n", ""))
