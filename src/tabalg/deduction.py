@@ -51,7 +51,8 @@ every sync the count is exact.  A product becoming known lowers the count
 of every triple listed under it, and T goes on the agenda when its count
 is one at activation or falls to one.  So every triple is evaluated once,
 as soon as it has one unknown product; one whose count reaches zero before
-it is taken up is skipped.  Propagation never retracts a fact, so a count
+it is taken up is skipped.  Those lists and the agenda alone hold a T, so
+it is freed once its last listed product is known.  Propagation never retracts a fact, so a count
 only falls and watched pairs, which pay only when backtracking must undo
 work, are not needed.  Triples are taken up to two symmetries of the
 rule: (l, j, i) negates every net coefficient, and the involution maps T
@@ -82,10 +83,11 @@ known; the certificate does.  A table that completes is re-verified by
 any check fails, the status is ``contradiction`` and the message names the
 failed checks.  When no rule fires and products are still pending,
 ``r3_full_sweep`` enumerates every triple whose factors are known, once,
-and evaluates each one the agenda has not decided: those never stored and
-those stored but not done.  A decided triple was evaluated on frozen rows,
-so its answer cannot change.  A firing in the sweep would mean the agenda
-missed a triple; it is counted in ``DeductionStats.sweep_firings``.
+and evaluates each one afresh.  That re-checks the triples the agenda
+decided, which is safe: each was decided on frozen rows, so it still
+holds.  So the engine keeps no index of stored triples.  A firing in the
+sweep would mean the agenda missed a triple; it is counted in
+``DeductionStats.sweep_firings``.
 """
 
 from __future__ import annotations
@@ -239,8 +241,6 @@ class PartialTable:
         # pending products a write left with a remainder of zero or below
         self.spent: deque[tuple[int, int]] = deque()
         self._queue: deque[tuple[tuple[int, int], int, int]] = deque()
-        # symmetry orbits of coefficient positions; they depend on the basis only
-        self._orbits: dict[tuple[int, int, int], tuple[tuple[int, int, int], ...]] = {}
         for j in range(k):
             self.set_product(0, j, {j: 1})
         if known:
@@ -277,7 +277,6 @@ class PartialTable:
         out.newly_known = list(self.newly_known)
         out.spent = deque(self.spent)
         out._queue = deque(self._queue)
-        out._orbits = self._orbits
         return out
 
     def as_algebra(self, name: str = "") -> TableAlgebra:
@@ -353,31 +352,25 @@ class PartialTable:
         as positions (a, b, c) with a <= b.  That symmetry has order six, its
         cube is the involution, and commutativity inverts it; so the closure
         is the canonical forms of its six powers: (a, b, c), (abar, bbar,
-        cbar), (bbar, c, a), (b, cbar, abar), (abar, c, b), (a, cbar, bbar)."""
-        start = (*_canon(i, j), m)
-        out = self._orbits.get(start)
-        if out is None:
-            a, b, c = start
-            d = self.dual
-            images = ((a, b, c), (d[a], d[b], d[c]), (d[b], c, a), (b, d[c], d[a]), (d[a], c, b), (a, d[c], d[b]))
-            out = tuple(sorted({(*_canon(x, y), z) for x, y, z in images}))
-            for t in out:
-                self._orbits[t] = out
-        return out
+        cbar), (bbar, c, a), (b, cbar, abar), (abar, c, b), (a, cbar, bbar).
+        The start (j, i, m) has the same closure, so it need not be
+        canonical.  Sorted, because R2 writes in this order."""
+        d = self.dual
+        images = ((i, j, m), (d[i], d[j], d[m]), (d[j], m, i), (j, d[m], d[i]), (d[i], m, j), (i, d[m], d[j]))
+        return tuple(sorted({(x, y, z) if x <= y else (y, x, z) for x, y, z in images}))
 
 
 class _Triple:
-    """An R3 triple: its nonzero-net expansion terms, how many of their
+    """An R3 triple: its nonzero-net expansion terms and how many of their
     products are unknown (counted for a stored triple, 0 for one the sweep
-    builds), and whether it is finished."""
+    builds)."""
 
-    __slots__ = ("i", "j", "l", "terms", "unknown", "done")
+    __slots__ = ("i", "j", "l", "terms", "unknown")
 
     def __init__(self, i: int, j: int, l: int, terms, unknown: int):
         self.i, self.j, self.l = i, j, l
         self.terms = terms
         self.unknown = unknown
-        self.done = False
 
 
 class _Engine:
@@ -389,8 +382,8 @@ class _Engine:
         self.stats = self.trace.stats
         self._claimed: set[tuple[int, int]] = set()
         self._partners: list[set[int]] = [set() for _ in range(k)]
-        self._triples: dict[tuple[int, int, int], _Triple] = {}
-        # activated triples listed under each unknown product of their expansion
+        # activated triples listed under each unknown product of their
+        # expansion: a stored triple lives while it is listed or on the agenda
         self._waiting: dict[tuple[int, int], list[_Triple]] = {}
         self._agenda: deque[_Triple] = deque()
         # the decomposition count shared by every search: states keyed by
@@ -507,7 +500,7 @@ class _Engine:
         unknown = [q for q, _ in terms if q not in rows]
         if not unknown:
             return
-        t = self._triples[(i, j, l)] = _Triple(i, j, l, terms, len(unknown))
+        t = _Triple(i, j, l, terms, len(unknown))
         for q in unknown:
             self._waiting.setdefault(q, []).append(t)
         if t.unknown == 1:
@@ -518,7 +511,7 @@ class _Engine:
         agenda = self._agenda
         while agenda:
             t = agenda.popleft()
-            if t.done or not t.unknown:
+            if not t.unknown:
                 continue
             self.stats.attempts["R3"] += 1
             if self._evaluate(t):
@@ -526,12 +519,12 @@ class _Engine:
         return fired
 
     def r3_full_sweep(self) -> bool:
-        """Stall certificate: evaluate every triple whose factors are known
-        and which the agenda has not decided, that is one activated with
-        every product known, never stored, or one stored and not done.  A
-        decided triple was evaluated on frozen rows, so evaluating it again
-        would repeat the answer.  With nothing pending there is no stall,
-        and the re-check of the completed table certifies associativity."""
+        """Stall certificate: evaluate every triple whose factors are known,
+        built afresh from the frozen rows.  One the agenda decided still
+        holds, since its products were frozen when it was decided, so
+        checking it again repeats the answer.  With nothing pending there is
+        no stall, and the re-check of the completed table certifies
+        associativity."""
         p = self.p
         if len(p.rows) == len(p.cells):
             return False
@@ -542,13 +535,9 @@ class _Engine:
                 for l in partners[a + 1:]:
                     if not self._is_representative(i, j, l):
                         continue
-                    t = self._triples.get((i, j, l))
                     self.stats.sweep_triples += 1
-                    if t is None:
-                        t = _Triple(i, j, l, self._terms(i, j, l), 0)
-                    elif t.done:
-                        continue
-                    if t.terms and self._evaluate(t):
+                    terms = self._terms(i, j, l)
+                    if terms and self._evaluate(_Triple(i, j, l, terms, 0)):
                         self.stats.sweep_firings += 1
                         fired = True
         return fired
@@ -557,8 +546,7 @@ class _Engine:
         """Decide the triple t: True when it solved its one unknown product;
         False when it had none and was checked, or when two or more are
         unknown or the one unknown product's net coefficient is not +-1.
-        A decided t is marked done before its product is written.  Raises
-        Contradiction when associativity cannot hold."""
+        Raises Contradiction when associativity cannot hold."""
         p = self.p
         rows = p.rows
         i, j, l, terms = t.i, t.j, t.l, t.terms
@@ -586,7 +574,6 @@ class _Engine:
                     "associativity fails on triple ({}*{})*{} at ".format(*names3)
                     + ", ".join(p.basis.name(m) for m in bad),
                 )
-            t.done = True
             return False
         pair, net = unknown
         solved: dict[int, int] = {}
@@ -601,7 +588,6 @@ class _Engine:
                 )
             if value:
                 solved[m] = value
-        t.done = True
         self._resolve("R3", names3, pair, solved)
         return True
 
