@@ -50,12 +50,13 @@ def data_text(name: str) -> str:
 
 
 def _read(uri: str) -> str:
-    """Raw text of a ``bundled:NAME`` URI or of a file path, which must be UTF-8."""
+    """Raw text of a ``bundled:NAME`` URI or of a file path, which must be
+    UTF-8; one leading byte-order mark, which some editors write, is dropped."""
     if uri.startswith("bundled:"):
         return data_text(uri[len("bundled:"):])
     try:
         with open(uri, encoding="utf-8") as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise ParseError(f"{uri} is not UTF-8: {e.reason} at byte {e.start}") from None
 

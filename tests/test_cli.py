@@ -427,6 +427,12 @@ class TestBundled:
         assert (code, out) == (2, "")
         assert err == f"error: {path} is not UTF-8: invalid start byte at byte 0\n"
 
+    @pytest.mark.parametrize("command", ["verify", "deduce"])
+    def test_byte_order_mark_is_dropped(self, capsys, tmp_path, command):
+        path = tmp_path / "bom.alg"
+        path.write_bytes(b"\xef\xbb\xbf" + data_text("C7").encode())
+        assert invoke(capsys, command, str(path)) == invoke(capsys, command, "bundled:C7")
+
     def test_directory_path_exit_two(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "verify", str(tmp_path))
         assert code == 2
