@@ -101,7 +101,10 @@ def _parse_lines(text: str):
     name = None
     raw_elements: list[tuple[int, str, int, str]] = []  # line, name, degree, dual
     raw_products: list[tuple[int, str, str, list[str]]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # lines end only at "\n": files are read with universal newlines, _strip
+    # drops a trailing "\r", and str.splitlines would also split a comment
+    # at a form feed, U+0085 or U+2028
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = _strip(raw)
         if not line:
             continue

@@ -141,6 +141,14 @@ product abar abar = abar
         with pytest.raises(ParseError, match=f"^line 7: bad {what} '1{{5000}}'$"):
             parse(MINI + line.format("1" * 5000))
 
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_lines_end_only_at_newlines(self, char):
+        # str.splitlines also ends a line at each of these
+        text = data_text("C7").replace("# ", f"# see{char}next ", 1)
+        assert serialize(parse(text)) == serialize(parse(data_text("C7")))
+        with pytest.raises(ParseError, match=f"^line {text.count(chr(10)) + 1}: unknown directive 'bogus'$"):
+            parse(text + "bogus\n")
+
     def test_partial_parse_allows_holes(self):
         name, basis, products = parse_partial(MINI.replace("product g g2 = 1\n", ""))
         assert name == "mini"
