@@ -52,13 +52,14 @@ of every triple listed under it, and T goes on the agenda when its count
 is one at activation or falls to one.  So every triple is evaluated once,
 as soon as it has one unknown product; one whose count reaches zero before
 it is taken up is skipped.  Those lists and the agenda alone hold a T, so
-it is freed once its last listed product is known.  Propagation never retracts a fact, so a count
-only falls and watched pairs, which pay only when backtracking must undo
-work, are not needed.  Triples are taken up to two symmetries of the
-rule: (l, j, i) negates every net coefficient, and the involution maps T
-to (ibar, jbar, lbar), under which R2 keeps the known products closed.  So
-only T with 0 < i < l and T no larger than its conjugate is activated; a
-triple with the identity as a factor or i = l expands to nothing.
+it is freed once its last listed product is known.  Propagation never
+retracts a fact, so a count only falls and watched pairs, which pay only
+when backtracking must undo work, are not needed.  Triples are taken up to
+two symmetries of the rule: (l, j, i) negates every net coefficient, and
+the involution maps T to (ibar, jbar, lbar), under which R2 keeps the
+known products closed.  So only T with 0 < i < l and T no larger than its
+conjugate is activated; a triple with the identity as a factor or i = l
+expands to nothing.
 
 The R4 search.  The decompositions of a pending product's remainder are
 the assignments to its unknown coefficients that meet the degree and, when
@@ -85,9 +86,8 @@ failed checks.  When no rule fires and products are still pending,
 ``r3_full_sweep`` enumerates every triple whose factors are known, once,
 and evaluates each one afresh.  That re-checks the triples the agenda
 decided, which is safe: each was decided on frozen rows, so it still
-holds.  So the engine keeps no index of stored triples.  A firing in the
-sweep would mean the agenda missed a triple; it is counted in
-``DeductionStats.sweep_firings``.
+holds.  A firing in the sweep would mean the agenda missed a triple; it is
+counted in ``DeductionStats.sweep_firings``.
 """
 
 from __future__ import annotations
@@ -382,8 +382,7 @@ class _Engine:
         self.stats = self.trace.stats
         self._claimed: set[tuple[int, int]] = set()
         self._partners: list[set[int]] = [set() for _ in range(k)]
-        # activated triples listed under each unknown product of their
-        # expansion: a stored triple lives while it is listed or on the agenda
+        # activated triples listed under each unknown product of their expansion
         self._waiting: dict[tuple[int, int], list[_Triple]] = {}
         self._agenda: deque[_Triple] = deque()
         # the decomposition count shared by every search: states keyed by
