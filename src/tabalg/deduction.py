@@ -76,7 +76,10 @@ mass.  The limit is the only budget R4 has: it is counted in
 capped.  One scan serves both R4 and naming: it searches each pending
 product once, fires the first with exactly one decomposition, and only
 when there is none tries naming on the ambiguous products it already
-holds.
+holds.  A search is run only for inputs not seen: keyed by the product's
+cells, remainder, square budget and reality mass, each pending product
+keeps the answer of its latest search until it becomes known, and one
+scan's answers serve every product of that scan with equal inputs.
 
 The certificate.  The agenda checks no triple whose products are all
 known; the certificate does.  A table that completes is re-verified by
@@ -137,13 +140,15 @@ class DeductionStats:
     ``attempts`` per rule: R1 counts pending products whose remainder
     reached zero, R2 coefficients transported around their orbits, R3
     agenda evaluations of a triple with exactly one unknown product, R4
-    searches.  ``firings`` counts the trace's steps per rule; naming steps
-    are R1.  ``r3_activated`` counts the triples activated with a nonzero
-    net expansion, stored or not.  The sweep runs only on a stall, when no
-    rule fires and products are still pending; ``sweep_triples`` counts the
+    searches asked, those answered from the cache included.  ``firings``
+    counts the trace's steps per rule; naming steps are R1.
+    ``r3_activated`` counts the triples activated with a nonzero net
+    expansion, stored or not.  The sweep runs only on a stall, when no rule
+    fires and products are still pending; ``sweep_triples`` counts the
     triples it enumerated.  ``seconds`` is the time of each phase of the
-    main loop, syncs included, and of the ``recheck`` of a completed table;
-    naming shares R4's scan, so its time is under ``R4``.
+    main loop, its syncs' R2 transport excepted, of that transport under
+    ``R2``, and of the ``recheck`` of a completed table; naming shares R4's
+    scan, so its time is under ``R4``.
     """
 
     def __init__(self):
@@ -331,10 +336,9 @@ class PartialTable:
                 )
             return False
         row[m] = v
-        self._rem[pair] -= v * self.deg[m]
-        self._open[pair] -= 1
-        rem = self._rem[pair]
-        if not self._open[pair]:
+        rem = self._rem[pair] = self._rem[pair] - v * self.deg[m]
+        unknown = self._open[pair] = self._open[pair] - 1
+        if not unknown:
             if rem != 0:
                 raise Contradiction(
                     self.names(pair) + ("degree",),
@@ -356,8 +360,15 @@ class PartialTable:
         The start (j, i, m) has the same closure, so it need not be
         canonical.  Sorted, because R2 writes in this order."""
         d = self.dual
-        images = ((i, j, m), (d[i], d[j], d[m]), (d[j], m, i), (j, d[m], d[i]), (d[i], m, j), (i, d[m], d[j]))
-        return tuple(sorted({(x, y, z) if x <= y else (y, x, z) for x, y, z in images}))
+        di, dj, dm = d[i], d[j], d[m]
+        return tuple(sorted({
+            (i, j, m) if i <= j else (j, i, m),
+            (di, dj, dm) if di <= dj else (dj, di, dm),
+            (dj, m, i) if dj <= m else (m, dj, i),
+            (j, dm, di) if j <= dm else (dm, j, di),
+            (di, m, j) if di <= m else (m, di, j),
+            (i, dm, dj) if i <= dm else (dm, i, dj),
+        }))
 
 
 class _Triple:
@@ -390,6 +401,10 @@ class _Engine:
         # (first degree, id of the rest)
         self._counts: dict[tuple[int, int, Optional[int]], int] = {}
         self._suffixes: dict[tuple[int, int], int] = {}
+        # (inputs, answer) of each pending product's latest search, under the
+        # id of its cell list; and the answers of the current scan by inputs
+        self._answers: dict[int, tuple[tuple, Optional[list]]] = {}
+        self._scan_answers: dict[tuple, Optional[list]] = {}
         # pairs whose search was capped during the latest solver scan
         self._overflowed: list[tuple[int, int]] = []
         self._by_degree = sorted(range(k), key=lambda m: table.deg[m])
@@ -415,16 +430,19 @@ class _Engine:
     # -- R2 transport plus trigger maintenance -----------------------------
 
     def sync(self) -> None:
-        """Drain coefficient transports and register newly known entries."""
+        """Drain coefficient transports, timed as R2, and register newly known entries."""
         p = self.p
-        queue = p._queue
-        attempts = self.stats.attempts
+        queue, cells = p._queue, p.cells
+        attempts, seconds = self.stats.attempts, self.stats.seconds
         while queue or p.newly_known:
+            t0 = time.perf_counter()
             while queue:
                 pair, m, v = queue.popleft()
                 for (a, b, c) in p.orbit(pair[0], pair[1], m):
                     attempts["R2"] += 1
-                    p._write((a, b), c, v)
+                    if cells[(a, b)][c] != v:
+                        p._write((a, b), c, v)
+            seconds["R2"] = seconds.get("R2", 0.0) + time.perf_counter() - t0
             batch, p.newly_known = p.newly_known, []
             for pair in batch:
                 if pair not in self._claimed:
@@ -432,15 +450,36 @@ class _Engine:
                 self._register_known(pair)
 
     def _register_known(self, pair: tuple[int, int]) -> None:
+        """Activate the triples with factor ``pair``; count down its waiters."""
         a, b = pair
         self._partners[a].add(b)
         self._partners[b].add(a)
+        self._answers.pop(id(self.p.cells[pair]), None)
         if a:
+            rows, d = self.p.rows, self.p.dual
             # triples with this pair as a factor: it is (other, j) or (j, other)
             for j, other in ((a, b), (b, a)) if a != b else ((a, a),):
+                dj = d[j]
                 for x in self._partners[j]:
-                    if x and x != other:
-                        self._activate(min(other, x), j, max(other, x))
+                    if not x or x == other:
+                        continue
+                    i, l = (other, x) if other < x else (x, other)
+                    ci, cl = d[i], d[l]
+                    # only representatives: T no larger than its conjugate
+                    if (i, j, l) > ((ci, dj, cl) if ci < cl else (cl, dj, ci)):
+                        continue
+                    terms = self._terms(i, j, l)
+                    if not terms:
+                        continue
+                    self.stats.r3_activated += 1
+                    unknown = [q for q, _ in terms if q not in rows]
+                    if not unknown:
+                        continue
+                    t = _Triple(i, j, l, terms, len(unknown))
+                    for q in unknown:
+                        self._waiting.setdefault(q, []).append(t)
+                    if t.unknown == 1:
+                        self._agenda.append(t)
         for t in self._waiting.pop(pair, ()):
             t.unknown -= 1
             if t.unknown == 1:
@@ -470,40 +509,19 @@ class _Engine:
 
     # -- R3: associativity -----------------------------------------------------
 
-    def _is_representative(self, i: int, j: int, l: int) -> bool:
-        d = self.p.dual
-        ci, cl = d[i], d[l]
-        return (i, j, l) <= (min(ci, cl), d[j], max(ci, cl))
-
     def _terms(self, i: int, j: int, l: int) -> tuple:
         """Nonzero net coefficients of (b_i b_j) b_l - b_i (b_j b_l) over the
         products it expands into; (i, j) and (j, l) must be known."""
         rows = self.p.rows
         net: dict[tuple[int, int], int] = {}
-        for m, c in rows[_canon(i, j)].items():
-            q = _canon(m, l)
-            net[q] = net.get(q, 0) + c
-        for m, c in rows[_canon(j, l)].items():
-            q = _canon(i, m)
-            net[q] = net.get(q, 0) - c
-        return tuple((q, c) for q, c in net.items() if c)
-
-    def _activate(self, i: int, j: int, l: int) -> None:
-        if not self._is_representative(i, j, l):
-            return
-        terms = self._terms(i, j, l)
-        if not terms:
-            return
-        self.stats.r3_activated += 1
-        rows = self.p.rows
-        unknown = [q for q, _ in terms if q not in rows]
-        if not unknown:
-            return
-        t = _Triple(i, j, l, terms, len(unknown))
-        for q in unknown:
-            self._waiting.setdefault(q, []).append(t)
-        if t.unknown == 1:
-            self._agenda.append(t)
+        get = net.get
+        for m, c in rows[(i, j) if i <= j else (j, i)].items():
+            q = (m, l) if m <= l else (l, m)
+            net[q] = get(q, 0) + c
+        for m, c in rows[(j, l) if j <= l else (l, j)].items():
+            q = (i, m) if i <= m else (m, i)
+            net[q] = get(q, 0) - c
+        return tuple([(q, c) for q, c in net.items() if c])
 
     def r3_process(self) -> bool:
         fired = False
@@ -524,7 +542,7 @@ class _Engine:
         checking it again repeats the answer.  With nothing pending there is
         no stall, and the re-check of the completed table certifies
         associativity."""
-        p = self.p
+        p, d = self.p, self.p.dual
         if len(p.rows) == len(p.cells):
             return False
         fired = False
@@ -532,7 +550,8 @@ class _Engine:
             partners = sorted(x for x in self._partners[j] if x)
             for a, i in enumerate(partners):
                 for l in partners[a + 1:]:
-                    if not self._is_representative(i, j, l):
+                    ci, cl = d[i], d[l]
+                    if (i, j, l) > ((ci, d[j], cl) if ci < cl else (cl, d[j], ci)):
                         continue
                     self.stats.sweep_triples += 1
                     terms = self._terms(i, j, l)
@@ -614,9 +633,12 @@ class _Engine:
         first with exactly one decomposition; failing that, with naming on,
         name the first ambiguous product that admits a canonical naming."""
         self._overflowed = []
+        self._scan_answers = {}
         ambiguous = []
+        dual = self.p.dual
         for pair in self.p.pending_pairs():
-            if self._conjugate_primary(pair) != pair:
+            # the involution maps the product to its conjugate: search one of the two
+            if _canon(dual[pair[0]], dual[pair[1]]) < pair:
                 continue
             solutions = self._solve_entry(pair)
             if solutions is None:
@@ -635,11 +657,6 @@ class _Engine:
                 self._resolve("R1", None, pair, next(vec for assign, vec in solutions if assign == best))
                 return True
         return False
-
-    def _conjugate_primary(self, pair: tuple[int, int]) -> tuple[int, int]:
-        p = self.p
-        other = _canon(p.dual[pair[0]], p.dual[pair[1]])
-        return min(pair, other)
 
     def _solve_entry(self, pair: tuple[int, int]) -> Optional[list]:
         """The decompositions of the remainder of ``pair`` that meet its
@@ -680,7 +697,19 @@ class _Engine:
         full row has reality mass ``r_mass`` when that is known, as
         (assignment, full row) pairs; None when more than
         DECOMPOSITION_LIMIT decompositions meet the degree and square
-        budgets.  ``candidates`` ascend by degree."""
+        budgets.  ``candidates`` ascend by degree and follow from ``row``
+        and ``rem``, so the other four inputs key the cached answers."""
+        key = (tuple(row), rem, budget2, r_mass)
+        held = self._answers.get(id(row))
+        if held is None or held[0] != key:
+            scan = self._scan_answers
+            if key not in scan:
+                scan[key] = self._decompose(row, rem, candidates, budget2, r_mass)
+            held = self._answers[id(row)] = (key, scan[key])
+        return held[1]
+
+    def _decompose(self, row, rem, candidates, budget2, r_mass) -> Optional[list]:
+        """Run the search ``_search`` describes, for inputs it has not seen."""
         limit = DECOMPOSITION_LIMIT
         deg, dual = self.p.deg, self.p.dual
         degrees = [deg[m] for m in candidates]
@@ -691,6 +720,12 @@ class _Engine:
         ids = [0] * (n + 1)
         for idx in range(n - 1, -1, -1):
             ids[idx] = suffixes.setdefault((degrees[idx], ids[idx + 1]), len(suffixes) + 1)
+        base = {m: v for m, v in enumerate(row) if v}
+        if r_mass is not None:
+            # mass(base + assign) = mass(base) + sum over assign of c (2 base[mbar] + assign[mbar])
+            r_mass -= sum(c * base.get(dual[m], 0) for m, c in base.items())
+        solutions: list[tuple[dict[int, int], dict[int, int]]] = []
+        assign: dict[int, int] = {}
 
         def most(dm: int, deg_left: int, sq_left: Optional[int]) -> int:
             return deg_left // dm if sq_left is None else min(deg_left // dm, isqrt(sq_left))
@@ -716,22 +751,13 @@ class _Engine:
                 counts[key] = total
             return total
 
-        total = count(0, rem, budget2)
-        self.stats.solver_count_states = len(counts)
-        if total > limit:
-            return None
-        if not total:
-            return []
-        base = {m: v for m, v in enumerate(row) if v}
-        solutions: list[tuple[dict[int, int], dict[int, int]]] = []
-        assign: dict[int, int] = {}
-
         def walk(idx: int, deg_left: int, sq_left: Optional[int]) -> None:
             # enters only states that count at least one decomposition
             if deg_left == 0:
-                vec = {**base, **assign}
-                if r_mass is None or sum(c * vec.get(dual[m], 0) for m, c in vec.items()) == r_mass:
-                    solutions.append((dict(assign), vec))
+                if r_mass is None or r_mass == sum(
+                    c * (2 * base.get(dual[m], 0) + assign.get(dual[m], 0)) for m, c in assign.items()
+                ):
+                    solutions.append((dict(assign), {**base, **assign}))
                 return
             m, dm = candidates[idx], degrees[idx]
             for c in range(most(dm, deg_left, sq_left), -1, -1):
@@ -742,8 +768,17 @@ class _Engine:
                     walk(idx + 1, deg_left - c * dm, nsq)
                     assign.pop(m, None)
 
-        walk(0, rem, budget2)
-        return solutions
+        try:
+            total = count(0, rem, budget2)
+            self.stats.solver_count_states = len(counts)
+            if total > limit:
+                return None
+            if total:
+                walk(0, rem, budget2)
+            return solutions
+        finally:
+            # each closure holds itself through its cell; emptying it frees both
+            del count, walk
 
     def _canonical_naming(self, solutions: list[dict[int, int]]) -> Optional[dict[int, int]]:
         """Pick the least-indexed assignment when every other solution is the
@@ -794,27 +829,31 @@ class _Engine:
         return perm
 
     def _fixes_knowledge(self, perm: dict[int, int]) -> bool:
-        """True when every determined cell maps to an equal determined cell."""
+        """True when every determined cell maps to an equal determined cell.
+        A cell none of whose indices ``perm`` moves maps to itself, so in a
+        product that maps to itself only the moved ``m`` are checked."""
         p = self.p
+        moved = [m for m in range(p.k) if perm[m] != m]
         for (i, j), row in p.cells.items():
-            pi, pj = perm[i], perm[j]
-            image_row = p.cells[_canon(pi, pj)]
-            for m, v in enumerate(row):
-                if v is None:
-                    continue
-                if image_row[perm[m]] != v:
+            image_row = p.cells[_canon(perm[i], perm[j])]
+            for m in moved if image_row is row else range(p.k):
+                v = row[m]
+                if v is not None and image_row[perm[m]] != v:
                     return False
         return True
 
     # -- main loop -----------------------------------------------------------
 
     def _timed(self, phase: str, step) -> bool:
+        """Run a phase; its time, less R2's in its syncs, adds to ``seconds``."""
+        seconds = self.stats.seconds
+        seconds.setdefault(phase, 0.0)
+        r2 = seconds.get("R2", 0.0)
         t0 = time.perf_counter()
         try:
             return step()
         finally:
-            seconds = self.stats.seconds
-            seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - t0
+            seconds[phase] += time.perf_counter() - t0 - (seconds.get("R2", 0.0) - r2)
 
     def run(self) -> None:
         p = self.p

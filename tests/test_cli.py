@@ -12,6 +12,8 @@ from tabalg import load, parse, parse_partial, serialize
 from tabalg.bundled import data_text
 from tabalg.cli import run
 
+import corpus
+
 
 def invoke(capsys, *argv):
     code = run(list(argv))
@@ -241,6 +243,23 @@ class TestDeduce:
             assert re.fullmatch(r"timing: \S+ \d+\.\d{3}s", line), line
         assert {"seed", "R1", "R3", "R4", "sweep"} <= {line.split()[1] for line in lines[:-1]}
         assert "timing" not in out
+
+    def test_timing_splits_out_r2_transport(self, capsys, tmp_path):
+        """R2 transport has its own line, taken out of the phases whose
+        syncs ran it, so the phase lines still add up to no more than the
+        total; stdout is that of a run without --timing."""
+        path = tmp_path / "lemma72.alg"
+        path.write_text(corpus.lemma72_seed())
+        plain = invoke(capsys, "deduce", str(path))[1]
+        code, out, err = invoke(capsys, "deduce", str(path), "--timing")
+        assert code == 0
+        assert out == plain
+        lines = err.strip().splitlines()
+        phases = {line.split()[1]: float(line.split()[2][:-1]) for line in lines[:-1]}
+        assert list(phases)[:3] == ["seed", "R2", "R1"]
+        total = float(lines[-1].split()[1][:-1])
+        # each printed figure is rounded to the millisecond
+        assert sum(phases.values()) <= total + 0.0005 * (len(phases) + 1)
 
     def test_stall_names_the_solver_caps_it_hit(self, capsys, tmp_path):
         lines = [l for l in serialize(load("B32")).splitlines()
