@@ -76,10 +76,10 @@ mass.  The limit is the only budget R4 has: it is counted in
 capped.  One scan serves both R4 and naming: it searches each pending
 product once, fires the first with exactly one decomposition, and only
 when there is none tries naming on the ambiguous products it already
-holds.  A search is run only for inputs not seen: keyed by the product's
-cells, remainder, square budget and reality mass, each pending product
-keeps the answer of its latest search until it becomes known, and one
-scan's answers serve every product of that scan with equal inputs.
+holds.  A search is run only for inputs not seen in the current scan or
+the previous one: answers are keyed by the search's inputs alone, the
+product's cells, remainder, square budget and reality mass, and each scan
+keeps the answers it used, so one unused for a whole scan is dropped.
 
 The certificate.  The agenda checks no triple whose products are all
 known; the certificate does.  A table that completes is re-verified by
@@ -98,7 +98,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from math import isqrt
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .core import MalformedElementError, TableAlgebra, TableBasis, TableAlgebraError, format_element
 
@@ -122,16 +122,16 @@ class Contradiction(TableAlgebraError):
         super().__init__(message)
 
 
-class DeductionStep:
-    def __init__(self, number: int, rule: str, triple: tuple[str, str, str], entry: tuple[str, str], value: str):
-        self.number, self.rule, self.triple, self.entry, self.value = number, rule, triple, entry, value
+class DeductionStep(NamedTuple):
+    number: int
+    rule: str
+    triple: tuple[str, str, str]
+    entry: tuple[str, str]
+    value: str
 
     def line(self) -> str:
-        i, j, l = self.triple
-        return (
-            f"STEP {self.number} RULE {self.rule} TRIPLE {i},{j},{l} "
-            f"SET {self.entry[0]}*{self.entry[1]} = {self.value}"
-        )
+        return "STEP {} RULE {} TRIPLE {},{},{} SET {}*{} = {}".format(
+            self.number, self.rule, *self.triple, *self.entry, self.value)
 
 
 class DeductionStats:
@@ -372,16 +372,13 @@ class PartialTable:
 
 
 class _Triple:
-    """An R3 triple: its nonzero-net expansion terms and how many of their
-    products are unknown (counted for a stored triple, 0 for one the sweep
-    builds)."""
+    """A stored R3 triple: its nonzero-net expansion terms and the count of
+    their products that are unknown."""
 
     __slots__ = ("i", "j", "l", "terms", "unknown")
 
     def __init__(self, i: int, j: int, l: int, terms, unknown: int):
-        self.i, self.j, self.l = i, j, l
-        self.terms = terms
-        self.unknown = unknown
+        self.i, self.j, self.l, self.terms, self.unknown = i, j, l, terms, unknown
 
 
 class _Engine:
@@ -391,7 +388,6 @@ class _Engine:
         self.naming = introduce_names
         self.trace = DeductionTrace()
         self.stats = self.trace.stats
-        self._claimed: set[tuple[int, int]] = set()
         self._partners: list[set[int]] = [set() for _ in range(k)]
         # activated triples listed under each unknown product of their expansion
         self._waiting: dict[tuple[int, int], list[_Triple]] = {}
@@ -401,10 +397,10 @@ class _Engine:
         # (first degree, id of the rest)
         self._counts: dict[tuple[int, int, Optional[int]], int] = {}
         self._suffixes: dict[tuple[int, int], int] = {}
-        # (inputs, answer) of each pending product's latest search, under the
-        # id of its cell list; and the answers of the current scan by inputs
-        self._answers: dict[int, tuple[tuple, Optional[list]]] = {}
-        self._scan_answers: dict[tuple, Optional[list]] = {}
+        # search answers keyed by (cells, remainder, square budget, reality
+        # mass): those of the current solver scan and of the previous one
+        self._answers: dict[tuple, Optional[list]] = {}
+        self._last_answers: dict[tuple, Optional[list]] = {}
         # pairs whose search was capped during the latest solver scan
         self._overflowed: list[tuple[int, int]] = []
         self._by_degree = sorted(range(k), key=lambda m: table.deg[m])
@@ -422,15 +418,22 @@ class _Engine:
     def _resolve(self, rule: str, triple, pair: tuple[int, int], coeffs: Mapping[int, int]) -> None:
         """Fire a rule: write the product of ``pair``, log the step and
         sync.  R1, R3, R4 and naming write through here; R2 is the sync."""
-        self._claimed.add(pair)
         self.p.set_product(pair[0], pair[1], coeffs)
         self.log(rule, triple, pair)
-        self.sync()
+        self.sync((pair,))
+
+    def _complete(self, rule: str, pair: tuple[int, int], assign: Mapping[int, int]) -> None:
+        """R1, R4 and naming: resolve ``pair`` as its known cells plus ``assign``."""
+        row = {m: v for m, v in enumerate(self.p.cells[pair]) if v}
+        row.update(assign)
+        self._resolve(rule, None, pair, row)
 
     # -- R2 transport plus trigger maintenance -----------------------------
 
-    def sync(self) -> None:
-        """Drain coefficient transports, timed as R2, and register newly known entries."""
+    def sync(self, logged) -> None:
+        """Drain coefficient transports, timed as R2, and register newly
+        known entries; each one not in ``logged``, the pairs the caller
+        logs itself, is logged as an R2 step."""
         p = self.p
         queue, cells = p._queue, p.cells
         attempts, seconds = self.stats.attempts, self.stats.seconds
@@ -445,7 +448,7 @@ class _Engine:
             seconds["R2"] = seconds.get("R2", 0.0) + time.perf_counter() - t0
             batch, p.newly_known = p.newly_known, []
             for pair in batch:
-                if pair not in self._claimed:
+                if pair not in logged:
                     self.log("R2", None, pair)
                 self._register_known(pair)
 
@@ -454,7 +457,6 @@ class _Engine:
         a, b = pair
         self._partners[a].add(b)
         self._partners[b].add(a)
-        self._answers.pop(id(self.p.cells[pair]), None)
         if a:
             rows, d = self.p.rows, self.p.dual
             # triples with this pair as a factor: it is (other, j) or (j, other)
@@ -503,7 +505,7 @@ class _Engine:
                     p.names(pair) + ("degree",),
                     f"known part of {p.label(pair)} already exceeds the degree identity",
                 )
-            self._resolve("R1", None, pair, {m: v for m, v in enumerate(p.cells[pair]) if v})
+            self._complete("R1", pair, {})
             fired = True
         return fired
 
@@ -531,7 +533,7 @@ class _Engine:
             if not t.unknown:
                 continue
             self.stats.attempts["R3"] += 1
-            if self._evaluate(t):
+            if self._evaluate(t.i, t.j, t.l, t.terms):
                 fired = True
         return fired
 
@@ -555,19 +557,18 @@ class _Engine:
                         continue
                     self.stats.sweep_triples += 1
                     terms = self._terms(i, j, l)
-                    if terms and self._evaluate(_Triple(i, j, l, terms, 0)):
+                    if terms and self._evaluate(i, j, l, terms):
                         self.stats.sweep_firings += 1
                         fired = True
         return fired
 
-    def _evaluate(self, t: _Triple) -> bool:
-        """Decide the triple t: True when it solved its one unknown product;
-        False when it had none and was checked, or when two or more are
-        unknown or the one unknown product's net coefficient is not +-1.
-        Raises Contradiction when associativity cannot hold."""
+    def _evaluate(self, i: int, j: int, l: int, terms) -> bool:
+        """Decide the triple (i, j, l) of expansion ``terms``: True when it
+        solved its one unknown product; False when it had none and was
+        checked, or cannot solve one (two or more unknown, or a net
+        coefficient not +-1).  Raises Contradiction when associativity fails."""
         p = self.p
         rows = p.rows
-        i, j, l, terms = t.i, t.j, t.l, t.terms
         unknown = None
         for q, c in terms:
             if q not in rows:
@@ -633,7 +634,7 @@ class _Engine:
         first with exactly one decomposition; failing that, with naming on,
         name the first ambiguous product that admits a canonical naming."""
         self._overflowed = []
-        self._scan_answers = {}
+        self._last_answers, self._answers = self._answers, {}
         ambiguous = []
         dual = self.p.dual
         for pair in self.p.pending_pairs():
@@ -644,7 +645,7 @@ class _Engine:
             if solutions is None:
                 continue
             if len(solutions) == 1:
-                self._resolve("R4", None, pair, solutions[0][1])
+                self._complete("R4", pair, solutions[0])
                 return True
             if self.naming:
                 ambiguous.append((pair, solutions))
@@ -652,16 +653,17 @@ class _Engine:
         # mirroring the order in which generators introduce constituents
         ambiguous.sort(key=lambda entry: entry[0][::-1])
         for pair, solutions in ambiguous:
-            best = self._canonical_naming([assign for assign, _ in solutions])
+            best = self._canonical_naming(solutions)
             if best is not None:
-                self._resolve("R1", None, pair, next(vec for assign, vec in solutions if assign == best))
+                self._complete("R1", pair, best)
                 return True
         return False
 
     def _solve_entry(self, pair: tuple[int, int]) -> Optional[list]:
         """The decompositions of the remainder of ``pair`` that meet its
-        inner products, as ``_search`` returns them; None when its search
-        was capped.  R1 has drained every product with no remainder."""
+        inner products, as ``_search`` returns them, or those the current or
+        the previous scan found for equal inputs; None when they were
+        capped.  R1 has drained every product with no remainder."""
         p = self.p
         i, j = pair
         row = p.cells[pair]
@@ -675,9 +677,17 @@ class _Engine:
                     p.names(pair) + ("inner",),
                     f"{p.label(pair)} already exceeds its inner product {s_exact}",
                 )
-        candidates = [m for m in self._by_degree if row[m] is None and p.deg[m] <= rem]
+        r_mass = self._reality_mass(i, j)
         self.stats.attempts["R4"] += 1
-        solutions = self._search(row, rem, candidates, budget2, self._reality_mass(i, j))
+        key = (tuple(row), rem, budget2, r_mass)
+        answers = self._answers
+        if key in answers:
+            solutions = answers[key]
+        elif key in self._last_answers:
+            solutions = answers[key] = self._last_answers[key]
+        else:
+            candidates = [m for m in self._by_degree if row[m] is None and p.deg[m] <= rem]
+            solutions = answers[key] = self._search(row, rem, candidates, budget2, r_mass)
         if solutions is None:
             self._overflowed.append(pair)
             self.stats.solver_overflows += 1
@@ -695,21 +705,10 @@ class _Engine:
         """Every decomposition of the remainder ``rem`` over ``candidates``,
         whose squares add up to ``budget2`` when that is known and whose
         full row has reality mass ``r_mass`` when that is known, as
-        (assignment, full row) pairs; None when more than
-        DECOMPOSITION_LIMIT decompositions meet the degree and square
-        budgets.  ``candidates`` ascend by degree and follow from ``row``
-        and ``rem``, so the other four inputs key the cached answers."""
-        key = (tuple(row), rem, budget2, r_mass)
-        held = self._answers.get(id(row))
-        if held is None or held[0] != key:
-            scan = self._scan_answers
-            if key not in scan:
-                scan[key] = self._decompose(row, rem, candidates, budget2, r_mass)
-            held = self._answers[id(row)] = (key, scan[key])
-        return held[1]
-
-    def _decompose(self, row, rem, candidates, budget2, r_mass) -> Optional[list]:
-        """Run the search ``_search`` describes, for inputs it has not seen."""
+        assignments ``{m: c}`` to the unknown cells of ``row``; None when
+        more than DECOMPOSITION_LIMIT decompositions meet the degree and
+        square budgets.  ``candidates`` ascend by degree and follow from
+        ``row`` and ``rem``, so the other four inputs decide the answer."""
         limit = DECOMPOSITION_LIMIT
         deg, dual = self.p.deg, self.p.dual
         degrees = [deg[m] for m in candidates]
@@ -724,7 +723,7 @@ class _Engine:
         if r_mass is not None:
             # mass(base + assign) = mass(base) + sum over assign of c (2 base[mbar] + assign[mbar])
             r_mass -= sum(c * base.get(dual[m], 0) for m, c in base.items())
-        solutions: list[tuple[dict[int, int], dict[int, int]]] = []
+        solutions: list[dict[int, int]] = []
         assign: dict[int, int] = {}
 
         def most(dm: int, deg_left: int, sq_left: Optional[int]) -> int:
@@ -757,7 +756,7 @@ class _Engine:
                 if r_mass is None or r_mass == sum(
                     c * (2 * base.get(dual[m], 0) + assign.get(dual[m], 0)) for m, c in assign.items()
                 ):
-                    solutions.append((dict(assign), {**base, **assign}))
+                    solutions.append(dict(assign))
                 return
             m, dm = candidates[idx], degrees[idx]
             for c in range(most(dm, deg_left, sq_left), -1, -1):
@@ -858,10 +857,9 @@ class _Engine:
     def run(self) -> None:
         p = self.p
         try:
-            # everything known at seed time triggers the initial agenda
+            # everything known at seed time triggers the initial agenda, unlogged
             p.newly_known = sorted(p.rows)
-            self._claimed.update(p.rows)
-            self._timed("seed", self.sync)
+            self._timed("seed", lambda: self.sync(set(p.rows)))
             phases = (
                 ("R1", self.r1_process),
                 ("R3", self.r3_process),

@@ -157,8 +157,12 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
             undo(made)
         return False
 
-    if not assign(0, 0) or not search():
-        return None
+    try:
+        if not assign(0, 0) or not search():
+            return None
+    finally:
+        # search holds itself through its cell; emptying it frees the closure
+        del search
     psi = tuple(mapping[i] for i in range(a.size))
 
     # full re-verification, independent of the search bookkeeping

@@ -503,8 +503,7 @@ def nonzero_net_representatives(table):
 
 def record_stored_triples(monkeypatch):
     """A dict that collects, by (i, j, l), each triple the engine stores:
-    those ``_activate`` builds with an unknown product.  The sweep builds
-    its own with a count of 0, and those are not collected."""
+    every ``_Triple`` is one activated with an unknown product, counted."""
     stored = {}
 
     class Recorded(deduction._Triple):
@@ -512,9 +511,9 @@ def record_stored_triples(monkeypatch):
 
         def __init__(self, i, j, l, terms, unknown):
             super().__init__(i, j, l, terms, unknown)
-            if unknown:
-                assert (i, j, l) not in stored
-                stored[(i, j, l)] = self
+            assert unknown >= 1
+            assert (i, j, l) not in stored
+            stored[(i, j, l)] = self
 
     monkeypatch.setattr(deduction, "_Triple", Recorded)
     return stored
@@ -707,15 +706,14 @@ class TestAgenda:
     def test_no_product_is_searched_twice_on_one_table(self, name, monkeypatch):
         """R4 and naming share one scan: between two steps, that is on one
         state of the table, each pending product is searched at most once."""
-        search = deduction._Engine._search
+        solve = deduction._Engine._solve_entry
         searched = []
 
-        def recorded(self, row, *args):
-            pair = next(q for q, cells in self.p.cells.items() if cells is row)
+        def recorded(self, pair):
             searched.append((len(self.trace.steps), pair))
-            return search(self, row, *args)
+            return solve(self, pair)
 
-        monkeypatch.setattr(deduction._Engine, "_search", recorded)
+        monkeypatch.setattr(deduction._Engine, "_solve_entry", recorded)
         seed, naming = _seed(name)
         _, trace = propagate(seed, introduce_names=naming)
         assert searched
@@ -733,8 +731,8 @@ class TestAgenda:
         stored = record_stored_triples(monkeypatch)
         checked = []
 
-        def checked_sync(self):
-            sync(self)
+        def checked_sync(self, logged):
+            sync(self, logged)
             rows = self.p.rows
             on_agenda = set(map(id, self._agenda))
             for t in stored.values():
@@ -804,9 +802,10 @@ class TestAgenda:
         assert not any("gated" in key or "nodes" in key for key in facts)
 
     def test_lemma72_peak_memory(self, B32):
-        """The engine caches no orbits and indexes no stored triples: the
-        run's traced peak, re-check included, was 8.5 MB with both and is
-        4.9 MB without."""
+        """The engine caches no orbits, indexes no stored triples and keeps
+        search answers for two scans only: the run's traced peak, re-check
+        included, was 8.5 MB with the first two, 4.9 MB without, and 4.6 MB
+        with one answer dict kept for the whole run; it is 3.8 MB."""
         seed = lemma72_seed(B32)
         tracemalloc.start()
         try:
@@ -814,20 +813,19 @@ class TestAgenda:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 10**6
+        assert peak < 4.5 * 10**6
 
 
-def plain_decompositions(deg, row, rem, candidates, budget2):
+def plain_decompositions(deg, rem, candidates, budget2):
     """Every assignment of nonnegative coefficients to ``candidates`` whose
     degrees add up to ``rem`` and, when ``budget2`` is not None, whose
-    squares add up to ``budget2``, as (assignment, full row) pairs: a plain
-    exhaustive enumeration with no memo and no limit, yielded lazily."""
-    base = {m: v for m, v in enumerate(row) if v}
+    squares add up to ``budget2``: a plain exhaustive enumeration with no
+    memo and no limit, yielded lazily."""
 
     def walk(idx, deg_left, sq_left, assign):
         if deg_left == 0:
             if not sq_left:
-                yield dict(assign), {**base, **assign}
+                yield dict(assign)
             return
         if idx == len(candidates):
             return
@@ -843,13 +841,20 @@ def plain_decompositions(deg, row, rem, candidates, budget2):
     return walk(0, rem, budget2, {})
 
 
-def with_reality_mass(dual, decompositions, r_mass):
-    return [(a, v) for a, v in decompositions
-            if r_mass is None or sum(c * v.get(dual[m], 0) for m, c in v.items()) == r_mass]
+def with_reality_mass(dual, row, assignments, r_mass):
+    """The assignments to the unknown cells of ``row`` whose full row has
+    reality mass ``r_mass``, or all of them when that is None."""
+    base = {m: v for m, v in enumerate(row) if v}
+    kept = []
+    for assign in assignments:
+        full = {**base, **assign}
+        if r_mass is None or sum(c * full.get(dual[m], 0) for m, c in full.items()) == r_mass:
+            kept.append(assign)
+    return kept
 
 
-def canonical(solutions):
-    return sorted((sorted(assign.items()), sorted(vec.items())) for assign, vec in solutions)
+def canonical(assignments):
+    return sorted(sorted(assign.items()) for assign in assignments)
 
 
 class TestSolverFastPaths:
@@ -864,11 +869,10 @@ class TestSolverFastPaths:
 
         def checked(self, row, rem, candidates, budget2, r_mass):
             got = search(self, row, rem, candidates, budget2, r_mass)
-            found = list(islice(plain_decompositions(self.p.deg, row, rem, candidates, budget2),
-                                limit + 1))
+            found = list(islice(plain_decompositions(self.p.deg, rem, candidates, budget2), limit + 1))
             assert (got is None) == (len(found) > limit)
             if got is not None:
-                assert canonical(got) == canonical(with_reality_mass(self.p.dual, found, r_mass))
+                assert canonical(got) == canonical(with_reality_mass(self.p.dual, row, found, r_mass))
             outcomes.append(got is None)
             return got
 
@@ -889,9 +893,9 @@ class TestSolverFastPaths:
         engine = deduction._Engine(PartialTable(basis), introduce_names=False)
         row, candidates = [None, 1, None, None, 1], [2, 3]
         got = engine._search(row, 3, candidates, None, r_mass)
-        plain = plain_decompositions(engine.p.deg, row, 3, candidates, None)
-        assert canonical(got) == canonical(with_reality_mass(engine.p.dual, plain, r_mass))
-        assert [assign for assign, _ in got] == kept
+        plain = plain_decompositions(engine.p.deg, 3, candidates, None)
+        assert canonical(got) == canonical(with_reality_mass(engine.p.dual, row, plain, r_mass))
+        assert got == kept
 
     def test_limit_boundary(self, B32, monkeypatch):
         """With the limit at a search's exact count the search finishes; one
@@ -902,16 +906,16 @@ class TestSolverFastPaths:
 
         def checked(self, row, rem, candidates, budget2, r_mass):
             got = search(self, row, rem, candidates, budget2, r_mass)
-            found = list(plain_decompositions(self.p.deg, row, rem, candidates, budget2)) \
+            found = list(plain_decompositions(self.p.deg, rem, candidates, budget2)) \
                 if got is not None else []
             if found:
-                held = self._counts, self._answers, self._scan_answers
+                held = self._counts
                 for limit, capped in ((len(found), False), (len(found) - 1, True)):
-                    # saturated counts and cached answers hold for one limit only
-                    self._counts, self._answers, self._scan_answers = {}, {}, {}
+                    # saturated counts hold for one limit only
+                    self._counts = {}
                     monkeypatch.setattr(deduction, "DECOMPOSITION_LIMIT", limit)
                     assert (search(self, row, rem, candidates, budget2, r_mass) is None) == capped
-                self._counts, self._answers, self._scan_answers = held
+                self._counts = held
                 monkeypatch.setattr(deduction, "DECOMPOSITION_LIMIT", default)
                 checked_counts.add(len(found))
             return got
@@ -921,33 +925,45 @@ class TestSolverFastPaths:
         assert trace.status == "completed"
         assert 1 in checked_counts and max(checked_counts) > 1
 
-    def test_shared_count_does_not_change_the_trace(self, B32, lemma72_run, monkeypatch):
-        search = deduction._Engine._search
+    @pytest.mark.parametrize("name", ["Lemma72", "B32stall"])
+    def test_shared_count_does_not_change_the_trace(self, name, monkeypatch):
+        """The only pinned seeds that run R4 searches, the stall's capped:
+        with no shared count and no kept answer, the trace and every counter
+        but the count's size are the same."""
+        seed, naming = _seed(name)
+        _, shared = propagate(seed, introduce_names=naming)
+        solve = deduction._Engine._solve_entry
 
-        def fresh(self, *args):
-            # no shared count and no cached answer: every search runs afresh
+        def fresh(self, pair):
+            # every search asked runs afresh
             self._counts, self._suffixes = {}, {}
-            self._answers, self._scan_answers = {}, {}
-            return search(self, *args)
+            self._answers, self._last_answers = {}, {}
+            return solve(self, pair)
 
-        monkeypatch.setattr(deduction._Engine, "_search", fresh)
-        _, trace = propagate(lemma72_seed(B32), introduce_names=True)
-        assert trace.serialize() == lemma72_run[1].serialize()
+        monkeypatch.setattr(deduction._Engine, "_solve_entry", fresh)
+        _, trace = propagate(seed, introduce_names=naming)
+        assert trace.serialize() == shared.serialize()
 
-    @pytest.mark.parametrize("name, asked, most", [("Lemma72", 988, 332), ("B32stall", 285, 44)])
+        def facts(t):
+            return [(key, v) for key, v in t.stats.facts() if key != "stats.solver.count_states"]
+
+        assert facts(trace) == facts(shared)
+
+    @pytest.mark.parametrize("name, asked, most", [("Lemma72", 988, 319), ("B32stall", 285, 44)])
     def test_repeated_inputs_are_answered_without_a_search(self, name, asked, most, monkeypatch):
-        """A search is run only for inputs not seen: a product's latest
-        answer and those of the current scan are reused.  Every search
-        asked is still counted.  Of Lemma 7.2's 988 searches, 310 have
-        distinct inputs; the stall makes one scan of 285."""
-        decompose = deduction._Engine._decompose
+        """A search is run only for inputs not seen in the current solver
+        scan or the previous one: answers are keyed by the search's inputs
+        and kept for those two scans.  Every search asked is still counted.
+        Of Lemma 7.2's 988 searches, 310 have distinct inputs; the stall
+        makes one scan of 285."""
+        search = deduction._Engine._search
         run = []
 
         def counted(self, *args):
             run.append(args)
-            return decompose(self, *args)
+            return search(self, *args)
 
-        monkeypatch.setattr(deduction._Engine, "_decompose", counted)
+        monkeypatch.setattr(deduction._Engine, "_search", counted)
         seed, naming = _seed(name)
         _, trace = propagate(seed, introduce_names=naming)
         assert trace.stats.attempts["R4"] == asked

@@ -1,3 +1,4 @@
+import gc
 import random
 import zlib
 from itertools import product
@@ -194,6 +195,23 @@ class TestExactIsomorphic:
         assert exact_isomorphic(relabeled(a), b) is None
         assert exact_isomorphic(b, relabeled(a)) is None
         assert exact_isomorphic(relabeled(a), relabeled(b)) is None
+
+    @pytest.mark.parametrize("found", [True, False], ids=["match", "reject"])
+    def test_search_leaves_no_cyclic_garbage(self, B32, D17, found):
+        """The recursive search is freed by reference counting, on a match
+        and on a reject that the search decides."""
+        if found:
+            a, b = restrict(B32, subset_of_size(B32, 17)), D17
+        else:
+            a, b = class_algebra(cyclic(9)), class_algebra(elementary_abelian(3, 2))
+        a.verified(), b.verified()
+        gc.collect()
+        gc.disable()
+        try:
+            assert (exact_isomorphic(a, b) is not None) == found
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_unverified_input_rejected(self, B32):
         products = {}
