@@ -2,15 +2,18 @@
 
 Subcommands map one-to-one onto library operations; exit code 0 means
 success or a positive answer, 1 a verification failure or negative
-answer, 2 a usage or input error.  Output is deterministic; ``verify``
-and ``deduce`` print timing to stderr only with their own --timing.  Each
-subcommand imports its own layer (structure, iso or deduction) when it
-runs, so start-up pays only for the command in hand.
+answer, 2 a usage or input error, and 141 (128 + SIGPIPE), with nothing
+more printed, when the reader of stdout has gone.  Output is
+deterministic; ``verify`` and ``deduce`` print timing to stderr only with
+their own --timing.  Each subcommand imports its own layer (structure,
+iso or deduction) when it runs, so start-up pays only for the command in
+hand.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -311,7 +314,16 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     out = _Out(machine=args.format == "machine")
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # as in the signal module's docs: stdout goes to devnull so that
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (TableAlgebraError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

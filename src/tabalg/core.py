@@ -473,7 +473,7 @@ class TableAlgebra:
         name: str = "",
     ):
         if constants.k != basis.size:
-            raise TableAlgebraError("basis size and tensor size disagree")
+            raise TableAlgebraError("basis size and structure-constant size disagree")
         self.basis = basis
         self.constants = constants
         self.name = name

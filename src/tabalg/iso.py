@@ -61,24 +61,17 @@ def restrict(algebra: TableAlgebra, subset: Iterable[int | str]) -> TableAlgebra
 
 
 def _fingerprints(a: TableAlgebra) -> list:
-    """Per-element invariants: degree, self-duality, dual-product row,
-    self-inner-product profile, then one neighbourhood refinement round."""
-    k, rows = a.size, a.constants.rows
+    """Per-element invariants: degree, self-duality, dual-product row and
+    the sorted profile of (b_i b_j, b_i b_j), the sum of a row's squared
+    constants.  A round over each element's k product rows would cost k^2
+    and split nothing on abelian class algebras (every product is one element)."""
+    rows = a.constants.rows
     base = []
-    for i in range(k):
+    for i in range(a.size):
         di = a.basis.dual(i)
-        row_dual = tuple(sorted(rows[i][di].values()))
-        # (b_i b_j, b_i b_j) is the sum of the squared constants of the row
         profile = tuple(sorted(sum(v * v for v in row.values()) for row in rows[i]))
-        base.append((a.basis.degree(i), i == di, row_dual, profile))
-    refined = []
-    for i in range(k):
-        neigh = []
-        for j in range(k):
-            row = tuple(sorted((base[m][0], v) for m, v in rows[i][j].items()))
-            neigh.append((base[j], row))
-        refined.append((base[i], tuple(sorted(neigh))))
-    return refined
+        base.append((a.basis.degree(i), i == di, tuple(sorted(rows[i][di].values())), profile))
+    return base
 
 
 def _compatible(

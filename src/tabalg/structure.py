@@ -133,10 +133,12 @@ class GroupTable(NamedTuple):
 class QuotientClassTable:
     """Support-level quotient by a closed subset.
 
-    Classes are the orbits of b ~ b' iff b' lies in Supp(C*b*C); the class
-    of the identity is the defining subset itself.  compose(P, Q) is the
-    set of classes meeting Supp(p*q) and is checked to be independent of
-    the chosen representatives.
+    Classes are the distinct sandwiches Supp(C*b*C) in order of first
+    appearance; the class of the identity is the defining subset itself.
+    Each member's own sandwich is checked to equal its class, which proves
+    the classes partition the basis, as b lies in Supp(C*b*C).
+    compose(P, Q) is the set of classes meeting Supp(p*q), checked to be
+    the same for every pair of representatives.
     """
 
     def __init__(self, algebra: TableAlgebra, by: tuple[int, ...]):
@@ -147,46 +149,30 @@ class QuotientClassTable:
             tuple(sorted(_support_product(constants, _support_product(constants, by, (b,)), by)))
             for b in range(algebra.size)
         ]
-        class_of: dict[int, int] = {}
-        classes: list[tuple[int, ...]] = []
-        for b, members in enumerate(sandwich):
-            if b in class_of:
-                continue
-            ci = len(classes)
-            for m in members:
-                if m in class_of and class_of[m] != ci:
-                    raise TableAlgebraError("double cosets do not partition the basis")
-                class_of[m] = ci
-            classes.append(members)
-        # re-check representative independence of the classes themselves
+        self.classes = classes = tuple(dict.fromkeys(sandwich))
         for members in classes:
             for b in members:
                 if sandwich[b] != members:
                     raise TableAlgebraError(
                         f"class of {algebra.basis.name(b)} depends on the representative"
                     )
-        self.classes = tuple(classes)
-        self.class_of = class_of
-        self.labels = tuple(
-            min(algebra.basis.name(m) for m in members) for members in classes
-        )
+        self.class_of = class_of = {m: ci for ci, members in enumerate(classes) for m in members}
+        self.labels = tuple(min(algebra.basis.name(m) for m in members) for members in classes)
         n = len(classes)
         compose: dict[tuple[int, int], frozenset[int]] = {}
         for p in range(n):
             for q in range(p, n):
-                value: frozenset[int] | None = None
-                for bp in self.classes[p]:
-                    for bq in self.classes[q]:
-                        supp = frozenset(class_of[m] for m in constants.rows[bp][bq])
-                        if value is None:
-                            value = supp
-                        elif value != supp:
-                            raise TableAlgebraError(
-                                "class composition depends on representatives: "
-                                f"classes {self.labels[p]}, {self.labels[q]}"
-                            )
-                compose[(p, q)] = value or frozenset()
-                compose[(q, p)] = compose[(p, q)]
+                values = {
+                    frozenset(class_of[m] for m in constants.rows[bp][bq])
+                    for bp in classes[p]
+                    for bq in classes[q]
+                }
+                if len(values) != 1:
+                    raise TableAlgebraError(
+                        "class composition depends on representatives: "
+                        f"classes {self.labels[p]}, {self.labels[q]}"
+                    )
+                compose[(p, q)] = compose[(q, p)] = values.pop()
         self.composition = compose
         self.identity_class = class_of[0]
 

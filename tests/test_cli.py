@@ -282,11 +282,15 @@ class TestDeduce:
         assert "gated" not in facts
 
 
-def run_script(script, timeout=120, flags=()):
+def subprocess_env():
+    """The environment with this checkout's tabalg first on PYTHONPATH."""
     src = str(pathlib.Path(tabalg.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_script(script, timeout=120, flags=()):
     return subprocess.run(
-        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, *flags, "-c", script], env=subprocess_env(), capture_output=True, text=True, timeout=timeout
     )
 
 
@@ -336,6 +340,20 @@ def test_quotient_of_an_idempotent_class_table_returns(tmp_path):
     done = run_script(script, timeout=30)
     assert done.returncode == 0, done.stderr
     assert "2 classes; group-like: none" in done.stdout
+
+
+def test_closed_stdout_exits_141_in_silence():
+    # the reader of stdout is gone before the command writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tabalg.cli", "bundled", "--export", "B32"],
+            stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env(), timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, b"")
 
 
 def test_import_tabalg_loads_no_submodule():

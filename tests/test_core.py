@@ -563,7 +563,7 @@ Z2 = [ONE, E(1, "g", 1, 1)]
     (lambda: StructureConstants(2, {(0, 0): {0: 1}, (0, 1): {1: 1}}), "missing structure row for pair (1,1)"),
     (lambda: TableAlgebra.from_products(TableBasis(Z2), {(1, 0): {0: 1}}), "identity row for g is not trivial"),
     (lambda: TableAlgebra(TableBasis(Z2), StructureConstants(1, {(0, 0): {0: 1}})),
-     "basis size and tensor size disagree"),
+     "basis size and structure-constant size disagree"),
     (lambda: PartialTable(load("C7").basis).set_product(1, 1, {0: 1}), "product b8*b8 violates the degree identity"),
     (lambda: PartialTable(load("C7").basis).as_algebra(), "table is not complete"),
     (lambda: closure(load("C7"), []), "closure of an empty seed"),

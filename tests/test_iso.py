@@ -20,6 +20,7 @@ from tabalg import (
 )
 from tabalg.bundled import AUXILIARY, BUNDLED
 
+import corpus
 from oracles import FiniteGroup, class_algebra, cyclic, klein_four
 
 
@@ -180,6 +181,15 @@ class TestExactIsomorphic:
             cert = exact_isomorphic(a, b)
             assert cert is not None
             assert_carries_every_constant(a, b, cert)
+
+    def test_shuffled_tensor_products_at_k64(self, B32):
+        # Z2 (x) B32 and B32 (x) Z2, each with its basis shuffled and renamed
+        a = corpus.tensor([load("Z2"), B32], "Z2xB32", random.Random(1))
+        b = corpus.tensor([B32, load("Z2")], "B32xZ2", random.Random(2))
+        assert a.size == b.size == 64
+        cert = exact_isomorphic(a, b)
+        assert cert is not None
+        assert_carries_every_constant(a, b, cert)
 
     @pytest.mark.parametrize(
         "a, b",

@@ -238,6 +238,31 @@ class TestQuotient:
         q = quotient_by(B32, (0,))
         assert is_group_like(q) is None
 
+    @pytest.mark.parametrize(
+        "products, message",
+        [
+            # C y C = {y, z} but C z C = {z}
+            ({"xx": "1", "xy": "z", "xz": "z", "yy": "1", "yz": "1", "zz": "1"},
+             "class of z depends on the representative"),
+            # classes {1, x} and {y, z}: y*y = 1 but z*z = y
+            ({"xx": "1", "xy": "z", "xz": "y", "yy": "1", "yz": "1", "zz": "y"},
+             "class composition depends on representatives: classes y, y"),
+            # C y C = {1, x, y} overlaps the identity class {1, x}
+            ({pair: "1" for pair in ("xx", "xy", "xz", "yy", "yz", "zz")},
+             "class of 1 depends on the representative"),
+        ],
+        ids=["class", "composition", "overlap"],
+    )
+    def test_inconsistent_table_is_rejected(self, products, message):
+        # tables that fail verify reach the quotient's own checks
+        basis = TableBasis([BasisElement(i, name, 1, i) for i, name in enumerate("1xyz")])
+        idx = basis.index_of
+        A = TableAlgebra.from_products(
+            basis, {(idx(p[0]), idx(p[1])): {idx(m): 1} for p, m in products.items()}
+        )
+        with pytest.raises(TableAlgebraError, match=f"^{message}$"):
+            quotient_by(A, ["1", "x"])
+
     def test_class_labels_lex_least(self, B32):
         q = quotient_by(B32, closure(B32, ["b8"]))
         assert q.labels[q.identity_class] == "1"
