@@ -46,13 +46,17 @@ only on a T with exactly one unknown product, of net coefficient +-1, and
 solves that product as an exact difference.  A T activated with every
 product known can never fire: it is counted but not stored, and its
 associativity is left to the certificate.  Every other activated T is
-listed under each unknown product of its expansion and counts them; after
-every sync the count is exact.  A product becoming known lowers the count
-of every triple listed under it, and T goes on the agenda when its count
-is one at activation or falls to one.  So every triple is evaluated once,
-as soon as it has one unknown product; one whose count reaches zero before
-it is taken up is skipped.  Those lists and the agenda alone hold a T, so
-it is freed once its last listed product is known.  Propagation never
+stored as its indices and the count of its unknown products, and listed
+under each of them; after every sync the count is exact.  A product
+becoming known lowers the count of every triple listed under it, and T
+goes on the agenda when its count is one at activation or falls to one.
+So every triple is evaluated once, as soon as it has one unknown product;
+one whose count reaches zero before it is taken up is skipped.  T keeps no
+expansion: the agenda rebuilds it when it takes T up, from the factor rows
+frozen at activation, so it is the one the count was made from.  An
+expansion's products are the table's own pair keys, so activating T
+allocates no tuple per term.  Those lists and the agenda alone hold a T,
+so it is freed once its last listed product is known.  Propagation never
 retracts a fact, so a count only falls and watched pairs, which pay only
 when backtracking must undo work, are not needed.  Triples are taken up to
 two symmetries of the rule: (l, j, i) negates every net coefficient, and
@@ -143,9 +147,10 @@ class DeductionStats:
     searches asked, those answered from the cache included.  ``firings``
     counts the trace's steps per rule; naming steps are R1.
     ``r3_activated`` counts the triples activated with a nonzero net
-    expansion, stored or not.  The sweep runs only on a stall, when no rule
-    fires and products are still pending; ``sweep_triples`` counts the
-    triples it enumerated.  ``seconds`` is the time of each phase of the
+    expansion, stored as indices and a count or, all products known, not
+    stored.  The sweep runs only on a stall, when no rule fires and
+    products are still pending; ``sweep_triples`` counts the triples it
+    enumerated.  ``seconds`` is the time of each phase of the
     main loop, its syncs' R2 transport excepted, of that transport under
     ``R2``, and of the ``recheck`` of a completed table; naming shares R4's
     scan, so its time is under ``R4``.
@@ -372,13 +377,14 @@ class PartialTable:
 
 
 class _Triple:
-    """A stored R3 triple: its nonzero-net expansion terms and the count of
-    their products that are unknown."""
+    """A stored R3 triple: its indices and the count of the unknown products
+    of its nonzero-net expansion, which the agenda rebuilds from the frozen
+    factor rows."""
 
-    __slots__ = ("i", "j", "l", "terms", "unknown")
+    __slots__ = ("i", "j", "l", "unknown")
 
-    def __init__(self, i: int, j: int, l: int, terms, unknown: int):
-        self.i, self.j, self.l, self.terms, self.unknown = i, j, l, terms, unknown
+    def __init__(self, i: int, j: int, l: int, unknown: int):
+        self.i, self.j, self.l, self.unknown = i, j, l, unknown
 
 
 class _Engine:
@@ -389,6 +395,9 @@ class _Engine:
         self.trace = DeductionTrace()
         self.stats = self.trace.stats
         self._partners: list[set[int]] = [set() for _ in range(k)]
+        # _pair[a][b] is the key of the product b_a b_b in ``cells``
+        keys = {q: q for q in table.cells}
+        self._pair = [[keys[_canon(a, b)] for b in range(k)] for a in range(k)]
         # activated triples listed under each unknown product of their expansion
         self._waiting: dict[tuple[int, int], list[_Triple]] = {}
         self._agenda: deque[_Triple] = deque()
@@ -477,7 +486,7 @@ class _Engine:
                     unknown = [q for q, _ in terms if q not in rows]
                     if not unknown:
                         continue
-                    t = _Triple(i, j, l, terms, len(unknown))
+                    t = _Triple(i, j, l, len(unknown))
                     for q in unknown:
                         self._waiting.setdefault(q, []).append(t)
                     if t.unknown == 1:
@@ -511,19 +520,21 @@ class _Engine:
 
     # -- R3: associativity -----------------------------------------------------
 
-    def _terms(self, i: int, j: int, l: int) -> tuple:
+    def _terms(self, i: int, j: int, l: int) -> list:
         """Nonzero net coefficients of (b_i b_j) b_l - b_i (b_j b_l) over the
-        products it expands into; (i, j) and (j, l) must be known."""
-        rows = self.p.rows
+        products it expands into, as ``(pair, c)`` with ``pair`` the table's
+        own key; (i, j) and (j, l) must be known."""
+        rows, at = self.p.rows, self._pair
+        at_l, at_i = at[l], at[i]
         net: dict[tuple[int, int], int] = {}
         get = net.get
-        for m, c in rows[(i, j) if i <= j else (j, i)].items():
-            q = (m, l) if m <= l else (l, m)
+        for m, c in rows[at[i][j]].items():
+            q = at_l[m]
             net[q] = get(q, 0) + c
-        for m, c in rows[(j, l) if j <= l else (l, j)].items():
-            q = (i, m) if i <= m else (m, i)
+        for m, c in rows[at[j][l]].items():
+            q = at_i[m]
             net[q] = get(q, 0) - c
-        return tuple([(q, c) for q, c in net.items() if c])
+        return [(q, c) for q, c in net.items() if c]
 
     def r3_process(self) -> bool:
         fired = False
@@ -533,7 +544,7 @@ class _Engine:
             if not t.unknown:
                 continue
             self.stats.attempts["R3"] += 1
-            if self._evaluate(t.i, t.j, t.l, t.terms):
+            if self._evaluate(t.i, t.j, t.l, self._terms(t.i, t.j, t.l)):
                 fired = True
         return fired
 

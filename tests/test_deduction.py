@@ -477,6 +477,19 @@ def naive_r3_findings(table):
     return found
 
 
+def net_expansion(table, i, j, l):
+    """The nonzero net expansion {product: coefficient} of (b_i b_j) b_l -
+    b_i (b_j b_l), read from the frozen rows of (i, j) and (j, l)."""
+    net = {}
+    for m, c in product_row(table, i, j).items():
+        q = (min(m, l), max(m, l))
+        net[q] = net.get(q, 0) + c
+    for m, c in product_row(table, j, l).items():
+        q = (min(i, m), max(i, m))
+        net[q] = net.get(q, 0) - c
+    return {q: c for q, c in net.items() if c}
+
+
 def nonzero_net_representatives(table):
     """Every triple (i, j, l) of a completed table that the agenda takes as
     the representative of its symmetry class, mapped to its nonzero net
@@ -488,14 +501,7 @@ def nonzero_net_representatives(table):
             for l in range(i + 1, k):
                 if (i, j, l) > (min(d[i], d[l]), d[j], max(d[i], d[l])):
                     continue
-                net = {}
-                for m, c in product_row(table, i, j).items():
-                    q = (min(m, l), max(m, l))
-                    net[q] = net.get(q, 0) + c
-                for m, c in product_row(table, j, l).items():
-                    q = (min(i, m), max(i, m))
-                    net[q] = net.get(q, 0) - c
-                net = {q: c for q, c in net.items() if c}
+                net = net_expansion(table, i, j, l)
                 if net:
                     out[(i, j, l)] = net
     return out
@@ -509,8 +515,8 @@ def record_stored_triples(monkeypatch):
     class Recorded(deduction._Triple):
         __slots__ = ()
 
-        def __init__(self, i, j, l, terms, unknown):
-            super().__init__(i, j, l, terms, unknown)
+        def __init__(self, i, j, l, unknown):
+            super().__init__(i, j, l, unknown)
             assert unknown >= 1
             assert (i, j, l) not in stored
             stored[(i, j, l)] = self
@@ -588,6 +594,17 @@ def _seed(name):
     return PINNED[name][0]()
 
 
+def traced_peak(name):
+    """The traced peak of propagating a seed of ``_seed``, re-check included."""
+    seed, naming = _seed(name)
+    tracemalloc.start()
+    try:
+        propagate(seed, introduce_names=naming)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestAgenda:
     def check(self, table, trace, status, steps, known):
         assert trace.status == status
@@ -631,15 +648,24 @@ class TestAgenda:
         through exactly one representative of its class under (i, j, l) ->
         (l, j, i) and conjugation, with exactly its nonzero net terms.  The
         stored ones are those activated with an unknown product; every
-        representative holds on the completed table."""
-        expand = deduction._Engine._terms
-        expanded = []
+        representative holds on the completed table.  Activation expands a
+        triple while a product is registered; the agenda expands it again
+        when it takes it up."""
+        register, expand = deduction._Engine._register_known, deduction._Engine._terms
+        activating, expanded = [], []
+
+        def registering(self, pair):
+            activating.append(pair)
+            register(self, pair)
+            activating.pop()
 
         def recorded(self, i, j, l):
             terms = expand(self, i, j, l)
-            expanded.append(((i, j, l), terms))
+            if activating:
+                expanded.append(((i, j, l), terms))
             return terms
 
+        monkeypatch.setattr(deduction._Engine, "_register_known", registering)
         monkeypatch.setattr(deduction._Engine, "_terms", recorded)
         stored = record_stored_triples(monkeypatch)
         seed, naming = _third("B22", 1)
@@ -652,7 +678,7 @@ class TestAgenda:
         assert len(set(activated)) == len(activated)
         assert {key: dict(terms) for key, terms in expanded if terms} == expected
         assert engine.stats.r3_activated == len(expected)
-        assert {key: dict(t.terms) for key, t in stored.items()}.items() <= expected.items()
+        assert set(stored) <= set(expected)
         assert 0 < len(stored) < len(expected)
         assert_representatives_hold(p, stored, expected)
 
@@ -729,14 +755,18 @@ class TestAgenda:
         table."""
         sync = deduction._Engine.sync
         stored = record_stored_triples(monkeypatch)
+        # a stored triple's factor rows are frozen, so its expansion is too
+        nets = {}
         checked = []
 
         def checked_sync(self, logged):
             sync(self, logged)
             rows = self.p.rows
             on_agenda = set(map(id, self._agenda))
-            for t in stored.values():
-                unknown = [c for q, c in t.terms if q not in rows]
+            for key, t in stored.items():
+                if key not in nets:
+                    nets[key] = net_expansion(self.p, *key)
+                unknown = [c for q, c in nets[key].items() if q not in rows]
                 assert t.unknown == len(unknown)
                 if unknown in ([1], [-1]):
                     assert id(t) in on_agenda
@@ -801,19 +831,47 @@ class TestAgenda:
         assert facts["stats.R4.attempts"] > 0
         assert not any("gated" in key or "nodes" in key for key in facts)
 
-    def test_lemma72_peak_memory(self, B32):
-        """The engine caches no orbits, indexes no stored triples and keeps
-        search answers for two scans only: the run's traced peak, re-check
-        included, was 8.5 MB with the first two, 4.9 MB without, and 4.6 MB
-        with one answer dict kept for the whole run; it is 3.8 MB."""
-        seed = lemma72_seed(B32)
-        tracemalloc.start()
-        try:
-            propagate(seed, introduce_names=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4.5 * 10**6
+    def test_lemma72_peak_memory(self):
+        """The engine caches no orbits, indexes no stored triples, keeps
+        search answers for two scans only and stores a triple as its indices
+        and a count: the run's traced peak, re-check included, was 8.5 MB
+        with the first two, 4.9 MB without, 4.6 MB with one answer dict kept
+        for the whole run, and 4.2 MB with each stored triple's expansion;
+        it is 2.8 MB."""
+        assert traced_peak("Lemma72") < 3.2 * 10**6
+
+    def test_b32_third_peak_memory(self):
+        """Most of a random B32 third's peak was its stored expansions: 4.6 MB
+        with them, 0.8 MB with a triple stored as its indices and a count."""
+        assert traced_peak("B32third1") < 1.2 * 10**6
+
+    def test_stored_triples_are_freed_once_their_products_are_known(self, monkeypatch):
+        """A stored triple is held only by the lists of its unknown products
+        and by the agenda: a completed run leaves both empty and no triple
+        alive, though the engine still exists."""
+
+        def alive():
+            return sum(type(o) is deduction._Triple for o in gc.get_objects())
+
+        process = deduction._Engine.r3_process
+        held = []
+
+        def counted(self):
+            if not held:
+                held.append(alive())
+            return process(self)
+
+        monkeypatch.setattr(deduction._Engine, "r3_process", counted)
+        seed, naming = _seed("B32third1")
+        engine = deduction._Engine(seed.copy(), introduce_names=naming)
+        engine.run()
+        assert engine.trace.status == "completed"
+        assert held[0] > 0
+        assert not engine._waiting and not engine._agenda
+        assert alive() == 0
+        propagate(seed, introduce_names=naming)
+        gc.collect()
+        assert alive() == 0
 
 
 def plain_decompositions(deg, rem, candidates, budget2):
