@@ -1,8 +1,11 @@
 """Bundled verified datasets and data-file lookup.
 
 Four fully verified algebras ship with the package: C7, D17, B22 and B32.
-Five small group class algebras (Z2, Z3, Z4, Z6, S3) and one partial table
-(PSL27-partial) are included as auxiliary data.  A ``bundled:NAME`` URI
+Five small group class algebras (Z2, Z3, Z4, Z6, S3) are included as
+auxiliary data, and four partial tables seed the deduction engine:
+PSL27-partial, the Lemma 7.2 seed (Lemma72-seed), which completes to B32,
+the Theorem 4.1 seed (Theorem41-seed), which is refuted, and the
+under-seeded B32-stall, which stalls.  A ``bundled:NAME`` URI
 names one of these shipped files, the package's own ``data/NAME.alg``, and
 no other: any other name is not found.  Every command that takes a URI
 also takes a file path, which reads any other file.
@@ -20,7 +23,7 @@ __all__ = ["BUNDLED", "AUXILIARY", "PARTIAL", "NAMED_SUBSETS", "data_text", "loa
 
 BUNDLED = ("C7", "D17", "B22", "B32")
 AUXILIARY = ("Z2", "Z3", "Z4", "Z6", "S3")
-PARTIAL = ("PSL27-partial",)
+PARTIAL = ("PSL27-partial", "Lemma72-seed", "Theorem41-seed", "B32-stall")
 
 # conventional names for the closed subsets of the bundled algebras
 NAMED_SUBSETS = {

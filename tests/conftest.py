@@ -3,12 +3,13 @@ import sys
 
 import pytest
 
-# tests/ for the oracles, perfbench/ for its corpus builders (tensor2)
+# tests/ for the oracles; perfbench/ for its corpus: tensor products, the
+# printed B32 lines, and the seed builders the shipped seeds must match
 HERE = pathlib.Path(__file__).parent
 sys.path[:0] = [str(HERE), str(HERE.parent / "perfbench")]
 
-from tabalg import load
-from tabalg.bundled import NAMED_SUBSETS
+from tabalg import load, parse_partial
+from tabalg.bundled import data_text
 from tabalg.deduction import PartialTable, propagate
 
 
@@ -37,23 +38,17 @@ def subtable_seed(A, pairs):
     return PartialTable(A.basis, {(i, j): A.constants.rows[i][j] for i, j in pairs})
 
 
-def lemma72_seed(B32, with_b3b3=True):
-    """Basis of B32, the full C and D tables, and the three hypothesis
-    products b3*b3bar, b3*b3, b3*c3bar (b3*b3 left out when ``with_b3b3``
-    is False)."""
-    idx = B32.basis.index_of
-    d = [idx(n) for n in NAMED_SUBSETS["B32"]["D"]]
-    seed = subtable_seed(B32, [(i, j) for i in d for j in d if i <= j])
-    seed.set_product(idx("b3"), idx("b3bar"), {0: 1, idx("b8"): 1})
-    if with_b3b3:
-        seed.set_product(idx("b3"), idx("b3"), {idx("c3"): 1, idx("b6"): 1})
-    seed.set_product(idx("b3"), idx("c3bar"), {idx("b3bar"): 1, idx("x6bar"): 1})
-    return seed
+def bundled_seed(name, drop=()):
+    """A PartialTable of the shipped partial table NAME, less the products
+    of the name pairs in ``drop``."""
+    _, basis, products = parse_partial(data_text(name))
+    for a, b in drop:
+        del products[tuple(sorted((basis.index_of(a), basis.index_of(b))))]
+    return PartialTable(basis, products)
 
 
 @pytest.fixture(scope="session")
-def lemma72_run(B32):
-    """The (table, trace) fixed point of the Lemma-7.2-style seed, shared
-    across test modules because it takes a few seconds."""
-    seed = lemma72_seed(B32)
-    return propagate(seed, introduce_names=True)
+def lemma72_run():
+    """The (table, trace) fixed point of the shipped Lemma 7.2 seed, with
+    naming, shared across test modules."""
+    return propagate(bundled_seed("Lemma72-seed"), introduce_names=True)

@@ -24,11 +24,11 @@ from tabalg import (
     serialize,
 )
 from tabalg.bundled import BUNDLED, data_text
-from tabalg.deduction import PartialTable, propagate
+from tabalg.deduction import propagate
 
-from conftest import lemma72_seed
+from conftest import bundled_seed
 from oracles import class_algebra_tensor, cyclic, subgroup_class_unions, symmetric3
-from test_deduction import LEMMA72_FIRST_BLOCK, product_row, theorem41_seed
+from test_deduction import LEMMA72_FIRST_BLOCK, product_row
 
 
 def report(n, ok, detail):
@@ -174,7 +174,7 @@ def test_criterion_7_deduction(B32, lemma72_run):
         if i == 0:
             continue
         ok = ok and table.rows[(i, j)] == B32.constants.rows[i][j]
-    refute = propagate(theorem41_seed())[1]
+    refute = propagate(bundled_seed("Theorem41-seed"))[1]
     ok = ok and refute.status == "contradiction"
     report(
         7, ok,

@@ -8,8 +8,8 @@ import sys
 import pytest
 
 import tabalg
-from tabalg import load, parse, parse_partial, serialize
-from tabalg.bundled import data_text
+from tabalg import load, parse, parse_element_expr, parse_partial, serialize
+from tabalg.bundled import PARTIAL, data_text
 from tabalg.cli import run
 
 import corpus
@@ -56,9 +56,9 @@ class TestVerify:
 
     def test_printed_b32_fails_alike_with_and_without_exact(self, capsys, tmp_path):
         # the paper prints b6 in d3*c8 where the table needs b6bar
-        fixed, printed = "product d3 c8 = y15bar + b6bar + d3\n", "product d3 c8 = y15bar + b6 + d3\n"
+        fixed, printed = next(lines for lines in corpus.B32_AS_PRINTED if lines[0].startswith("product d3 c8 "))
         path = tmp_path / "b32printed.alg"
-        path.write_text(data_text("B32").replace(fixed, printed))
+        path.write_text(data_text("B32").replace(fixed + "\n", printed + "\n"))
         code, out, _ = invoke(capsys, "verify", str(path))
         assert (code, out) == invoke(capsys, "verify", "--exact", str(path))[:2]
         assert code == 1
@@ -185,13 +185,9 @@ class TestDeduce:
         assert text.strip().endswith("STATUS completed")
         assert "RULE" in text
 
-    def test_stalled_exit_one(self, capsys, tmp_path):
+    def test_stalled_exit_one(self, capsys):
         # B32's basis with only b3*b3bar known: far too little to propagate
-        lines = [l for l in serialize(load("B32")).splitlines()
-                 if not l.startswith("product") or l.startswith("product b3 b3bar")]
-        path = tmp_path / "underseeded.alg"
-        path.write_text("\n".join(lines) + "\n")
-        code, out, _ = invoke(capsys, "deduce", str(path))
+        code, out, _ = invoke(capsys, "deduce", "bundled:B32-stall")
         assert code == 1
         assert "stalled" in out
 
@@ -208,6 +204,29 @@ class TestDeduce:
         code, out, _ = invoke(capsys, "deduce", str(path))
         assert code == 1
         assert "contradiction" in out
+
+    @pytest.mark.parametrize("name, code, head", [
+        ("Lemma72-seed", 0, "Lemma72: completed after 355 steps"),
+        ("Theorem41-seed", 1, "Theorem41: contradiction after 0 steps"),
+        ("B32-stall", 1, "B32stall: stalled after 0 steps"),
+    ])
+    def test_shipped_paper_seeds(self, capsys, B32, name, code, head):
+        got, out, _ = invoke(capsys, "deduce", f"bundled:{name}")
+        lines = out.splitlines()
+        assert (got, lines[0]) == (code, head)
+        if name == "Lemma72-seed":
+            # every product, each equal to bundled B32's
+            assert len(lines) == 1 + 31 * 32 // 2
+            for line in lines[1:]:
+                lhs, rhs = line.strip().split(" = ")
+                i, j = map(B32.basis.index_of, lhs.split("*"))
+                assert parse_element_expr(rhs, B32.basis) == B32.constants.rows[i][j], lhs
+        elif name == "Theorem41-seed":
+            assert lines[1] == "  witness: triple (b3*b3)*b3bar forces a negative coefficient of b6bar in b3bar*b6"
+        else:
+            prefix = "  (solver cap hit on 271 products: "
+            assert lines[-1].startswith(prefix)
+            assert len(lines[-1][len(prefix):-1].split()) == 271
 
     def test_clashing_dual_image_lines_are_an_input_error(self, capsys, tmp_path):
         # the dual image of b3*b3 = c3 + b6 is b3bar*b3bar = c3bar + b6bar
@@ -244,14 +263,12 @@ class TestDeduce:
         assert {"seed", "R1", "R3", "R4", "sweep"} <= {line.split()[1] for line in lines[:-1]}
         assert "timing" not in out
 
-    def test_timing_splits_out_r2_transport(self, capsys, tmp_path):
+    def test_timing_splits_out_r2_transport(self, capsys):
         """R2 transport has its own line, taken out of the phases whose
         syncs ran it, so the phase lines still add up to no more than the
         total; stdout is that of a run without --timing."""
-        path = tmp_path / "lemma72.alg"
-        path.write_text(corpus.lemma72_seed())
-        plain = invoke(capsys, "deduce", str(path))[1]
-        code, out, err = invoke(capsys, "deduce", str(path), "--timing")
+        plain = invoke(capsys, "deduce", "bundled:Lemma72-seed")[1]
+        code, out, err = invoke(capsys, "deduce", "bundled:Lemma72-seed", "--timing")
         assert code == 0
         assert out == plain
         lines = err.strip().splitlines()
@@ -262,19 +279,15 @@ class TestDeduce:
         assert sum(phases.values()) <= total + 0.0005 * (len(phases) + 1)
 
     def test_stall_names_the_solver_caps_it_hit(self, capsys, tmp_path):
-        lines = [l for l in serialize(load("B32")).splitlines()
-                 if not l.startswith("product") or l.startswith("product b3 b3bar")]
-        path = tmp_path / "underseeded.alg"
-        path.write_text("\n".join(lines) + "\n")
         trace = tmp_path / "trace.log"
-        code, out, _ = invoke(capsys, "deduce", str(path), "--trace", str(trace))
+        code, out, _ = invoke(capsys, "deduce", "bundled:B32-stall", "--trace", str(trace))
         assert code == 1
-        assert out.splitlines()[0] == "B32: stalled after 0 steps"
+        assert out.splitlines()[0] == "B32stall: stalled after 0 steps"
         assert "  (solver cap hit on 271 products: b8*b8 " in out
         tail = trace.read_text().splitlines()[-1]
         assert tail.startswith("STATUS stalled SOLVER-CAP b8*b8,")
         assert "c3*c3" in tail.split()[-1].split(",")
-        code, out, _ = invoke(capsys, "--format", "machine", "deduce", str(path))
+        code, out, _ = invoke(capsys, "--format", "machine", "deduce", "bundled:B32-stall")
         facts = dict(line.split("\t") for line in out.strip().splitlines())
         assert len(facts["capped"].split()) == 271
         assert facts["capped"].split() == tail.split()[-1].split(",")
@@ -430,7 +443,8 @@ class TestBundled:
     def test_list(self, capsys):
         code, out, _ = invoke(capsys, "bundled")
         assert code == 0
-        assert "B32" in out and "PSL27-partial" in out
+        names = [line.split()[0] for line in out.splitlines()]
+        assert {"B32", "PSL27-partial", "Lemma72-seed", "Theorem41-seed", "B32-stall"} <= set(names)
 
     def test_export_round_trip(self, capsys, tmp_path):
         target = tmp_path / "exported.alg"
@@ -438,12 +452,13 @@ class TestBundled:
         assert code == 0
         assert parse(target.read_text()).size == 17
 
-    def test_export_of_a_partial_table(self, capsys, tmp_path):
+    @pytest.mark.parametrize("name", PARTIAL)
+    def test_export_of_a_partial_table(self, capsys, tmp_path, name):
         # a listed name exports although it is no complete algebra
         target = tmp_path / "exported.alg"
-        code, _, _ = invoke(capsys, "bundled", "--export", "PSL27-partial", "-o", str(target))
+        code, _, _ = invoke(capsys, "bundled", "--export", name, "-o", str(target))
         assert code == 0
-        assert parse_partial(target.read_text()) == parse_partial(data_text("PSL27-partial"))
+        assert parse_partial(target.read_text()) == parse_partial(data_text(name))
 
     def test_unknown_bundled_name_exit_two(self, capsys):
         code, _, err = invoke(capsys, "verify", "bundled:NoSuch")

@@ -107,16 +107,6 @@ def perturbed_b32(B32):
     return TableAlgebra.from_products(B32.basis, products, name="broken")
 
 
-# The three degree-preserving lines of B32 that correct the printed paper;
-# the printed value of any one still parses, and fails normalization
-# symmetry and associativity.
-B32_PRINTED_LINES = (
-    ("product d3 c8 = y15bar + b6bar + d3", "product d3 c8 = y15bar + b6 + d3"),
-    ("product x6 x15 = 4 y15 + b6 + 2 c9 + d3bar + c3", "product x6 x15 = 4 y15 + b6 + 2 c9 + d3 + c3"),
-    ("product x6 b9 = b6 + 2 c9 + 2 y15", "product x6 b9 = b6bar + 2 c9bar + 2 y15bar"),
-)
-
-
 def b32_as_printed(fixed, printed):
     text = data_text("B32")
     assert text.count(fixed + "\n") == 1
@@ -278,7 +268,7 @@ class TestVerify:
         # and 66: Light's test on the packed store certifies exactly when
         # the exact sweep finds no witness
         cases = [C7, D17, B22, B32, load("S3"), class_algebra(cyclic(66)), corpus.tensor2(C7, load("Z6")), perturbed_b32(B32)]
-        cases += [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
+        cases += [b32_as_printed(fixed, printed) for fixed, printed in corpus.B32_AS_PRINTED]
         failing = 0
         for A in cases:
             fast = A.verify_axioms()
@@ -296,7 +286,7 @@ class TestVerify:
     def test_printed_b32_lines_fail_symmetry_and_associativity(self):
         # the sweep stops in row i = 1, at the triple of the 20th witness
         evaluated = []
-        for fixed, printed in B32_PRINTED_LINES:
+        for fixed, printed in corpus.B32_AS_PRINTED:
             report = b32_as_printed(fixed, printed).verify_axioms()
             bad = [c.name for c in report.checks if not c.passed]
             assert bad == ["normalization-symmetry", "associativity"], printed
@@ -306,7 +296,7 @@ class TestVerify:
         assert evaluated == [1194, 1723, 1688]
 
     def test_multiset_sweep_matches_lex_sweep_in_full(self, C7, D17, B32):
-        cases = [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
+        cases = [b32_as_printed(fixed, printed) for fixed, printed in corpus.B32_AS_PRINTED]
         cases.append(perturbed_b32(B32))
         # diagonal pairs and identity rows: repeated indices and layer 0
         cases += [with_entry(C7, (2, 2), 4, 1), with_entry(D17, (5, 5), 0, 2),
@@ -348,7 +338,7 @@ class TestVerify:
 
     def test_row_checks_match_dense_reference(self, C7, D17, B22, B32):
         cases = [C7, D17, B22, B32, load("S3"), class_algebra(cyclic(66)), perturbed_b32(B32)]
-        cases += [b32_as_printed(fixed, printed) for fixed, printed in B32_PRINTED_LINES]
+        cases += [b32_as_printed(fixed, printed) for fixed, printed in corpus.B32_AS_PRINTED]
         for A in cases:
             assert_matches_dense(A, A.verify_axioms())
 

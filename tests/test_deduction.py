@@ -16,13 +16,14 @@ from tabalg import (
     parse_partial,
     propagate,
 )
-from tabalg.bundled import NAMED_SUBSETS, data_text
+from tabalg.bundled import data_text
 from tabalg.core import CheckResult, TableAlgebra, VerificationReport
 from tabalg.deduction import PartialTable
 
-from conftest import lemma72_seed, subtable_seed
+import corpus
+from conftest import bundled_seed, subtable_seed
 from oracles import psl27_fusion
-from test_core import B32_PRINTED_LINES, b32_as_printed
+from test_core import b32_as_printed
 
 LEMMA72_FIRST_BLOCK = [
     ("b3", "b3bar", {"1": 1, "b8": 1}),
@@ -36,28 +37,6 @@ LEMMA72_FIRST_BLOCK = [
     ("b3", "c3", {"r3": 1, "s6": 1}),
     ("b3", "r3", {"c3bar": 1, "b6bar": 1}),
 ]
-
-
-def theorem41_seed():
-    """b3*b3bar = 1 + b8, b3*b8 = b3 + b21, b3*b3 = b3bar + b6."""
-    els = [
-        BasisElement(0, "1", 1, 0),
-        BasisElement(1, "b3", 3, 2),
-        BasisElement(2, "b3bar", 3, 1),
-        BasisElement(3, "b6", 6, 4),
-        BasisElement(4, "b6bar", 6, 3),
-        BasisElement(5, "b8", 8, 5),
-        BasisElement(6, "b21", 21, 6),
-    ]
-    basis = TableBasis(els)
-    return PartialTable(
-        basis,
-        {
-            ("b3", "b3bar"): {0: 1, 5: 1},
-            ("b3", "b8"): {1: 1, 6: 1},
-            ("b3", "b3"): {2: 1, 3: 1},
-        },
-    )
 
 
 def d17_moved_coefficient(D17, rng):
@@ -110,6 +89,23 @@ THEOREM41_WITNESS = ("b3", "b3", "b3bar")
 THEOREM41_MESSAGE = "forces a negative coefficient of b6bar in b3bar*b6"
 
 
+class TestShippedSeeds:
+    @pytest.mark.parametrize("name, build", [
+        ("Lemma72-seed", corpus.lemma72_seed),
+        ("Theorem41-seed", corpus.theorem41_seed),
+        ("B32-stall", corpus.stall_seed),
+    ])
+    def test_benchmark_builder_writes_the_shipped_seed(self, name, build):
+        assert parse_partial(data_text(name)) == parse_partial(build())
+
+    @pytest.mark.parametrize("name", ["Lemma72-seed", "B32-stall"])
+    def test_every_seeded_product_is_a_row_of_b32(self, B32, name):
+        _, basis, products = parse_partial(data_text(name))
+        assert basis == B32.basis
+        for (i, j), row in products.items():
+            assert row == B32.constants.rows[i][j], (basis.name(i), basis.name(j))
+
+
 class TestPropagate:
     def test_lemma72_first_block(self, B32, lemma72_run):
         table, trace = lemma72_run
@@ -134,27 +130,25 @@ class TestPropagate:
         assert trace.steps == []
 
     def test_theorem41_contradiction(self):
-        trace = propagate(theorem41_seed())[1]
+        trace = propagate(bundled_seed("Theorem41-seed"))[1]
         assert trace.status == "contradiction"
         assert trace.witness == THEOREM41_WITNESS
         assert trace.message.endswith(THEOREM41_MESSAGE)
 
     def test_contradiction_even_with_naming(self):
-        trace = propagate(theorem41_seed(), introduce_names=True)[1]
+        trace = propagate(bundled_seed("Theorem41-seed"), introduce_names=True)[1]
         assert trace.status == "contradiction"
         assert trace.witness == THEOREM41_WITNESS
         assert trace.message.endswith(THEOREM41_MESSAGE)
 
-    def test_under_seeded_stalls(self, B32):
-        idx = B32.basis.index_of
-        seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
-        trace = propagate(seed, introduce_names=True)[1]
+    def test_under_seeded_stalls(self):
+        trace = propagate(bundled_seed("B32-stall"), introduce_names=True)[1]
         assert trace.status == "stalled"
         assert trace.unresolved
 
 
 class TestRefutations:
-    @pytest.mark.parametrize("lines, witness", zip(B32_PRINTED_LINES, [
+    @pytest.mark.parametrize("lines, witness", zip(corpus.B32_AS_PRINTED, [
         ("c8", "b6", "d3"), ("x6", "x15", "d3bar"), ("x6", "b9", "c9bar"),
     ]))
     def test_b32_as_printed(self, lines, witness):
@@ -170,11 +164,10 @@ class TestRefutations:
         assert trace.message.startswith("conflicting values")
 
     @pytest.mark.parametrize("naming", [False, True])
-    def test_negative_remainder(self, B32, naming):
+    def test_negative_remainder(self, naming):
         """5 c3 in b3*b3 has degree 15 > 9."""
-        idx = B32.basis.index_of
-        seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
-        seed.set_cell(idx("b3"), idx("b3"), idx("c3"), 5)
+        seed = bundled_seed("B32-stall")
+        seed.set_cell("b3", "b3", "c3", 5)
         _, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "contradiction"
         assert trace.steps == []
@@ -210,30 +203,29 @@ class TestRefutations:
 
 class TestR4Contradictions:
     @pytest.mark.parametrize("naming", [False, True])
-    def test_no_decomposition(self, B32, naming):
-        """Without b3*b3 and with every degree-6 coefficient of it zero, its
-        remainder has no decomposition within the square budget."""
-        seed = lemma72_seed(B32, with_b3b3=False)
-        b3 = B32.basis.index_of("b3")
-        for m, e in enumerate(B32.basis):
+    def test_no_decomposition(self, naming):
+        """Without b3*b3 and its dual image b3bar*b3bar, and with every
+        degree-6 coefficient of b3*b3 zero, its remainder has no
+        decomposition within the square budget."""
+        seed = bundled_seed("Lemma72-seed", drop=[("b3", "b3"), ("b3bar", "b3bar")])
+        for m, e in enumerate(seed.basis):
             if e.degree == 6:
-                seed.set_cell(b3, b3, m, 0)
+                seed.set_cell("b3", "b3", m, 0)
         _, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "contradiction"
-        assert len(trace.steps) == 1
+        assert trace.steps == []
         assert trace.witness == ("b3", "b3", "no-decomposition")
         assert trace.message.startswith("no decomposition of the remainder of b3*b3 satisfies")
 
     @pytest.mark.parametrize("naming", [False, True])
-    def test_no_constituent_fits(self, B32, naming):
+    def test_no_constituent_fits(self, naming):
         """With every coefficient of degree at most 9 in b3*b3 zero, no
         constituent fits its remainder of 9: the search counts no
         decomposition."""
-        idx = B32.basis.index_of
-        seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
-        for m, e in enumerate(B32.basis):
+        seed = bundled_seed("B32-stall")
+        for m, e in enumerate(seed.basis):
             if e.degree <= 9:
-                seed.set_cell(idx("b3"), idx("b3"), m, 0)
+                seed.set_cell("b3", "b3", m, 0)
         _, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "contradiction"
         assert trace.steps == []
@@ -241,12 +233,11 @@ class TestR4Contradictions:
         assert "degree and inner-product constraints" in trace.message
 
     @pytest.mark.parametrize("naming", [False, True])
-    def test_inner(self, B32, naming):
+    def test_inner(self, naming):
         """(b3 b3, b3 b3) = (b3 b3bar, b3 b3bar) = 2, which a coefficient 2
         of c3 in b3*b3 already exceeds."""
-        idx = B32.basis.index_of
-        seed = PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, idx("b8"): 1}})
-        seed.set_cell(idx("b3"), idx("b3"), idx("c3"), 2)
+        seed = bundled_seed("B32-stall")
+        seed.set_cell("b3", "b3", "c3", 2)
         _, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "contradiction"
         assert trace.steps == []
@@ -259,7 +250,7 @@ class TestLemma22:
         """Lemma 2.2: b3 b3bar = 1 + b8 and (b3 t, b3 t) = 2 for t of degree
         3 give t tbar = 1 + b8.  R1-R4 derive it with no rule of its own."""
         table, trace = lemma72_run
-        seed = lemma72_seed(B32)
+        seed = bundled_seed("Lemma72-seed")
         idx, els = B32.basis.index_of, list(B32.basis)
         b3, b8 = idx("b3"), idx("b8")
         assert product_row(table, b3, idx("b3bar")) == {0: 1, b8: 1}
@@ -294,10 +285,9 @@ class TestSoundness:
                     continue
                 assert out.rows[(i, j)] == A.constants.rows[i][j]
 
-    def test_monotone_knowledge(self, B32, lemma72_run):
+    def test_monotone_knowledge(self, lemma72_run):
         table, _ = lemma72_run
-        seed = lemma72_seed(B32)
-        assert seed.known <= table.known
+        assert bundled_seed("Lemma72-seed").known <= table.known
 
     def test_no_contradiction_on_bundled_subtables(self, B22):
         rng = random.Random(5)
@@ -310,18 +300,12 @@ class TestSoundness:
 
 
 class TestConfluence:
-    def test_seed_order_does_not_change_fixed_point(self, B32, lemma72_run):
+    def test_seed_order_does_not_change_fixed_point(self, lemma72_run):
         table_a, _ = lemma72_run
-        idx = B32.basis.index_of
-        d = [idx(n) for n in NAMED_SUBSETS["B32"]["D"]]
-        pairs = [(i, j) for i in d for j in d if i <= j]
-        rng = random.Random(11)
-        rng.shuffle(pairs)
-        seed = subtable_seed(B32, pairs)
-        seed.set_product(idx("b3"), idx("c3bar"), {idx("b3bar"): 1, idx("x6bar"): 1})
-        seed.set_product(idx("b3"), idx("b3"), {idx("c3"): 1, idx("b6"): 1})
-        seed.set_product(idx("b3"), idx("b3bar"), {0: 1, idx("b8"): 1})
-        table_b, trace_b = propagate(seed, introduce_names=True)
+        _, basis, products = parse_partial(data_text("Lemma72-seed"))
+        items = list(products.items())
+        random.Random(11).shuffle(items)
+        table_b, trace_b = propagate(PartialTable(basis, dict(items)), introduce_names=True)
         assert trace_b.status == "completed"
         assert table_b.known == table_a.known
         for pair in table_a.known:
@@ -548,22 +532,12 @@ def _third(name, seed):
     return subtable_seed(A, random.Random(seed).sample(pairs, len(pairs) // 3)), False
 
 
-def _psl27():
-    _, basis, products = parse_partial(data_text("PSL27-partial"))
-    return PartialTable(basis, products), True
-
-
-def _b32_stall():
-    B32 = load("B32")
-    return PartialTable(B32.basis, {("b3", "b3bar"): {0: 1, B32.basis.index_of("b8"): 1}}), True
-
-
 # Status, total steps and known pairs at the fixed point, as computed by the
 # engine that re-evaluated every affected triple after each change; "all"
 # means every product is known.
 PINNED = {
-    "PSL27": (_psl27, "completed", 7, "all"),
-    "B32stall": (_b32_stall, "stalled", 0, "identity+b3*b3bar"),
+    "PSL27": (lambda: (bundled_seed("PSL27-partial"), True), "completed", 7, "all"),
+    "B32stall": (lambda: (bundled_seed("B32-stall"), True), "stalled", 0, "identity+b3*b3bar"),
 }
 for _seed in (1, 2, 3):
     PINNED[f"B32third{_seed}"] = (lambda s=_seed: _third("B32", s), "completed", 331, "all")
@@ -583,14 +557,14 @@ TRACE_CRC32 = {
     "D17third2": 0x935FFBFE,
     "D17third3": 0xFAEAEAF7,
     "PSL27": 0xC5D6C193,
-    "Lemma72": 0x55E3C37A,
+    "Lemma72": 0x74847CB5,
 }
 
 
 def _seed(name):
     """A PINNED seed, or the Lemma 7.2 seed with naming, as (seed, naming)."""
     if name == "Lemma72":
-        return lemma72_seed(load("B32")), True
+        return bundled_seed("Lemma72-seed"), True
     return PINNED[name][0]()
 
 
@@ -784,16 +758,16 @@ class TestAgenda:
         assert trace.stats.r3_activated == len(expected)
         assert_representatives_hold(table, stored, expected)
 
-    def test_r1_attempts_only_products_whose_remainder_reached_zero(self, B32, lemma72_run):
+    def test_r1_attempts_only_products_whose_remainder_reached_zero(self, lemma72_run):
         # a scan of every pending product after each firing made 7,257
         _, trace = lemma72_run
-        pending = len(lemma72_seed(B32).pending_pairs())
-        assert pending == 357
+        pending = len(bundled_seed("Lemma72-seed").pending_pairs())
+        assert pending == 355
         assert trace.stats.attempts["R1"] <= pending
 
     def test_lemma72_fixed_point(self, lemma72_run):
         table, trace = lemma72_run
-        self.check(table, trace, "completed", 357, "all")
+        self.check(table, trace, "completed", 355, "all")
 
     def test_lemma72_evaluates_under_a_tenth_of_the_former_triples(self, lemma72_run):
         # the engine that also checked every triple whose products were all
@@ -807,7 +781,7 @@ class TestAgenda:
     def test_stall_reports_the_solver_caps_it_hit(self):
         # the stall's fixed point caps 271 products: every one has more than
         # DECOMPOSITION_LIMIT decompositions
-        seed, naming = _b32_stall()
+        seed, naming = _seed("B32stall")
         trace = propagate(seed, introduce_names=naming)[1]
         assert trace.status == "stalled"
         assert len(trace.capped) == 271
@@ -917,7 +891,7 @@ def canonical(assignments):
 
 class TestSolverFastPaths:
     @pytest.mark.parametrize("seed", ["Lemma72", "B32stall"])
-    def test_search_matches_plain_enumeration(self, B32, monkeypatch, seed):
+    def test_search_matches_plain_enumeration(self, monkeypatch, seed):
         """Every search is capped exactly when plain enumeration finds more
         than DECOMPOSITION_LIMIT decompositions, and otherwise returns the
         ones of the right reality mass."""
@@ -935,8 +909,7 @@ class TestSolverFastPaths:
             return got
 
         monkeypatch.setattr(deduction._Engine, "_search", checked)
-        table = lemma72_seed(B32) if seed == "Lemma72" else _b32_stall()[0]
-        propagate(table, introduce_names=True)
+        propagate(_seed(seed)[0], introduce_names=True)
         # both answers occur: some searches are capped, some finish
         assert True in outcomes and False in outcomes
 
@@ -955,7 +928,7 @@ class TestSolverFastPaths:
         assert canonical(got) == canonical(with_reality_mass(engine.p.dual, row, plain, r_mass))
         assert got == kept
 
-    def test_limit_boundary(self, B32, monkeypatch):
+    def test_limit_boundary(self, monkeypatch):
         """With the limit at a search's exact count the search finishes; one
         less and it is capped."""
         search = deduction._Engine._search
@@ -979,7 +952,7 @@ class TestSolverFastPaths:
             return got
 
         monkeypatch.setattr(deduction._Engine, "_search", checked)
-        _, trace = propagate(lemma72_seed(B32), introduce_names=True)
+        _, trace = propagate(bundled_seed("Lemma72-seed"), introduce_names=True)
         assert trace.status == "completed"
         assert 1 in checked_counts and max(checked_counts) > 1
 
@@ -1059,7 +1032,7 @@ def orbit_by_search(dual, i, j, m):
 class TestOrbit:
     @pytest.mark.parametrize("name", ["C7", "D17", "B22", "B32", "S3", "PSL27"])
     def test_closed_form_matches_the_search(self, name):
-        basis = _psl27()[0].basis if name == "PSL27" else load(name).basis
+        basis = bundled_seed("PSL27-partial").basis if name == "PSL27" else load(name).basis
         table = PartialTable(basis)
         k, dual = table.k, table.dual
         for i in range(k):
@@ -1098,8 +1071,8 @@ class TestCanonicalNaming:
         monkeypatch.setattr(deduction._Engine, "_fixes_knowledge", checked)
         return answers
 
-    def test_lemma72_namings_match_the_full_scan(self, B32, lemma72_run, answers):
-        _, trace = propagate(lemma72_seed(B32), introduce_names=True)
+    def test_lemma72_namings_match_the_full_scan(self, lemma72_run, answers):
+        _, trace = propagate(bundled_seed("Lemma72-seed"), introduce_names=True)
         assert trace.serialize() == lemma72_run[1].serialize()
         assert True in answers
 
