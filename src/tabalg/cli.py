@@ -201,7 +201,7 @@ def cmd_deduce(args, out: _Out) -> int:
             out.text(f"  (solver cap hit on {len(trace.capped)} products: "
                      + " ".join(f"{a}*{b}" for a, b in trace.capped) + ")")
     else:
-        for (i, j) in sorted(table.known):
+        for (i, j) in sorted(table.rows):
             if 0 < i <= j:
                 out.text(f"  {basis.name(i)}*{basis.name(j)} = "
                          + format_element(basis, table.rows[(i, j)].items()))
@@ -220,15 +220,16 @@ def cmd_bundled(args, out: _Out) -> int:
     if args.export:
         _emit(out, data_text(args.export), args.output, args.export)
         return 0
-    for key, names, kind in (("bundled", BUNDLED, "verified table algebra"),
-                             ("aux", AUXILIARY, "group class algebra")):
-        for name in names:
-            algebra = load(name)
-            out.fact(f"{key}.{name}", algebra.size)
-            out.text(f"{name:<6} k={algebra.size:<3} {kind}")
-    for name in PARTIAL:
-        out.fact(f"partial.{name}", "-")
-        out.text(f"{name:<6} partial table (deduction seed)")
+    described = {"bundled": "verified table algebra", "aux": "group class algebra",
+                 "partial": "partial table (deduction seed)"}
+    listed = [(name, "bundled") for name in BUNDLED] + [(name, "aux") for name in AUXILIARY]
+    listed += [(name, "partial") for name in PARTIAL]
+    width = max(len(name) for name, _ in listed)
+    for name, kind in listed:
+        # a partial table is no algebra and has no size
+        size = "-" if kind == "partial" else load(name).size
+        out.fact(f"{kind}.{name}", size)
+        out.text(f"{name:<{width}} " + ("" if kind == "partial" else f"k={size:<3} ") + described[kind])
     return 0
 
 

@@ -16,9 +16,14 @@ element is a row of that form too, checked by ``TableBasis.row``.  Nothing
 builds a dense array.
 
 The verifier.  Identity, involution, degree-homomorphism and
-normalization-symmetry walk the rows.  Associativity is certified on a
-packed copy of the store and refuted by the exact sweep, both in exact
-integers:
+normalization-symmetry walk the rows.  A symmetry check compares each
+nonzero entry with its image, ``(ibar, jbar, mbar)`` or ``(jbar, m, i)`` for
+``(i, j, m)``, read in place.  A symmetry permutes the positions, so the
+cycle of a zero entry with a nonzero image reaches a nonzero entry whose
+image differs: that one side proves a pass, and only a failure reads the
+positions whose image is nonzero too, to list every witness.
+Associativity is certified on a packed copy of the store and refuted by
+the exact sweep, both in exact integers:
 
 * Packing.  Kronecker substitution packs the k x k matrix
   ``T_m[a][n] = delta[m][a][n]`` into one Python int, w bytes per field.
@@ -396,18 +401,6 @@ def _generating_set(rows: _Rows) -> list[int]:
     return gens
 
 
-def _unequal_entries(
-    cells: Iterable[tuple[int, int, dict[int, int], dict[int, int]]]
-) -> Iterator[tuple[int, int, int]]:
-    """``(i, j, m)`` wherever ``row`` and ``other`` differ at m, for each
-    ``(i, j, row, other)`` of ``cells`` in turn, m ascending."""
-    for i, j, row, other in cells:
-        if row != other:
-            for m in sorted(row.keys() | other.keys()):
-                if row.get(m, 0) != other.get(m, 0):
-                    yield i, j, m
-
-
 def _packed_store(constants: StructureConstants) -> tuple[list[int], int]:
     """``T_m`` for every m, and the field width w in bytes.
 
@@ -536,9 +529,11 @@ class TableAlgebra:
         lexicographic order.  Nonnegativity, integrality and commutativity
         hold by construction of ``StructureConstants`` and are reported
         without a rescan.  Identity, involution, degree-homomorphism and
-        normalization-symmetry walk the sparse rows.  Associativity has one
-        source of witnesses, the exact sweep, stopped at the
-        ``MAX_WITNESSES``-th.  When the identity check passed and
+        normalization-symmetry walk the sparse rows; a symmetry check reads
+        only the images of the nonzero entries to prove a pass (the module
+        docstring says why) and the other side to list a failure's witnesses.
+        Associativity has one source of witnesses, the exact sweep, stopped
+        at the ``MAX_WITNESSES``-th.  When the identity check passed and
         ``force_exact`` is off, Light's test on the packed store is tried
         first; if it certifies associativity there are no witnesses and no
         sweep.  ``force_exact`` always runs the sweep.  After a sweep,
@@ -577,12 +572,21 @@ class TableAlgebra:
 
         record("commutativity", ())
 
-        conjugates = (
-            (i, j, rows[i][j], {dual[m]: v for m, v in rows[dual[i]][dual[j]].items()})
-            for i in range(k)
-            for j in range(i, k)
-        )
-        record("involution", _unequal_entries(conjugates))
+        def unequal(nonzero, image_nonzero):
+            # the positions whose nonzero entry differs from its image prove a
+            # pass alone; a failure adds those whose nonzero image differs
+            bad = set(nonzero)
+            if bad:
+                bad.update(image_nonzero())
+            return sorted(bad)
+
+        # delta[i][j][m] = delta[ibar][jbar][mbar], i <= j
+        record("involution", unequal(
+            ((i, j, m) for i in range(k) for j in range(i, k)
+             for m, v in rows[i][j].items() if rows[dual[i]][dual[j]].get(dual[m], 0) != v),
+            lambda: ((i, j, dual[m]) for i in range(k) for j in range(i, k)
+                     for m, v in rows[dual[i]][dual[j]].items() if rows[i][j].get(dual[m], 0) != v),
+        ))
 
         record(
             "degree-homomorphism",
@@ -594,18 +598,13 @@ class TableAlgebra:
             ),
         )
 
-        # swapped[i][j][m] = delta[dual j][m][i]
-        swapped: _Rows = [[{} for _ in range(k)] for _ in range(k)]
-        for a in range(k):
-            for m, r in enumerate(rows[a]):
-                for i, v in r.items():
-                    swapped[i][dual[a]][m] = v
-        record(
-            "normalization-symmetry",
-            _unequal_entries((i, j, rows[i][j], swapped[i][j]) for i in range(k) for j in range(k)),
-        )
-        # free the k^2 swapped rows before the associativity check allocates its own
-        del swapped
+        # delta[i][j][m] = delta[jbar][m][i]: delta[a][m][i] is the image of (i, abar, m)
+        record("normalization-symmetry", unequal(
+            ((i, j, m) for i in range(k) for j in range(k)
+             for m, v in rows[i][j].items() if rows[dual[j]][m].get(i, 0) != v),
+            lambda: ((i, dual[a], m) for a in range(k) for m in range(k)
+                     for i, v in rows[a][m].items() if rows[i][dual[a]].get(m, 0) != v),
+        ))
 
         triples = k**3
         gens: list[int] = []

@@ -54,16 +54,16 @@ So every triple is evaluated once, as soon as it has one unknown product;
 one whose count reaches zero before it is taken up is skipped.  T keeps no
 expansion: the agenda rebuilds it when it takes T up, from the factor rows
 frozen at activation, so it is the one the count was made from.  An
-expansion's products are the table's own pair keys, so activating T
-allocates no tuple per term.  Those lists and the agenda alone hold a T,
-so it is freed once its last listed product is known.  Propagation never
-retracts a fact, so a count only falls and watched pairs, which pay only
-when backtracking must undo work, are not needed.  Triples are taken up to
-two symmetries of the rule: (l, j, i) negates every net coefficient, and
-the involution maps T to (ibar, jbar, lbar), under which R2 keeps the
-known products closed.  So only T with 0 < i < l and T no larger than its
-conjugate is activated; a triple with the identity as a factor or i = l
-expands to nothing.
+expansion's products are the table's own pair keys, ``PartialTable.pair``,
+so activating T allocates no tuple per term.  Those lists and the agenda
+alone hold a T, so it is freed once its last listed product is known.
+Propagation never retracts a fact, so a count only falls and watched
+pairs, which pay only when backtracking must undo work, are not needed.
+Triples are taken up to two symmetries of the rule: (l, j, i) negates
+every net coefficient, and the involution maps T to (ibar, jbar, lbar),
+under which R2 keeps the known products closed.  So only T with
+0 < i < l and T no larger than its conjugate is activated; a triple with
+the identity as a factor or i = l expands to nothing.
 
 The R4 search.  The decompositions of a pending product's remainder are
 the assignments to its unknown coefficients that meet the degree and, when
@@ -210,13 +210,15 @@ class DeductionTrace:
         return "\n".join(lines) + "\n"
 
 
-def _canon(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i <= j else (j, i)
-
-
-def _inner(u: dict[int, int], w: dict[int, int]) -> int:
-    """Inner product of two frozen rows."""
-    return sum(c * w.get(m, 0) for m, c in u.items())
+def _inner(table: PartialTable, *products) -> Optional[int]:
+    """The inner product (b_a b_b, b_c b_d) of the first listed
+    ``((a, b), (c, d))`` whose two products are known in ``table``, or None."""
+    rows, at = table.rows, table.pair
+    for (a, b), (c, d) in products:
+        u, w = rows.get(at[a][b]), rows.get(at[c][d])
+        if u is not None and w is not None:
+            return sum(x * w.get(m, 0) for m, x in u.items())
+    return None
 
 
 class PartialTable:
@@ -224,8 +226,10 @@ class PartialTable:
 
     ``cells[(i, j)][m]`` is the proven coefficient of ``b_m`` in
     ``b_i b_j``, or None while undetermined; entries are canonicalized to
-    i <= j and identity rows are filled at construction.  ``rows[(i, j)]``
-    is the frozen ``{m: v}`` row of a known product.  A seed maps pairs to
+    i <= j and identity rows are filled at construction.  ``pair[a][b]`` is
+    the key of the product b_a b_b: ``pair[a][b] is pair[b][a]``, the tuple
+    ``(min(a, b), max(a, b))`` that keys ``cells``.  ``rows[(i, j)]`` is
+    the frozen ``{m: v}`` row of a known product.  A seed maps pairs to
     rows, checked like those of ``set_product`` by ``TableBasis.row``;
     elsewhere an element is a name or an index, resolved by ``index_of``.
     Seeded products must satisfy the degree identity.
@@ -241,11 +245,14 @@ class PartialTable:
         # degree still unaccounted for, and count of unknown cells, per pair
         self._rem: dict[tuple[int, int], int] = {}
         self._open: dict[tuple[int, int], int] = {}
+        pair: list[list] = [[None] * k for _ in range(k)]
         for i in range(k):
             for j in range(i, k):
-                self.cells[(i, j)] = [None] * k
-                self._rem[(i, j)] = self.deg[i] * self.deg[j]
-                self._open[(i, j)] = k
+                key = pair[i][j] = pair[j][i] = (i, j)
+                self.cells[key] = [None] * k
+                self._rem[key] = self.deg[i] * self.deg[j]
+                self._open[key] = k
+        self.pair: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, pair))
         self.rows: dict[tuple[int, int], dict[int, int]] = {}
         self.newly_known: list[tuple[int, int]] = []
         # pending products a write left with a remainder of zero or below
@@ -258,11 +265,6 @@ class PartialTable:
                 self.set_product(i, j, row)
 
     # -- accessors --------------------------------------------------------
-
-    @property
-    def known(self):
-        """The known pairs: a read-only view of the keys of ``rows``."""
-        return self.rows.keys()
 
     def pending_pairs(self) -> list[tuple[int, int]]:
         return sorted(p for p in self.cells if p not in self.rows)
@@ -280,6 +282,7 @@ class PartialTable:
         out.k = self.k
         out.deg = self.deg
         out.dual = self.dual
+        out.pair = self.pair
         out.cells = {p: list(r) for p, r in self.cells.items()}
         out._rem = dict(self._rem)
         out._open = dict(self._open)
@@ -304,7 +307,7 @@ class PartialTable:
         row = self.basis.row(coeffs)
         if sum(v * self.deg[m] for m, v in row.items()) != self.deg[i] * self.deg[j]:
             raise TableAlgebraError(f"product {self.label((i, j))} violates the degree identity")
-        pair = _canon(i, j)
+        pair = self.pair[i][j]
         for m in range(self.k):
             v = row.get(m, 0)
             if self._write(pair, m, v):
@@ -314,7 +317,7 @@ class PartialTable:
         """Record a coefficient and queue its transport around its orbit; a
         value not an ``int`` is malformed, a negative one a Contradiction."""
         index_of = self.basis.index_of
-        pair, m = _canon(index_of(i), index_of(j)), index_of(m)
+        pair, m = self.pair[index_of(i)][index_of(j)], index_of(m)
         if type(v) is not int:
             raise MalformedElementError(f"coefficient {v!r} of {self.basis.name(m)} is not an int")
         if self._write(pair, m, v):
@@ -395,9 +398,6 @@ class _Engine:
         self.trace = DeductionTrace()
         self.stats = self.trace.stats
         self._partners: list[set[int]] = [set() for _ in range(k)]
-        # _pair[a][b] is the key of the product b_a b_b in ``cells``
-        keys = {q: q for q in table.cells}
-        self._pair = [[keys[_canon(a, b)] for b in range(k)] for a in range(k)]
         # activated triples listed under each unknown product of their expansion
         self._waiting: dict[tuple[int, int], list[_Triple]] = {}
         self._agenda: deque[_Triple] = deque()
@@ -444,22 +444,23 @@ class _Engine:
         known entries; each one not in ``logged``, the pairs the caller
         logs itself, is logged as an R2 step."""
         p = self.p
-        queue, cells = p._queue, p.cells
+        queue, cells, at = p._queue, p.cells, p.pair
         attempts, seconds = self.stats.attempts, self.stats.seconds
-        while queue or p.newly_known:
-            t0 = time.perf_counter()
-            while queue:
-                pair, m, v = queue.popleft()
-                for (a, b, c) in p.orbit(pair[0], pair[1], m):
-                    attempts["R2"] += 1
-                    if cells[(a, b)][c] != v:
-                        p._write((a, b), c, v)
-            seconds["R2"] = seconds.get("R2", 0.0) + time.perf_counter() - t0
-            batch, p.newly_known = p.newly_known, []
-            for pair in batch:
-                if pair not in logged:
-                    self.log("R2", None, pair)
-                self._register_known(pair)
+        t0 = time.perf_counter()
+        while queue:
+            pair, m, v = queue.popleft()
+            for (a, b, c) in p.orbit(pair[0], pair[1], m):
+                attempts["R2"] += 1
+                if cells[(a, b)][c] != v:
+                    p._write(at[a][b], c, v)
+        seconds["R2"] = seconds.get("R2", 0.0) + time.perf_counter() - t0
+        # one drain is enough: registering and logging write no cell, so
+        # they queue no transport and complete no product
+        batch, p.newly_known = p.newly_known, []
+        for pair in batch:
+            if pair not in logged:
+                self.log("R2", None, pair)
+            self._register_known(pair)
 
     def _register_known(self, pair: tuple[int, int]) -> None:
         """Activate the triples with factor ``pair``; count down its waiters."""
@@ -524,7 +525,7 @@ class _Engine:
         """Nonzero net coefficients of (b_i b_j) b_l - b_i (b_j b_l) over the
         products it expands into, as ``(pair, c)`` with ``pair`` the table's
         own key; (i, j) and (j, l) must be known."""
-        rows, at = self.p.rows, self._pair
+        rows, at = self.p.rows, self.p.pair
         at_l, at_i = at[l], at[i]
         net: dict[tuple[int, int], int] = {}
         get = net.get
@@ -623,23 +624,6 @@ class _Engine:
 
     # -- R4 / R1b: inner-product constrained resolution --------------------------
 
-    def _inner_exact(self, i: int, j: int) -> Optional[int]:
-        rows, dual = self.p.rows, self.p.dual
-        a = rows.get(_canon(i, dual[i]))
-        b = rows.get(_canon(j, dual[j]))
-        if a is not None and b is not None:
-            return _inner(a, b)
-        return None
-
-    def _reality_mass(self, i: int, j: int) -> Optional[int]:
-        rows, dual = self.p.rows, self.p.dual
-        for x, y in ((j, dual[i]), (dual[j], i)):
-            a = rows.get((x, x))
-            b = rows.get((y, y))
-            if a is not None and b is not None:
-                return _inner(a, b)
-        return None
-
     def solver_scan(self) -> bool:
         """R4 and naming: search each pending product once and resolve the
         first with exactly one decomposition; failing that, with naming on,
@@ -647,10 +631,10 @@ class _Engine:
         self._overflowed = []
         self._last_answers, self._answers = self._answers, {}
         ambiguous = []
-        dual = self.p.dual
+        dual, at = self.p.dual, self.p.pair
         for pair in self.p.pending_pairs():
             # the involution maps the product to its conjugate: search one of the two
-            if _canon(dual[pair[0]], dual[pair[1]]) < pair:
+            if at[dual[pair[0]]][dual[pair[1]]] < pair:
                 continue
             solutions = self._solve_entry(pair)
             if solutions is None:
@@ -677,9 +661,11 @@ class _Engine:
         capped.  R1 has drained every product with no remainder."""
         p = self.p
         i, j = pair
+        di, dj = p.dual[i], p.dual[j]
         row = p.cells[pair]
         rem = p._rem[pair]
-        s_exact = self._inner_exact(i, j)
+        # the square budget (xy, xy) = (x xbar, y ybar)
+        s_exact = _inner(p, ((i, di), (j, dj)))
         budget2 = None
         if s_exact is not None:
             budget2 = s_exact - sum(v * v for v in row if v)
@@ -688,7 +674,8 @@ class _Engine:
                     p.names(pair) + ("inner",),
                     f"{p.label(pair)} already exceeds its inner product {s_exact}",
                 )
-        r_mass = self._reality_mass(i, j)
+        # the reality mass (xy, xbar ybar) = (y y, xbar xbar) = (ybar ybar, x x)
+        r_mass = _inner(p, ((j, j), (di, di)), ((dj, dj), (i, i)))
         self.stats.attempts["R4"] += 1
         key = (tuple(row), rem, budget2, r_mass)
         answers = self._answers
@@ -813,26 +800,19 @@ class _Engine:
         identity outside the differing elements; None if the shapes differ.
         Consistent swaps within a degree group, closed under duals, are such a map."""
         p = self.p
-        diff_a = sorted(m for m in a if a.get(m) != b.get(m))
-        diff_b = sorted(m for m in b if a.get(m) != b.get(m))
-        perm = {m: m for m in range(p.k)}
-
-        def groups(diff, sol):
-            out: dict[tuple, list[int]] = {}
-            for m in diff:
-                out.setdefault((p.deg[m], m == p.dual[m], sol[m]), []).append(m)
-            return out
-
-        ga, gb = groups(diff_a, a), groups(diff_b, b)
-        if set(ga) != set(gb) or any(len(ga[k]) != len(gb[k]) for k in ga):
+        # each solution's differing elements sorted by (degree, self-duality,
+        # value, index): the shapes agree when the keys agree but for the index
+        ka = sorted((p.deg[m], m == p.dual[m], v, m) for m, v in a.items() if b.get(m) != v)
+        kb = sorted((p.deg[m], m == p.dual[m], v, m) for m, v in b.items() if a.get(m) != v)
+        if [key[:3] for key in ka] != [key[:3] for key in kb]:
             return None
         swaps: dict[int, int] = {}
-        for key in ga:
-            for x, y in zip(sorted(ga[key]), sorted(gb[key])):
-                for s, t in ((x, y), (y, x), (p.dual[x], p.dual[y]), (p.dual[y], p.dual[x])):
-                    if s in swaps and swaps[s] != t:
-                        return None
-                    swaps[s] = t
+        for (*_, x), (*_, y) in zip(ka, kb):
+            for s, t in ((x, y), (y, x), (p.dual[x], p.dual[y]), (p.dual[y], p.dual[x])):
+                if s in swaps and swaps[s] != t:
+                    return None
+                swaps[s] = t
+        perm = {m: m for m in range(p.k)}
         perm.update(swaps)
         if {perm[m]: c for m, c in a.items()} != b:
             return None
@@ -845,7 +825,7 @@ class _Engine:
         p = self.p
         moved = [m for m in range(p.k) if perm[m] != m]
         for (i, j), row in p.cells.items():
-            image_row = p.cells[_canon(perm[i], perm[j])]
+            image_row = p.cells[p.pair[perm[i]][perm[j]]]
             for m in moved if image_row is row else range(p.k):
                 v = row[m]
                 if v is not None and image_row[perm[m]] != v:

@@ -170,7 +170,7 @@ def test_criterion_7_deduction(B32, lemma72_run):
         got = {B32.basis.name(m): v for m, v in product_row(table, idx(a), idx(b)).items()}
         ok = ok and got == want
     # every derived product equals bundled B32 exactly
-    for (i, j) in table.known:
+    for (i, j) in table.rows:
         if i == 0:
             continue
         ok = ok and table.rows[(i, j)] == B32.constants.rows[i][j]
@@ -178,7 +178,7 @@ def test_criterion_7_deduction(B32, lemma72_run):
     ok = ok and refute.status == "contradiction"
     report(
         7, ok,
-        f"Lemma-7.2 seed derives the first display block (and in fact all {len(table.known) - 32} "
+        f"Lemma-7.2 seed derives the first display block (and in fact all {len(table.rows) - 32} "
         "products) exactly; the contradiction branch is refuted",
     )
 

@@ -446,6 +446,12 @@ class TestBundled:
         names = [line.split()[0] for line in out.splitlines()]
         assert {"B32", "PSL27-partial", "Lemma72-seed", "Theorem41-seed", "B32-stall"} <= set(names)
 
+    def test_list_lines_up_the_descriptions(self, capsys):
+        _, out, _ = invoke(capsys, "bundled")
+        # the column where each line's description starts, after its name
+        columns = {re.match(r"\S+ +", line).end() for line in out.splitlines()}
+        assert len(columns) == 1, out
+
     def test_export_round_trip(self, capsys, tmp_path):
         target = tmp_path / "exported.alg"
         code, _, _ = invoke(capsys, "bundled", "--export", "D17", "-o", str(target))

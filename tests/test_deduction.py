@@ -260,7 +260,7 @@ class TestLemma22:
             if e.degree != 3 or sum(c * c for _, c in B32.constants.row_items(*sorted((b3, t)))) != 2:
                 continue
             assert product_row(table, t, e.dual) == {0: 1, b8: 1}, e.name
-            if tuple(sorted((t, e.dual))) not in seed.known:
+            if tuple(sorted((t, e.dual))) not in seed.rows:
                 names = (B32.basis.name(min(t, e.dual)), B32.basis.name(max(t, e.dual)))
                 assert names in set_by_trace
                 derived.append(e.name)
@@ -280,14 +280,14 @@ class TestSoundness:
             sub = rng.sample(pairs, len(pairs) // 3)
             out, trace = propagate(subtable_seed(A, sub))
             assert trace.status != "contradiction"
-            for (i, j) in out.known:
+            for (i, j) in out.rows:
                 if i == 0:
                     continue
                 assert out.rows[(i, j)] == A.constants.rows[i][j]
 
     def test_monotone_knowledge(self, lemma72_run):
         table, _ = lemma72_run
-        assert bundled_seed("Lemma72-seed").known <= table.known
+        assert bundled_seed("Lemma72-seed").rows.keys() <= table.rows.keys()
 
     def test_no_contradiction_on_bundled_subtables(self, B22):
         rng = random.Random(5)
@@ -307,8 +307,8 @@ class TestConfluence:
         random.Random(11).shuffle(items)
         table_b, trace_b = propagate(PartialTable(basis, dict(items)), introduce_names=True)
         assert trace_b.status == "completed"
-        assert table_b.known == table_a.known
-        for pair in table_a.known:
+        assert table_b.rows.keys() == table_a.rows.keys()
+        for pair in table_a.rows:
             assert table_a.rows[pair] == table_b.rows[pair]
 
 
@@ -399,7 +399,7 @@ class TestFullCompletion:
         table: every one of the 496 nontrivial products matches B32."""
         table, trace = lemma72_run
         assert trace.status == "completed"
-        for (i, j) in sorted(table.known):
+        for (i, j) in sorted(table.rows):
             if i == 0:
                 continue
             assert table.rows[(i, j)] == B32.constants.rows[i][j]
@@ -420,7 +420,7 @@ class TestFullCompletion:
         names = ["b3", "b3bar", "c3", "c3bar", "b6", "b6bar", "b8", "x6", "x6bar", "x10"]
         for ai, a in enumerate(names):
             for b in names[ai:]:
-                assert tuple(sorted((idx(a), idx(b)))) in table.known, (a, b)
+                assert tuple(sorted((idx(a), idx(b)))) in table.rows, (a, b)
 
 
 def naive_r3_findings(table):
@@ -585,10 +585,10 @@ class TestAgenda:
         assert len(trace.steps) == steps
         k = table.k
         if known == "all":
-            assert table.known == {(i, j) for i in range(k) for j in range(i, k)}
+            assert table.rows.keys() == {(i, j) for i in range(k) for j in range(i, k)}
         else:
             b3, b3bar = (table.basis.index_of(n) for n in ("b3", "b3bar"))
-            assert table.known == {(0, j) for j in range(k)} | {(b3, b3bar)}
+            assert table.rows.keys() == {(0, j) for j in range(k)} | {(b3, b3bar)}
         assert naive_r3_findings(table) == []
         assert trace.stats.sweep_firings == 0
 
@@ -666,7 +666,7 @@ class TestAgenda:
         assert trace.status == "completed"
         assert trace.stats.attempts["R3"] == 0
         assert trace.stats.sweep_firings > 0
-        for i, j in table.known:
+        for i, j in table.rows:
             assert table.rows[(i, j)] == B22.constants.rows[i][j]
 
     def test_sweep_checks_the_triples_the_agenda_never_stored(self, monkeypatch):
@@ -1027,6 +1027,22 @@ def orbit_by_search(dual, i, j, m):
             a, b, c = t
             stack += [(b, a, c), (dual[a], dual[b], dual[c]), (dual[b], c, a)]
     return tuple(sorted({(min(a, b), max(a, b), c) for a, b, c in seen}))
+
+
+def test_one_key_per_product(lemma72_run):
+    # _terms lists products by these keys and looks them up in rows and
+    # _waiting, where an identical key object is found without a compare
+    table = bundled_seed("Lemma72-seed")
+    pair, k = table.pair, table.k
+    for a in range(k):
+        for b in range(k):
+            assert pair[a][b] is pair[b][a]
+            assert pair[a][b] == (min(a, b), max(a, b))
+    assert all(key is pair[key[0]][key[1]] for key in table.cells)
+    assert table.copy().pair is pair
+    # every rule, R2 included, completes a product under its key
+    done, _ = lemma72_run
+    assert all(key is done.pair[key[0]][key[1]] for key in done.rows)
 
 
 class TestOrbit:

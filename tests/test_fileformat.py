@@ -1,8 +1,9 @@
 import sys
+from pathlib import Path
 
 import pytest
 
-from tabalg import ParseError, parse, parse_element_expr, parse_partial, serialize
+from tabalg import ParseError, bundled, parse, parse_element_expr, parse_partial, serialize
 from tabalg.bundled import AUXILIARY, BUNDLED, PARTIAL, data_text
 
 MINI = """\
@@ -182,6 +183,13 @@ def test_shipped_data_meets_the_paper_hypothesis(name):
     # from the degrees each file lists
     _, basis, _ = parse_partial(data_text(name))
     assert all(e.degree not in (1, 2) for e in basis.elements[1:])
+
+
+def test_shipped_files_are_exactly_the_listed_names():
+    # an unlisted file is dead weight and a listed one with no file fails only
+    # when it is first loaded
+    shipped = sorted(f.name for f in (Path(bundled.__file__).parent / "data").iterdir())
+    assert shipped == sorted(f"{name}.alg" for name in BUNDLED + AUXILIARY + PARTIAL)
 
 
 class TestElementExpr:
