@@ -233,6 +233,17 @@ def cmd_bundled(args, out: _Out) -> int:
     return 0
 
 
+_WITNESS_HELP = """\
+A failing check lists its first witnesses, tuples of basis indices; d[i][j][m]
+is the coefficient of b_m in b_i b_j:
+  identity                (0, j, m): d[0][j][m] is not 1 at m = j and 0 elsewhere
+  involution              (i, j, m), i <= j: d[i][j][m] != d[ibar][jbar][mbar]
+  degree-homomorphism     (i, j), i <= j: sum_m d[i][j][m] deg(b_m) != deg(b_i) deg(b_j)
+  normalization-symmetry  (i, j, m): d[i][j][m] != d[jbar][m][i]
+  associativity           (i, j, l, n): the coefficients of b_n in (b_i b_j) b_l
+                          and in b_i (b_j b_l) differ"""
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tabalg",
@@ -241,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--format", choices=("text", "machine"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("verify", help="run the axiom verifier")
+    p = sub.add_parser("verify", help="run the axiom verifier", epilog=_WITNESS_HELP,
+                       formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("algebra")
     p.add_argument("--exact", action="store_true", help="pure-Python k³ sweep, no Light shortcut")
     p.add_argument("--timing", action="store_true",

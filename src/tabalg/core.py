@@ -219,16 +219,29 @@ def format_element(basis: TableBasis, terms: Iterable[tuple[int, int]]) -> str:
 _Rows = Sequence[Sequence[dict[int, int]]]
 
 
+def _row_fault(i: int, j: int, row: Mapping[int, int], k: int) -> str:
+    """What is wrong with the first bad entry of ``row``, in the row's own order."""
+    for m, v in row.items():
+        if type(m) is not int or not 0 <= m < k:
+            return f"row ({i},{j}) hits index {m} out of range"
+        if type(v) is not int or v < 0:
+            return f"row ({i},{j}) has a non-integer or negative entry"
+    raise AssertionError("row has no bad entry")
+
+
 class StructureConstants:
     """The structure constants ``delta[i][j][m]`` of a commutative algebra.
 
     ``rows[i][j]`` is the row ``{m: delta[i][j][m]}`` of the ordered pair
     ``(i, j)``, ``m`` ascending and zeros dropped, and ``rows[i][j] is
     rows[j][i]``.  The constructor reads the row of each unordered pair
-    ``i <= j`` from ``rows`` and keeps its own copy; it rejects a missing
-    row, an index outside ``range(k)`` and any entry that is not a
-    nonnegative ``int`` (``bool`` included), so the table is nonnegative,
-    integral and commutative by construction.  No caller may mutate it.
+    ``i <= j`` from ``rows`` and copies it in a single checking pass: it
+    sorts the row's keys once, then checks each key and its value and
+    keeps the nonzero ones.  It rejects a missing row, an index outside
+    ``range(k)`` and any entry that is not a nonnegative ``int`` (``bool``
+    included), naming the first bad entry in the row's own order, so the
+    table is nonnegative, integral and commutative by construction.  No
+    caller may mutate it.
     """
 
     __slots__ = ("k", "rows")
@@ -241,13 +254,19 @@ class StructureConstants:
                 row = rows.get((i, j))
                 if row is None:
                     raise TableAlgebraError(f"missing structure row for pair ({i},{j})")
-                for m, v in row.items():
+                try:
+                    keys = sorted(row)
+                except TypeError:  # keys that do not compare: some key is not an int
+                    raise TableAlgebraError(_row_fault(i, j, row, k)) from None
+                copy = {}
+                for m in keys:
+                    v = row[m]
                     # type() rather than isinstance(): bool is an int subclass
-                    if type(m) is not int or not 0 <= m < k:
-                        raise TableAlgebraError(f"row ({i},{j}) hits index {m} out of range")
-                    if type(v) is not int or v < 0:
-                        raise TableAlgebraError(f"row ({i},{j}) has a non-integer or negative entry")
-                table[i][j] = table[j][i] = {m: row[m] for m in sorted(row) if row[m]}
+                    if type(m) is not int or not 0 <= m < k or type(v) is not int or v < 0:
+                        raise TableAlgebraError(_row_fault(i, j, row, k))
+                    if v:
+                        copy[m] = v
+                table[i][j] = table[j][i] = copy
         self.rows: tuple[tuple[dict[int, int], ...], ...] = tuple(map(tuple, table))
 
     def delta(self, i: int, j: int, m: int) -> int:
@@ -259,7 +278,26 @@ class StructureConstants:
 
 
 class CheckResult(NamedTuple):
-    """One axiom class: pass or fail and its first witnesses."""
+    """One axiom class: pass or fail and its first witnesses.
+
+    A witness is a tuple of basis indices, and ``delta[i][j][m]`` is the
+    coefficient of ``b_m`` in ``b_i b_j``:
+
+    * identity ``(0, j, m)``: ``delta[0][j][m]`` is not 1 at ``m = j``
+      and 0 elsewhere;
+    * involution ``(i, j, m)``, ``i <= j``: ``delta[i][j][m] !=
+      delta[ibar][jbar][mbar]``;
+    * degree-homomorphism ``(i, j)``, ``i <= j``: the degree of
+      ``b_i b_j``, ``sum_m delta[i][j][m] deg(b_m)``, is not
+      ``deg(b_i) deg(b_j)``;
+    * normalization-symmetry ``(i, j, m)``: ``delta[i][j][m] !=
+      delta[jbar][m][i]``;
+    * associativity ``(i, j, l, n)``: the coefficient of ``b_n`` in
+      ``(b_i b_j) b_l`` and in ``b_i (b_j b_l)`` differ.
+
+    Nonnegativity, integrality and commutativity hold by construction of
+    ``StructureConstants`` and have no witnesses.
+    """
 
     name: str
     passed: bool
@@ -491,11 +529,10 @@ class TableAlgebra:
         for (i, j), row in products.items():
             if i > j:
                 i, j = j, i
-            if i == 0:
-                if row != {j: 1}:
-                    raise TableAlgebraError(f"identity row for {basis.name(j)} is not trivial")
-                continue
-            rows[(i, j)] = row
+            if i:
+                rows[(i, j)] = row
+            elif row != {j: 1}:
+                raise TableAlgebraError(f"identity row for {basis.name(j)} is not trivial")
         return cls(basis, StructureConstants(k, rows), name=name)
 
     # -- arithmetic: product and inner product ---------------------------

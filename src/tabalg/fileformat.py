@@ -15,6 +15,24 @@ an omitted coefficient means 1.  Element names match
 dual-image pair ``(ibar,jbar)`` are filled in by symmetry, and a line
 that conflicts with an earlier line or with the dual image of one is
 rejected.
+
+The reader makes four passes, and a file with several faults reports the
+first fault of the earliest pass:
+
+1. Line structure, over every line: the directive, its tokens, an element
+   name's spelling and a degree's digits.  A product line keeps its
+   right-hand side as one string, split in pass 3, so each token is read
+   once and no line's token list outlives its pass.
+2. Element semantics: duplicate names and degrees below 1, then unknown
+   duals, pairings that are not an involution and duals of unequal degree.
+3. Product semantics, in line order: the factor names, the right-hand side
+   term by term from the left, then the degree sum of a new pair or the
+   agreement of a repeated one.
+4. Dual images, in line order.
+
+So a malformed product line is reported before a duplicate element on an
+earlier line, and an unknown dual name before an unknown name on the
+right-hand side of an earlier product line.
 """
 
 from __future__ import annotations
@@ -46,53 +64,45 @@ def _number(token: str, what: str, line_no: int) -> int:
     raise ParseError(f"bad {what} {token!r}", line_no)
 
 
-def _strip(line: str) -> str:
-    if "#" in line:
-        line = line[: line.index("#")]
-    return line.strip()
-
-
-def _parse_rhs(tokens: list[str], index: dict[str, int], line_no: int) -> dict[int, int]:
-    """Right-hand side: terms separated by '+', each an optional count then a
-    name.  Read left to right, so a line's leftmost fault is reported."""
+def _parse_rhs(expr: str, index: dict[str, int], degs: list[int], line_no: int) -> tuple[dict[int, int], int]:
+    """Right-hand side and its degree sum: terms separated by '+', each an
+    optional count then a name.  Read left to right, so a line's leftmost
+    fault is reported."""
+    tokens = expr.split()
     if not tokens:
         raise ParseError("empty expression", line_no)
+    last = len(tokens)
+    tokens.append("+")  # closes the last term
     out: dict[int, int] = {}
-    term: list[str] = []
-    # None closes the last term
-    for tok in (*tokens, None):
-        if tok is not None and tok != "+":
-            term.append(tok)
-            continue
-        if not term:
-            raise ParseError(("empty term" if tok else "trailing '+'") + " on right-hand side", line_no)
-        if len(term) == 1:
-            coeff, name = 1, term[0]
-        elif len(term) == 2:
-            coeff, name = _number(term[0], "coefficient", line_no), term[1]
+    total = 0
+    start = 0
+    while start <= last:
+        end = tokens.index("+", start)
+        if end == start + 1:
+            coeff, name = 1, tokens[start]
+        elif end == start + 2:
+            coeff, name = _number(tokens[start], "coefficient", line_no), tokens[start + 1]
+            if not coeff:
+                raise ParseError("coefficient must be positive, got 0", line_no)
+        elif end == start:
+            raise ParseError(("empty term" if end < last else "trailing '+'") + " on right-hand side", line_no)
         else:
-            raise ParseError(f"malformed term {' '.join(term)!r}", line_no)
-        if coeff < 1:
-            raise ParseError(f"coefficient must be positive, got {coeff}", line_no)
-        idx = _lookup(index, name, line_no)
+            raise ParseError(f"malformed term {' '.join(tokens[start:end])!r}", line_no)
+        idx = index.get(name)
+        if idx is None:
+            raise ParseError(f"unknown element name {name!r}", line_no)
         out[idx] = out.get(idx, 0) + coeff
-        term = []
-    return out
-
-
-def _lookup(index: dict[str, int], name: str, line_no: int) -> int:
-    idx = index.get(name)
-    if idx is None:
-        raise ParseError(f"unknown element name {name!r}", line_no)
-    return idx
+        total += coeff * degs[idx]
+        start = end + 1
+    return out, total
 
 
 def parse_element_expr(text: str, basis: TableBasis) -> dict[int, int]:
     """Parse an element expression such as ``1 + 3 b5 + x9`` against a basis
     into its row ``{index: coefficient}`` (see ``TableBasis.row``); names are
     looked up in the basis, and an unknown one raises ParseError."""
-    tokens = text.replace("+", " + ").split()
-    return basis.row(_parse_rhs(tokens, basis._by_name, 0))
+    degs = [e.degree for e in basis]
+    return basis.row(_parse_rhs(text.replace("+", " + "), basis._by_name, degs, 0)[0])
 
 
 def _parse_lines(text: str):
@@ -100,32 +110,35 @@ def _parse_lines(text: str):
     non-identity rows completed under the involution."""
     name = None
     raw_elements: list[tuple[int, str, int, str]] = []  # line, name, degree, dual
-    raw_products: list[tuple[int, str, str, list[str]]] = []
-    # lines end only at "\n": files are read with universal newlines, _strip
+    raw_products: list[tuple[int, str, str, str]] = []  # line, factors, right-hand side
+    # lines end only at "\n": files are read with universal newlines, split
     # drops a trailing "\r", and str.splitlines would also split a comment
     # at a form feed, U+0085 or U+2028
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = _strip(raw)
-        if not line:
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        # at most five: a product line's right-hand side stays one string
+        tokens = line.split(None, 4)
+        if not tokens:
             continue
-        tokens = line.split()
         head = tokens[0]
-        if head == "algebra":
-            if name is not None:
-                raise ParseError("duplicate algebra header", line_no)
-            if len(tokens) != 2:
-                raise ParseError("expected: algebra <name>", line_no)
-            name = tokens[1]
+        if head == "product":
+            if len(tokens) < 5 or tokens[3] != "=":
+                raise ParseError("expected: product <name> <name> = <expr>", line_no)
+            raw_products.append((line_no, tokens[1], tokens[2], tokens[4]))
         elif head == "element":
+            tokens = line.split()
             if len(tokens) != 6 or tokens[2] != "degree" or tokens[4] != "dual":
                 raise ParseError("expected: element <name> degree <int> dual <name>", line_no)
             if not NAME_RE.match(tokens[1]):
                 raise ParseError(f"bad element name {tokens[1]!r}", line_no)
             raw_elements.append((line_no, tokens[1], _number(tokens[3], "degree", line_no), tokens[5]))
-        elif head == "product":
-            if len(tokens) < 5 or tokens[3] != "=":
-                raise ParseError("expected: product <name> <name> = <expr>", line_no)
-            raw_products.append((line_no, tokens[1], tokens[2], tokens[4:]))
+        elif head == "algebra":
+            if name is not None:
+                raise ParseError("duplicate algebra header", line_no)
+            if len(tokens) != 2:
+                raise ParseError("expected: algebra <name>", line_no)
+            name = tokens[1]
         else:
             raise ParseError(f"unknown directive {head!r}", line_no)
     if name is None:
@@ -155,41 +168,55 @@ def _parse_lines(text: str):
     products: dict[tuple[int, int], dict[int, int]] = {}
     origins: dict[tuple[int, int], int] = {}
     degs = [e.degree for e in basis]
-    dual = [e.dual for e in basis]
 
-    def put(i: int, j: int, row: dict[int, int], line_no: int) -> None:
-        key = (i, j) if i <= j else (j, i)
+    def conflict(key: tuple[int, int], line_no: int) -> ParseError:
+        return ParseError(
+            f"conflicting value for product {basis.name(key[0])} {basis.name(key[1])}"
+            f" (also given at line {origins[key]})",
+            line_no,
+        )
+
+    for line_no, a, b, rhs in raw_products:
+        ia = index.get(a)
+        if ia is None:
+            raise ParseError(f"unknown element name {a!r}", line_no)
+        ib = index.get(b)
+        if ib is None:
+            raise ParseError(f"unknown element name {b!r}", line_no)
+        row, total = _parse_rhs(rhs, index, degs, line_no)
+        if not (ia and ib):
+            if row != {ia or ib: 1}:
+                raise ParseError("identity product must reproduce the other factor", line_no)
+            continue
+        key = (ia, ib) if ia <= ib else (ib, ia)
         old = products.get(key)
         if old is None:
-            s = sum(c * degs[m] for m, c in row.items())
-            if s != degs[i] * degs[j]:
+            if total != degs[ia] * degs[ib]:
                 raise ParseError(
-                    f"degree sum {s} does not match {degs[i]}*{degs[j]}={degs[i]*degs[j]}", line_no
+                    f"degree sum {total} does not match {degs[ia]}*{degs[ib]}={degs[ia]*degs[ib]}", line_no
                 )
             products[key] = row
             origins[key] = line_no
         elif old != row:
-            raise ParseError(
-                f"conflicting value for product {basis.name(key[0])} {basis.name(key[1])}"
-                f" (also given at line {origins[key]})",
-                line_no,
-            )
-
-    for line_no, a, b, rhs in raw_products:
-        ia, ib = _lookup(index, a, line_no), _lookup(index, b, line_no)
-        row = _parse_rhs(rhs, index, line_no)
-        if ia and ib:
-            put(ia, ib, row, line_no)
-        elif row != {ia or ib: 1}:
-            raise ParseError("identity product must reproduce the other factor", line_no)
+            raise conflict(key, line_no)
 
     # put the dual image of every listed line, except where that image is a
-    # line listed earlier, which already put its own image onto this one
+    # line listed earlier, which already compared its own image with this
+    # one; an image has its line's degree sum, as duals share degrees
+    dual = [e.dual for e in basis]
     for (i, j), row in list(products.items()):
         line_no = origins[(i, j)]
         di, dj = dual[i], dual[j]
-        if origins.get((di, dj) if di <= dj else (dj, di), line_no) >= line_no:
-            put(di, dj, {dual[m]: c for m, c in row.items()}, line_no)
+        key = (di, dj) if di <= dj else (dj, di)
+        if origins.get(key, line_no) < line_no:
+            continue
+        image = {dual[m]: c for m, c in row.items()}
+        old = products.get(key)
+        if old is None:
+            products[key] = image
+            origins[key] = line_no
+        elif old != image:
+            raise conflict(key, line_no)
     return name, basis, products
 
 
@@ -197,13 +224,14 @@ def parse(text: str) -> TableAlgebra:
     """Parse a complete algebra file; every non-identity pair must be determined."""
     name, basis, products = _parse_lines(text)
     k = basis.size
-    missing = [
-        (basis.name(i), basis.name(j))
-        for i in range(1, k)
-        for j in range(i, k)
-        if (i, j) not in products
-    ]
-    if missing:
+    # the keys are pairs 1 <= i <= j < k, so a full count means none is missing
+    if len(products) < k * (k - 1) // 2:
+        missing = [
+            (basis.name(i), basis.name(j))
+            for i in range(1, k)
+            for j in range(i, k)
+            if (i, j) not in products
+        ]
         shown = ", ".join(f"{a}*{b}" for a, b in missing[:8])
         more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
         raise ParseError(f"incomplete table, missing products: {shown}{more}")

@@ -22,6 +22,18 @@ def invoke(capsys, *argv):
 
 
 class TestVerify:
+    def test_help_says_what_each_witness_holds(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "--help")
+        assert code == 0
+        shapes = dict(re.findall(r"^  ([a-z-]+) +(\(.*?\)(?:, i <= j)?):", out, re.M))
+        assert shapes == {
+            "identity": "(0, j, m)",
+            "involution": "(i, j, m), i <= j",
+            "degree-homomorphism": "(i, j), i <= j",
+            "normalization-symmetry": "(i, j, m)",
+            "associativity": "(i, j, l, n)",
+        }
+
     def test_pass_line_and_exit_zero(self, capsys):
         code, out, _ = invoke(capsys, "verify", "bundled:B32")
         assert code == 0

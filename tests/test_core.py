@@ -444,6 +444,21 @@ class TestStructureConstantsGuards:
             with pytest.raises(TableAlgebraError):
                 StructureConstants(k, rows)
 
+    def test_names_the_first_bad_entry_in_row_order(self, C7):
+        # rows are checked in index order, but a fault is named as the row lists it
+        k = C7.size
+        for row, message in [
+            ({k: 1, 3: -1}, f"row (1,2) hits index {k} out of range"),
+            ({3: -1, k: 1}, "row (1,2) has a non-integer or negative entry"),
+            ({3: 1.0, "a": 1}, "row (1,2) has a non-integer or negative entry"),
+            ({"a": 1, 3: 1}, "row (1,2) hits index a out of range"),
+        ]:
+            rows = rows_of(C7)
+            rows[(1, 2)] = row
+            with pytest.raises(TableAlgebraError) as err:
+                StructureConstants(k, rows)
+            assert str(err.value) == message
+
     @pytest.mark.parametrize("name", BUNDLED + AUXILIARY)
     def test_row_table_invariants(self, name):
         rows = load(name).constants.rows

@@ -124,6 +124,12 @@ product abar abar = abar
         (MINI + "product 1 g = g2\n", "identity product must reproduce the other factor", 7),
         # g*g2 is its own dual image, so its row must be closed under duals
         (MINI.replace("g2 = 1", "g2 = g"), "conflicting value for product g g2 (also given at line 5)", 5),
+        # faults on several lines: line structure first, then elements, then
+        # products in line order
+        (MINI + "element g degree 1 dual g2\nproduct g g2 1\n", "expected: product <name> <name> = <expr>", 8),
+        (MINI.replace("= g2\n", "= zz\n") + "element h degree 1 dual hbar\n", "unknown dual name 'hbar'", 7),
+        (MINI.replace("= g2\n", "= g2 + g\n").replace("g2 = 1", "g2 = g"), "degree sum 2 does not match 1*1=1", 4),
+        (MINI.replace("= g2\n", "= x g2\n") + "bogus\n", "unknown directive 'bogus'", 7),
     ])
     def test_rejections(self, text, fragment, line_no):
         with pytest.raises(ParseError) as err:
@@ -131,6 +137,21 @@ product abar abar = abar
         assert fragment in str(err.value)
         assert err.value.line_no == line_no
         assert str(err.value).startswith(f"line {line_no}: " if line_no else fragment)
+
+    @pytest.mark.parametrize("text, plain", [
+        (MINI.replace("\n", "\r\n"), MINI),
+        (MINI.replace(" ", "\t"), MINI),
+        (MINI.replace("= g2\n", "= g2# note\n"), MINI),
+        (MINI.replace("= g2\n", "= 1 g2\n"), MINI),
+        (MINI.replace("= g2\n", "= 01 g2\n"), MINI),
+        (MINI.replace("product g g2 = 1", "product g2 g = 1"), MINI),
+        # a name repeated on one right-hand side: its coefficients add
+        (data_text("C7").replace("= c8 + b8 + x9 + b5 + 2 x10", "= c8 + x10 + b8 + x9 + b5 + x10"), data_text("C7")),
+    ], ids=["crlf", "tabs", "comment-after-token", "explicit-1", "leading-zero", "reversed-factors", "repeated-name"])
+    def test_spellings_of_one_table(self, text, plain):
+        assert text != plain
+        A, B = parse(text), parse(plain)
+        assert (A.name, A.basis, A.constants.rows) == (B.name, B.basis, B.constants.rows)
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() has no digit limit")
     @pytest.mark.parametrize("line, what", [
