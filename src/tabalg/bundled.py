@@ -25,20 +25,14 @@ BUNDLED = ("C7", "D17", "B22", "B32")
 AUXILIARY = ("Z2", "Z3", "Z4", "Z6", "S3")
 PARTIAL = ("PSL27-partial", "Lemma72-seed", "Theorem41-seed", "B32-stall")
 
-# conventional names for the closed subsets of the bundled algebras
+# conventional names for the closed subsets of the bundled algebras; B32
+# and B22 share C and E, and B32's D is C plus ten more
+_C = ("1", "b8", "x10", "b5", "c5", "c8", "x9")
+_E = _C + ("r3", "s6", "t15", "d9", "y3")
 NAMED_SUBSETS = {
-    "B32": {
-        "C": ("1", "b8", "x10", "b5", "c5", "c8", "x9"),
-        "D": (
-            "1", "b8", "x10", "b5", "c5", "c8", "x9",
-            "c3", "c3bar", "d3", "d3bar", "c9", "c9bar", "b6", "b6bar", "y15", "y15bar",
-        ),
-        "E": ("1", "b8", "x10", "b5", "c5", "c8", "x9", "r3", "s6", "t15", "d9", "y3"),
-    },
-    "B22": {
-        "C": ("1", "b8", "x10", "b5", "c5", "c8", "x9"),
-        "E": ("1", "b8", "x10", "b5", "c5", "c8", "x9", "r3", "s6", "t15", "d9", "y3"),
-    },
+    "B32": {"C": _C, "D": _C + ("c3", "c3bar", "d3", "d3bar", "c9", "c9bar", "b6", "b6bar", "y15", "y15bar"),
+            "E": _E},
+    "B22": {"C": _C, "E": _E},
 }
 
 _PACKAGE_DATA = os.path.join(os.path.dirname(__file__), "data")

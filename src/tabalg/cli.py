@@ -40,10 +40,7 @@ def _subset_from_spec(algebra: TableAlgebra, spec: str) -> tuple[int, ...]:
     names, or a single element name; closure is always taken."""
     from .structure import closure
     named = NAMED_SUBSETS.get(algebra.name, {})
-    if spec in named:
-        return closure(algebra, named[spec])
-    names = [s for s in spec.split(",") if s]
-    return closure(algebra, names)
+    return closure(algebra, named[spec] if spec in named else [s for s in spec.split(",") if s])
 
 
 def _fmt_members(algebra: TableAlgebra, members) -> str:
@@ -143,11 +140,11 @@ def cmd_quotient(args, out: _Out) -> int:
     desc = g.description if g else "none"
     out.fact("classes", q.size)
     out.fact("group-like", desc)
-    for label, members in zip(q.labels, q.classes):
-        out.fact(f"class.{label}", _fmt_members(algebra, members))
     out.text(f"{q.size} classes; group-like: {desc}")
     for label, members in zip(q.labels, q.classes):
-        out.text(f"  [{label}] {_fmt_members(algebra, members)}")
+        shown = _fmt_members(algebra, members)
+        out.fact(f"class.{label}", shown)
+        out.text(f"  [{label}] {shown}")
     return 0
 
 
@@ -181,9 +178,9 @@ def cmd_restrict(args, out: _Out) -> int:
 def cmd_deduce(args, out: _Out) -> int:
     from .deduction import PartialTable, propagate
     name, basis, products = resolve_partial(args.table)
-    seed = PartialTable(basis, products)
     t0 = time.perf_counter()
-    table, trace = propagate(seed, introduce_names=not args.no_names)
+    # built in the call, so that propagate, which works on a copy, can let it go
+    table, trace = propagate(PartialTable(basis, products), introduce_names=not args.no_names)
     dt = time.perf_counter() - t0
     out.fact("status", trace.status)
     out.fact("steps", len(trace.steps))
@@ -192,14 +189,14 @@ def cmd_deduce(args, out: _Out) -> int:
         out.fact("witness", ",".join(map(str, trace.witness)))
         out.text(f"  witness: {trace.message}")
     elif trace.status == "stalled":
+        capped = " ".join(f"{a}*{b}" for a, b in trace.capped)
         out.fact("unresolved", len(trace.unresolved))
-        out.fact("capped", " ".join(f"{a}*{b}" for a, b in trace.capped) or "-")
+        out.fact("capped", capped or "-")
         out.text(f"  unresolved products: {len(trace.unresolved)}")
         for a, b in trace.unresolved[:10]:
             out.text(f"    {a}*{b}")
-        if trace.capped:
-            out.text(f"  (solver cap hit on {len(trace.capped)} products: "
-                     + " ".join(f"{a}*{b}" for a, b in trace.capped) + ")")
+        if capped:
+            out.text(f"  (solver cap hit on {len(trace.capped)} products: {capped})")
     else:
         for (i, j) in sorted(table.rows):
             if 0 < i <= j:

@@ -52,11 +52,12 @@ becoming known lowers the count of every triple listed under it, and T
 goes on the agenda when its count is one at activation or falls to one.
 So every triple is evaluated once, as soon as it has one unknown product;
 one whose count reaches zero before it is taken up is skipped.  T keeps no
-expansion: the agenda rebuilds it when it takes T up, from the factor rows
-frozen at activation, so it is the one the count was made from.  An
-expansion's products are the table's own pair keys, ``PartialTable.pair``,
-so activating T allocates no tuple per term.  Those lists and the agenda
-alone hold a T, so it is freed once its last listed product is known.
+expansion: ``_evaluate(i, j, l)`` builds it afresh from the factor rows
+frozen at activation, so it is the one the count was made from, and the
+agenda and the sweep call it the same way.  An expansion's products are
+the table's own pair keys, ``PartialTable.pair``, so activating T
+allocates no tuple per term.  Those lists and the agenda alone hold a T,
+so it is freed once its last listed product is known.
 Propagation never retracts a fact, so a count only falls and watched
 pairs, which pay only when backtracking must undo work, are not needed.
 Triples are taken up to two symmetries of the rule: (l, j, i) negates
@@ -451,7 +452,7 @@ class _Engine:
             pair, m, v = queue.popleft()
             for (a, b, c) in p.orbit(pair[0], pair[1], m):
                 attempts["R2"] += 1
-                if cells[(a, b)][c] != v:
+                if cells[at[a][b]][c] != v:
                     p._write(at[a][b], c, v)
         seconds["R2"] = seconds.get("R2", 0.0) + time.perf_counter() - t0
         # one drain is enough: registering and logging write no cell, so
@@ -545,7 +546,7 @@ class _Engine:
             if not t.unknown:
                 continue
             self.stats.attempts["R3"] += 1
-            if self._evaluate(t.i, t.j, t.l, self._terms(t.i, t.j, t.l)):
+            if self._evaluate(t.i, t.j, t.l):
                 fired = True
         return fired
 
@@ -568,19 +569,21 @@ class _Engine:
                     if (i, j, l) > ((ci, d[j], cl) if ci < cl else (cl, d[j], ci)):
                         continue
                     self.stats.sweep_triples += 1
-                    terms = self._terms(i, j, l)
-                    if terms and self._evaluate(i, j, l, terms):
+                    if self._evaluate(i, j, l):
                         self.stats.sweep_firings += 1
                         fired = True
         return fired
 
-    def _evaluate(self, i: int, j: int, l: int, terms) -> bool:
-        """Decide the triple (i, j, l) of expansion ``terms``: True when it
-        solved its one unknown product; False when it had none and was
-        checked, or cannot solve one (two or more unknown, or a net
-        coefficient not +-1).  Raises Contradiction when associativity fails."""
+    def _evaluate(self, i: int, j: int, l: int) -> bool:
+        """Decide the triple (i, j, l) on its expansion, built here from the
+        frozen rows of (i, j) and (j, l): True when it solved its one
+        unknown product; False when it had none and was checked, or cannot
+        solve one (two or more unknown, or a net coefficient not +-1).  An
+        empty expansion has neither, so it is checked and holds.  Raises
+        Contradiction when associativity fails."""
         p = self.p
         rows = p.rows
+        terms = self._terms(i, j, l)
         unknown = None
         for q, c in terms:
             if q not in rows:
@@ -898,10 +901,11 @@ def propagate(
     ``stats`` what each rule attempted.  A table that completes is
     re-verified with ``verify_axioms`` before it is reported completed.
     """
-    work = table.copy()
-    engine = _Engine(work, introduce_names=introduce_names)
+    engine = _Engine(table.copy(), introduce_names=introduce_names)
+    # the run works on the copy: let go of the seed, which the caller need not hold
+    del table
     engine.run()
-    trace = engine.trace
+    work, trace = engine.p, engine.trace
     # drop the rule state first, so the re-check does not add to peak memory
     del engine
     if trace.status == "completed":

@@ -137,8 +137,9 @@ class QuotientClassTable:
     appearance; the class of the identity is the defining subset itself.
     Each member's own sandwich is checked to equal its class, which proves
     the classes partition the basis, as b lies in Supp(C*b*C).
-    compose(P, Q) is the set of classes meeting Supp(p*q), checked to be
-    the same for every pair of representatives.
+    ``composition[(P, Q)]`` is the set of classes meeting Supp(p*q), checked
+    to be the same for every pair of representatives; it is the one table
+    of the class products, and ``is_group_like`` reads it directly.
     """
 
     def __init__(self, algebra: TableAlgebra, by: tuple[int, ...]):
@@ -179,9 +180,6 @@ class QuotientClassTable:
     @property
     def size(self) -> int:
         return len(self.classes)
-
-    def compose(self, p: int, q: int) -> frozenset[int]:
-        return self.composition[(p, q)]
 
 
 def quotient_by(algebra: TableAlgebra, by: Iterable[int | str]) -> QuotientClassTable:
@@ -228,22 +226,18 @@ def is_group_like(q: QuotientClassTable) -> Optional[GroupTable]:
     """Group table when every composition is a single class and some power
     of every class is the identity class, else None."""
     n = q.size
-    table = []
-    for p in range(n):
-        row = []
-        for r in range(n):
-            value = q.compose(p, r)
-            if len(value) != 1:
-                return None
-            row.append(next(iter(value)))
-        table.append(tuple(row))
+    table: dict[tuple[int, int], int] = {}
+    for key, value in q.composition.items():
+        if len(value) != 1:
+            return None
+        (table[key],) = value
     orders = []
     for p in range(n):
         x, o = p, 1
         while x != q.identity_class:
             if o == n:
                 return None  # no power reaches the identity class: not a group
-            x = table[x][p]
+            x = table[(x, p)]
             o += 1
         orders.append(o)
     return GroupTable(n, _invariant_factors(n, orders))

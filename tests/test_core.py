@@ -259,6 +259,8 @@ class TestVerify:
         assert not report.check("associativity").passed
         assert not report.check("degree-homomorphism").passed
         assert report.check("associativity").witnesses  # (i, j, l, m) tuples
+        with pytest.raises(KeyError):
+            report.check("no-such-check")
 
     def test_group_class_algebra_passes(self):
         assert class_algebra(cyclic(4)).verify_axioms().ok
@@ -425,6 +427,8 @@ class TestLightCertificate:
         first = fast.checks[0]
         assert first != core.CheckResult(first.name, not first.passed, first.witnesses)
         assert fast != core.VerificationReport(fast.checks[:-1], fast.associativity_triples)
+        # a report equals only a report: == with anything else is NotImplemented
+        assert core.VerificationReport() != 3
 
 
 class TestStructureConstantsGuards:

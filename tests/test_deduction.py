@@ -523,13 +523,20 @@ def assert_representatives_hold(table, stored, expected):
         assert not any(total.values()), key
 
 
-def _third(name, seed):
-    """A random third of the products of a bundled algebra, as the deduce
-    benchmark draws it; completed without naming."""
-    A = load(name)
+def _third(A, seed):
+    """A random third of the products of an algebra, a bundled one given by
+    name, as the deduce benchmark draws it; completed without naming."""
+    A = load(A) if isinstance(A, str) else A
     k = A.size
     pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
     return subtable_seed(A, random.Random(seed).sample(pairs, len(pairs) // 3)), False
+
+
+def ch_s3_z2():
+    """Ch(S3) (x) Z2.  Ch(S3) is {1, s, r}: s s = 1, s r = r and r r = 1 + s + r."""
+    basis = TableBasis([BasisElement(0, "1", 1, 0), BasisElement(1, "s", 1, 1), BasisElement(2, "r", 2, 2)])
+    ch_s3 = TableAlgebra.from_products(basis, {(1, 1): {0: 1}, (1, 2): {2: 1}, (2, 2): {0: 1, 1: 1, 2: 1}})
+    return corpus.tensor2(ch_s3, load("Z2"))
 
 
 # Status, total steps and known pairs at the fixed point, as computed by the
@@ -617,14 +624,17 @@ class TestAgenda:
         assert trace.status == status
         assert True in drained
 
-    def test_activated_triples_are_one_per_symmetry_class(self, monkeypatch):
+    @pytest.mark.parametrize("make", [lambda: _third("B22", 1), lambda: _third(ch_s3_z2(), 2)],
+                             ids=["B22third1", "ChS3xZ2third2"])
+    def test_activated_triples_are_one_per_symmetry_class(self, make, monkeypatch):
         """Every triple of the k^3 with a nonzero net expansion is activated
         through exactly one representative of its class under (i, j, l) ->
         (l, j, i) and conjugation, with exactly its nonzero net terms.  The
         stored ones are those activated with an unknown product; every
         representative holds on the completed table.  Activation expands a
         triple while a product is registered; the agenda expands it again
-        when it takes it up."""
+        when it takes it up.  The third of Ch(S3) (x) Z2 activates one
+        representative whose net expansion is zero, which is not counted."""
         register, expand = deduction._Engine._register_known, deduction._Engine._terms
         activating, expanded = [], []
 
@@ -642,7 +652,7 @@ class TestAgenda:
         monkeypatch.setattr(deduction._Engine, "_register_known", registering)
         monkeypatch.setattr(deduction._Engine, "_terms", recorded)
         stored = record_stored_triples(monkeypatch)
-        seed, naming = _third("B22", 1)
+        seed, naming = make()
         engine = deduction._Engine(seed.copy(), introduce_names=naming)
         engine.run()
         p = engine.p

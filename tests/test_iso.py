@@ -18,10 +18,11 @@ from tabalg import (
     load,
     restrict,
 )
+from tabalg import iso
 from tabalg.bundled import AUXILIARY, BUNDLED
 
 import corpus
-from oracles import FiniteGroup, class_algebra, cyclic, klein_four
+from oracles import FiniteGroup, class_algebra, cyclic, direct_product, klein_four
 
 
 def elementary_abelian(p, n):
@@ -205,6 +206,16 @@ class TestExactIsomorphic:
         assert exact_isomorphic(relabeled(a), b) is None
         assert exact_isomorphic(b, relabeled(a)) is None
         assert exact_isomorphic(relabeled(a), relabeled(b)) is None
+
+    def test_recheck_rejects_a_wrong_bijection(self, monkeypatch):
+        """With every assignment accepted, the search returns the first
+        bijection it builds; the independent row re-check refuses it."""
+        a = class_algebra(direct_product(cyclic(4), cyclic(4)))
+        b = class_algebra(direct_product(cyclic(2), cyclic(8)))
+        assert a.verified().ok and b.verified().ok
+        assert sorted(iso._fingerprints(a)) == sorted(iso._fingerprints(b))
+        monkeypatch.setattr(iso, "_compatible", lambda *args: True)
+        assert exact_isomorphic(a, b) is None
 
     @pytest.mark.parametrize("found", [True, False], ids=["match", "reject"])
     def test_search_leaves_no_cyclic_garbage(self, B32, D17, found):

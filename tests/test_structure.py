@@ -199,7 +199,7 @@ class TestQuotient:
         idx = B32.basis.index_of
         p = q.class_of[idx("b3")]
         r = q.class_of[idx("b3bar")]
-        got = {q.classes[c][0] for c in q.compose(p, r)}
+        got = {q.classes[c][0] for c in q.composition[(p, r)]}
         assert got == set(B32.constants.rows[idx("b3")][idx("b3bar")])
 
     def test_not_closed_rejected(self, B32):
@@ -232,6 +232,11 @@ class TestQuotient:
         assert g is not None and g.order == len(group.elements)
         assert g.invariant_factors == factors
         assert g.description == " x ".join(f"cyclic({d})" for d in factors)
+
+    def test_orders_of_no_abelian_group(self):
+        # S3's element orders: an abelian group of order 6 is cyclic, with one involution
+        assert structure._invariant_factors(6, (1, 2, 2, 2, 3, 3)) is None
+        assert structure.GroupTable(6, None).description == "group of order 6"
 
     def test_not_group_like(self, B32):
         # modding by the trivial subset leaves multi-valued composition
@@ -301,7 +306,7 @@ class TestSupportsAgainstElementArithmetic:
             for p in range(q.size):
                 for r in range(q.size):
                     support = A.multiply(class_sums[p], class_sums[r]).keys()
-                    assert q.compose(p, r) == {q.class_of[m] for m in support}
+                    assert q.composition[(p, r)] == {q.class_of[m] for m in support}
 
     @pytest.mark.parametrize("name", ["B32", "B22", "D17"])
     def test_powers(self, name):
