@@ -4,10 +4,13 @@ Subcommands map one-to-one onto library operations; exit code 0 means
 success or a positive answer, 1 a verification failure or negative
 answer, 2 a usage or input error, and 141 (128 + SIGPIPE), with nothing
 more printed, when the reader of stdout has gone.  Output is
-deterministic; ``verify`` and ``deduce`` print timing to stderr only with
-their own --timing.  Each subcommand imports its own layer (structure,
-iso or deduction) when it runs, so start-up pays only for the command in
-hand.
+deterministic.  ``run()`` reads every input, through the argparse ``type``
+of each input positional, so a command gets its algebra or partial table
+already read.  ``run()`` also prints the --timing block of ``verify`` and
+``deduce`` to stderr: the load time, the phases the command left in
+``out.seconds``, and the total.  Each subcommand imports its own layer
+(structure, iso or deduction) when it runs, so start-up pays only for the
+command in hand.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .fileformat import parse_element_expr, serialize
 class _Out:
     def __init__(self, machine: bool):
         self.machine = machine
+        self.seconds: dict[str, float] = {}  # phase -> seconds, for --timing
 
     def text(self, line: str):
         if not self.machine:
@@ -65,10 +69,8 @@ def _print_timing(seconds: dict[str, float], total: float) -> None:
 
 
 def cmd_verify(args, out: _Out) -> int:
-    algebra = resolve(args.algebra)
-    t0 = time.perf_counter()
-    report = algebra.verify_axioms(force_exact=args.exact)
-    dt = time.perf_counter() - t0
+    report = args.algebra.verify_axioms(force_exact=args.exact)
+    out.seconds = report.seconds
     for check in report.checks:
         out.fact(f"check.{check.name}", "pass" if check.passed else "fail")
         if not check.passed:
@@ -78,13 +80,11 @@ def cmd_verify(args, out: _Out) -> int:
     out.fact("generators", " ".join(report.generators) or "-")
     out.fact("result", "pass" if report.ok else "fail")
     out.text(report.summary())
-    if args.timing:
-        _print_timing(report.seconds, dt)
     return 0 if report.ok else 1
 
 
 def cmd_mult(args, out: _Out) -> int:
-    algebra = resolve(args.algebra)
+    algebra = args.algebra
     x = parse_element_expr(args.x, algebra.basis)
     y = parse_element_expr(args.y, algebra.basis)
     result = format_element(algebra.basis, algebra.multiply(x, y).items())
@@ -94,7 +94,7 @@ def cmd_mult(args, out: _Out) -> int:
 
 
 def cmd_inner(args, out: _Out) -> int:
-    algebra = resolve(args.algebra)
+    algebra = args.algebra
     x = parse_element_expr(args.x, algebra.basis)
     y = parse_element_expr(args.y, algebra.basis)
     value = algebra.inner(x, y)
@@ -105,7 +105,7 @@ def cmd_inner(args, out: _Out) -> int:
 
 def cmd_subsets(args, out: _Out) -> int:
     from .structure import all_closed_subsets
-    algebra = resolve(args.algebra)
+    algebra = args.algebra
     lattice = all_closed_subsets(algebra)
     out.fact("count", len(lattice))
     for s in lattice:
@@ -116,7 +116,7 @@ def cmd_subsets(args, out: _Out) -> int:
 
 def cmd_closure(args, out: _Out) -> int:
     from .structure import closure
-    algebra = resolve(args.algebra)
+    algebra = args.algebra
     s = closure(algebra, args.names)
     out.fact("closure", _fmt_members(algebra, s))
     out.text(f"size {len(s)}: {_fmt_members(algebra, s)}")
@@ -125,16 +125,15 @@ def cmd_closure(args, out: _Out) -> int:
 
 def cmd_powers(args, out: _Out) -> int:
     from .structure import power_supports
-    algebra = resolve(args.algebra)
-    for n, supp in enumerate(power_supports(algebra, args.name, args.max), 1):
-        out.fact(f"power.{n}", _fmt_members(algebra, supp))
-        out.text(f"{args.name}^{n}: {_fmt_members(algebra, supp)}")
+    for n, supp in enumerate(power_supports(args.algebra, args.name, args.max), 1):
+        out.fact(f"power.{n}", _fmt_members(args.algebra, supp))
+        out.text(f"{args.name}^{n}: {_fmt_members(args.algebra, supp)}")
     return 0
 
 
 def cmd_quotient(args, out: _Out) -> int:
     from .structure import is_group_like, quotient_by
-    algebra = resolve(args.algebra)
+    algebra = args.algebra
     q = quotient_by(algebra, _subset_from_spec(algebra, args.by))
     g = is_group_like(q)
     desc = g.description if g else "none"
@@ -150,8 +149,7 @@ def cmd_quotient(args, out: _Out) -> int:
 
 def cmd_iso(args, out: _Out) -> int:
     from .iso import exact_isomorphic
-    a = resolve(args.algebra_a)
-    b = resolve(args.algebra_b)
+    a, b = args.algebra_a, args.algebra_b
     cert = exact_isomorphic(a, b)
     if cert is None:
         out.fact("isomorphic", "no")
@@ -168,8 +166,7 @@ def cmd_iso(args, out: _Out) -> int:
 
 def cmd_restrict(args, out: _Out) -> int:
     from .iso import restrict
-    algebra = resolve(args.algebra)
-    sub = restrict(algebra, _subset_from_spec(algebra, args.to))
+    sub = restrict(args.algebra, _subset_from_spec(args.algebra, args.to))
     _emit(out, serialize(sub), args.output, f"{sub.name} (k={sub.size})")
     out.fact("size", sub.size)
     return 0
@@ -177,11 +174,13 @@ def cmd_restrict(args, out: _Out) -> int:
 
 def cmd_deduce(args, out: _Out) -> int:
     from .deduction import PartialTable, propagate
-    name, basis, products = resolve_partial(args.table)
-    t0 = time.perf_counter()
+    name, basis, products = args.table
     # built in the call, so that propagate, which works on a copy, can let it go
     table, trace = propagate(PartialTable(basis, products), introduce_names=not args.no_names)
-    dt = time.perf_counter() - t0
+    out.seconds = trace.stats.seconds
+    if args.trace:  # before any output, so that an unwritable path prints nothing
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            fh.write(trace.serialize())
     out.fact("status", trace.status)
     out.fact("steps", len(trace.steps))
     out.text(f"{name}: {trace.status} after {len(trace.steps)} steps")
@@ -205,11 +204,7 @@ def cmd_deduce(args, out: _Out) -> int:
     for key, value in trace.stats.facts():
         out.fact(key, value)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            fh.write(trace.serialize())
         out.text(f"trace written to {args.trace}")
-    if args.timing:
-        _print_timing(trace.stats.seconds, dt)
     return 0 if trace.status == "completed" else 1
 
 
@@ -248,65 +243,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--format", choices=("text", "machine"), default="text")
     sub = ap.add_subparsers(dest="command", required=True)
+    timed = argparse.ArgumentParser(add_help=False)
+    timed.add_argument("--timing", action="store_true",
+                       help="print to stderr the time of loading the input, of each phase, and in total")
 
-    p = sub.add_parser("verify", help="run the axiom verifier", epilog=_WITNESS_HELP,
+    p = sub.add_parser("verify", help="run the axiom verifier", epilog=_WITNESS_HELP, parents=[timed],
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.add_argument("--exact", action="store_true", help="pure-Python k³ sweep, no Light shortcut")
-    p.add_argument("--timing", action="store_true",
-                   help="print the time of each check to stderr")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("mult", help="multiply two elements")
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("inner", help="inner product of two element expressions")
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(func=cmd_inner)
 
     p = sub.add_parser("subsets", help="lattice of closed subsets")
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.set_defaults(func=cmd_subsets)
 
     p = sub.add_parser("closure", help="closed subset generated by elements")
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.add_argument("names", nargs="+")
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("powers", help="supports of powers of an element")
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.add_argument("name")
     p.add_argument("--max", type=int, default=6)
     p.set_defaults(func=cmd_powers)
 
     p = sub.add_parser("quotient", help="support-level quotient by a closed subset")
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.add_argument("--by", required=True, help="subset name (C/D/E) or comma list of elements")
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("iso", help="test exact isomorphism")
-    p.add_argument("algebra_a")
-    p.add_argument("algebra_b")
+    p.add_argument("algebra_a", type=resolve)
+    p.add_argument("algebra_b", type=resolve)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("restrict", help="restrict to a closed subset")
-    p.add_argument("algebra")
+    p.add_argument("algebra", type=resolve)
     p.add_argument("--to", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_restrict)
 
-    p = sub.add_parser("deduce", help="complete a partial product table")
-    p.add_argument("table")
+    p = sub.add_parser("deduce", help="complete a partial product table", parents=[timed])
+    p.add_argument("table", type=resolve_partial)
     p.add_argument("--trace")
     p.add_argument("--no-names", action="store_true",
                    help="disable the fresh-constituent naming convention")
-    p.add_argument("--timing", action="store_true",
-                   help="print the time of each deduction phase to stderr")
     p.set_defaults(func=cmd_deduce)
 
     p = sub.add_parser("bundled", help="list or export bundled data")
@@ -317,16 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    ap = build_parser()
+    t0 = time.perf_counter()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    out = _Out(machine=args.format == "machine")
-    try:
+        # argparse reads the input files, so their errors are caught here too
+        args = build_parser().parse_args(argv)
+        loaded = time.perf_counter()
+        out = _Out(machine=args.format == "machine")
         code = args.func(args, out)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
-        return code
+    except SystemExit as e:
+        return 2 if e.code not in (0, None) else 0
     except BrokenPipeError:
         # as in the signal module's docs: stdout goes to devnull so that
         # the flush at exit cannot fail again
@@ -337,6 +331,9 @@ def run(argv=None) -> int:
     except (TableAlgebraError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    if getattr(args, "timing", False):
+        _print_timing({"load": loaded - t0, **out.seconds}, time.perf_counter() - t0)
+    return code
 
 
 def main() -> None:

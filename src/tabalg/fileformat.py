@@ -16,6 +16,10 @@ dual-image pair ``(ibar,jbar)`` are filled in by symmetry, and a line
 that conflicts with an earlier line or with the dual image of one is
 rejected.
 
+``parse_partial`` is the reader: it returns the name, the basis and the
+listed products with their dual images.  ``parse`` builds on it, requiring
+every product to be determined and building the algebra.
+
 The reader makes four passes, and a file with several faults reports the
 first fault of the earliest pass:
 
@@ -105,9 +109,10 @@ def parse_element_expr(text: str, basis: TableBasis) -> dict[int, int]:
     return basis.row(_parse_rhs(text.replace("+", " + "), basis._by_name, degs, 0)[0])
 
 
-def _parse_lines(text: str):
-    """Shared front end: returns (name, basis, product rows), the
-    non-identity rows completed under the involution."""
+def parse_partial(text: str):
+    """Parse a partial table: returns (name, basis, known non-identity
+    products), the listed rows completed under the involution, without
+    requiring completeness.  Used to seed the deduction engine."""
     name = None
     raw_elements: list[tuple[int, str, int, str]] = []  # line, name, degree, dual
     raw_products: list[tuple[int, str, str, str]] = []  # line, factors, right-hand side
@@ -216,13 +221,16 @@ def _parse_lines(text: str):
             products[key] = image
             origins[key] = line_no
         elif old != image:
+            if key == (i, j):  # the line is its own dual image, so no other line clashes
+                raise ParseError(f"product {basis.name(i)} {basis.name(j)} differs from its own dual image "
+                                 + format_element(basis, image.items()), line_no)
             raise conflict(key, line_no)
     return name, basis, products
 
 
 def parse(text: str) -> TableAlgebra:
     """Parse a complete algebra file; every non-identity pair must be determined."""
-    name, basis, products = _parse_lines(text)
+    name, basis, products = parse_partial(text)
     k = basis.size
     # the keys are pairs 1 <= i <= j < k, so a full count means none is missing
     if len(products) < k * (k - 1) // 2:
@@ -236,13 +244,6 @@ def parse(text: str) -> TableAlgebra:
         more = "" if len(missing) <= 8 else f" (+{len(missing) - 8} more)"
         raise ParseError(f"incomplete table, missing products: {shown}{more}")
     return TableAlgebra.from_products(basis, products, name=name)
-
-
-def parse_partial(text: str):
-    """Parse a partial table: returns (name, basis, known non-identity
-    products) without requiring completeness.  Used to seed the deduction
-    engine."""
-    return _parse_lines(text)
 
 
 def serialize(algebra: TableAlgebra) -> str:

@@ -95,12 +95,33 @@ class TestVerify:
         lines = err.strip().splitlines()
         checks = [line.split()[1] for line in lines[:-1]]
         assert checks == [
-            "nonnegativity", "integrality", "identity", "commutativity", "involution",
+            "load", "nonnegativity", "integrality", "identity", "commutativity", "involution",
             "degree-homomorphism", "normalization-symmetry", "associativity",
         ]
         assert all(re.fullmatch(r"timing: \S+ \d+\.\d{3}s", line) for line in lines[:-1])
         assert re.fullmatch(r"timing: \d+\.\d{3}s", lines[-1])
         assert invoke(capsys, "--timing", "verify", "bundled:C7")[0] == 2
+
+    def test_timing_total_covers_load_and_every_check(self, capsys):
+        code, out, err = invoke(capsys, "verify", "bundled:B22", "--timing")
+        assert (code, out) == invoke(capsys, "verify", "bundled:B22")[:2]
+        lines = err.strip().splitlines()
+        phases = {line.split()[1]: float(line.split()[2][:-1]) for line in lines[:-1]}
+        assert list(phases)[0] == "load"
+        total = float(lines[-1].split()[1][:-1])
+        # each printed figure is rounded to the millisecond
+        assert sum(phases.values()) <= total + 0.0005 * (len(phases) + 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["mult", "bundled:C7", "b5", "b5"], ["inner", "bundled:C7", "b5", "b5"], ["subsets", "bundled:C7"],
+        ["closure", "bundled:C7", "b5"], ["powers", "bundled:C7", "b5"], ["quotient", "bundled:B22", "--by", "C"],
+        ["iso", "bundled:C7", "bundled:C7"], ["restrict", "bundled:B22", "--to", "C"], ["bundled"],
+    ])
+    def test_timing_is_taken_only_by_verify_and_deduce(self, capsys, argv):
+        assert invoke(capsys, *argv)[0] == 0
+        code, out, err = invoke(capsys, *argv, "--timing")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --timing\n")
 
     def test_no_timestamps_in_output(self, capsys):
         code, out, _ = invoke(capsys, "verify", "bundled:B22")
@@ -285,10 +306,24 @@ class TestDeduce:
         assert out == plain
         lines = err.strip().splitlines()
         phases = {line.split()[1]: float(line.split()[2][:-1]) for line in lines[:-1]}
-        assert list(phases)[:3] == ["seed", "R2", "R1"]
+        assert list(phases)[:4] == ["load", "seed", "R2", "R1"]
         total = float(lines[-1].split()[1][:-1])
         # each printed figure is rounded to the millisecond
         assert sum(phases.values()) <= total + 0.0005 * (len(phases) + 1)
+
+    def test_unwritable_trace_path_prints_nothing_but_the_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "trace.log"
+        code, out, err = invoke(capsys, "deduce", "--trace", str(path), "bundled:PSL27-partial")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "trace.log" in err
+
+    def test_trace_line_is_the_last_text_line(self, capsys, tmp_path):
+        trace = tmp_path / "trace.log"
+        plain = invoke(capsys, "deduce", "bundled:PSL27-partial")[1]
+        code, out, _ = invoke(capsys, "deduce", "bundled:PSL27-partial", "--trace", str(trace))
+        assert code == 0
+        assert out == plain + f"trace written to {trace}\n"
+        assert trace.read_text().endswith("STATUS completed\n")
 
     def test_stall_names_the_solver_caps_it_hit(self, capsys, tmp_path):
         trace = tmp_path / "trace.log"

@@ -20,6 +20,7 @@ from tabalg import (
     power_supports,
     quotient_by,
     restrict,
+    serialize,
 )
 from tabalg import core
 from tabalg.bundled import AUXILIARY, BUNDLED, data_text
@@ -27,7 +28,7 @@ from tabalg.core import _RANK_PRIME
 from tabalg.deduction import PartialTable
 
 import corpus
-from oracles import class_algebra, class_algebra_tensor, cyclic, symmetric3
+from oracles import all_tables, class_algebra, class_algebra_tensor, cyclic, symmetric3
 
 
 def elem(A, text):
@@ -357,6 +358,35 @@ class TestVerify:
         assert_matches_dense(B, report)
         assert report_key(report) == report_key(B.verify_axioms(force_exact=True))
         assert list(B._exact_sweep()) == list(lex_sweep(B))
+
+
+class TestBoundedExhaustive:
+    """Every commutative table of two small all-real shapes: the verifier,
+    the dense witnesses and the file format agree on each one, passing or
+    failing.  The non-real shapes are left out: enumerated a row per pair,
+    every table of (1, 2, 3, 3) fails the involution."""
+
+    @pytest.mark.parametrize("degrees, count, passing", [
+        ((1, 1, 2, 2), 486, [
+            "product e1 e1 = 1", "product e1 e2 = e2", "product e1 e3 = e3",
+            "product e2 e2 = 1 + e1 + e3", "product e2 e3 = e2 + e3", "product e3 e3 = 1 + e1 + e2",
+        ]),
+        ((1, 2, 2, 3), 525, None),
+    ])
+    def test_every_table_of_a_shape(self, degrees, count, passing):
+        tables = list(all_tables(degrees))
+        assert len(tables) == count
+        passed = []
+        for A in tables:
+            report = A.verify_axioms()
+            assert report == A.verify_axioms(force_exact=True), A.name
+            assert_matches_dense(A, report)
+            again = parse(serialize(A))
+            assert (again.basis, again.constants.rows) == (A.basis, A.constants.rows), A.name
+            if report.ok:
+                passed.append([line for line in serialize(A).splitlines() if line.startswith("product")])
+        # the one passing table of (1, 1, 2, 2) is the character algebra of D10
+        assert passed == ([passing] if passing else [])
 
 
 def refuse(*args):

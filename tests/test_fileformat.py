@@ -82,6 +82,20 @@ product abar abar = abar
                 reader(text)
             assert str(err.value) == "line 4: conflicting value for product abar abar (also given at line 6)"
 
+    def test_line_that_is_its_own_dual_image_must_be_closed_under_duals(self):
+        # a*a is its own dual image, 1 + bbar, which differs from the line
+        text = """\
+algebra self
+element a degree 2 dual a
+element b degree 3 dual bbar
+element bbar degree 3 dual b
+product a a = 1 + b
+"""
+        for reader in (parse, parse_partial):
+            with pytest.raises(ParseError) as err:
+                reader(text)
+            assert str(err.value) == "line 5: product a a differs from its own dual image 1 + bbar"
+
     def test_derivable_pair_may_be_omitted(self):
         # g2*g2 is the dual image of g*g, so its line is redundant
         A = parse(MINI.replace("product g2 g2 = g\n", ""))
@@ -123,7 +137,7 @@ product abar abar = abar
          "unknown directive 'assume'", 2),
         (MINI + "product 1 g = g2\n", "identity product must reproduce the other factor", 7),
         # g*g2 is its own dual image, so its row must be closed under duals
-        (MINI.replace("g2 = 1", "g2 = g"), "conflicting value for product g g2 (also given at line 5)", 5),
+        (MINI.replace("g2 = 1", "g2 = g"), "product g g2 differs from its own dual image g2", 5),
         # faults on several lines: line structure first, then elements, then
         # products in line order
         (MINI + "element g degree 1 dual g2\nproduct g g2 1\n", "expected: product <name> <name> = <expr>", 8),

@@ -122,3 +122,27 @@ def test_byte_level_cases(capsys, tmp_path, data, code, fragment):
     got, err = run_file(capsys, tmp_path, "C7", data)
     assert got == code
     assert fragment in err
+
+
+# every command that reads an input, with the input's place marked IN
+READERS = [
+    ["verify", "IN"], ["mult", "IN", "b5", "b5"], ["inner", "IN", "b5", "b5"], ["subsets", "IN"],
+    ["closure", "IN", "b5"], ["powers", "IN", "b5"], ["quotient", "IN", "--by", "b5"],
+    ["restrict", "IN", "--to", "b5"], ["iso", "IN", "bundled:C7"], ["iso", "bundled:C7", "IN"],
+    ["deduce", "IN"],
+]
+
+
+@pytest.mark.parametrize("bad", ["missing", "bogus"])
+@pytest.mark.parametrize("argv", READERS, ids=[" ".join(argv) for argv in READERS])
+def test_every_input_fails_through_the_one_error_path(capsys, tmp_path, argv, bad):
+    """A missing file or one that is not an algebra file ends every command
+    the same way: exit 2, nothing on stdout, one ``error:`` line."""
+    path = tmp_path / "input.alg"
+    if bad == "bogus":
+        path.write_text("bogus\n")
+    code = cli.run([str(path) if arg == "IN" else arg for arg in argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert ("No such file" if bad == "missing" else "line 1: unknown directive 'bogus'") in err
