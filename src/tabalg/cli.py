@@ -84,20 +84,18 @@ def cmd_verify(args, out: _Out) -> int:
 
 
 def cmd_mult(args, out: _Out) -> int:
-    algebra = args.algebra
-    x = parse_element_expr(args.x, algebra.basis)
-    y = parse_element_expr(args.y, algebra.basis)
-    result = format_element(algebra.basis, algebra.multiply(x, y).items())
+    x = parse_element_expr(args.x, args.algebra.basis)
+    y = parse_element_expr(args.y, args.algebra.basis)
+    result = format_element(args.algebra.basis, args.algebra.multiply(x, y).items())
     out.fact("product", result)
     out.text(result)
     return 0
 
 
 def cmd_inner(args, out: _Out) -> int:
-    algebra = args.algebra
-    x = parse_element_expr(args.x, algebra.basis)
-    y = parse_element_expr(args.y, algebra.basis)
-    value = algebra.inner(x, y)
+    x = parse_element_expr(args.x, args.algebra.basis)
+    y = parse_element_expr(args.y, args.algebra.basis)
+    value = args.algebra.inner(x, y)
     out.fact("inner", value)
     out.text(str(value))
     return 0
@@ -105,21 +103,19 @@ def cmd_inner(args, out: _Out) -> int:
 
 def cmd_subsets(args, out: _Out) -> int:
     from .structure import all_closed_subsets
-    algebra = args.algebra
-    lattice = all_closed_subsets(algebra)
+    lattice = all_closed_subsets(args.algebra)
     out.fact("count", len(lattice))
     for s in lattice:
-        out.fact(f"subset.{len(s)}", _fmt_members(algebra, s))
-        out.text(f"size {len(s):>3}: {_fmt_members(algebra, s)}")
+        out.fact(f"subset.{len(s)}", _fmt_members(args.algebra, s))
+        out.text(f"size {len(s):>3}: {_fmt_members(args.algebra, s)}")
     return 0
 
 
 def cmd_closure(args, out: _Out) -> int:
     from .structure import closure
-    algebra = args.algebra
-    s = closure(algebra, args.names)
-    out.fact("closure", _fmt_members(algebra, s))
-    out.text(f"size {len(s)}: {_fmt_members(algebra, s)}")
+    s = closure(args.algebra, args.names)
+    out.fact("closure", _fmt_members(args.algebra, s))
+    out.text(f"size {len(s)}: {_fmt_members(args.algebra, s)}")
     return 0
 
 
@@ -133,15 +129,14 @@ def cmd_powers(args, out: _Out) -> int:
 
 def cmd_quotient(args, out: _Out) -> int:
     from .structure import is_group_like, quotient_by
-    algebra = args.algebra
-    q = quotient_by(algebra, _subset_from_spec(algebra, args.by))
+    q = quotient_by(args.algebra, _subset_from_spec(args.algebra, args.by))
     g = is_group_like(q)
     desc = g.description if g else "none"
     out.fact("classes", q.size)
     out.fact("group-like", desc)
     out.text(f"{q.size} classes; group-like: {desc}")
     for label, members in zip(q.labels, q.classes):
-        shown = _fmt_members(algebra, members)
+        shown = _fmt_members(args.algebra, members)
         out.fact(f"class.{label}", shown)
         out.text(f"  [{label}] {shown}")
     return 0
@@ -149,14 +144,13 @@ def cmd_quotient(args, out: _Out) -> int:
 
 def cmd_iso(args, out: _Out) -> int:
     from .iso import exact_isomorphic
-    a, b = args.algebra_a, args.algebra_b
-    cert = exact_isomorphic(a, b)
+    cert = exact_isomorphic(args.algebra_a, args.algebra_b)
     if cert is None:
         out.fact("isomorphic", "no")
         out.text("not exactly isomorphic")
         return 1
     out.fact("isomorphic", "yes")
-    pairs = cert.as_names(a, b)
+    pairs = cert.as_names(args.algebra_a, args.algebra_b)
     mapping = ", ".join(f"{x}->{y}" for x, y in pairs.items())
     out.fact("mapping", mapping)
     out.text("exactly isomorphic")

@@ -171,21 +171,19 @@ def _degree_rows(degrees, target, m=1):
             yield {m: c, **rest} if c else rest
 
 
-def all_tables(degrees, duals=None):
-    """Every commutative table of one shape: ``degrees`` lists the degree of
-    each basis element, the identity's 1 first, and ``duals`` the dual of
-    each index (all real when omitted).  The identity row is trivial, the
-    coefficient of 1 in b_i b_j is 1 when j = ibar and 0 otherwise, and
-    every row has degree deg(b_i) deg(b_j); nothing else is required, so
-    the tables parse and build, and most fail ``verify``.  Elements are
-    named e1, e2, ...; tables come in a fixed order."""
+def all_tables(degrees):
+    """Every commutative table of one all-real shape: ``degrees`` lists the
+    degree of each basis element, the identity's 1 first.  The identity row
+    is trivial, the coefficient of 1 in b_i b_j is 1 when i = j and 0
+    otherwise, and every row has degree deg(b_i) deg(b_j); nothing else is
+    required, so the tables parse and build, and most fail ``verify``.
+    Elements are named e1, e2, ...; tables come in a fixed order."""
     k = len(degrees)
-    duals = duals or tuple(range(k))
-    basis = TableBasis([BasisElement(i, f"e{i}" if i else "1", d, duals[i]) for i, d in enumerate(degrees)])
+    basis = TableBasis([BasisElement(i, f"e{i}" if i else "1", d, i) for i, d in enumerate(degrees)])
     pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
     choices = []
     for i, j in pairs:
-        one = int(j == duals[i])
+        one = int(i == j)
         choices.append([{0: 1, **row} if one else row for row in _degree_rows(degrees, degrees[i] * degrees[j] - one)])
     for n, rows in enumerate(product(*choices)):
         yield TableAlgebra.from_products(basis, dict(zip(pairs, rows)), name=f"enum{n}")
