@@ -42,9 +42,7 @@ _SOURCES = {
         ),
         "structure",
     ),
-    **dict.fromkeys(
-        ("IsoCertificate", "NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"), "iso"
-    ),
+    **dict.fromkeys(("NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"), "iso"),
     **dict.fromkeys(("PartialTable", "DeductionTrace", "propagate"), "deduction"),
     **dict.fromkeys(("load", "resolve"), "bundled"),
 }

@@ -60,14 +60,14 @@ def _read(uri: str) -> str:
 
 @cache
 def load(name: str) -> TableAlgebra:
-    """Parse a bundled algebra by name, cached per process."""
+    """Parse a bundled algebra by name, cached per process: every call
+    with one name returns the same object, and so its cached report."""
     return parse(data_text(name))
 
 
 def resolve(uri: str) -> TableAlgebra:
-    """``bundled:NAME`` or a filesystem path to an algebra file."""
-    if uri.startswith("bundled:"):
-        return load(uri[len("bundled:"):])
+    """``bundled:NAME`` or a filesystem path to an algebra file, parsed
+    afresh on every call, with no cache: two calls share no object."""
     return parse(_read(uri))
 
 

@@ -6,11 +6,12 @@ answer, 2 a usage or input error, and 141 (128 + SIGPIPE), with nothing
 more printed, when the reader of stdout has gone.  Output is
 deterministic.  ``run()`` reads every input, through the argparse ``type``
 of each input positional, so a command gets its algebra or partial table
-already read.  ``run()`` also prints the --timing block of ``verify`` and
-``deduce`` to stderr: the load time, the phases the command left in
-``out.seconds``, and the total.  Each subcommand imports its own layer
-(structure, iso or deduction) when it runs, so start-up pays only for the
-command in hand.
+already read.  The ``algebra`` positional that most commands take is
+declared once, in a shared parent parser; ``iso`` declares its two.
+``run()`` also prints the --timing block of ``verify`` and ``deduce`` to
+stderr: the load time, the phases the command left in ``out.seconds``, and
+the total.  Each subcommand imports its own layer (structure, iso or
+deduction) when it runs, so start-up pays only for the command in hand.
 """
 
 from __future__ import annotations
@@ -144,14 +145,14 @@ def cmd_quotient(args, out: _Out) -> int:
 
 def cmd_iso(args, out: _Out) -> int:
     from .iso import exact_isomorphic
-    cert = exact_isomorphic(args.algebra_a, args.algebra_b)
-    if cert is None:
+    psi = exact_isomorphic(args.algebra_a, args.algebra_b)
+    if psi is None:
         out.fact("isomorphic", "no")
         out.text("not exactly isomorphic")
         return 1
     out.fact("isomorphic", "yes")
-    pairs = cert.as_names(args.algebra_a, args.algebra_b)
-    mapping = ", ".join(f"{x}->{y}" for x, y in pairs.items())
+    a, b = args.algebra_a.basis, args.algebra_b.basis
+    mapping = ", ".join(f"{a.name(i)}->{b.name(ii)}" for i, ii in enumerate(psi))
     out.fact("mapping", mapping)
     out.text("exactly isomorphic")
     out.text("  " + mapping)
@@ -240,42 +241,37 @@ def build_parser() -> argparse.ArgumentParser:
     timed = argparse.ArgumentParser(add_help=False)
     timed.add_argument("--timing", action="store_true",
                        help="print to stderr the time of loading the input, of each phase, and in total")
+    one = argparse.ArgumentParser(add_help=False)  # the one algebra most commands read
+    one.add_argument("algebra", type=resolve)
 
-    p = sub.add_parser("verify", help="run the axiom verifier", epilog=_WITNESS_HELP, parents=[timed],
+    p = sub.add_parser("verify", help="run the axiom verifier", epilog=_WITNESS_HELP, parents=[one, timed],
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("algebra", type=resolve)
     p.add_argument("--exact", action="store_true", help="pure-Python k³ sweep, no Light shortcut")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("mult", help="multiply two elements")
-    p.add_argument("algebra", type=resolve)
+    p = sub.add_parser("mult", help="multiply two elements", parents=[one])
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(func=cmd_mult)
 
-    p = sub.add_parser("inner", help="inner product of two element expressions")
-    p.add_argument("algebra", type=resolve)
+    p = sub.add_parser("inner", help="inner product of two element expressions", parents=[one])
     p.add_argument("x")
     p.add_argument("y")
     p.set_defaults(func=cmd_inner)
 
-    p = sub.add_parser("subsets", help="lattice of closed subsets")
-    p.add_argument("algebra", type=resolve)
+    p = sub.add_parser("subsets", help="lattice of closed subsets", parents=[one])
     p.set_defaults(func=cmd_subsets)
 
-    p = sub.add_parser("closure", help="closed subset generated by elements")
-    p.add_argument("algebra", type=resolve)
+    p = sub.add_parser("closure", help="closed subset generated by elements", parents=[one])
     p.add_argument("names", nargs="+")
     p.set_defaults(func=cmd_closure)
 
-    p = sub.add_parser("powers", help="supports of powers of an element")
-    p.add_argument("algebra", type=resolve)
+    p = sub.add_parser("powers", help="supports of powers of an element", parents=[one])
     p.add_argument("name")
     p.add_argument("--max", type=int, default=6)
     p.set_defaults(func=cmd_powers)
 
-    p = sub.add_parser("quotient", help="support-level quotient by a closed subset")
-    p.add_argument("algebra", type=resolve)
+    p = sub.add_parser("quotient", help="support-level quotient by a closed subset", parents=[one])
     p.add_argument("--by", required=True, help="subset name (C/D/E) or comma list of elements")
     p.set_defaults(func=cmd_quotient)
 
@@ -284,8 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("algebra_b", type=resolve)
     p.set_defaults(func=cmd_iso)
 
-    p = sub.add_parser("restrict", help="restrict to a closed subset")
-    p.add_argument("algebra", type=resolve)
+    p = sub.add_parser("restrict", help="restrict to a closed subset", parents=[one])
     p.add_argument("--to", required=True)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_restrict)

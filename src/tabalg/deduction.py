@@ -293,11 +293,11 @@ class PartialTable:
         out._queue = deque(self._queue)
         return out
 
-    def as_algebra(self, name: str = "") -> TableAlgebra:
+    def as_algebra(self) -> TableAlgebra:
         """Completed table as a TableAlgebra (fails if anything is pending)."""
         if len(self.rows) != len(self.cells):
             raise TableAlgebraError("table is not complete")
-        return TableAlgebra.from_products(self.basis, self.rows, name=name)
+        return TableAlgebra.from_products(self.basis, self.rows)
 
     # -- writing facts ----------------------------------------------------
 

@@ -2,17 +2,17 @@
 
 An exact isomorphism is a basis bijection carrying structure constants
 identically.  The search is a backtracking assignment over degree-
-compatible elements, pruned by invariant fingerprints; any certificate is
-re-verified constant by constant before it is returned.
+compatible elements, pruned by invariant fingerprints; any mapping found
+is re-verified constant by constant before it is returned.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .core import BasisElement, TableAlgebra, TableBasis, TableAlgebraError
 
-__all__ = ["IsoCertificate", "NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"]
+__all__ = ["NotClosedError", "UnverifiedAlgebraError", "restrict", "exact_isomorphic"]
 
 
 class NotClosedError(TableAlgebraError):
@@ -21,13 +21,6 @@ class NotClosedError(TableAlgebraError):
 
 class UnverifiedAlgebraError(TableAlgebraError):
     """Isomorphism testing requires inputs that pass the axiom verifier."""
-
-
-class IsoCertificate(NamedTuple):
-    mapping: tuple[int, ...]
-
-    def as_names(self, a: TableAlgebra, b: TableAlgebra) -> dict[str, str]:
-        return {a.basis.name(i): b.basis.name(self.mapping[i]) for i in range(len(self.mapping))}
 
 
 def restrict(algebra: TableAlgebra, subset: Iterable[int | str]) -> TableAlgebra:
@@ -90,8 +83,9 @@ def _compatible(
     return True
 
 
-def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificate]:
-    """Certificate for an exact isomorphism a -> b, or None.
+def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[tuple[int, ...]]:
+    """The mapping of an exact isomorphism a -> b, the image of each index
+    of a in index order, or None.
 
     Both inputs must pass verify_axioms.  The identity maps to the
     identity and dual pairs are assigned together; candidates are limited
@@ -168,4 +162,4 @@ def exact_isomorphic(a: TableAlgebra, b: TableAlgebra) -> Optional[IsoCertificat
         for j in range(i, a.size):
             if {psi[m]: v for m, v in rows_a[i][j].items()} != rows_b[psi[i]][psi[j]]:
                 return None
-    return IsoCertificate(psi)
+    return psi

@@ -2,10 +2,11 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    python tests/golden/regenerate.py
 
-Each workload's directory is emptied and written again; ``git diff`` then
-shows which commands' bytes moved.
+It reads ``tabalg`` from the repository's own ``src`` first, so it needs no
+install and no ``PYTHONPATH``.  Each workload's directory is emptied and
+written again; ``git diff`` then shows which commands' bytes moved.
 """
 
 import os
@@ -14,7 +15,8 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
-sys.path[:0] = [str(HERE.parent), str(HERE.parents[1] / "perfbench")]
+ROOT = HERE.parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(HERE.parent), str(ROOT / "perfbench")]
 
 from test_golden import GOLDEN, record  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402

@@ -171,22 +171,39 @@ def _degree_rows(degrees, target, m=1):
             yield {m: c, **rest} if c else rest
 
 
-def all_tables(degrees):
-    """Every commutative table of one all-real shape: ``degrees`` lists the
-    degree of each basis element, the identity's 1 first.  The identity row
-    is trivial, the coefficient of 1 in b_i b_j is 1 when i = j and 0
-    otherwise, and every row has degree deg(b_i) deg(b_j); nothing else is
-    required, so the tables parse and build, and most fail ``verify``.
-    Elements are named e1, e2, ...; tables come in a fixed order."""
+def all_tables(degrees, duals=None):
+    """Every commutative table of one shape: ``degrees`` lists the degree of
+    each basis element, the identity's 1 first, and ``duals`` the index of
+    each element's dual, all real (i itself) when omitted; a pair has one
+    degree.  The identity row is trivial, the coefficient of 1 in b_i b_j
+    is 1 when j is the dual of i and 0 otherwise, and every row has degree
+    deg(b_i) deg(b_j).  The involution (i, j) -> (ibar, jbar) is kept: one
+    product of each orbit of pairs is enumerated and its image is its dual
+    image, and a product that is its own image is dual-symmetric.  Nothing
+    else is required, so the tables parse and build, and most fail
+    ``verify``.  Elements are named e1, e2, ..., the second of a pair eNbar
+    after its first eN; tables come in a fixed order."""
     k = len(degrees)
-    basis = TableBasis([BasisElement(i, f"e{i}" if i else "1", d, i) for i, d in enumerate(degrees)])
+    duals = duals or range(k)
+    basis = TableBasis([
+        BasisElement(i, "1" if i == 0 else f"e{duals[i]}bar" if duals[i] < i else f"e{i}", d, duals[i])
+        for i, d in enumerate(degrees)
+    ])
     pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
+    image = {(i, j): tuple(sorted((duals[i], duals[j]))) for i, j in pairs}
+    firsts = [pair for pair in pairs if pair <= image[pair]]
     choices = []
-    for i, j in pairs:
-        one = int(i == j)
-        choices.append([{0: 1, **row} if one else row for row in _degree_rows(degrees, degrees[i] * degrees[j] - one)])
+    for i, j in firsts:
+        one = int(j == duals[i])
+        rows = [{0: 1, **row} if one else row for row in _degree_rows(degrees, degrees[i] * degrees[j] - one)]
+        if image[(i, j)] == (i, j):
+            rows = [row for row in rows if all(row.get(duals[m], 0) == v for m, v in row.items())]
+        choices.append(rows)
     for n, rows in enumerate(product(*choices)):
-        yield TableAlgebra.from_products(basis, dict(zip(pairs, rows)), name=f"enum{n}")
+        products = dict(zip(firsts, rows))
+        for pair, row in zip(firsts, rows):
+            products[image[pair]] = {duals[m]: v for m, v in row.items()}
+        yield TableAlgebra.from_products(basis, products, name=f"enum{n}")
 
 
 # --- exact arithmetic in Q(sqrt(-7)) for the PSL(2,7) character table -----

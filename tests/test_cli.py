@@ -9,7 +9,7 @@ import pytest
 
 import tabalg
 from tabalg import load, parse, parse_element_expr, parse_partial, serialize
-from tabalg.bundled import PARTIAL, data_text
+from tabalg.bundled import PARTIAL, data_text, resolve
 from tabalg.cli import run
 
 import corpus
@@ -505,6 +505,14 @@ class TestBundled:
         code, _, _ = invoke(capsys, "bundled", "--export", name, "-o", str(target))
         assert code == 0
         assert parse_partial(target.read_text()) == parse_partial(data_text(name))
+
+    def test_resolve_shares_nothing(self):
+        # each read parses afresh, so no two inputs in one process share an
+        # algebra or its cached report; only load keeps a cache
+        a, b = resolve("bundled:C7"), resolve("bundled:C7")
+        assert a is not b and a is not load("C7")
+        assert (a.basis, a.constants.rows) == (load("C7").basis, load("C7").constants.rows)
+        assert load("C7") is load("C7")
 
     def test_unknown_bundled_name_exit_two(self, capsys):
         code, _, err = invoke(capsys, "verify", "bundled:NoSuch")

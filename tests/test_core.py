@@ -1,5 +1,6 @@
 import ast
 from collections import Counter
+from itertools import combinations
 from operator import mul
 from pathlib import Path
 
@@ -13,7 +14,9 @@ from tabalg import (
     TableAlgebraError,
     TableBasis,
     BasisElement,
+    all_closed_subsets,
     closure,
+    exact_isomorphic,
     load,
     parse,
     parse_element_expr,
@@ -25,9 +28,10 @@ from tabalg import (
 from tabalg import core
 from tabalg.bundled import AUXILIARY, BUNDLED, data_text
 from tabalg.core import _RANK_PRIME
-from tabalg.deduction import PartialTable
+from tabalg.deduction import PartialTable, propagate
 
 import corpus
+from conftest import subtable_seed
 from oracles import all_tables, class_algebra, class_algebra_tensor, cyclic, symmetric3
 
 
@@ -360,11 +364,60 @@ class TestVerify:
         assert list(B._exact_sweep()) == list(lex_sweep(B))
 
 
+def products_of(A):
+    """A's product lines, without the word product, joined by "; "."""
+    return "; ".join(line.removeprefix("product ") for line in serialize(A).splitlines() if line.startswith("product"))
+
+
+def closed_subsets_by_scan(A):
+    """Every subset that holds 1, its duals and the support of each of its
+    products, straight from the definition, by size then members."""
+    k, delta = A.size, A.constants.delta
+    found = []
+    for r in range(k):
+        for rest in combinations(range(1, k), r):
+            s = (0, *rest)
+            if all(A.basis.dual(i) in s for i in s) and all(
+                m in s for i in s for j in s for m in range(k) if delta(i, j, m)
+            ):
+                found.append(s)
+    return found
+
+
+def assert_structure_and_deduction(A):
+    """The lattice equals the scan, and a seed missing any one product and
+    its dual image completes to A without naming."""
+    assert all_closed_subsets(A) == closed_subsets_by_scan(A), A.name
+    k, dual = A.size, A.basis.dual
+    pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
+    for i, j in pairs:
+        dropped = {(i, j), tuple(sorted((dual(i), dual(j))))}
+        table, trace = propagate(subtable_seed(A, [p for p in pairs if p not in dropped]))
+        assert trace.status == "completed", (A.name, i, j)
+        assert table.as_algebra().constants.rows == A.constants.rows, (A.name, i, j)
+
+
+Z4 = "e1 e1 = e3; e1 e1bar = 1; e1 e3 = e1bar; e1bar e1bar = e3; e1bar e3 = e1; e3 e3 = 1"
+CH_A4 = ("e1 e1 = e1bar; e1 e1bar = 1; e1 e3 = e3; e1bar e1bar = e1; e1bar e3 = e3; "
+         "e3 e3 = 1 + e1 + e1bar + 2 e3")
+Z5 = [
+    "e1 e1 = e3bar; e1 e1bar = 1; e1 e3 = e1bar; e1 e3bar = e3; e1bar e1bar = e3; e1bar e3 = e3bar; "
+    "e1bar e3bar = e1; e3 e3 = e1; e3 e3bar = 1; e3bar e3bar = e1bar",
+    "e1 e1 = e3; e1 e1bar = 1; e1 e3 = e3bar; e1 e3bar = e1bar; e1bar e1bar = e3bar; e1bar e3 = e1; "
+    "e1bar e3bar = e3; e3 e3 = e1bar; e3 e3bar = 1; e3bar e3bar = e1",
+]
+F21 = ("e1 e1 = e1bar; e1 e1bar = 1; e1 e3 = e3; e1 e3bar = e3bar; e1bar e1bar = e1; e1bar e3 = e3; "
+       "e1bar e3bar = e3bar; e3 e3 = e3 + 2 e3bar; e3 e3bar = 1 + e1 + e1bar + e3 + e3bar; e3bar e3bar = 2 e3 + e3bar")
+
+
 class TestBoundedExhaustive:
-    """Every commutative table of two small all-real shapes: the verifier,
-    the dense witnesses and the file format agree on each one, passing or
-    failing.  The non-real shapes are left out: enumerated a row per pair,
-    every table of (1, 2, 3, 3) fails the involution."""
+    """Every commutative table of small shapes, all real or with conjugate
+    pairs: the verifier, the dense witnesses and the file format agree on
+    each one, passing or failing, and on each passing table with a pair the
+    lattice and the deduction engine agree with brute force.  (1, 2, 3, 3)
+    and (1, 3, 3, 4) admit no table closed under the involution, by degree
+    parity: e1 e1 = 1 + ... needs an odd degree from elements whose
+    coefficients come in dual pairs of even total degree."""
 
     @pytest.mark.parametrize("degrees, count, passing", [
         ((1, 1, 2, 2), 486, [
@@ -387,6 +440,46 @@ class TestBoundedExhaustive:
                 passed.append([line for line in serialize(A).splitlines() if line.startswith("product")])
         # the one passing table of (1, 1, 2, 2) is the character algebra of D10
         assert passed == ([passing] if passing else [])
+
+    @pytest.mark.parametrize("degrees, duals, count, passing", [
+        ((1, 1, 1, 1), (0, 2, 1, 3), 9, [Z4]),
+        ((1, 1, 1, 3), (0, 2, 1, 3), 20, [CH_A4]),
+        ((1, 1, 1, 1, 1), (0, 2, 1, 4, 3), 256, Z5),
+        ((1, 2, 3, 3), (0, 1, 3, 2), 0, []),
+        ((1, 3, 3, 4), (0, 2, 1, 3), 0, []),
+    ])
+    def test_every_table_of_a_shape_with_conjugate_pairs(self, degrees, duals, count, passing):
+        tables = list(all_tables(degrees, duals))
+        assert len(tables) == count
+        passed = []
+        for A in tables:
+            report = A.verify_axioms()
+            assert report == A.verify_axioms(force_exact=True), A.name
+            assert_matches_dense(A, report)
+            again = parse(serialize(A))
+            assert (again.basis, again.constants.rows) == (A.basis, A.constants.rows), A.name
+            if report.ok:
+                passed.append(A)
+        # Z4, the character algebra of A4, and Z5 twice, one labelling
+        # carried to the other by an exact isomorphism
+        assert [products_of(A) for A in passed] == passing
+        assert all(exact_isomorphic(passed[0], A) is not None for A in passed)
+        for A in passed:
+            assert_structure_and_deduction(A)
+
+    def test_the_one_table_of_the_smallest_nita_of_the_papers_class(self):
+        # F21 = C7:C3 has characters of degrees 1, 1, 1, 3, 3: the character
+        # algebra is generated by the faithful non-real e3 of degree 3; the
+        # 5,760 tables are only verified, the exact sweep would double the cost
+        count, passed = 0, []
+        for A in all_tables((1, 1, 1, 3, 3), (0, 2, 1, 4, 3)):
+            count += 1
+            if A.verify_axioms().ok:
+                passed.append(A)
+        assert (count, [products_of(A) for A in passed]) == (5760, [F21])
+        A = passed[0]
+        assert closure(A, ["e3"]) == tuple(range(5))
+        assert_structure_and_deduction(A)
 
 
 def refuse(*args):

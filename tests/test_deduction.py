@@ -341,7 +341,7 @@ class TestPSL27:
         seed = PartialTable(basis, products)
         table, trace = propagate(seed, introduce_names=True)
         assert trace.status == "completed"
-        algebra = table.as_algebra("PSL27")
+        algebra = table.as_algebra()
         assert algebra.verify_axioms().ok
         # characters ordered (1, 3a, 3b, 6, 7, 8) to match the file's basis
         fusion = psl27_fusion()

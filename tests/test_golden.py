@@ -8,8 +8,8 @@ relative paths.  Its argv, exit code and stdout, and the file ``restrict
 Stderr is left out: ``--timing`` times vary.
 
 A change that moves a byte regenerates the files with
-``PYTHONPATH=src python tests/golden/regenerate.py`` and says which
-commands changed and why.
+``python tests/golden/regenerate.py``, run from the repository root, and
+says which commands changed and why.
 """
 
 import contextlib
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import workloads
-from tabalg import bundled, cli
+from tabalg import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SEED = 1
@@ -40,8 +40,6 @@ def record(name: str) -> dict[str, str]:
         for fmt, args in (("text", base), ("machine", ["--format", "machine", *base])):
             if written is not None:
                 written.unlink(missing_ok=True)
-            # each command parses its bundled inputs afresh, as a new process does
-            bundled.load.cache_clear()
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
                 code = cli.run(list(args))

@@ -53,8 +53,7 @@ def relabeled(A):
     return TableAlgebra.from_products(basis, products, name=A.name + "-relabeled")
 
 
-def assert_carries_every_constant(a, b, cert):
-    psi = cert.mapping
+def assert_carries_every_constant(a, b, psi):
     assert sorted(psi) == list(range(b.size))
     for i in range(a.size):
         assert a.basis.degree(i) == b.basis.degree(psi[i])
@@ -145,10 +144,9 @@ class TestExactIsomorphic:
         b = restrict(B22, subset_of_size(B22, 12))
         cert = exact_isomorphic(a, b)
         assert cert is not None
-        # the shared names are preserved elementwise by *some* certificate;
-        # check the found one at least fixes degrees and the identity
-        names = cert.as_names(a, b)
-        assert names["1"] == "1"
+        # the shared names are preserved elementwise by *some* mapping;
+        # check the found one at least fixes the identity
+        assert cert[0] == 0
 
     def test_B32_not_isomorphic_to_B22(self, B32, B22):
         assert exact_isomorphic(B32, B22) is None
