@@ -170,7 +170,6 @@ def cmd_restrict(args, out: _Out) -> int:
 def cmd_deduce(args, out: _Out) -> int:
     from .deduction import PartialTable, propagate
     name, basis, products = args.table
-    # built in the call, so that propagate, which works on a copy, can let it go
     table, trace = propagate(PartialTable(basis, products), introduce_names=not args.no_names)
     out.seconds = trace.stats.seconds
     if args.trace:  # before any output, so that an unwritable path prints nothing
@@ -183,19 +182,18 @@ def cmd_deduce(args, out: _Out) -> int:
         out.fact("witness", ",".join(map(str, trace.witness)))
         out.text(f"  witness: {trace.message}")
     elif trace.status == "stalled":
-        capped = " ".join(f"{a}*{b}" for a, b in trace.capped)
+        capped = " ".join(trace.capped)
         out.fact("unresolved", len(trace.unresolved))
         out.fact("capped", capped or "-")
         out.text(f"  unresolved products: {len(trace.unresolved)}")
-        for a, b in trace.unresolved[:10]:
-            out.text(f"    {a}*{b}")
+        for label in trace.unresolved[:10]:
+            out.text(f"    {label}")
         if capped:
             out.text(f"  (solver cap hit on {len(trace.capped)} products: {capped})")
     else:
-        for (i, j) in sorted(table.rows):
-            if 0 < i <= j:
-                out.text(f"  {basis.name(i)}*{basis.name(j)} = "
-                         + format_element(basis, table.rows[(i, j)].items()))
+        for pair, row in sorted(table.rows.items()):
+            if pair[0]:
+                out.text(f"  {table.label(pair)} = {format_element(basis, row.items())}")
     for key, value in trace.stats.facts():
         out.fact(key, value)
     if args.trace:

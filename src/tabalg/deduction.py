@@ -164,8 +164,8 @@ class DeductionStats:
         # states of the shared decomposition count, each computed once
         self.solver_count_states = 0
         self.solver_overflows = 0
-        # the capped pairs, as an insertion-ordered set
-        self.overflow_pairs: dict[tuple[str, str], None] = {}
+        # the capped products as ``a*b`` labels, in an insertion-ordered set
+        self.overflow_pairs: dict[str, None] = {}
         self.sweep_triples = 0
         self.sweep_firings = 0
         self.seconds: dict[str, float] = {}
@@ -176,12 +176,11 @@ class DeductionStats:
         for rule in RULES:
             out.append((f"stats.{rule}.attempts", self.attempts[rule]))
             out.append((f"stats.{rule}.firings", self.firings[rule]))
-        overflowed = " ".join(f"{a}*{b}" for a, b in self.overflow_pairs) or "-"
         out += [
             ("stats.r3.activated", self.r3_activated),
             ("stats.solver.count_states", self.solver_count_states),
             ("stats.solver.overflows", self.solver_overflows),
-            ("stats.solver.overflow_pairs", overflowed),
+            ("stats.solver.overflow_pairs", " ".join(self.overflow_pairs) or "-"),
             ("stats.sweep.triples", self.sweep_triples),
             ("stats.sweep.firings", self.sweep_firings),
         ]
@@ -194,10 +193,11 @@ class DeductionTrace:
         self.status = "stalled"  # completed | stalled | contradiction
         self.witness: Optional[tuple] = None
         self.message = ""
-        self.unresolved: tuple[tuple[str, str], ...] = ()
-        # pending products with more than DECOMPOSITION_LIMIT decompositions at
-        # the final fixed point of a stall: with a larger limit they might resolve
-        self.capped: tuple[tuple[str, str], ...] = ()
+        # the products still pending at a stall, as ``a*b`` labels
+        self.unresolved: tuple[str, ...] = ()
+        # those with more than DECOMPOSITION_LIMIT decompositions at the final
+        # fixed point of a stall: with a larger limit they might resolve
+        self.capped: tuple[str, ...] = ()
         self.stats = DeductionStats()
 
     def serialize(self) -> str:
@@ -206,7 +206,7 @@ class DeductionTrace:
         if self.witness:
             tail += " WITNESS " + ",".join(str(w) for w in self.witness)
         if self.capped:
-            tail += " SOLVER-CAP " + ",".join(f"{a}*{b}" for a, b in self.capped)
+            tail += " SOLVER-CAP " + ",".join(self.capped)
         lines.append(tail)
         return "\n".join(lines) + "\n"
 
@@ -276,22 +276,6 @@ class PartialTable:
     def label(self, pair: tuple[int, int]) -> str:
         """The product of ``pair`` as ``a*b``."""
         return "{}*{}".format(*self.names(pair))
-
-    def copy(self) -> "PartialTable":
-        out = PartialTable.__new__(PartialTable)
-        out.basis = self.basis
-        out.k = self.k
-        out.deg = self.deg
-        out.dual = self.dual
-        out.pair = self.pair
-        out.cells = {p: list(r) for p, r in self.cells.items()}
-        out._rem = dict(self._rem)
-        out._open = dict(self._open)
-        out.rows = dict(self.rows)
-        out.newly_known = list(self.newly_known)
-        out.spent = deque(self.spent)
-        out._queue = deque(self._queue)
-        return out
 
     def as_algebra(self) -> TableAlgebra:
         """Completed table as a TableAlgebra (fails if anything is pending)."""
@@ -692,7 +676,7 @@ class _Engine:
         if solutions is None:
             self._overflowed.append(pair)
             self.stats.solver_overflows += 1
-            self.stats.overflow_pairs[p.names(pair)] = None
+            self.stats.overflow_pairs[p.label(pair)] = None
             return None
         if not solutions:
             raise Contradiction(
@@ -871,8 +855,8 @@ class _Engine:
         pending = p.pending_pairs()
         if pending:
             self.trace.status = "stalled"
-            self.trace.unresolved = tuple(p.names(q) for q in pending)
-            self.trace.capped = tuple(p.names(q) for q in self._overflowed)
+            self.trace.unresolved = tuple(map(p.label, pending))
+            self.trace.capped = tuple(map(p.label, self._overflowed))
         else:
             self.trace.status = "completed"
 
@@ -893,7 +877,8 @@ def _recheck(table: PartialTable, trace: DeductionTrace) -> None:
 def propagate(
     table: PartialTable, introduce_names: bool = False
 ) -> tuple[PartialTable, DeductionTrace]:
-    """Fixed point of R1-R4 on a copy of the table.
+    """Fixed point of R1-R4, written into ``table``, which is returned
+    with the trace.
 
     With ``introduce_names`` False every written entry is forced, so a
     seed drawn from a consistent algebra only ever derives that algebra's
@@ -901,13 +886,11 @@ def propagate(
     ``stats`` what each rule attempted.  A table that completes is
     re-verified with ``verify_axioms`` before it is reported completed.
     """
-    engine = _Engine(table.copy(), introduce_names=introduce_names)
-    # the run works on the copy: let go of the seed, which the caller need not hold
-    del table
+    engine = _Engine(table, introduce_names=introduce_names)
     engine.run()
-    work, trace = engine.p, engine.trace
+    trace = engine.trace
     # drop the rule state first, so the re-check does not add to peak memory
     del engine
     if trace.status == "completed":
-        _recheck(work, trace)
-    return work, trace
+        _recheck(table, trace)
+    return table, trace

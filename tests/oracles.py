@@ -171,6 +171,15 @@ def _degree_rows(degrees, target, m=1):
             yield {m: c, **rest} if c else rest
 
 
+def shape_basis(degrees, duals):
+    """The basis of the shape of ``all_tables``: the identity 1, then e1,
+    e2, ..., the second of a pair eNbar after its first eN."""
+    return TableBasis([
+        BasisElement(i, "1" if i == 0 else f"e{duals[i]}bar" if duals[i] < i else f"e{i}", d, duals[i])
+        for i, d in enumerate(degrees)
+    ])
+
+
 def all_tables(degrees, duals=None):
     """Every commutative table of one shape: ``degrees`` lists the degree of
     each basis element, the identity's 1 first, and ``duals`` the index of
@@ -181,14 +190,11 @@ def all_tables(degrees, duals=None):
     product of each orbit of pairs is enumerated and its image is its dual
     image, and a product that is its own image is dual-symmetric.  Nothing
     else is required, so the tables parse and build, and most fail
-    ``verify``.  Elements are named e1, e2, ..., the second of a pair eNbar
-    after its first eN; tables come in a fixed order."""
+    ``verify``.  Elements are named as in ``shape_basis``; tables come in
+    a fixed order."""
     k = len(degrees)
     duals = duals or range(k)
-    basis = TableBasis([
-        BasisElement(i, "1" if i == 0 else f"e{duals[i]}bar" if duals[i] < i else f"e{i}", d, duals[i])
-        for i, d in enumerate(degrees)
-    ])
+    basis = shape_basis(degrees, duals)
     pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
     image = {(i, j): tuple(sorted((duals[i], duals[j]))) for i, j in pairs}
     firsts = [pair for pair in pairs if pair <= image[pair]]
