@@ -1,13 +1,13 @@
 """Command-line front end.
 
-Subcommands map one-to-one onto library operations; exit code 0 means
-success or a positive answer, 1 a verification failure or negative
-answer, 2 a usage or input error, and 141 (128 + SIGPIPE), with nothing
-more printed, when the reader of stdout has gone.  Output is
-deterministic.  ``run()`` reads every input, through the argparse ``type``
-of each input positional, so a command gets its algebra or partial table
-already read.  The ``algebra`` positional that most commands take is
-declared once, in a shared parent parser; ``iso`` declares its two.
+Subcommands map one-to-one onto library operations.  ``_EPILOG``, the end
+of ``tabalg --help``, lists the exit codes; on 141 nothing more is
+printed.  Output is deterministic, and every argument has a help text.
+``run()`` reads every input, through the argparse ``type`` of each input
+positional, so a command gets its algebra or partial table already read.
+The ``algebra`` positional that most commands take is declared once, in a
+shared parent parser, as are the elements ``x`` and ``y`` of ``mult`` and
+``inner``; ``iso`` declares its two algebras.
 ``run()`` also prints the --timing block of ``verify`` and ``deduce`` to
 stderr: the load time, the phases the command left in ``out.seconds``, and
 the total.  Each subcommand imports its own layer (structure, iso or
@@ -171,7 +171,7 @@ def cmd_deduce(args, out: _Out) -> int:
     from .deduction import PartialTable, propagate
     name, basis, products = args.table
     table, trace = propagate(PartialTable(basis, products), introduce_names=not args.no_names)
-    out.seconds = trace.stats.seconds
+    out.seconds = trace.seconds
     if args.trace:  # before any output, so that an unwritable path prints nothing
         with open(args.trace, "w", encoding="utf-8") as fh:
             fh.write(trace.serialize())
@@ -182,19 +182,19 @@ def cmd_deduce(args, out: _Out) -> int:
         out.fact("witness", ",".join(map(str, trace.witness)))
         out.text(f"  witness: {trace.message}")
     elif trace.status == "stalled":
-        capped = " ".join(trace.capped)
-        out.fact("unresolved", len(trace.unresolved))
+        pending, capped = table.pending_pairs(), " ".join(trace.capped)
+        out.fact("unresolved", len(pending))
         out.fact("capped", capped or "-")
-        out.text(f"  unresolved products: {len(trace.unresolved)}")
-        for label in trace.unresolved[:10]:
-            out.text(f"    {label}")
+        out.text(f"  unresolved products: {len(pending)}")
+        for pair in pending[:10]:
+            out.text(f"    {table.label(pair)}")
         if capped:
             out.text(f"  (solver cap hit on {len(trace.capped)} products: {capped})")
     else:
         for pair, row in sorted(table.rows.items()):
             if pair[0]:
                 out.text(f"  {table.label(pair)} = {format_element(basis, row.items())}")
-    for key, value in trace.stats.facts():
+    for key, value in trace.facts():
         out.fact(key, value)
     if args.trace:
         out.text(f"trace written to {args.trace}")
@@ -229,44 +229,49 @@ is the coefficient of b_m in b_i b_j:
                           and in b_i (b_j b_l) differ"""
 
 
+_EPILOG = """\
+An algebra or table argument is a file path, or bundled:NAME for a file
+shipped with tabalg (`tabalg bundled` lists them).  Exit codes: 0 success or a
+positive answer; 1 a failed check or a negative answer; 2 a usage or input
+error; 141 (128 + SIGPIPE) when the reader of stdout has gone."""
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="tabalg",
-        description="Exact arithmetic for normalized integral table algebras.",
-    )
-    ap.add_argument("--format", choices=("text", "machine"), default="text")
-    sub = ap.add_subparsers(dest="command", required=True)
+    ap = argparse.ArgumentParser(prog="tabalg", description="Exact arithmetic for normalized integral table algebras.",
+                                 epilog=_EPILOG, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--format", choices=("text", "machine"), default="text",
+                    help="text for reading, or machine: one key<TAB>value fact a line")
+    sub = ap.add_subparsers(dest="command", required=True, help="the command; COMMAND --help says what it takes")
     timed = argparse.ArgumentParser(add_help=False)
     timed.add_argument("--timing", action="store_true",
                        help="print to stderr the time of loading the input, of each phase, and in total")
     one = argparse.ArgumentParser(add_help=False)  # the one algebra most commands read
-    one.add_argument("algebra", type=resolve)
+    one.add_argument("algebra", type=resolve, help="an algebra: a file path or bundled:NAME")
+    two = argparse.ArgumentParser(add_help=False)  # the two elements mult and inner read
+    for arg in ("x", "y"):
+        two.add_argument(arg, help="an element expression such as '2 b3 + x6'")
 
     p = sub.add_parser("verify", help="run the axiom verifier", epilog=_WITNESS_HELP, parents=[one, timed],
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--exact", action="store_true", help="pure-Python k³ sweep, no Light shortcut")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("mult", help="multiply two elements", parents=[one])
-    p.add_argument("x")
-    p.add_argument("y")
+    p = sub.add_parser("mult", help="multiply two elements", parents=[one, two])
     p.set_defaults(func=cmd_mult)
 
-    p = sub.add_parser("inner", help="inner product of two element expressions", parents=[one])
-    p.add_argument("x")
-    p.add_argument("y")
+    p = sub.add_parser("inner", help="inner product of two element expressions", parents=[one, two])
     p.set_defaults(func=cmd_inner)
 
     p = sub.add_parser("subsets", help="lattice of closed subsets", parents=[one])
     p.set_defaults(func=cmd_subsets)
 
     p = sub.add_parser("closure", help="closed subset generated by elements", parents=[one])
-    p.add_argument("names", nargs="+")
+    p.add_argument("names", nargs="+", help="the generating element names, such as b3 b8")
     p.set_defaults(func=cmd_closure)
 
     p = sub.add_parser("powers", help="supports of powers of an element", parents=[one])
-    p.add_argument("name")
-    p.add_argument("--max", type=int, default=6)
+    p.add_argument("name", help="an element name, such as b3")
+    p.add_argument("--max", type=int, default=6, help="the highest power shown (default 6)")
     p.set_defaults(func=cmd_powers)
 
     p = sub.add_parser("quotient", help="support-level quotient by a closed subset", parents=[one])
@@ -274,25 +279,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_quotient)
 
     p = sub.add_parser("iso", help="test exact isomorphism")
-    p.add_argument("algebra_a", type=resolve)
-    p.add_argument("algebra_b", type=resolve)
+    p.add_argument("algebra_a", type=resolve, help="the first algebra: a file path or bundled:NAME")
+    p.add_argument("algebra_b", type=resolve, help="the second algebra: a file path or bundled:NAME")
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("restrict", help="restrict to a closed subset", parents=[one])
-    p.add_argument("--to", required=True)
-    p.add_argument("-o", "--output")
+    p.add_argument("--to", required=True, help="subset name (C/D/E) or comma list of elements")
+    p.add_argument("-o", "--output", help="write the restricted algebra to this file, not to stdout")
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("deduce", help="complete a partial product table", parents=[timed])
-    p.add_argument("table", type=resolve_partial)
-    p.add_argument("--trace")
+    p.add_argument("table", type=resolve_partial, help="a partial table: a file path or bundled:NAME")
+    p.add_argument("--trace", help="write the trace, one line per step, to this file")
     p.add_argument("--no-names", action="store_true",
                    help="disable the fresh-constituent naming convention")
     p.set_defaults(func=cmd_deduce)
 
     p = sub.add_parser("bundled", help="list or export bundled data")
-    p.add_argument("--export")
-    p.add_argument("-o", "--output")
+    p.add_argument("--export", metavar="NAME", help="print the shipped file NAME, such as B32 or Lemma72-seed")
+    p.add_argument("-o", "--output", help="with --export, write the file here, not to stdout")
     p.set_defaults(func=cmd_bundled)
     return ap
 

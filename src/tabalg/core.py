@@ -270,10 +270,12 @@ class StructureConstants:
         self.rows: tuple[tuple[dict[int, int], ...], ...] = tuple(map(tuple, table))
 
     def delta(self, i: int, j: int, m: int) -> int:
+        """``rows[i][j].get(m, 0)``; ``perfbench/`` is its last caller."""
         return self.rows[i][j].get(m, 0)
 
     def row_items(self, i: int, j: int) -> Iterable[tuple[int, int]]:
-        """Nonzero (m, delta[i][j][m]) pairs, m ascending."""
+        """Nonzero (m, delta[i][j][m]) pairs, m ascending:
+        ``rows[i][j].items()``; ``perfbench/`` is its last caller."""
         return self.rows[i][j].items()
 
 

@@ -76,8 +76,8 @@ shared by every search of a propagation, saturating at
 contradiction.  A product with more decompositions than the limit is
 capped and its search returns nothing; otherwise the search walks only
 states that count a decomposition and keeps those of the right reality
-mass.  The limit is the only budget R4 has: it is counted in
-``DeductionStats``, and a stall lists every product its final fixed point
+mass.  The limit is the only budget R4 has: it is counted in the
+trace's counters, and a stall lists every product its final fixed point
 capped.  One scan serves both R4 and naming: it searches each pending
 product once, fires the first with exactly one decomposition, and only
 when there is none tries naming on the ambiguous products it already
@@ -95,13 +95,13 @@ failed checks.  When no rule fires and products are still pending,
 and evaluates each one afresh.  That re-checks the triples the agenda
 decided, which is safe: each was decided on frozen rows, so it still
 holds.  A firing in the sweep would mean the agenda missed a triple; it is
-counted in ``DeductionStats.sweep_firings``.
+counted in the trace's ``sweep_firings``.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
 from math import isqrt
 from typing import Mapping, NamedTuple, Optional
 
@@ -110,7 +110,6 @@ from .core import MalformedElementError, TableAlgebra, TableBasis, TableAlgebraE
 __all__ = [
     "PartialTable",
     "DeductionStep",
-    "DeductionStats",
     "DeductionTrace",
     "propagate",
 ]
@@ -139,43 +138,58 @@ class DeductionStep(NamedTuple):
             self.number, self.rule, *self.triple, *self.entry, self.value)
 
 
-class DeductionStats:
-    """What one propagation did.
+class DeductionTrace:
+    """What one propagation did: its steps, its outcome and its counters.
+
+    ``steps`` holds one step per completed product, naming steps under R1;
+    ``status`` is ``completed``, ``stalled`` or ``contradiction``, the last
+    with a ``witness`` and a ``message``.  ``capped`` lists, as ``a*b``
+    labels, the products with more than DECOMPOSITION_LIMIT decompositions
+    at the final fixed point of a stall: with a larger limit they might
+    resolve.  The pending products of a stall are the table's own
+    ``pending_pairs()``.
 
     ``attempts`` per rule: R1 counts pending products whose remainder
     reached zero, R2 coefficients transported around their orbits, R3
     agenda evaluations of a triple with exactly one unknown product, R4
-    searches asked, those answered from the cache included.  ``firings``
-    counts the trace's steps per rule; naming steps are R1.
+    searches asked, those answered from the cache included.
     ``r3_activated`` counts the triples activated with a nonzero net
     expansion, stored as indices and a count or, all products known, not
-    stored.  The sweep runs only on a stall, when no rule fires and
-    products are still pending; ``sweep_triples`` counts the triples it
-    enumerated.  ``seconds`` is the time of each phase of the
-    main loop, its syncs' R2 transport excepted, of that transport under
-    ``R2``, and of the ``recheck`` of a completed table; naming shares R4's
-    scan, so its time is under ``R4``.
+    stored.  ``solver_count_states`` counts the states of the shared
+    decomposition count, each computed once; ``solver_overflows`` counts
+    the capped searches and ``overflow_pairs`` holds their products as
+    ``a*b`` labels, in an insertion-ordered set.  The sweep runs only on a
+    stall, when no rule fires and products are still pending;
+    ``sweep_triples`` counts the triples it enumerated and
+    ``sweep_firings`` those that fired.  ``seconds`` is the time of each
+    phase of the main loop, its syncs' R2 transport excepted, of that
+    transport under ``R2``, and of the ``recheck`` of a completed table;
+    naming shares R4's scan, so its time is under ``R4``.
     """
 
     def __init__(self):
+        self.steps: list[DeductionStep] = []
+        self.status = "stalled"
+        self.witness: Optional[tuple] = None
+        self.message = ""
+        self.capped: tuple[str, ...] = ()
         self.attempts = dict.fromkeys(RULES, 0)
-        self.firings = dict.fromkeys(RULES, 0)
         self.r3_activated = 0
-        # states of the shared decomposition count, each computed once
         self.solver_count_states = 0
         self.solver_overflows = 0
-        # the capped products as ``a*b`` labels, in an insertion-ordered set
         self.overflow_pairs: dict[str, None] = {}
         self.sweep_triples = 0
         self.sweep_firings = 0
         self.seconds: dict[str, float] = {}
 
     def facts(self) -> list[tuple[str, object]]:
-        """The counters as ``(key, value)`` pairs, in a fixed order."""
+        """The counters as ``(key, value)`` pairs, in a fixed order; the
+        firings of each rule are counted from ``steps``."""
+        firings = Counter(s.rule for s in self.steps)
         out: list[tuple[str, object]] = []
         for rule in RULES:
             out.append((f"stats.{rule}.attempts", self.attempts[rule]))
-            out.append((f"stats.{rule}.firings", self.firings[rule]))
+            out.append((f"stats.{rule}.firings", firings[rule]))
         out += [
             ("stats.r3.activated", self.r3_activated),
             ("stats.solver.count_states", self.solver_count_states),
@@ -185,20 +199,6 @@ class DeductionStats:
             ("stats.sweep.firings", self.sweep_firings),
         ]
         return out
-
-
-class DeductionTrace:
-    def __init__(self):
-        self.steps: list[DeductionStep] = []
-        self.status = "stalled"  # completed | stalled | contradiction
-        self.witness: Optional[tuple] = None
-        self.message = ""
-        # the products still pending at a stall, as ``a*b`` labels
-        self.unresolved: tuple[str, ...] = ()
-        # those with more than DECOMPOSITION_LIMIT decompositions at the final
-        # fixed point of a stall: with a larger limit they might resolve
-        self.capped: tuple[str, ...] = ()
-        self.stats = DeductionStats()
 
     def serialize(self) -> str:
         lines = [s.line() for s in self.steps]
@@ -381,7 +381,6 @@ class _Engine:
         k = table.k
         self.naming = introduce_names
         self.trace = DeductionTrace()
-        self.stats = self.trace.stats
         self._partners: list[set[int]] = [set() for _ in range(k)]
         # activated triples listed under each unknown product of their expansion
         self._waiting: dict[tuple[int, int], list[_Triple]] = {}
@@ -407,7 +406,6 @@ class _Engine:
         t = tuple(triple) if triple else (names[0], names[1], "-")
         value = format_element(self.p.basis, self.p.rows[pair].items())
         self.trace.steps.append(DeductionStep(n, rule, t, names, value))
-        self.stats.firings[rule] += 1
 
     def _resolve(self, rule: str, triple, pair: tuple[int, int], coeffs: Mapping[int, int]) -> None:
         """Fire a rule: write the product of ``pair``, log the step and
@@ -430,7 +428,7 @@ class _Engine:
         logs itself, is logged as an R2 step."""
         p = self.p
         queue, cells, at = p._queue, p.cells, p.pair
-        attempts, seconds = self.stats.attempts, self.stats.seconds
+        attempts, seconds = self.trace.attempts, self.trace.seconds
         t0 = time.perf_counter()
         while queue:
             pair, m, v = queue.popleft()
@@ -468,7 +466,7 @@ class _Engine:
                     terms = self._terms(i, j, l)
                     if not terms:
                         continue
-                    self.stats.r3_activated += 1
+                    self.trace.r3_activated += 1
                     unknown = [q for q, _ in terms if q not in rows]
                     if not unknown:
                         continue
@@ -494,7 +492,7 @@ class _Engine:
             pair = spent.popleft()
             if pair in p.rows:
                 continue
-            self.stats.attempts["R1"] += 1
+            self.trace.attempts["R1"] += 1
             if p._rem[pair] < 0:
                 raise Contradiction(
                     p.names(pair) + ("degree",),
@@ -529,7 +527,7 @@ class _Engine:
             t = agenda.popleft()
             if not t.unknown:
                 continue
-            self.stats.attempts["R3"] += 1
+            self.trace.attempts["R3"] += 1
             if self._evaluate(t.i, t.j, t.l):
                 fired = True
         return fired
@@ -552,9 +550,9 @@ class _Engine:
                     ci, cl = d[i], d[l]
                     if (i, j, l) > ((ci, d[j], cl) if ci < cl else (cl, d[j], ci)):
                         continue
-                    self.stats.sweep_triples += 1
+                    self.trace.sweep_triples += 1
                     if self._evaluate(i, j, l):
-                        self.stats.sweep_firings += 1
+                        self.trace.sweep_firings += 1
                         fired = True
         return fired
 
@@ -663,7 +661,7 @@ class _Engine:
                 )
         # the reality mass (xy, xbar ybar) = (y y, xbar xbar) = (ybar ybar, x x)
         r_mass = _inner(p, ((j, j), (di, di)), ((dj, dj), (i, i)))
-        self.stats.attempts["R4"] += 1
+        self.trace.attempts["R4"] += 1
         key = (tuple(row), rem, budget2, r_mass)
         answers = self._answers
         if key in answers:
@@ -675,8 +673,8 @@ class _Engine:
             solutions = answers[key] = self._search(row, rem, candidates, budget2, r_mass)
         if solutions is None:
             self._overflowed.append(pair)
-            self.stats.solver_overflows += 1
-            self.stats.overflow_pairs[p.label(pair)] = None
+            self.trace.solver_overflows += 1
+            self.trace.overflow_pairs[p.label(pair)] = None
             return None
         if not solutions:
             raise Contradiction(
@@ -754,7 +752,7 @@ class _Engine:
 
         try:
             total = count(0, rem, budget2)
-            self.stats.solver_count_states = len(counts)
+            self.trace.solver_count_states = len(counts)
             if total > limit:
                 return None
             if total:
@@ -823,7 +821,7 @@ class _Engine:
 
     def _timed(self, phase: str, step) -> bool:
         """Run a phase; its time, less R2's in its syncs, adds to ``seconds``."""
-        seconds = self.stats.seconds
+        seconds = self.trace.seconds
         seconds.setdefault(phase, 0.0)
         r2 = seconds.get("R2", 0.0)
         t0 = time.perf_counter()
@@ -852,10 +850,8 @@ class _Engine:
             self.trace.witness = c.witness
             self.trace.message = str(c)
             return
-        pending = p.pending_pairs()
-        if pending:
+        if p.pending_pairs():
             self.trace.status = "stalled"
-            self.trace.unresolved = tuple(map(p.label, pending))
             self.trace.capped = tuple(map(p.label, self._overflowed))
         else:
             self.trace.status = "completed"
@@ -866,7 +862,7 @@ def _recheck(table: PartialTable, trace: DeductionTrace) -> None:
     of the rules that filled it; a failed check makes it a contradiction."""
     t0 = time.perf_counter()
     report = table.as_algebra().verify_axioms()
-    trace.stats.seconds["recheck"] = time.perf_counter() - t0
+    trace.seconds["recheck"] = time.perf_counter() - t0
     if not report.ok:
         failed = next(c for c in report.checks if not c.passed)
         trace.status = "contradiction"
@@ -882,9 +878,10 @@ def propagate(
 
     With ``introduce_names`` False every written entry is forced, so a
     seed drawn from a consistent algebra only ever derives that algebra's
-    values.  The trace records one step per completed entry, and its
-    ``stats`` what each rule attempted.  A table that completes is
-    re-verified with ``verify_axioms`` before it is reported completed.
+    values.  The trace records one step per completed entry and what each
+    rule attempted; a stall leaves its pending products in the table.  A
+    table that completes is re-verified with ``verify_axioms`` before it is
+    reported completed.
     """
     engine = _Engine(table, introduce_names=introduce_names)
     engine.run()

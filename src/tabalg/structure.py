@@ -134,7 +134,8 @@ class QuotientClassTable:
     """Support-level quotient by a closed subset.
 
     Classes are the distinct sandwiches Supp(C*b*C) in order of first
-    appearance; the class of the identity is the defining subset itself.
+    appearance.  The first is b_0's, the defining subset itself, so the
+    class of the identity is class 0.
     Each member's own sandwich is checked to equal its class, which proves
     the classes partition the basis, as b lies in Supp(C*b*C).
     ``composition[(P, Q)]`` is the set of classes meeting Supp(p*q), checked
@@ -175,7 +176,6 @@ class QuotientClassTable:
                     )
                 compose[(p, q)] = compose[(q, p)] = values.pop()
         self.composition = compose
-        self.identity_class = class_of[0]
 
     @property
     def size(self) -> int:
@@ -224,7 +224,7 @@ def _invariant_factors(order: int, element_orders: Sequence[int]) -> Optional[tu
 
 def is_group_like(q: QuotientClassTable) -> Optional[GroupTable]:
     """Group table when every composition is a single class and some power
-    of every class is the identity class, else None."""
+    of every class is the identity class, class 0, else None."""
     n = q.size
     table: dict[tuple[int, int], int] = {}
     for key, value in q.composition.items():
@@ -234,7 +234,7 @@ def is_group_like(q: QuotientClassTable) -> Optional[GroupTable]:
     orders = []
     for p in range(n):
         x, o = p, 1
-        while x != q.identity_class:
+        while x != 0:
             if o == n:
                 return None  # no power reaches the identity class: not a group
             x = table[(x, p)]

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import pathlib
@@ -10,7 +11,7 @@ import pytest
 import tabalg
 from tabalg import load, parse, parse_element_expr, parse_partial, serialize
 from tabalg.bundled import PARTIAL, data_text, resolve
-from tabalg.cli import run
+from tabalg.cli import build_parser, run
 
 import corpus
 
@@ -19,6 +20,27 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestHelp:
+    def test_every_argument_says_what_it_takes(self):
+        parsers, missing = [build_parser()], []
+        while parsers:
+            parser = parsers.pop()
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers += action.choices.values()
+                if not isinstance(action, argparse._HelpAction) and not action.help:
+                    missing.append((parser.prog, action.dest))
+        assert missing == []
+
+    def test_help_lists_exit_codes_and_bundled_names(self, capsys):
+        code, out, _ = invoke(capsys, "--help")
+        assert code == 0
+        epilog = " ".join(out.split())
+        assert "or bundled:NAME for a file shipped with tabalg" in epilog
+        for text in ("0 success", "1 a failed check", "2 a usage", "141 (128 + SIGPIPE)"):
+            assert text in epilog
 
 
 class TestVerify:

@@ -51,7 +51,7 @@ def d17_moved_coefficient(D17, rng):
         return [n for n in range(k) if n != m and deg[n] == deg[m]]
 
     sub = rng.sample(pairs, len(pairs) // rng.choice((1, 2, 3)))
-    known = {q: dict(D17.constants.row_items(*q)) for q in sub}
+    known = {(i, j): dict(D17.constants.rows[i][j]) for i, j in sub}
     pair = rng.choice([q for q in sub if any(others(m) for m in known[q])])
     m = rng.choice([m for m in sorted(known[pair]) if others(m)])
     n = rng.choice(others(m))
@@ -150,9 +150,9 @@ class TestPropagate:
         assert trace.message.endswith(THEOREM41_MESSAGE)
 
     def test_under_seeded_stalls(self):
-        trace = propagate(bundled_seed("B32-stall"), introduce_names=True)[1]
+        table, trace = propagate(bundled_seed("B32-stall"), introduce_names=True)
         assert trace.status == "stalled"
-        assert trace.unresolved
+        assert table.pending_pairs()
 
 
 class TestRefutations:
@@ -265,7 +265,7 @@ class TestLemma22:
         set_by_trace = {s.entry for s in trace.steps}
         derived = []
         for t, e in enumerate(els):
-            if e.degree != 3 or sum(c * c for _, c in B32.constants.row_items(*sorted((b3, t)))) != 2:
+            if e.degree != 3 or sum(c * c for c in B32.constants.rows[b3][t].values()) != 2:
                 continue
             assert product_row(table, t, e.dual) == {0: 1, b8: 1}, e.name
             if tuple(sorted((t, e.dual))) not in seed.rows:
@@ -359,7 +359,7 @@ class TestPSL27:
             for j in range(6):
                 for m in range(6):
                     assert (
-                        algebra.constants.delta(idx[i], idx[j], idx[m]) == fusion[i][j][m]
+                        algebra.constants.rows[idx[i]][idx[j]].get(idx[m], 0) == fusion[i][j][m]
                     ), (order[i], order[j], order[m])
 
 
@@ -376,7 +376,7 @@ class TestCompletionRecheck:
         _, trace = propagate(complete_c7_seed())
         assert trace.status == "completed"
         assert checked == [7]
-        assert "recheck" in trace.stats.seconds
+        assert "recheck" in trace.seconds
 
     def test_failed_recheck_is_a_contradiction(self, monkeypatch):
         failing = VerificationReport(
@@ -398,7 +398,7 @@ class TestCompletionRecheck:
         assert trace.steps == []
         assert trace.message == "completed table fails the axiom re-check: FAIL (associativity)"
         assert trace.witness == ("p00", "p01", "p10", "p11")
-        assert trace.stats.attempts["R3"] == 0
+        assert trace.attempts["R3"] == 0
 
 
 class TestFullCompletion:
@@ -605,7 +605,7 @@ class TestAgenda:
             b3, b3bar = (table.basis.index_of(n) for n in ("b3", "b3bar"))
             assert table.rows.keys() == {(0, j) for j in range(k)} | {(b3, b3bar)}
         assert naive_r3_findings(table) == []
-        assert trace.stats.sweep_firings == 0
+        assert trace.sweep_firings == 0
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_fixed_point_is_pinned_and_r3_closed(self, name):
@@ -669,7 +669,7 @@ class TestAgenda:
         activated = [key for key, terms in expanded if terms]
         assert len(set(activated)) == len(activated)
         assert {key: dict(terms) for key, terms in expanded if terms} == expected
-        assert engine.stats.r3_activated == len(expected)
+        assert engine.trace.r3_activated == len(expected)
         assert set(stored) <= set(expected)
         assert 0 < len(stored) < len(expected)
         assert_representatives_hold(p, stored, expected)
@@ -682,8 +682,8 @@ class TestAgenda:
         seed, naming = _third("B22", 1)
         table, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "completed"
-        assert trace.stats.attempts["R3"] == 0
-        assert trace.stats.sweep_firings > 0
+        assert trace.attempts["R3"] == 0
+        assert trace.sweep_firings > 0
         for i, j in table.rows:
             assert table.rows[(i, j)] == B22.constants.rows[i][j]
 
@@ -696,8 +696,8 @@ class TestAgenda:
         assert trace.steps == []
         assert trace.witness == ("p01", "p00", "p10")
         assert trace.message == "associativity fails on triple (p01*p00)*p10 at p12, p21"
-        assert trace.stats.attempts["R3"] == 0
-        assert trace.stats.sweep_triples > 0
+        assert trace.attempts["R3"] == 0
+        assert trace.sweep_triples > 0
 
     @pytest.mark.parametrize("name", sorted(PINNED) + ["Lemma72"])
     def test_serialized_trace_is_pinned(self, name):
@@ -736,7 +736,7 @@ class TestAgenda:
         _, trace = propagate(seed, introduce_names=naming)
         assert searched
         assert len(set(searched)) == len(searched)
-        assert trace.stats.attempts["R4"] == len(searched)
+        assert trace.attempts["R4"] == len(searched)
 
     @pytest.mark.parametrize("name", ["Lemma72", "B32third1", "D17third2"])
     def test_counter_invariant_holds_after_every_sync(self, name, monkeypatch):
@@ -769,11 +769,10 @@ class TestAgenda:
         table, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "completed"
         # one sync at seed and one per step that is not R2
-        firings = trace.stats.firings
-        assert len(checked) == 1 + firings["R1"] + firings["R3"] + firings["R4"]
+        assert len(checked) == 1 + sum(s.rule != "R2" for s in trace.steps)
         assert checked[-1] > 0
         expected = nonzero_net_representatives(table)
-        assert trace.stats.r3_activated == len(expected)
+        assert trace.r3_activated == len(expected)
         assert_representatives_hold(table, stored, expected)
 
     def test_r1_attempts_only_products_whose_remainder_reached_zero(self, lemma72_run):
@@ -781,7 +780,7 @@ class TestAgenda:
         _, trace = lemma72_run
         pending = len(bundled_seed("Lemma72-seed").pending_pairs())
         assert pending == 355
-        assert trace.stats.attempts["R1"] <= pending
+        assert trace.attempts["R1"] <= pending
 
     def test_lemma72_fixed_point(self, lemma72_run):
         table, trace = lemma72_run
@@ -792,19 +791,19 @@ class TestAgenda:
         # known made 7,672 evaluations on this seed, and the sweep after it
         # 7,565 more
         _, trace = lemma72_run
-        assert trace.stats.attempts["R3"] < 767
-        assert trace.stats.firings["R3"] == sum(s.rule == "R3" for s in trace.steps)
-        assert trace.stats.sweep_triples == 0
+        assert trace.attempts["R3"] < 767
+        assert dict(trace.facts())["stats.R3.firings"] == sum(s.rule == "R3" for s in trace.steps)
+        assert trace.sweep_triples == 0
 
     def test_stall_reports_the_solver_caps_it_hit(self):
         # the stall's fixed point caps 271 products: every one has more than
         # DECOMPOSITION_LIMIT decompositions
         seed, naming = _seed("B32stall")
-        trace = propagate(seed, introduce_names=naming)[1]
+        table, trace = propagate(seed, introduce_names=naming)
         assert trace.status == "stalled"
         assert len(trace.capped) == 271
-        assert set(trace.capped) <= set(trace.stats.overflow_pairs)
-        assert set(trace.capped) <= set(trace.unresolved)
+        assert set(trace.capped) <= set(trace.overflow_pairs)
+        assert set(trace.capped) <= set(map(table.label, table.pending_pairs()))
         tail = trace.serialize().splitlines()[-1]
         assert tail.startswith("STATUS stalled SOLVER-CAP ")
         listed = tail.split()[-1].split(",")
@@ -818,10 +817,21 @@ class TestAgenda:
 
     def test_decomposition_count_is_reported(self, lemma72_run):
         _, trace = lemma72_run
-        facts = dict(trace.stats.facts())
+        facts = dict(trace.facts())
         assert facts["stats.solver.count_states"] > 0
         assert facts["stats.R4.attempts"] > 0
         assert not any("gated" in key or "nodes" in key for key in facts)
+
+    def test_facts_come_from_the_trace_alone(self, lemma72_run):
+        """The trace is the one result object: its counters are attributes,
+        its firings are counted from its steps, and a stall's pending
+        products are the table's."""
+        _, trace = lemma72_run
+        assert [key for key, _ in trace.facts()] == [
+            f"stats.{rule}.{what}" for rule in ("R1", "R2", "R3", "R4") for what in ("attempts", "firings")
+        ] + [f"stats.{key}" for key in ("r3.activated", "solver.count_states", "solver.overflows",
+                                        "solver.overflow_pairs", "sweep.triples", "sweep.firings")]
+        assert not any(hasattr(trace, name) for name in ("stats", "firings", "unresolved"))
 
     def test_lemma72_peak_memory(self):
         """The engine caches no orbits, indexes no stored triples, keeps
@@ -994,7 +1004,7 @@ class TestSolverFastPaths:
         assert trace.serialize() == shared.serialize()
 
         def facts(t):
-            return [(key, v) for key, v in t.stats.facts() if key != "stats.solver.count_states"]
+            return [(key, v) for key, v in t.facts() if key != "stats.solver.count_states"]
 
         assert facts(trace) == facts(shared)
 
@@ -1015,7 +1025,7 @@ class TestSolverFastPaths:
         monkeypatch.setattr(deduction._Engine, "_search", counted)
         seed, naming = _seed(name)
         _, trace = propagate(seed, introduce_names=naming)
-        assert trace.stats.attempts["R4"] == asked
+        assert trace.attempts["R4"] == asked
         assert 0 < len(run) <= most
 
     @pytest.mark.parametrize("name", ["Lemma72", "B32stall", "B32third1"])

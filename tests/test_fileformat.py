@@ -23,7 +23,7 @@ def elem(A, text):
 class TestParse:
     def test_product_line_with_coefficients(self, C7):
         # "product b5 b5 = 1 + x9 + x10 + b5" gives unit entries
-        row = dict(C7.constants.row_items(C7.basis.index_of("b5"), C7.basis.index_of("b5")))
+        row = dict(C7.constants.rows[C7.basis.index_of("b5")][C7.basis.index_of("b5")])
         names = {C7.basis.name(m): v for m, v in row.items()}
         assert names == {"1": 1, "x9": 1, "x10": 1, "b5": 1}
 
@@ -33,7 +33,7 @@ class TestParse:
 
     def test_multiplicity_coefficients(self, B32):
         idx = B32.basis.index_of
-        row = dict(B32.constants.row_items(idx("y15"), idx("y15bar")))
+        row = dict(B32.constants.rows[idx("y15")][idx("y15bar")])
         named = {B32.basis.name(m): v for m, v in row.items()}
         assert named == {"1": 1, "b5": 3, "c5": 3, "c8": 5, "b8": 5, "x9": 6, "x10": 6}
 
@@ -41,7 +41,7 @@ class TestParse:
         # mini file omits nothing, but B32 omits all conjugate rows
         A = parse(data_text("B32"))
         idx = A.basis.index_of
-        row = dict(A.constants.row_items(idx("b3bar"), idx("x6bar")))
+        row = dict(A.constants.rows[idx("b3bar")][idx("x6bar")])
         named = {A.basis.name(m): v for m, v in row.items()}
         assert named == {"c3bar": 1, "y15bar": 1}
 
@@ -204,7 +204,7 @@ class TestRoundTrip:
         for i in range(first.size):
             for j in range(first.size):
                 for m in range(first.size):
-                    assert first.constants.delta(i, j, m) == second.constants.delta(i, j, m)
+                    assert first.constants.rows[i][j].get(m, 0) == second.constants.rows[i][j].get(m, 0)
         # canonical output is a fixed point byte for byte
         assert serialize(second) == text1
 

@@ -46,7 +46,7 @@ def relabeled(A):
         key=lambda e: e.index,
     ))
     products = {
-        (new[i], new[j]): {new[m]: v for m, v in A.constants.row_items(i, j)}
+        (new[i], new[j]): {new[m]: v for m, v in A.constants.rows[i][j].items()}
         for i in range(1, A.size)
         for j in range(i, A.size)
     }
@@ -60,7 +60,7 @@ def assert_carries_every_constant(a, b, psi):
         assert psi[a.basis.dual(i)] == b.basis.dual(psi[i])
         for j in range(a.size):
             for m in range(a.size):
-                assert a.constants.delta(i, j, m) == b.constants.delta(psi[i], psi[j], psi[m])
+                assert a.constants.rows[i][j].get(m, 0) == b.constants.rows[psi[i]][psi[j]].get(psi[m], 0)
 
 
 class TestRestrict:
@@ -75,15 +75,12 @@ class TestRestrict:
 
     def test_restrict_to_C_matches_C7(self, B32, C7):
         sub = restrict(B32, closure(B32, ["b8"]))
+        to_c7 = [C7.basis.index_of(sub.basis.name(i)) for i in range(7)]
         for i in range(7):
             for j in range(7):
                 for m in range(7):
-                    a = sub.constants.delta(i, j, m)
-                    b = C7.constants.delta(
-                        C7.basis.index_of(sub.basis.name(i)),
-                        C7.basis.index_of(sub.basis.name(j)),
-                        C7.basis.index_of(sub.basis.name(m)),
-                    )
+                    a = sub.constants.rows[i][j].get(m, 0)
+                    b = C7.constants.rows[to_c7[i]][to_c7[j]].get(to_c7[m], 0)
                     assert a == b
 
     def test_not_closed_rejected(self, B32):
@@ -236,7 +233,7 @@ class TestExactIsomorphic:
         products = {}
         for i in range(1, B32.size):
             for j in range(i, B32.size):
-                products[(i, j)] = dict(B32.constants.row_items(i, j))
+                products[(i, j)] = dict(B32.constants.rows[i][j])
         row = dict(products[(1, 1)])
         row[2] = row.get(2, 0) + 1
         products[(1, 1)] = row
