@@ -202,6 +202,9 @@ def cmd_deduce(args, out: _Out) -> int:
 
 
 def cmd_bundled(args, out: _Out) -> int:
+    if args.output and not args.export:
+        print("error: bundled -o/--output needs --export NAME", file=sys.stderr)
+        return 2
     if args.export:
         _emit(out, data_text(args.export), args.output, args.export)
         return 0
@@ -292,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", type=resolve_partial, help="a partial table: a file path or bundled:NAME")
     p.add_argument("--trace", help="write the trace, one line per step, to this file")
     p.add_argument("--no-names", action="store_true",
-                   help="disable the fresh-constituent naming convention")
+                   help="disable the fresh-constituent naming convention (rule N)")
     p.set_defaults(func=cmd_deduce)
 
     p = sub.add_parser("bundled", help="list or export bundled data")

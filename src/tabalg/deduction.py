@@ -20,14 +20,18 @@ mirroring the lemma calculus used to pin down such algebras by hand:
 Every firing completes one pending product, so a run makes at most one
 step per product pending at seed and needs no step budget.
 
-Propagation itself only ever writes forced values.  The optional naming
-mode additionally models the working convention of christening a new
+Propagation itself only ever writes forced values.  The optional rule N,
+naming, additionally models the working convention of christening a new
 constituent ("let x be such that ..."): when the candidate decompositions
 of a remainder differ only by a degree- and duality-respecting relabeling
 of the basis that fixes every already-determined coefficient, the
 least-indexed assignment is chosen, newest products first.  Conclusions
 about already-distinguished elements are unaffected; only the naming of
-so-far-indistinguishable ones is convention.
+so-far-indistinguishable ones is convention: the relabeling is a symmetry
+of the current knowledge, and N breaks it.  N runs only when R4 fires on
+no product, and only on the products R4's latest scan found ambiguous, so
+it searches nothing itself.  ``_canonical_naming(table, solutions)`` is
+its policy, a module function over the table alone.
 
 Frozen rows.  A product never changes once all its coefficients are
 known, so at that moment it is frozen into a row ``{m: v}``, ``m``
@@ -78,13 +82,13 @@ capped and its search returns nothing; otherwise the search walks only
 states that count a decomposition and keeps those of the right reality
 mass.  The limit is the only budget R4 has: it is counted in the
 trace's counters, and a stall lists every product its final fixed point
-capped.  One scan serves both R4 and naming: it searches each pending
-product once, fires the first with exactly one decomposition, and only
-when there is none tries naming on the ambiguous products it already
-holds.  A search is run only for inputs not seen in the current scan or
-the previous one: answers are keyed by the search's inputs alone, the
-product's cells, remainder, square budget and reality mass, and each scan
-keeps the answers it used, so one unused for a whole scan is dropped.
+capped.  One scan searches each pending product once and fires the first
+with exactly one decomposition; when there is none, it leaves the
+ambiguous products it found to N.  A search is run only for inputs not
+seen in the current scan or the previous one: answers are keyed by the
+search's inputs alone, the product's cells, remainder, square budget and
+reality mass, and each scan keeps the answers it used, so one unused for
+a whole scan is dropped.
 
 The certificate.  The agenda checks no triple whose products are all
 known; the certificate does.  A table that completes is re-verified by
@@ -117,7 +121,7 @@ __all__ = [
 # the most decompositions R4 enumerates for one product; a product with
 # more is capped, and a stall lists it
 DECOMPOSITION_LIMIT = 256
-RULES = ("R1", "R2", "R3", "R4")
+RULES = ("R1", "R2", "R3", "R4", "N")
 
 
 class Contradiction(TableAlgebraError):
@@ -141,7 +145,7 @@ class DeductionStep(NamedTuple):
 class DeductionTrace:
     """What one propagation did: its steps, its outcome and its counters.
 
-    ``steps`` holds one step per completed product, naming steps under R1;
+    ``steps`` holds one step per completed product, naming steps under N;
     ``status`` is ``completed``, ``stalled`` or ``contradiction``, the last
     with a ``witness`` and a ``message``.  ``capped`` lists, as ``a*b``
     labels, the products with more than DECOMPOSITION_LIMIT decompositions
@@ -152,7 +156,8 @@ class DeductionTrace:
     ``attempts`` per rule: R1 counts pending products whose remainder
     reached zero, R2 coefficients transported around their orbits, R3
     agenda evaluations of a triple with exactly one unknown product, R4
-    searches asked, those answered from the cache included.
+    searches asked, those answered from the cache included, N ambiguous
+    products examined for a canonical naming.
     ``r3_activated`` counts the triples activated with a nonzero net
     expansion, stored as indices and a count or, all products known, not
     stored.  ``solver_count_states`` counts the states of the shared
@@ -164,7 +169,7 @@ class DeductionTrace:
     ``sweep_firings`` those that fired.  ``seconds`` is the time of each
     phase of the main loop, its syncs' R2 transport excepted, of that
     transport under ``R2``, and of the ``recheck`` of a completed table;
-    naming shares R4's scan, so its time is under ``R4``.
+    ``N`` is a phase only when naming is on.
     """
 
     def __init__(self):
@@ -364,6 +369,63 @@ class PartialTable:
         }))
 
 
+def _canonical_naming(table: PartialTable, solutions: list[dict[int, int]]) -> Optional[dict[int, int]]:
+    """N: the least-indexed assignment, when every other solution is its
+    image under a basis relabeling that fixes all knowledge in ``table``;
+    else None.
+
+    Choosing among such solutions is the usual "name the new constituent"
+    convention: the alternatives describe the same table up to renaming
+    elements the current state cannot tell apart."""
+    best = min(solutions, key=lambda s: tuple(sorted(s.items())))
+    for other in solutions:
+        if other == best:
+            continue
+        perm = _relabeling(table, best, other)
+        if perm is None or not _fixes_knowledge(table, perm):
+            return None
+    return best
+
+
+def _relabeling(table: PartialTable, a: dict[int, int], b: dict[int, int]) -> Optional[dict[int, int]]:
+    """Degree- and duality-respecting involution mapping solution a to b,
+    identity outside the differing elements; None if the shapes differ.
+    Consistent swaps within a degree group, closed under duals, are such a map."""
+    deg, dual = table.deg, table.dual
+    # each solution's differing elements sorted by (degree, self-duality,
+    # value, index): the shapes agree when the keys agree but for the index
+    ka = sorted((deg[m], m == dual[m], v, m) for m, v in a.items() if b.get(m) != v)
+    kb = sorted((deg[m], m == dual[m], v, m) for m, v in b.items() if a.get(m) != v)
+    if [key[:3] for key in ka] != [key[:3] for key in kb]:
+        return None
+    swaps: dict[int, int] = {}
+    for (*_, x), (*_, y) in zip(ka, kb):
+        for s, t in ((x, y), (y, x), (dual[x], dual[y]), (dual[y], dual[x])):
+            if s in swaps and swaps[s] != t:
+                return None
+            swaps[s] = t
+    perm = {m: m for m in range(table.k)}
+    perm.update(swaps)
+    if {perm[m]: c for m, c in a.items()} != b:
+        return None
+    return perm
+
+
+def _fixes_knowledge(table: PartialTable, perm: dict[int, int]) -> bool:
+    """True when every determined cell maps to an equal determined cell.
+    A cell none of whose indices ``perm`` moves maps to itself, so in a
+    product that maps to itself only the moved ``m`` are checked."""
+    k, cells = table.k, table.cells
+    moved = [m for m in range(k) if perm[m] != m]
+    for (i, j), row in cells.items():
+        image_row = cells[table.pair[perm[i]][perm[j]]]
+        for m in moved if image_row is row else range(k):
+            v = row[m]
+            if v is not None and image_row[perm[m]] != v:
+                return False
+    return True
+
+
 class _Triple:
     """A stored R3 triple: its indices and the count of the unknown products
     of its nonzero-net expansion, which the agenda rebuilds from the frozen
@@ -394,8 +456,10 @@ class _Engine:
         # mass): those of the current solver scan and of the previous one
         self._answers: dict[tuple, Optional[list]] = {}
         self._last_answers: dict[tuple, Optional[list]] = {}
-        # pairs whose search was capped during the latest solver scan
+        # pairs whose search was capped during the latest solver scan, and
+        # the products it found ambiguous, with their decompositions
         self._overflowed: list[tuple[int, int]] = []
+        self._ambiguous: list[tuple[tuple[int, int], list]] = []
         self._by_degree = sorted(range(k), key=lambda m: table.deg[m])
 
     # -- bookkeeping -------------------------------------------------------
@@ -409,13 +473,13 @@ class _Engine:
 
     def _resolve(self, rule: str, triple, pair: tuple[int, int], coeffs: Mapping[int, int]) -> None:
         """Fire a rule: write the product of ``pair``, log the step and
-        sync.  R1, R3, R4 and naming write through here; R2 is the sync."""
+        sync.  R1, R3, R4 and N write through here; R2 is the sync."""
         self.p.set_product(pair[0], pair[1], coeffs)
         self.log(rule, triple, pair)
         self.sync((pair,))
 
     def _complete(self, rule: str, pair: tuple[int, int], assign: Mapping[int, int]) -> None:
-        """R1, R4 and naming: resolve ``pair`` as its known cells plus ``assign``."""
+        """R1, R4 and N: resolve ``pair`` as its known cells plus ``assign``."""
         row = {m: v for m, v in enumerate(self.p.cells[pair]) if v}
         row.update(assign)
         self._resolve(rule, None, pair, row)
@@ -607,15 +671,13 @@ class _Engine:
         self._resolve("R3", names3, pair, solved)
         return True
 
-    # -- R4 / R1b: inner-product constrained resolution --------------------------
+    # -- R4: inner-product constrained resolution --------------------------------
 
     def solver_scan(self) -> bool:
-        """R4 and naming: search each pending product once and resolve the
-        first with exactly one decomposition; failing that, with naming on,
-        name the first ambiguous product that admits a canonical naming."""
-        self._overflowed = []
+        """R4: search each pending product once and resolve the first with
+        exactly one decomposition; the ambiguous ones are kept for N."""
+        self._overflowed, self._ambiguous = [], []
         self._last_answers, self._answers = self._answers, {}
-        ambiguous = []
         dual, at = self.p.dual, self.p.pair
         for pair in self.p.pending_pairs():
             # the involution maps the product to its conjugate: search one of the two
@@ -627,15 +689,21 @@ class _Engine:
             if len(solutions) == 1:
                 self._complete("R4", pair, solutions[0])
                 return True
-            if self.naming:
-                ambiguous.append((pair, solutions))
-        # christen new names on the newest element's products first,
-        # mirroring the order in which generators introduce constituents
-        ambiguous.sort(key=lambda entry: entry[0][::-1])
-        for pair, solutions in ambiguous:
-            best = self._canonical_naming(solutions)
+            self._ambiguous.append((pair, solutions))
+        return False
+
+    # -- N: naming ----------------------------------------------------------------
+
+    def n_process(self) -> bool:
+        """Name the first ambiguous product of the latest R4 scan that
+        admits a canonical naming.  New names are christened on the newest
+        element's products first, mirroring the order in which generators
+        introduce constituents."""
+        for pair, solutions in sorted(self._ambiguous, key=lambda entry: entry[0][::-1]):
+            self.trace.attempts["N"] += 1
+            best = _canonical_naming(self.p, solutions)
             if best is not None:
-                self._complete("R1", pair, best)
+                self._complete("N", pair, best)
                 return True
         return False
 
@@ -762,61 +830,6 @@ class _Engine:
             # each closure holds itself through its cell; emptying it frees both
             del count, walk
 
-    def _canonical_naming(self, solutions: list[dict[int, int]]) -> Optional[dict[int, int]]:
-        """Pick the least-indexed assignment when every other solution is the
-        image of it under a basis relabeling that fixes all current knowledge.
-
-        Choosing among such solutions is the usual "name the new constituent"
-        convention: the alternatives describe the same table up to renaming
-        elements the current state cannot tell apart."""
-        best = min(solutions, key=lambda s: tuple(sorted(s.items())))
-        for other in solutions:
-            if other == best:
-                continue
-            perm = self._relabeling(best, other)
-            if perm is None or not self._fixes_knowledge(perm):
-                return None
-        return best
-
-    def _relabeling(
-        self, a: dict[int, int], b: dict[int, int]
-    ) -> Optional[dict[int, int]]:
-        """Degree- and duality-respecting involution mapping solution a to b,
-        identity outside the differing elements; None if the shapes differ.
-        Consistent swaps within a degree group, closed under duals, are such a map."""
-        p = self.p
-        # each solution's differing elements sorted by (degree, self-duality,
-        # value, index): the shapes agree when the keys agree but for the index
-        ka = sorted((p.deg[m], m == p.dual[m], v, m) for m, v in a.items() if b.get(m) != v)
-        kb = sorted((p.deg[m], m == p.dual[m], v, m) for m, v in b.items() if a.get(m) != v)
-        if [key[:3] for key in ka] != [key[:3] for key in kb]:
-            return None
-        swaps: dict[int, int] = {}
-        for (*_, x), (*_, y) in zip(ka, kb):
-            for s, t in ((x, y), (y, x), (p.dual[x], p.dual[y]), (p.dual[y], p.dual[x])):
-                if s in swaps and swaps[s] != t:
-                    return None
-                swaps[s] = t
-        perm = {m: m for m in range(p.k)}
-        perm.update(swaps)
-        if {perm[m]: c for m, c in a.items()} != b:
-            return None
-        return perm
-
-    def _fixes_knowledge(self, perm: dict[int, int]) -> bool:
-        """True when every determined cell maps to an equal determined cell.
-        A cell none of whose indices ``perm`` moves maps to itself, so in a
-        product that maps to itself only the moved ``m`` are checked."""
-        p = self.p
-        moved = [m for m in range(p.k) if perm[m] != m]
-        for (i, j), row in p.cells.items():
-            image_row = p.cells[p.pair[perm[i]][perm[j]]]
-            for m in moved if image_row is row else range(p.k):
-                v = row[m]
-                if v is not None and image_row[perm[m]] != v:
-                    return False
-        return True
-
     # -- main loop -----------------------------------------------------------
 
     def _timed(self, phase: str, step) -> bool:
@@ -836,12 +849,10 @@ class _Engine:
             # everything known at seed time triggers the initial agenda, unlogged
             p.newly_known = sorted(p.rows)
             self._timed("seed", lambda: self.sync(set(p.rows)))
-            phases = (
-                ("R1", self.r1_process),
-                ("R3", self.r3_process),
-                ("R4", self.solver_scan),
-                ("sweep", self.r3_full_sweep),
-            )
+            phases = [("R1", self.r1_process), ("R3", self.r3_process), ("R4", self.solver_scan)]
+            if self.naming:
+                phases.append(("N", self.n_process))
+            phases.append(("sweep", self.r3_full_sweep))
             # each firing restarts from R1; the loop ends when no phase fires
             while any(self._timed(phase, step) for phase, step in phases):
                 pass
@@ -873,8 +884,8 @@ def _recheck(table: PartialTable, trace: DeductionTrace) -> None:
 def propagate(
     table: PartialTable, introduce_names: bool = False
 ) -> tuple[PartialTable, DeductionTrace]:
-    """Fixed point of R1-R4, written into ``table``, which is returned
-    with the trace.
+    """Fixed point of R1-R4, and of N when ``introduce_names`` is True,
+    written into ``table``, which is returned with the trace.
 
     With ``introduce_names`` False every written entry is forced, so a
     seed drawn from a consistent algebra only ever derives that algebra's

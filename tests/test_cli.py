@@ -293,7 +293,7 @@ class TestDeduce:
         assert code == 0
         facts = dict(line.split("\t") for line in out.strip().splitlines())
         steps = trace.read_text().splitlines()[:-1]
-        for rule in ("R1", "R2", "R3", "R4"):
+        for rule in ("R1", "R2", "R3", "R4", "N"):
             assert int(facts[f"stats.{rule}.firings"]) == sum(f" RULE {rule} " in s for s in steps)
         assert int(facts["stats.R3.attempts"]) >= int(facts["stats.R3.firings"]) > 0
         assert facts["stats.sweep.firings"] == "0"
@@ -325,6 +325,14 @@ class TestDeduce:
         total = float(lines[-1].split()[1][:-1])
         # each printed figure is rounded to the millisecond
         assert sum(phases.values()) <= total + 0.0005 * (len(phases) + 1)
+
+    @pytest.mark.parametrize("flags, named", [((), True), (("--no-names",), False)])
+    def test_naming_is_timed_as_its_own_phase(self, capsys, flags, named):
+        code, _, err = invoke(capsys, "deduce", "bundled:Lemma72-seed", "--timing", *flags)
+        phases = [line.split()[1] for line in err.strip().splitlines()[:-1]]
+        assert ("N" in phases) == named
+        if named:
+            assert phases.index("N") == phases.index("R4") + 1
 
     def test_unwritable_trace_path_prints_nothing_but_the_error(self, capsys, tmp_path):
         path = tmp_path / "missing" / "trace.log"
@@ -519,6 +527,13 @@ class TestBundled:
         code, _, _ = invoke(capsys, "bundled", "--export", "D17", "-o", str(target))
         assert code == 0
         assert parse(target.read_text()).size == 17
+
+    def test_output_without_export_is_refused(self, capsys, tmp_path):
+        target = tmp_path / "listing.txt"
+        code, out, err = invoke(capsys, "bundled", "-o", str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--export" in err
+        assert not target.exists()
 
     @pytest.mark.parametrize("name", PARTIAL)
     def test_export_of_a_partial_table(self, capsys, tmp_path, name):

@@ -273,7 +273,7 @@ class TestLemma22:
                 assert names in set_by_trace
                 derived.append(e.name)
         assert derived == ["r3"]
-        assert {s.rule for s in trace.steps} <= {"R1", "R2", "R3", "R4"}
+        assert {s.rule for s in trace.steps} <= {"R1", "R2", "R3", "R4", "N"}
 
 
 class TestSoundness:
@@ -324,7 +324,7 @@ class TestTraceFormat:
     def test_line_grammar(self, lemma72_run):
         _, trace = lemma72_run
         pattern = re.compile(
-            r"^STEP \d+ RULE R[1-4] TRIPLE [A-Za-z0-9]+,[A-Za-z0-9]+,(-|[A-Za-z0-9]+) "
+            r"^STEP \d+ RULE (R[1-4]|N) TRIPLE [A-Za-z0-9]+,[A-Za-z0-9]+,(-|[A-Za-z0-9]+) "
             r"SET [A-Za-z0-9]+\*[A-Za-z0-9]+ = .+$"
         )
         text = trace.serialize()
@@ -572,7 +572,7 @@ TRACE_CRC32 = {
     "D17third2": 0x935FFBFE,
     "D17third3": 0xFAEAEAF7,
     "PSL27": 0xC5D6C193,
-    "Lemma72": 0x74847CB5,
+    "Lemma72": 0xE80F6C30,
 }
 
 
@@ -722,8 +722,9 @@ class TestAgenda:
 
     @pytest.mark.parametrize("name", ["B32stall", "Lemma72"])
     def test_no_product_is_searched_twice_on_one_table(self, name, monkeypatch):
-        """R4 and naming share one scan: between two steps, that is on one
-        state of the table, each pending product is searched at most once."""
+        """N searches nothing: it names from R4's latest scan, so between
+        two steps, that is on one state of the table, each pending product
+        is searched at most once."""
         solve = deduction._Engine._solve_entry
         searched = []
 
@@ -828,7 +829,7 @@ class TestAgenda:
         products are the table's."""
         _, trace = lemma72_run
         assert [key for key, _ in trace.facts()] == [
-            f"stats.{rule}.{what}" for rule in ("R1", "R2", "R3", "R4") for what in ("attempts", "firings")
+            f"stats.{rule}.{what}" for rule in ("R1", "R2", "R3", "R4", "N") for what in ("attempts", "firings")
         ] + [f"stats.{key}" for key in ("r3.activated", "solver.count_states", "solver.overflows",
                                         "solver.overflow_pairs", "sweep.triples", "sweep.firings")]
         assert not any(hasattr(trace, name) for name in ("stats", "firings", "unresolved"))
@@ -1102,16 +1103,16 @@ class TestCanonicalNaming:
     def answers(self, monkeypatch):
         """Every ``_fixes_knowledge`` answer, each checked against the full
         scan."""
-        fixes = deduction._Engine._fixes_knowledge
+        fixes = deduction._fixes_knowledge
         answers = []
 
-        def checked(self, perm):
-            got = fixes(self, perm)
-            assert got == fixes_knowledge_by_full_scan(self.p, perm)
+        def checked(table, perm):
+            got = fixes(table, perm)
+            assert got == fixes_knowledge_by_full_scan(table, perm)
             answers.append(got)
             return got
 
-        monkeypatch.setattr(deduction._Engine, "_fixes_knowledge", checked)
+        monkeypatch.setattr(deduction, "_fixes_knowledge", checked)
         return answers
 
     def test_lemma72_namings_match_the_full_scan(self, lemma72_run, answers):
@@ -1119,7 +1120,7 @@ class TestCanonicalNaming:
         assert trace.serialize() == lemma72_run[1].serialize()
         assert True in answers
 
-    def engine(self, known, extra=()):
+    def table(self, known, extra=()):
         basis = TableBasis([
             BasisElement(0, "1", 1, 0),
             BasisElement(1, "x", 3, 1),
@@ -1127,34 +1128,145 @@ class TestCanonicalNaming:
             BasisElement(3, "z", 8, 3),
             *extra,
         ])
-        return deduction._Engine(PartialTable(basis, known), introduce_names=True)
+        return PartialTable(basis, known)
 
     def test_swap_of_indistinguishable_elements_names_the_first(self):
-        assert self.engine({})._canonical_naming([{1: 1}, {2: 1}]) == {1: 1}
+        assert deduction._canonical_naming(self.table({}), [{1: 1}, {2: 1}]) == {1: 1}
 
     def test_swap_that_moves_a_known_product_is_refused(self):
         # swapping x and y would move x*x = 1 + z onto the unknown y*y
-        engine = self.engine({("x", "x"): {0: 1, 3: 1}})
-        assert engine._canonical_naming([{1: 1}, {2: 1}]) is None
+        table = self.table({("x", "x"): {0: 1, 3: 1}})
+        assert deduction._canonical_naming(table, [{1: 1}, {2: 1}]) is None
 
     def test_swap_that_moves_a_known_coefficient_of_a_fixed_element_is_refused(self):
         # only the coefficient of z in x*x is known: z is fixed, but swapping
         # x and y moves the cell onto y*y, where it is unknown
-        engine = self.engine({})
-        engine.p.set_cell("x", "x", "z", 1)
-        assert engine._canonical_naming([{1: 1}, {2: 1}]) is None
+        table = self.table({})
+        table.set_cell("x", "x", "z", 1)
+        assert deduction._canonical_naming(table, [{1: 1}, {2: 1}]) is None
 
     def test_relabeling_that_is_no_involution_is_refused(self):
         # x + 2 y goes to y + 2 w only by the 3-cycle x -> y -> w: pairing x
         # with y and then y with w asks two images of y
-        engine = self.engine({}, [BasisElement(4, "w", 3, 4)])
-        assert engine._relabeling({1: 1, 2: 2}, {2: 1, 4: 2}) is None
+        table = self.table({}, [BasisElement(4, "w", 3, 4)])
+        assert deduction._relabeling(table, {1: 1, 2: 2}, {2: 1, 4: 2}) is None
 
     def test_dual_swap_that_moves_a_shared_coefficient_is_refused(self):
         # swapping pbar with q also swaps their duals p and qbar, which moves
         # the coefficient of p that both solutions share
         pairs = [BasisElement(4, "p", 3, 5), BasisElement(5, "pbar", 3, 4),
                  BasisElement(6, "q", 3, 7), BasisElement(7, "qbar", 3, 6)]
-        engine = self.engine({}, pairs)
-        assert engine._relabeling({4: 1, 5: 1}, {4: 1, 6: 1}) is None
-        assert engine._canonical_naming([{4: 1, 5: 1}, {4: 1, 6: 1}]) is None
+        table = self.table({}, pairs)
+        assert deduction._relabeling(table, {4: 1, 5: 1}, {4: 1, 6: 1}) is None
+        assert deduction._canonical_naming(table, [{4: 1, 5: 1}, {4: 1, 6: 1}]) is None
+
+
+class TestNamingRule:
+    """Naming is rule N: its own steps, counters and phase, and a choice that
+    loses nothing up to isomorphism on the paper's main derivation."""
+
+    @pytest.mark.parametrize("name", sorted(PINNED) + ["Lemma72"])
+    def test_r1_fires_on_every_product_it_attempts(self, name):
+        # naming steps logged under R1 made it 32 firings on 28 attempts
+        seed, naming = _seed(name)
+        facts = dict(propagate(seed, introduce_names=naming)[1].facts())
+        assert facts["stats.R1.firings"] == facts["stats.R1.attempts"]
+
+    def test_lemma72_names_four_products(self, lemma72_run):
+        _, trace = lemma72_run
+        named = [(s.number, "{}*{}".format(*s.entry)) for s in trace.steps if s.rule == "N"]
+        assert named == [(21, "b8*b3"), (48, "x10*b3"), (105, "x9*b3"), (268, "c3*b3")]
+        facts = dict(trace.facts())
+        assert (facts["stats.N.attempts"], facts["stats.N.firings"]) == (4, 4)
+
+    def test_stall_examines_its_ambiguous_products_and_names_none(self):
+        seed, naming = _seed("B32stall")
+        facts = dict(propagate(seed, introduce_names=naming)[1].facts())
+        assert (facts["stats.N.attempts"], facts["stats.N.firings"]) == (14, 0)
+
+    def test_no_naming_no_n_phase(self):
+        _, trace = propagate(bundled_seed("Lemma72-seed"))
+        assert "N" not in trace.seconds
+        assert trace.attempts["N"] == 0
+        assert not any(s.rule == "N" for s in trace.steps)
+
+    def test_every_naming_choice_on_lemma72_gives_b32(self, B32, monkeypatch):
+        """Take each alternative at each of the 4 N steps of Lemma 7.2: the
+        16 leaves are distinct tables, each completed in 355 steps and
+        exactly isomorphic to B32, and the canonical choice everywhere
+        gives B32 itself."""
+        from tabalg.iso import exact_isomorphic
+        canonical = deduction._canonical_naming
+        leaves = set()
+        for mask in range(16):
+            alternatives = []
+
+            def choose(table, solutions):
+                best = canonical(table, solutions)
+                if best is None:
+                    return None
+                ordered = [best] + [s for s in solutions if s != best]
+                alternatives.append(len(ordered))
+                return ordered[mask >> (len(alternatives) - 1) & 1]
+
+            monkeypatch.setattr(deduction, "_canonical_naming", choose)
+            table, trace = propagate(bundled_seed("Lemma72-seed"), introduce_names=True)
+            assert (trace.status, len(trace.steps)) == ("completed", 355), mask
+            assert sum(s.rule == "N" for s in trace.steps) == 4
+            assert alternatives == [2, 2, 2, 2]
+            algebra = table.as_algebra()
+            assert exact_isomorphic(algebra, B32) is not None, mask
+            if mask == 0:
+                assert algebra.constants.rows == B32.constants.rows
+            leaves.add(repr(sorted(table.rows.items())))
+        assert len(leaves) == 16
+
+
+# A minimal premise set of each of the paper's two arguments, found by
+# dropping seeded products one at a time in file order and keeping each
+# drop after which the argument still held.  Minimal, not minimum: another
+# order may leave another set.
+LEMMA72_PREMISES = [
+    "b3*b3bar", "b3bar*b3bar", "c3*b3bar", "b6*b6bar", "b6bar*b6bar", "b6bar*y15",
+    "b6bar*y15bar", "c9bar*b6", "c9bar*y15", "d3bar*b6bar", "y15*y15bar", "y15bar*y15bar",
+]
+
+
+def lemma72_premise_seed(drop=None):
+    """The Lemma 7.2 seed cut to LEMMA72_PREMISES, less the product ``drop``."""
+    _, basis, products = parse_partial(data_text("Lemma72-seed"))
+    table = PartialTable(basis)
+    keep = {pair: row for pair, row in products.items()
+            if table.label(pair) in LEMMA72_PREMISES and table.label(pair) != drop}
+    return PartialTable(basis, keep)
+
+
+class TestPremises:
+    """The basis degrees already carry the hypotheses' content: these
+    premises suffice, but the hypotheses are not shown idle."""
+
+    def test_lemma72_premises_give_b32(self, B32):
+        seed = lemma72_premise_seed()
+        assert len(seed.rows) == B32.size + len(LEMMA72_PREMISES)
+        table, trace = propagate(seed, introduce_names=True)
+        assert (trace.status, len(trace.steps)) == ("completed", 484)
+        assert sum(s.rule == "N" for s in trace.steps) == 4
+        assert table.as_algebra().constants.rows == B32.constants.rows
+
+    @pytest.mark.parametrize("drop", LEMMA72_PREMISES)
+    def test_each_lemma72_premise_is_needed(self, drop):
+        assert propagate(lemma72_premise_seed(drop), introduce_names=True)[1].status == "stalled"
+
+    def test_theorem41_basis_alone_is_refuted_with_naming(self):
+        _, basis, _ = parse_partial(data_text("Theorem41-seed"))
+        _, trace = propagate(PartialTable(basis), introduce_names=True)
+        assert trace.status == "contradiction"
+        assert [s.rule for s in trace.steps] == ["R4", "N", "R2"]
+        assert trace.witness == ("b3", "b6bar", "no-decomposition")
+
+    def test_theorem41_one_product_refutes_without_naming(self):
+        _, basis, products = parse_partial(data_text("Theorem41-seed"))
+        b3bar = basis.index_of("b3bar")
+        _, trace = propagate(PartialTable(basis, {(b3bar, b3bar): products[(b3bar, b3bar)]}))
+        assert (trace.status, len(trace.steps)) == ("contradiction", 2)
+        assert trace.witness == ("b3", "b6bar", "no-decomposition")
