@@ -9,6 +9,9 @@ mirroring the lemma calculus used to pin down such algebras by hand:
   R2  the normalized-basis symmetry (b_m, b_i b_j) = (b_i, b_jbar b_m):
       every known coefficient transports around its symmetry orbit, which
       also keeps commutativity and the involution closure maintained.
+      Each orbit is transported once: a bitmask per pair marks the
+      positions of the orbits transported, and a queued coefficient whose
+      position is marked is skipped before its orbit is computed.
   R3  associativity: a triple whose two bracketings expand with exactly
       one unknown product of unit coefficient solves that product as an
       exact difference; a negative difference is a contradiction.
@@ -60,8 +63,15 @@ expansion: ``_evaluate(i, j, l)`` builds it afresh from the factor rows
 frozen at activation, so it is the one the count was made from, and the
 agenda and the sweep call it the same way.  An expansion's products are
 the table's own pair keys, ``PartialTable.pair``, so activating T
-allocates no tuple per term.  Those lists and the agenda alone hold a T,
-so it is freed once its last listed product is known.
+allocates no tuple per term.  Activation counts the unknown products
+without building the expansion: for i < l, the products (m, l) for m in
+b_i b_j and (i, m) for m in b_j b_l are all distinct but for (i, l), which
+is on both sides exactly when b_i is in b_i b_j and b_l is in b_j b_l.
+Its net coefficient is the difference of those two coefficients: it drops
+out when they are equal and is counted once when they differ.  So the
+expansion is empty only when both factor rows are that one term, with
+equal coefficients.  Those lists and the agenda alone hold a T, so it is
+freed once its last listed product is known.
 Propagation never retracts a fact, so a count only falls and watched
 pairs, which pay only when backtracking must undo work, are not needed.
 Triples are taken up to two symmetries of the rule: (l, j, i) negates
@@ -76,19 +86,24 @@ the exact inner product ``s_exact`` is known, the square budget.  One
 exact count at the root decides the search: the number of decompositions,
 memoised on (candidate-degree suffix, degree left, squares left) and
 shared by every search of a propagation, saturating at
-``DECOMPOSITION_LIMIT + 1``.  A count of zero is a ``no-decomposition``
-contradiction.  A product with more decompositions than the limit is
-capped and its search returns nothing; otherwise the search walks only
-states that count a decomposition and keeps those of the right reality
-mass.  The limit is the only budget R4 has: it is counted in the
-trace's counters, and a stall lists every product its final fixed point
-capped.  One scan searches each pending product once and fires the first
-with exactly one decomposition; when there is none, it leaves the
-ambiguous products it found to N.  A search is run only for inputs not
-seen in the current scan or the previous one: answers are keyed by the
-search's inputs alone, the product's cells, remainder, square budget and
-reality mass, and each scan keeps the answers it used, so one unused for
-a whole scan is dropped.
+``DECOMPOSITION_LIMIT + 1``.  A state whose squares left cannot hold a
+decomposition counts 0 at once and is not memoised: nonnegative integers
+c have sum(c) <= sum(c^2) <= sum(c)^2, and d_min sum(c) <= D <= d_max
+sum(c) for the degree D left over candidate degrees from d_min to d_max,
+so the squares left lie in [ceil(D / d_max), floor(D / d_min)^2].  Both
+degrees are ends of the suffix the memo key names, so memoised counts stay
+shared.  A count of zero is a ``no-decomposition`` contradiction.  A
+product with more decompositions than the limit is capped and its search
+returns nothing; otherwise the search walks only states that count a
+decomposition and keeps those of the right reality mass.  The limit is
+the only budget R4 has: it is counted in the trace's counters, and a
+stall lists every product its final fixed point capped.  One scan
+searches each pending product once and fires the first with exactly one
+decomposition; when there is none, it leaves the ambiguous products it
+found to N.  A search is run only for inputs not seen in the current scan
+or the previous one: answers are keyed by the search's inputs alone, the
+product's cells, remainder, square budget and reality mass, and each scan
+keeps the answers it used, so one unused for a whole scan is dropped.
 
 The certificate.  The agenda checks no triple whose products are all
 known; the certificate does.  A table that completes is re-verified by
@@ -154,7 +169,8 @@ class DeductionTrace:
     ``pending_pairs()``.
 
     ``attempts`` per rule: R1 counts pending products whose remainder
-    reached zero, R2 coefficients transported around their orbits, R3
+    reached zero, R2 the coefficient positions transported, each once, so
+    a completed table counts all k * k(k+1)/2 of them, R3
     agenda evaluations of a triple with exactly one unknown product, R4
     searches asked, those answered from the cache included, N ambiguous
     products examined for a canonical naming.
@@ -260,6 +276,8 @@ class PartialTable:
                 self._open[key] = k
         self.pair: tuple[tuple[tuple[int, int], ...], ...] = tuple(map(tuple, pair))
         self.rows: dict[tuple[int, int], dict[int, int]] = {}
+        # per pair, bit m set once the orbit of (pair, m) has been transported
+        self._transported = dict.fromkeys(self.cells, 0)
         self.newly_known: list[tuple[int, int]] = []
         # pending products a write left with a remainder of zero or below
         self.spent: deque[tuple[int, int]] = deque()
@@ -298,9 +316,11 @@ class PartialTable:
         if sum(v * self.deg[m] for m, v in row.items()) != self.deg[i] * self.deg[j]:
             raise TableAlgebraError(f"product {self.label((i, j))} violates the degree identity")
         pair = self.pair[i][j]
+        cells = self.cells[pair]
         for m in range(self.k):
             v = row.get(m, 0)
-            if self._write(pair, m, v):
+            # a known cell equal to v has nothing to write or transport
+            if cells[m] != v and self._write(pair, m, v):
                 self._queue.append((pair, m, v))
 
     def set_cell(self, i: int | str, j: int | str, m: int | str, v: int) -> None:
@@ -491,15 +511,21 @@ class _Engine:
         known entries; each one not in ``logged``, the pairs the caller
         logs itself, is logged as an R2 step."""
         p = self.p
-        queue, cells, at = p._queue, p.cells, p.pair
+        queue, cells, at, done = p._queue, p.cells, p.pair, p._transported
         attempts, seconds = self.trace.attempts, self.trace.seconds
         t0 = time.perf_counter()
         while queue:
             pair, m, v = queue.popleft()
-            for (a, b, c) in p.orbit(pair[0], pair[1], m):
-                attempts["R2"] += 1
+            # an orbit already transported holds v at every position
+            if done[pair] >> m & 1:
+                continue
+            orbit = p.orbit(pair[0], pair[1], m)
+            for (a, b, c) in orbit:
                 if cells[at[a][b]][c] != v:
                     p._write(at[a][b], c, v)
+            for (a, b, c) in orbit:
+                done[at[a][b]] |= 1 << c
+            attempts["R2"] += len(orbit)
         seconds["R2"] = seconds.get("R2", 0.0) + time.perf_counter() - t0
         # one drain is enough: registering and logging write no cell, so
         # they queue no transport and complete no product
@@ -515,7 +541,7 @@ class _Engine:
         self._partners[a].add(b)
         self._partners[b].add(a)
         if a:
-            rows, d = self.p.rows, self.p.dual
+            rows, d, at = self.p.rows, self.p.dual, self.p.pair
             # triples with this pair as a factor: it is (other, j) or (j, other)
             for j, other in ((a, b), (b, a)) if a != b else ((a, a),):
                 dj = d[j]
@@ -527,11 +553,20 @@ class _Engine:
                     # only representatives: T no larger than its conjugate
                     if (i, j, l) > ((ci, dj, cl) if ci < cl else (cl, dj, ci)):
                         continue
-                    terms = self._terms(i, j, l)
-                    if not terms:
+                    # the products (m, l), m in b_i b_j, and (i, m), m in
+                    # b_j b_l, are distinct but for (i, l), whose net is
+                    # its coefficient on the left less that on the right
+                    at_i, at_l = at[i], at[l]
+                    ij, jl, il = rows[at_i[j]], rows[at[j][l]], at_i[l]
+                    net_il = ij.get(i, 0) - jl.get(l, 0)
+                    # empty: both rows are that one term, and it cancels
+                    if not net_il and len(ij) == len(jl) == 1 and i in ij:
                         continue
                     self.trace.r3_activated += 1
-                    unknown = [q for q, _ in terms if q not in rows]
+                    unknown = [q for q in map(at_l.__getitem__, ij) if q is not il and q not in rows]
+                    unknown += [q for q in map(at_i.__getitem__, jl) if q is not il and q not in rows]
+                    if net_il and il not in rows:
+                        unknown.append(il)
                     if not unknown:
                         continue
                     t = _Triple(i, j, l, len(unknown))
@@ -787,6 +822,11 @@ class _Engine:
             if deg_left == 0:
                 return 1 if not sq_left else 0
             if idx == n or deg_left < degrees[idx]:
+                return 0
+            # the coefficients c left have sum(c) <= sum(c^2) <= sum(c)^2 and
+            # degrees[idx] * sum(c) <= deg_left <= degrees[-1] * sum(c)
+            if sq_left is not None and not (
+                    -(-deg_left // degrees[-1]) <= sq_left <= (deg_left // degrees[idx]) ** 2):
                 return 0
             key = (ids[idx], deg_left, sq_left)
             total = counts.get(key)

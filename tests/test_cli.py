@@ -253,6 +253,21 @@ class TestDeduce:
         assert code == 1
         assert "contradiction" in out
 
+    def test_identity_transport_refutes_a_missing_one(self, capsys, tmp_path):
+        # c3*c3bar has degree 9 either way, but 1 = c3 * (1 * c3bar) puts 1
+        # in c3*c3bar: the identity rows' transport writes it against the 0
+        original = "product c3 c3bar = 1 + b8\n"
+        text = data_text("Lemma72-seed")
+        assert original in text
+        path = tmp_path / "Lemma72.alg"
+        path.write_text(text.replace(original, "product c3 c3bar = c3 + c3bar + r3\n"))
+        code, out, _ = invoke(capsys, "deduce", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "Lemma72: contradiction after 0 steps",
+            "  witness: conflicting values 0 and 1 for coefficient of 1 in c3*c3bar",
+        ]
+
     @pytest.mark.parametrize("name, code, head", [
         ("Lemma72-seed", 0, "Lemma72: completed after 355 steps"),
         ("Theorem41-seed", 1, "Theorem41: contradiction after 0 steps"),

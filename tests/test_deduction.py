@@ -482,21 +482,24 @@ def net_expansion(table, i, j, l):
     return {q: c for q, c in net.items() if c}
 
 
-def nonzero_net_representatives(table):
+def representatives(table):
     """Every triple (i, j, l) of a completed table that the agenda takes as
-    the representative of its symmetry class, mapped to its nonzero net
-    expansion {product: coefficient}."""
+    the representative of its symmetry class, mapped to its net expansion
+    {product: coefficient}, empty ones included."""
     k, d = table.k, table.dual
     out = {}
     for i in range(1, k):
         for j in range(1, k):
             for l in range(i + 1, k):
-                if (i, j, l) > (min(d[i], d[l]), d[j], max(d[i], d[l])):
-                    continue
-                net = net_expansion(table, i, j, l)
-                if net:
-                    out[(i, j, l)] = net
+                if (i, j, l) <= (min(d[i], d[l]), d[j], max(d[i], d[l])):
+                    out[(i, j, l)] = net_expansion(table, i, j, l)
     return out
+
+
+def nonzero_net_representatives(table):
+    """The representatives of ``representatives`` whose net expansion is
+    not empty."""
+    return {key: net for key, net in representatives(table).items() if net}
 
 
 def record_stored_triples(monkeypatch):
@@ -573,13 +576,29 @@ TRACE_CRC32 = {
     "D17third3": 0xFAEAEAF7,
     "PSL27": 0xC5D6C193,
     "Lemma72": 0xE80F6C30,
+    # stalled after 20 steps
+    "Lemma72plain": 0xA0A0BDD2,
+    # refuted after 0 steps, with naming and without
+    "Theorem41": 0x20934E69,
+    "Theorem41plain": 0x20934E69,
+    "B32stallplain": 0x308137E0,
+}
+
+# the shipped seeds pinned beyond PINNED, as (file, naming)
+SHIPPED = {
+    "Lemma72": ("Lemma72-seed", True),
+    "Lemma72plain": ("Lemma72-seed", False),
+    "Theorem41": ("Theorem41-seed", True),
+    "Theorem41plain": ("Theorem41-seed", False),
+    "B32stallplain": ("B32-stall", False),
 }
 
 
 def _seed(name):
-    """A PINNED seed, or the Lemma 7.2 seed with naming, as (seed, naming)."""
-    if name == "Lemma72":
-        return bundled_seed("Lemma72-seed"), True
+    """A seed of PINNED or SHIPPED, as (seed, naming)."""
+    if name in SHIPPED:
+        file, naming = SHIPPED[name]
+        return bundled_seed(file), naming
     return PINNED[name][0]()
 
 
@@ -632,43 +651,60 @@ class TestAgenda:
         assert trace.status == status
         assert True in drained
 
-    @pytest.mark.parametrize("make", [lambda: _third("B22", 1), lambda: _third(ch_s3_z2(), 2)],
+    @pytest.mark.parametrize("make, zero_net", [(lambda: _third("B22", 1), 0), (lambda: _third(ch_s3_z2(), 2), 1)],
                              ids=["B22third1", "ChS3xZ2third2"])
-    def test_activated_triples_are_one_per_symmetry_class(self, make, monkeypatch):
+    def test_activated_triples_are_one_per_symmetry_class(self, make, zero_net, monkeypatch):
         """Every triple of the k^3 with a nonzero net expansion is activated
         through exactly one representative of its class under (i, j, l) ->
-        (l, j, i) and conjugation, with exactly its nonzero net terms.  The
-        stored ones are those activated with an unknown product; every
-        representative holds on the completed table.  Activation expands a
-        triple while a product is registered; the agenda expands it again
-        when it takes it up.  The third of Ch(S3) (x) Z2 activates one
-        representative whose net expansion is zero, which is not counted."""
-        register, expand = deduction._Engine._register_known, deduction._Engine._terms
-        activating, expanded = [], []
+        (l, j, i) and conjugation: it is counted when the later of its two
+        factors is registered, and stored then when it has an unknown
+        product, listed under exactly the unknown products of its net
+        expansion.  Every representative holds on the completed table.  The
+        third of Ch(S3) (x) Z2 has one representative whose net expansion
+        is zero, which is not counted."""
+        register = deduction._Engine._register_known
+        stored = record_stored_triples(monkeypatch)
+        # per registration: its pair, the number of rows known then, the
+        # triples it counted, and those it stored with the products each
+        # is listed under
+        calls = []
 
         def registering(self, pair):
-            activating.append(pair)
+            counted, known, old = self.trace.r3_activated, len(self.p.rows), len(stored)
             register(self, pair)
-            activating.pop()
-
-        def recorded(self, i, j, l):
-            terms = expand(self, i, j, l)
-            if activating:
-                expanded.append(((i, j, l), terms))
-            return terms
+            new = {id(stored[key]): key for key in list(stored)[old:]}
+            listed = {key: [] for key in new.values()}
+            for q, waiting in self._waiting.items():
+                for t in waiting:
+                    if id(t) in new:
+                        listed[new[id(t)]].append(q)
+            calls.append((pair, known, self.trace.r3_activated - counted, listed))
 
         monkeypatch.setattr(deduction._Engine, "_register_known", registering)
-        monkeypatch.setattr(deduction._Engine, "_terms", recorded)
-        stored = record_stored_triples(monkeypatch)
         seed, naming = make()
         engine = deduction._Engine(seed, introduce_names=naming)
         engine.run()
         p = engine.p
-        expected = nonzero_net_representatives(p)
         assert engine.trace.status == "completed"
-        activated = [key for key, terms in expanded if terms]
-        assert len(set(activated)) == len(activated)
-        assert {key: dict(terms) for key, terms in expanded if terms} == expected
+        nets = representatives(p)
+        expected = {key: net for key, net in nets.items() if net}
+        assert len(nets) - len(expected) == zero_net
+        # each representative is activated by the later of its factors
+        order = {pair: n for n, (pair, *_) in enumerate(calls)}
+        assert len(order) == len(calls)
+        activated_by = {}
+        for i, j, l in expected:
+            n = max(order[p.pair[i][j]], order[p.pair[j][l]])
+            activated_by.setdefault(n, []).append((i, j, l))
+        # rows only grow, in the order their products became known
+        known_order = list(p.rows)
+        for n, (pair, known, counted, listed) in enumerate(calls):
+            group = activated_by.get(n, [])
+            assert counted == len(group), p.label(pair)
+            known_then = set(known_order[:known])
+            unknown = {key: sorted(q for q in expected[key] if q not in known_then) for key in group}
+            assert {key: sorted(qs) for key, qs in listed.items()} == {
+                key: qs for key, qs in unknown.items() if qs}, p.label(pair)
         assert engine.trace.r3_activated == len(expected)
         assert set(stored) <= set(expected)
         assert 0 < len(stored) < len(expected)
@@ -699,13 +735,29 @@ class TestAgenda:
         assert trace.attempts["R3"] == 0
         assert trace.sweep_triples > 0
 
-    @pytest.mark.parametrize("name", sorted(PINNED) + ["Lemma72"])
+    @pytest.mark.parametrize("name", sorted(TRACE_CRC32))
     def test_serialized_trace_is_pinned(self, name):
         """The zlib.crc32 of each serialized trace, as the engine that also
         checked every triple whose products were all known wrote it."""
         seed, naming = _seed(name)
         _, trace = propagate(seed, introduce_names=naming)
         assert zlib.crc32(trace.serialize().encode()) == TRACE_CRC32[name]
+
+    @pytest.mark.parametrize("name", sorted(TRACE_CRC32))
+    def test_r2_transports_each_position_once(self, name):
+        """R2 transports each orbit once and counts its positions, so a
+        completed run counts each of the k * k(k+1)/2 coefficient positions
+        exactly once; a stall leaves some untransported."""
+        seed, naming = _seed(name)
+        k = seed.k
+        _, trace = propagate(seed, introduce_names=naming)
+        positions = k * k * (k + 1) // 2
+        if trace.status == "completed":
+            assert trace.attempts["R2"] == positions
+        elif trace.status == "stalled":
+            assert trace.attempts["R2"] < positions
+        else:
+            assert trace.attempts["R2"] <= positions
 
     @pytest.mark.parametrize("name", sorted(PINNED) + ["Lemma72"])
     def test_each_step_completes_a_distinct_pending_product(self, name):
@@ -839,8 +891,10 @@ class TestAgenda:
         search answers for two scans only and stores a triple as its indices
         and a count: the run's traced peak, re-check included, was 8.5 MB
         with the first two, 4.9 MB without, 4.6 MB with one answer dict kept
-        for the whole run, 4.2 MB with each stored triple's expansion, and
-        2.7 MB while ``propagate`` copied its seed; it is 2.4 MB."""
+        for the whole run, 4.2 MB with each stored triple's expansion, 2.7 MB
+        while ``propagate`` copied its seed, and 2.4 MB while the count
+        memoised states whose squares left cannot hold a decomposition; it
+        is 1.8 MB."""
         assert traced_peak("Lemma72") < 3.2 * 10**6
 
     def test_b32_third_peak_memory(self):
@@ -876,6 +930,62 @@ class TestAgenda:
         propagate(*_seed("B32third1"))
         gc.collect()
         assert alive() == 0
+
+
+def seed_step(A, names, monkeypatch):
+    """An engine on A's basis seeded with A's rows of b_i b_j and b_j b_l,
+    for the triple ``names`` = (i, j, l), after its seed step alone; with
+    the triples it stored, as ``record_stored_triples`` collects them, and
+    the triple's indices."""
+    i, j, l = map(A.basis.index_of, names)
+    stored = record_stored_triples(monkeypatch)
+    for phase in ("r1_process", "r3_process", "solver_scan", "r3_full_sweep"):
+        monkeypatch.setattr(deduction._Engine, phase, lambda self: False)
+    engine = deduction._Engine(subtable_seed(A, [(i, j), (j, l)]), introduce_names=False)
+    engine.run()
+    return engine, stored, (i, j, l)
+
+
+class TestActivation:
+    """Activation reads a triple (i, j, l), i < l, off its two factor rows:
+    the products (m, l), m in b_i b_j, and (i, m), m in b_j b_l, are
+    distinct but for (i, l), which is on both sides when b_i is in b_i b_j
+    and b_l in b_j b_l.  Each seed here knows only the two factor products
+    besides the identity rows, so it activates at most this one triple."""
+
+    @pytest.mark.parametrize("names, coefficients", [
+        (("b8", "b5", "c8"), (1, 1)),
+        (("x10", "b5", "c8"), (2, 1)),
+    ], ids=["equal", "unequal"])
+    def test_shared_product_is_counted_by_its_net(self, C7, names, coefficients, monkeypatch):
+        """Equal coefficients of (i, l) cancel and it drops out; unequal ones
+        leave it, counted and listed once."""
+        engine, stored, (i, j, l) = seed_step(C7, names, monkeypatch)
+        p = engine.p
+        assert (product_row(p, i, j)[i], product_row(p, j, l)[l]) == coefficients
+        il = p.pair[i][l]
+        assert il not in p.rows
+        net = net_expansion(p, i, j, l)
+        assert net.get(il, 0) == coefficients[0] - coefficients[1]
+        assert engine.trace.r3_activated == 1
+        assert list(stored) == [(i, j, l)]
+        t = stored[(i, j, l)]
+        listed = [q for q, waiting in engine._waiting.items() for u in waiting if u is t]
+        assert sorted(listed) == sorted(q for q in net if q not in p.rows)
+        assert t.unknown == len(listed)
+
+    def test_single_cancelling_term_is_not_activated(self, monkeypatch):
+        """In Ch(S3) (x) Z2, r_1 s_1 = r_1 and s_1 r_g = r_g: both sides are
+        the one product r_1 r_g, which cancels, so the triple is neither
+        stored nor counted."""
+        engine, stored, (i, j, l) = seed_step(ch_s3_z2(), ("r_1", "s_1", "r_g"), monkeypatch)
+        p = engine.p
+        d = p.dual
+        assert i < l and (i, j, l) <= (min(d[i], d[l]), d[j], max(d[i], d[l]))
+        assert (product_row(p, i, j), product_row(p, j, l)) == ({i: 1}, {l: 1})
+        assert net_expansion(p, i, j, l) == {}
+        assert engine.trace.r3_activated == 0
+        assert stored == {} and not engine._waiting and not engine._agenda
 
 
 def plain_decompositions(deg, rem, candidates, budget2):
@@ -1059,8 +1169,9 @@ def orbit_by_search(dual, i, j, m):
 
 
 def test_one_key_per_product(lemma72_run):
-    # _terms lists products by these keys and looks them up in rows and
-    # _waiting, where an identical key object is found without a compare
+    # activation and _terms list products by these keys and look them up
+    # in rows and _waiting, where an identical key object is found without
+    # a compare; activation tells (i, l) from the other products by identity
     table = bundled_seed("Lemma72-seed")
     pair, k = table.pair, table.k
     for a in range(k):
