@@ -59,19 +59,27 @@ becoming known lowers the count of every triple listed under it, and T
 goes on the agenda when its count is one at activation or falls to one.
 So every triple is evaluated once, as soon as it has one unknown product;
 one whose count reaches zero before it is taken up is skipped.  T keeps no
-expansion: ``_evaluate(i, j, l)`` builds it afresh from the factor rows
-frozen at activation, so it is the one the count was made from, and the
-agenda and the sweep call it the same way.  An expansion's products are
-the table's own pair keys, ``PartialTable.pair``, so activating T
-allocates no tuple per term.  Activation counts the unknown products
-without building the expansion: for i < l, the products (m, l) for m in
-b_i b_j and (i, m) for m in b_j b_l are all distinct but for (i, l), which
-is on both sides exactly when b_i is in b_i b_j and b_l is in b_j b_l.
-Its net coefficient is the difference of those two coefficients: it drops
-out when they are equal and is counted once when they differ.  So the
-expansion is empty only when both factor rows are that one term, with
-equal coefficients.  Those lists and the agenda alone hold a T, so it is
-freed once its last listed product is known.
+expansion, and none is built as a table of net coefficients: one rule,
+``_open_products``, reads T's open products, the unknown ones of nonzero
+net coefficient, off the two factor rows.  For i < l, the products (m, l)
+for m in b_i b_j and (i, m) for m in b_j b_l are all distinct but for
+(i, l), which is on both sides exactly when b_i is in b_i b_j and b_l is
+in b_j b_l.  Its net coefficient is the difference of those two
+coefficients: it drops out when they are equal and is listed once when
+they differ.  So the expansion is empty only when both factor rows are
+that one term, with equal coefficients, and the rule returns None.
+Activation counts what the rule returns; ``_evaluate(i, j, l)``, which the
+agenda and the sweep both call, applies it again to the rows frozen at
+activation, so it sees the products the count was made from.  With one
+open product, evaluation reads its net coefficient off the factor rows,
+its coefficients on the left less those on the right, and solves it only
+on +-1.  The known part is summed straight from the known products of both
+rows, with their signs, so a known (i, l) cancels itself.  A solution with
+a negative coefficient is a contradiction that names the least-indexed
+one, as an associativity failure lists its coefficients in index order.
+The products are the table's own pair keys, ``PartialTable.pair``, so
+activating T allocates no tuple per term.  Those lists and the agenda
+alone hold a T, so it is freed once its last listed product is known.
 Propagation never retracts a fact, so a count only falls and watched
 pairs, which pay only when backtracking must undo work, are not needed.
 Triples are taken up to two symmetries of the rule: (l, j, i) negates
@@ -446,10 +454,29 @@ def _fixes_knowledge(table: PartialTable, perm: dict[int, int]) -> bool:
     return True
 
 
+def _open_products(rows, at, i: int, j: int, l: int) -> Optional[list]:
+    """The unknown products of nonzero net coefficient in (b_i b_j) b_l -
+    b_i (b_j b_l), for i < l with (i, j) and (j, l) known, as the table's
+    own pair keys; None when the expansion is empty."""
+    # the products (m, l), m in b_i b_j, and (i, m), m in b_j b_l, are
+    # distinct but for (i, l), whose net is its coefficient on the left less
+    # that on the right
+    at_i, at_l = at[i], at[l]
+    ij, jl, il = rows[at_i[j]], rows[at[j][l]], at_i[l]
+    net_il = ij.get(i, 0) - jl.get(l, 0)
+    # empty: both rows are that one term, and it cancels
+    if not net_il and len(ij) == len(jl) == 1 and i in ij:
+        return None
+    unknown = [q for q in map(at_l.__getitem__, ij) if q is not il and q not in rows]
+    unknown += [q for q in map(at_i.__getitem__, jl) if q is not il and q not in rows]
+    if net_il and il not in rows:
+        unknown.append(il)
+    return unknown
+
+
 class _Triple:
-    """A stored R3 triple: its indices and the count of the unknown products
-    of its nonzero-net expansion, which the agenda rebuilds from the frozen
-    factor rows."""
+    """A stored R3 triple: its indices and the count of its open products,
+    which ``_open_products`` reads again off the frozen factor rows."""
 
     __slots__ = ("i", "j", "l", "unknown")
 
@@ -553,20 +580,10 @@ class _Engine:
                     # only representatives: T no larger than its conjugate
                     if (i, j, l) > ((ci, dj, cl) if ci < cl else (cl, dj, ci)):
                         continue
-                    # the products (m, l), m in b_i b_j, and (i, m), m in
-                    # b_j b_l, are distinct but for (i, l), whose net is
-                    # its coefficient on the left less that on the right
-                    at_i, at_l = at[i], at[l]
-                    ij, jl, il = rows[at_i[j]], rows[at[j][l]], at_i[l]
-                    net_il = ij.get(i, 0) - jl.get(l, 0)
-                    # empty: both rows are that one term, and it cancels
-                    if not net_il and len(ij) == len(jl) == 1 and i in ij:
+                    unknown = _open_products(rows, at, i, j, l)
+                    if unknown is None:
                         continue
                     self.trace.r3_activated += 1
-                    unknown = [q for q in map(at_l.__getitem__, ij) if q is not il and q not in rows]
-                    unknown += [q for q in map(at_i.__getitem__, jl) if q is not il and q not in rows]
-                    if net_il and il not in rows:
-                        unknown.append(il)
                     if not unknown:
                         continue
                     t = _Triple(i, j, l, len(unknown))
@@ -602,22 +619,6 @@ class _Engine:
         return fired
 
     # -- R3: associativity -----------------------------------------------------
-
-    def _terms(self, i: int, j: int, l: int) -> list:
-        """Nonzero net coefficients of (b_i b_j) b_l - b_i (b_j b_l) over the
-        products it expands into, as ``(pair, c)`` with ``pair`` the table's
-        own key; (i, j) and (j, l) must be known."""
-        rows, at = self.p.rows, self.p.pair
-        at_l, at_i = at[l], at[i]
-        net: dict[tuple[int, int], int] = {}
-        get = net.get
-        for m, c in rows[at[i][j]].items():
-            q = at_l[m]
-            net[q] = get(q, 0) + c
-        for m, c in rows[at[j][l]].items():
-            q = at_i[m]
-            net[q] = get(q, 0) - c
-        return [(q, c) for q, c in net.items() if c]
 
     def r3_process(self) -> bool:
         fired = False
@@ -656,33 +657,36 @@ class _Engine:
         return fired
 
     def _evaluate(self, i: int, j: int, l: int) -> bool:
-        """Decide the triple (i, j, l) on its expansion, built here from the
-        frozen rows of (i, j) and (j, l): True when it solved its one
-        unknown product; False when it had none and was checked, or cannot
-        solve one (two or more unknown, or a net coefficient not +-1).  An
-        empty expansion has neither, so it is checked and holds.  Raises
-        Contradiction when associativity fails."""
+        """Decide the triple (i, j, l), i < l, on the frozen rows of (i, j)
+        and (j, l): True when it solved its one open product; False when it
+        had none and was checked, or cannot solve one (two or more open, or
+        a net coefficient not +-1).  An empty expansion has neither, so it
+        holds.  Raises Contradiction when associativity fails."""
         p = self.p
-        rows = p.rows
-        terms = self._terms(i, j, l)
-        unknown = None
-        for q, c in terms:
-            if q not in rows:
-                if unknown is not None:
-                    return False
-                unknown = (q, c)
-        if unknown is not None and abs(unknown[1]) != 1:
+        rows, at = p.rows, p.pair
+        unknown = _open_products(rows, at, i, j, l)
+        if unknown is None or len(unknown) > 1:
             return False
+        at_i, at_l = at[i], at[l]
+        ij, jl = rows[at_i[j]], rows[at[j][l]]
+        if unknown:
+            pair = unknown[0]
+            net = sum(c for m, c in ij.items() if at_l[m] is pair) - sum(c for m, c in jl.items() if at_i[m] is pair)
+            if abs(net) != 1:
+                return False
+        # the known products of both sides, with their signs: a known (i, l)
+        # on both sides cancels itself
         known_part: dict[int, int] = {}
         get = known_part.get
-        for q, c in terms:
-            row = rows.get(q)
-            if row is not None:
-                for n, w in row.items():
-                    known_part[n] = get(n, 0) + c * w
+        for factor, at_x, sign in ((ij, at_l, 1), (jl, at_i, -1)):
+            for m, c in factor.items():
+                row = rows.get(at_x[m])
+                if row is not None:
+                    for n, w in row.items():
+                        known_part[n] = get(n, 0) + sign * c * w
         names3 = (p.basis.name(i), p.basis.name(j), p.basis.name(l))
-        if unknown is None:
-            bad = sorted(m for m, c in known_part.items() if c != 0)
+        if not unknown:
+            bad = sorted(m for m, c in known_part.items() if c)
             if bad:
                 raise Contradiction(
                     names3,
@@ -690,19 +694,15 @@ class _Engine:
                     + ", ".join(p.basis.name(m) for m in bad),
                 )
             return False
-        pair, net = unknown
-        solved: dict[int, int] = {}
-        for m, c in known_part.items():
-            value = -c * net
-            if value < 0:
-                raise Contradiction(
-                    names3,
-                    "triple ({}*{})*{} forces a negative coefficient of {} in {}".format(
-                        *names3, p.basis.name(m), p.label(pair)
-                    ),
-                )
-            if value:
-                solved[m] = value
+        solved = {m: -c * net for m, c in known_part.items() if c}
+        negative = [m for m, v in solved.items() if v < 0]
+        if negative:
+            raise Contradiction(
+                names3,
+                "triple ({}*{})*{} forces a negative coefficient of {} in {}".format(
+                    *names3, p.basis.name(min(negative)), p.label(pair)
+                ),
+            )
         self._resolve("R3", names3, pair, solved)
         return True
 

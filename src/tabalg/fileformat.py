@@ -68,13 +68,15 @@ def _number(token: str, what: str, line_no: int) -> int:
     raise ParseError(f"bad {what} {token!r}", line_no)
 
 
-def _parse_rhs(expr: str, index: dict[str, int], degs: list[int], line_no: int) -> tuple[dict[int, int], int]:
+def _parse_rhs(expr: str, index: dict[str, int], degs: list[int], line_no: int,
+               side: str = " on right-hand side") -> tuple[dict[int, int], int]:
     """Right-hand side and its degree sum: terms separated by '+', each an
     optional count then a name.  Read left to right, so a line's leftmost
-    fault is reported."""
+    fault is reported; ``side`` says where an empty term or a trailing '+'
+    is."""
     tokens = expr.split()
     if not tokens:
-        raise ParseError("empty expression", line_no)
+        raise ParseError("no terms", line_no)
     last = len(tokens)
     tokens.append("+")  # closes the last term
     out: dict[int, int] = {}
@@ -89,7 +91,7 @@ def _parse_rhs(expr: str, index: dict[str, int], degs: list[int], line_no: int) 
             if not coeff:
                 raise ParseError("coefficient must be positive, got 0", line_no)
         elif end == start:
-            raise ParseError(("empty term" if end < last else "trailing '+'") + " on right-hand side", line_no)
+            raise ParseError(("empty term" if end < last else "trailing '+'") + side, line_no)
         else:
             raise ParseError(f"malformed term {' '.join(tokens[start:end])!r}", line_no)
         idx = index.get(name)
@@ -104,9 +106,14 @@ def _parse_rhs(expr: str, index: dict[str, int], degs: list[int], line_no: int) 
 def parse_element_expr(text: str, basis: TableBasis) -> dict[int, int]:
     """Parse an element expression such as ``1 + 3 b5 + x9`` against a basis
     into its row ``{index: coefficient}`` (see ``TableBasis.row``); names are
-    looked up in the basis, and an unknown one raises ParseError."""
+    looked up in the basis, and an unknown one raises ParseError.  Every
+    ParseError quotes the expression."""
     degs = [e.degree for e in basis]
-    return basis.row(_parse_rhs(text.replace("+", " + "), basis._by_name, degs, 0)[0])
+    try:
+        row, _ = _parse_rhs(text.replace("+", " + "), basis._by_name, degs, 0, "")
+    except ParseError as e:
+        raise ParseError(f"{e} in element expression {text!r}") from None
+    return basis.row(row)
 
 
 def parse_partial(text: str):

@@ -2,7 +2,9 @@
 
 Everything here recomputes expected values from first principles (group
 element convolution, exhaustive subgroup enumeration, character tables)
-without touching the library's own multiplication or closure code.
+without touching the library's own multiplication or closure code.  The
+one exception is ``classify``, a search driven by the deduction engine,
+which the tests check against the brute-force enumeration ``all_tables``.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from tabalg import BasisElement, TableAlgebra, TableBasis
+from tabalg.deduction import PartialTable, propagate
 
 
 class FiniteGroup:
@@ -159,15 +162,16 @@ def subgroup_class_unions(group: FiniteGroup):
 # --- bounded-exhaustive tables -------------------------------------------
 
 
-def _degree_rows(degrees, target, m=1):
-    """Every row {index: coefficient} on indices m, m+1, ... whose degree
-    sum, coefficient times degree, is ``target``."""
-    if m == len(degrees):
+def _degree_rows(degrees, target, indices):
+    """Every row {index: coefficient} on ``indices``, a sequence, whose
+    degree sum, coefficient times degree, is ``target``."""
+    if not indices:
         if target == 0:
             yield {}
         return
+    m = indices[0]
     for c in range(target // degrees[m] + 1):
-        for rest in _degree_rows(degrees, target - c * degrees[m], m + 1):
+        for rest in _degree_rows(degrees, target - c * degrees[m], indices[1:]):
             yield {m: c, **rest} if c else rest
 
 
@@ -201,7 +205,7 @@ def all_tables(degrees, duals=None):
     choices = []
     for i, j in firsts:
         one = int(j == duals[i])
-        rows = [{0: 1, **row} if one else row for row in _degree_rows(degrees, degrees[i] * degrees[j] - one)]
+        rows = [{0: 1, **row} if one else row for row in _degree_rows(degrees, degrees[i] * degrees[j] - one, range(1, k))]
         if image[(i, j)] == (i, j):
             rows = [row for row in rows if all(row.get(duals[m], 0) == v for m, v in row.items())]
         choices.append(rows)
@@ -210,6 +214,40 @@ def all_tables(degrees, duals=None):
         for pair, row in zip(firsts, rows):
             products[image[pair]] = {duals[m]: v for m, v in row.items()}
         yield TableAlgebra.from_products(basis, products, name=f"enum{n}")
+
+
+def _fitting_rows(table, pair):
+    """Every full row of the pending product ``pair`` of a ``PartialTable``
+    that keeps its known cells and fills its unknown ones to its degree."""
+    i, j = pair
+    cells, deg = table.cells[pair], table.deg
+    known = {m: v for m, v in enumerate(cells) if v}
+    unknown = [m for m, v in enumerate(cells) if v is None]
+    rem = deg[i] * deg[j] - sum(v * deg[m] for m, v in known.items())
+    return [{**known, **rest} for rest in _degree_rows(deg, rem, unknown)]
+
+
+def classify(degrees, duals=None):
+    """The passing tables of a shape of ``all_tables`` by branch and
+    propagate, the DPLL scheme (Davis, Logemann and Loveland, 1962), as
+    ``(completions, nodes)``.  The root seeds no product; each node runs
+    ``propagate`` without naming, so every value it writes is forced.  A
+    contradiction is pruned, a completion is kept (``propagate`` has
+    re-verified it), and a stall branches on each row of the pending
+    product with the fewest rows that fit its known cells and its degree,
+    depth first.  ``nodes`` counts the propagations."""
+    basis = shape_basis(degrees, duals or range(len(degrees)))
+    completions, nodes, stack = [], 0, [{}]
+    while stack:
+        nodes += 1
+        table, trace = propagate(PartialTable(basis, stack.pop()))
+        if trace.status == "completed":
+            completions.append(table.as_algebra())
+        elif trace.status == "stalled":
+            pair, rows = min(((p, _fitting_rows(table, p)) for p in table.pending_pairs()),
+                             key=lambda entry: len(entry[1]))
+            stack += [{**table.rows, pair: row} for row in reversed(rows)]
+    return completions, nodes
 
 
 # --- exact arithmetic in Q(sqrt(-7)) for the PSL(2,7) character table -----

@@ -163,12 +163,22 @@ class TestMult:
     def test_empty_expression_exit_two(self, capsys):
         code, _, err = invoke(capsys, "mult", "bundled:C7", "", "b8")
         assert code == 2
-        assert err == "error: empty expression\n"
+        assert err == "error: no terms in element expression ''\n"
 
     def test_coefficient_of_ascii_digits_only(self, capsys):
         code, out, err = invoke(capsys, "mult", "bundled:C7", "1_0 b8", "1")
         assert (code, out) == (2, "")
-        assert err == "error: bad coefficient '1_0'\n"
+        assert err == "error: bad coefficient '1_0' in element expression '1_0 b8'\n"
+
+    @pytest.mark.parametrize("command", ["mult", "inner"])
+    @pytest.mark.parametrize("expr, fault", [("b3 +", "trailing '+'"), ("+ b3", "empty term")])
+    def test_expression_errors_quote_the_expression(self, capsys, command, expr, fault):
+        """An argument has no right-hand side: the error names the element
+        expression, which it quotes, in either position."""
+        for args in ((expr, "b8"), ("b8", expr)):
+            code, out, err = invoke(capsys, command, "bundled:B32", *args)
+            assert (code, out) == (2, "")
+            assert err == f"error: {fault} in element expression {expr!r}\n"
 
 
 class TestStructureCommands:

@@ -32,7 +32,9 @@ from tabalg.deduction import PartialTable, propagate
 
 import corpus
 from conftest import subtable_seed
-from oracles import all_tables, class_algebra, class_algebra_tensor, cyclic, shape_basis, symmetric3
+from oracles import (
+    all_tables, class_algebra, class_algebra_tensor, classify, cyclic, psl27_fusion, shape_basis, symmetric3,
+)
 
 
 def elem(A, text):
@@ -413,17 +415,21 @@ CH_D10 = "e1 e1 = 1; e1 e2 = e2; e1 e3 = e3; e2 e2 = 1 + e1 + e3; e2 e3 = e2 + e
 # degree 1, so this is the character algebra of no group
 Z4_AND_E4 = ("e1 e1 = 1; e1 e2 = e2bar; e1 e2bar = e2; e1 e4 = e4; e2 e2 = e1; e2 e2bar = 1; e2 e4 = e4; "
              "e2bar e2bar = e1; e2bar e4 = e4; e4 e4 = 1 + e1 + e2 + e2bar")
-# (degrees, duals, tables, passing tables) of every shape that gets the
-# per-table checks; the 5,760 tables of F21's shape are only verified
+# V4 in degree 1 and e4 e4 = 1 + e1 + e2 + e3: Ch(D8) = Ch(Q8)
+V4_AND_E4 = ("e1 e1 = 1; e1 e2 = e3; e1 e3 = e2; e1 e4 = e4; e2 e2 = 1; e2 e3 = e1; e2 e4 = e4; e3 e3 = 1; "
+             "e3 e4 = e4; e4 e4 = 1 + e1 + e2 + e3")
+# (degrees, duals, tables, passing tables, branch-and-propagate nodes) of
+# every shape that gets the per-table checks; the 5,760 tables of F21's
+# shape are only verified
 SHAPES = [
-    ((1, 1, 2, 2), (0, 1, 2, 3), 486, [CH_D10]),
-    ((1, 2, 2, 3), (0, 1, 2, 3), 525, []),
-    ((1, 1, 1, 1), (0, 2, 1, 3), 9, [Z4]),
-    ((1, 1, 1, 3), (0, 2, 1, 3), 20, [CH_A4]),
-    ((1, 1, 1, 1, 1), (0, 2, 1, 4, 3), 256, Z5),
-    ((1, 1, 1, 1, 2), (0, 1, 3, 2, 4), 567, [Z4_AND_E4]),
-    ((1, 2, 3, 3), (0, 1, 3, 2), 0, []),
-    ((1, 3, 3, 4), (0, 2, 1, 3), 0, []),
+    ((1, 1, 2, 2), (0, 1, 2, 3), 486, [CH_D10], 5),
+    ((1, 2, 2, 3), (0, 1, 2, 3), 525, [], 1),
+    ((1, 1, 1, 1), (0, 2, 1, 3), 9, [Z4], 1),
+    ((1, 1, 1, 3), (0, 2, 1, 3), 20, [CH_A4], 1),
+    ((1, 1, 1, 1, 1), (0, 2, 1, 4, 3), 256, Z5, 3),
+    ((1, 1, 1, 1, 2), (0, 1, 3, 2, 4), 567, [Z4_AND_E4], 1),
+    ((1, 2, 3, 3), (0, 1, 3, 2), 0, [], 3),
+    ((1, 3, 3, 4), (0, 2, 1, 3), 0, [], 1),
 ]
 
 
@@ -486,11 +492,13 @@ class TestBoundedExhaustive:
     agree with brute force.  (1, 2, 3, 3) and (1, 3, 3, 4) admit no table
     closed under the involution, by degree parity: e1 e1 = 1 + ... needs an
     odd degree from elements whose coefficients come in dual pairs of even
-    total degree.  The all-real (1, 1, 1, 1, 2), the shape of D8 and Q8,
-    stays out: its 120,393 tables take 36 s to verify."""
+    total degree.  On every shape, ``classify``'s branch and propagate
+    finds exactly the passing tables.  The all-real (1, 1, 1, 1, 2), the
+    shape of D8 and Q8, stays out of brute force, as its 120,393 tables
+    take 36 s to verify; only branch and propagate runs on it."""
 
-    @pytest.mark.parametrize("degrees, duals, count, passing", SHAPES, ids=map(shape_id, SHAPES))
-    def test_every_table_of_a_shape(self, degrees, duals, count, passing):
+    @pytest.mark.parametrize("degrees, duals, count, passing, nodes", SHAPES, ids=map(shape_id, SHAPES))
+    def test_every_table_of_a_shape(self, degrees, duals, count, passing, nodes):
         tables = list(all_tables(degrees, duals))
         assert len(tables) == count
         k = len(degrees)
@@ -514,6 +522,9 @@ class TestBoundedExhaustive:
         assert all(exact_isomorphic(passed[0], A) is not None for A in passed)
         for A in passed:
             assert_structure_and_deduction(A)
+        # branch and propagate finds the same tables, in its own order
+        completions, searched = classify(degrees, duals)
+        assert (sorted(map(products_of, completions)), searched) == (sorted(passing), nodes)
 
     @pytest.mark.parametrize("degrees, duals, seeds, completed", [
         ((1, 1, 1, 1), (0, 2, 1, 3), 32, 4),
@@ -550,7 +561,7 @@ class TestBoundedExhaustive:
         each of its relabelings, ``exact_isomorphic`` finds a mapping exactly
         when brute force does, and one that brute force found."""
         tables = [table_of_shape(degrees, duals, products)
-                  for degrees, duals, _, passing in SHAPES for products in passing]
+                  for degrees, duals, _, passing, _ in SHAPES for products in passing]
         tables.append(table_of_shape((1, 1, 1, 3, 3), (0, 2, 1, 4, 3), F21))
         assert len(tables) == 7
 
@@ -579,6 +590,21 @@ class TestBoundedExhaustive:
         A = passed[0]
         assert closure(A, ["e3"]) == tuple(range(5))
         assert_structure_and_deduction(A)
+        completions, nodes = classify((1, 1, 1, 3, 3), (0, 2, 1, 4, 3))
+        assert ([products_of(A) for A in completions], nodes) == ([F21], 6)
+
+    def test_branch_and_propagate_beyond_brute_force(self):
+        """Two shapes whose tables are too many to verify one by one: the
+        all-real (1, 1, 1, 1, 2) of D8 and Q8, 120,393 tables, and PSL(2,7)'s
+        degrees (1, 3, 3, 6, 7, 8), the two 3s a pair.  Each completes from
+        the empty seed without a branch, to its one table."""
+        completions, nodes = classify((1, 1, 1, 1, 2))
+        assert ([products_of(A) for A in completions], nodes) == ([V4_AND_E4], 1)
+        completions, nodes = classify((1, 3, 3, 6, 7, 8), (0, 2, 1, 3, 4, 5))
+        assert (len(completions), nodes) == (1, 1)
+        fusion = psl27_fusion()
+        assert completions[0].constants.rows == tuple(
+            tuple({m: v for m, v in enumerate(fusion[i][j]) if v} for j in range(6)) for i in range(6))
 
 
 def refuse(*args):

@@ -625,6 +625,9 @@ class TestAgenda:
             assert table.rows.keys() == {(0, j) for j in range(k)} | {(b3, b3bar)}
         assert naive_r3_findings(table) == []
         assert trace.sweep_firings == 0
+        if status == "stalled":
+            # the sweep also enumerates the empty expansions activation skips
+            assert trace.sweep_triples >= trace.r3_activated
 
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_fixed_point_is_pinned_and_r3_closed(self, name):
@@ -734,6 +737,17 @@ class TestAgenda:
         assert trace.message == "associativity fails on triple (p01*p00)*p10 at p12, p21"
         assert trace.attempts["R3"] == 0
         assert trace.sweep_triples > 0
+
+    def test_sweep_runs_on_the_lemma72_stall(self):
+        """``deduce --no-names`` on the Lemma 7.2 seed stalls after 20 steps;
+        the sweep evaluates every triple whose factors are known, those the
+        agenda decided included, and none fires."""
+        seed, naming = _seed("Lemma72plain")
+        _, trace = propagate(seed, introduce_names=naming)
+        assert (trace.status, len(trace.steps)) == ("stalled", 20)
+        facts = dict(trace.facts())
+        assert [facts[f"stats.{key}"] for key in ("r3.activated", "sweep.triples", "sweep.firings")] == [
+            1162, 1162, 0]
 
     @pytest.mark.parametrize("name", sorted(TRACE_CRC32))
     def test_serialized_trace_is_pinned(self, name):
@@ -1169,9 +1183,10 @@ def orbit_by_search(dual, i, j, m):
 
 
 def test_one_key_per_product(lemma72_run):
-    # activation and _terms list products by these keys and look them up
-    # in rows and _waiting, where an identical key object is found without
-    # a compare; activation tells (i, l) from the other products by identity
+    # _open_products lists products by these keys, looked up in rows and
+    # _waiting, where an identical key object is found without a compare;
+    # it tells (i, l) from the other products by identity, and _evaluate
+    # finds the factor terms of its one open product the same way
     table = bundled_seed("Lemma72-seed")
     pair, k = table.pair, table.k
     for a in range(k):
