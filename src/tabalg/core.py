@@ -22,23 +22,30 @@ nonzero entry with its image, ``(ibar, jbar, mbar)`` or ``(jbar, m, i)`` for
 cycle of a zero entry with a nonzero image reaches a nonzero entry whose
 image differs: that one side proves a pass, and only a failure reads the
 positions whose image is nonzero too, to list every witness.
-Associativity is certified on a packed copy of the store and refuted by
-the exact sweep, both in exact integers:
+Associativity is certified by Light's test and refuted by the exact sweep,
+both summing the same packed rows in exact integers:
 
-* Packing.  Kronecker substitution packs the k x k matrix
-  ``T_m[a][n] = delta[m][a][n]`` into one Python int, w bytes per field.
-  For a basis element g, ``W_z = sum_m delta[g][z][m] T_m`` holds in its
-  field ``(a, n)`` the coefficient of ``b_n`` in ``(b_z b_g) b_a``, a sum
-  of nonnegative terms at most (largest row sum) * (largest entry).  w is
-  chosen so a field holds that bound; as no term is negative, no partial
-  sum exceeds it either, so no field ever carries into the next and the
-  big-integer sum is exact.  By commutativity block y of ``W_x`` is
+* Packing.  Kronecker substitution packs each row ``rows[i][j]`` into one
+  Python int, ``delta[i][j][n]`` in w bytes at field n.  Both tests sum
+  packed rows ``packed[a][m]`` scaled by the constants ``c_m`` of one
+  row; field n of such a sum is a sum of nonnegative terms at most
+  (largest row sum) * (largest entry).  w is chosen so a field holds that
+  bound; as no term is negative, no partial sum exceeds it either, so no
+  field ever carries into the next and the big-integer sum is exact.
+  ``verify_axioms`` packs at most once: the sweep after a failed Light
+  attempt reuses the rows it packed.
+* Light's test.  ``T_m`` joins the packed rows ``packed[m][a]`` into the
+  k x k matrix ``delta[m][a][n]``.  For a basis element g, ``W_z = sum_m
+  delta[g][z][m] T_m`` holds in its field ``(a, n)`` the coefficient of
+  ``b_n`` in ``(b_z b_g) b_a``.  By commutativity block y of ``W_x`` is
   ``(b_x b_g) b_y`` and block x of ``W_y`` is ``b_x (b_g b_y)``, so one
-  byte comparison decides a pair of triples ``(x, g, y)``, ``(y, g, x)``.
-* Light's test.  Light's lemma (Clifford & Preston, *The Algebraic Theory
-  of Semigroups* I, 1.2): the set ``S`` of ``a`` with ``(x a) y = x (a y)``
-  for all x, y is a subspace closed under products, since for ``a, b`` in
-  ``S``::
+  byte comparison of the blocks after x in ``W_x`` with block x of every
+  later ``W_y`` decides the triples ``(x, g, y)``, ``(y, g, x)`` for
+  every y > x.  The ``W_z`` are made from the last z down, each keeping
+  only its blocks below z, which are all that smaller x still compare.
+  Light's lemma (Clifford & Preston, *The Algebraic Theory of Semigroups*
+  I, 1.2): the set ``S`` of ``a`` with ``(x a) y = x (a y)`` for all x, y
+  is a subspace closed under products, since for ``a, b`` in ``S``::
 
       (x (ab)) y = ((x a) b) y      a in S
                  = (x a)(b y)       b in S
@@ -53,20 +60,23 @@ the exact sweep, both in exact integers:
   nonzero, so they span the algebra over Q.  Then ``|G| k^2`` triples
   ``(x, g, y)`` certify all ``k^3``.
 * The exact sweep runs when the identity check fails or Light's test finds
-  an unequal block; Light's attempt is then discarded.  The table is
-  commutative by construction, so with ``R(x, {y, z}) = b_x (b_y b_z) =
-  sum_m delta[y][z][m] b_x b_m``, ``(b_i b_j) b_l = R(l, {i, j})`` and
-  ``b_i (b_j b_l) = R(i, {j, l})``.  On a multiset ``x <= y <= z`` the
-  values A, B, C of R at x, y, z decide every ordering: A != C fails
-  (x, y, z) and (z, y, x), A != B (x, z, y) and (y, z, x), B != C
-  (y, x, z) and (z, x, y); with a repeated index only A != C is left, and
-  i = l associates.  That is about k^2 (k + 1) / 2 row products in Python
-  dicts, against 2 k^3 for ordered triples one at a time.  Failures wait
-  under their first index until layer x (the multisets of least index x)
-  is done; then first index x is complete and is yielded in lexicographic
-  order, so the verifier can stop the sweep at the ``MAX_WITNESSES``-th
-  witness.  When every ``b_0 b_j`` row is exactly ``b_j``, layer 0 is
-  skipped: each triple holding index 0 then associates.
+  an unequal block; Light's attempt then leaves only its packed rows.  The
+  table is commutative by construction, so with ``R(x, {y, z}) = b_x (b_y
+  b_z) = sum_m delta[y][z][m] b_x b_m``, ``(b_i b_j) b_l = R(l, {i, j})``
+  and ``b_i (b_j b_l) = R(i, {j, l})``.  Each R is the sum of the packed
+  rows ``packed[x][m]`` scaled by ``delta[y][z][m]``, within the bound
+  above, and the fields where two unequal sums differ are read from their
+  bytes.  On a multiset ``x <= y <= z`` the values A, B, C of R at x, y, z
+  decide every ordering: A != C fails (x, y, z) and (z, y, x), A != B (x,
+  z, y) and (y, z, x), B != C (y, x, z) and (z, x, y); with a repeated
+  index only A != C is left, and i = l associates.  That is about k^2 (k +
+  1) / 2 row sums, against 2 k^3 for ordered triples one at a time.
+  Failures wait under their first index until layer x (the multisets of
+  least index x) is done; then first index x is complete and is yielded in
+  lexicographic order, so the verifier can stop the sweep at the
+  ``MAX_WITNESSES``-th witness.  When every ``b_0 b_j`` row is exactly
+  ``b_j``, layer 0 is skipped: each triple holding index 0 then
+  associates.
 
 The sweep's cost.  A triple whose first factor lies in the left nucleus
 (the ``a`` with ``(a x) y = a (x y)`` for all x, y) always associates, so
@@ -74,12 +84,12 @@ the first layer to yield is the lowest index outside the nucleus.  A
 stopped sweep finishes the whole layer of its ``MAX_WITNESSES``-th
 witness: layer 1 on the printed B32 and its tensor products.  An input
 with fewer witnesses, or whose failures all have a high first index,
-pays the full sweep: 0.37 to 0.47 s for Z2 x B32 (k = 64) on a shared
+pays the full sweep: 0.11 to 0.22 s for Z2 x B32 (k = 64) on a shared
 2-CPU Xeon.
 
 ``force_exact`` runs the exact sweep on every input, passing or failing:
-all ``k^3`` triples when associativity holds, with no packing and no
-Light shortcut.
+all ``k^3`` triples when associativity holds, on the packed rows but with
+no Light shortcut.
 """
 
 from __future__ import annotations
@@ -441,55 +451,55 @@ def _generating_set(rows: _Rows) -> list[int]:
     return gens
 
 
-def _packed_store(constants: StructureConstants) -> tuple[list[int], int]:
-    """``T_m`` for every m, and the field width w in bytes.
+def _packed_rows(constants: StructureConstants) -> tuple[list[list[int]], int]:
+    """Every row packed into one int, and the field width w in bytes.
 
-    ``T_m`` packs the k x k matrix ``delta[m][a][n]`` into one int, field
-    ``(a, n)`` in bytes ``[(a k + n) w, (a k + n + 1) w)``.  A coefficient
-    of ``(b_x b_g) b_y`` is a sum of nonnegative terms at most (largest row
-    sum) * (largest entry), and w bytes hold that, so sums of scaled
-    ``T_m`` never carry from one field into the next."""
+    ``packed[i][j]`` holds ``delta[i][j][n]`` in its bytes ``[n w, (n + 1)
+    w)``, and ``packed[i][j] is packed[j][i]``.  Light's test and the exact
+    sweep both sum ``sum_m c_m packed[a][m]`` with ``c`` a row of the
+    table: its field n is a sum of nonnegative terms at most (largest row
+    sum) * (largest entry), and w bytes hold that, so no sum carries from
+    one field into the next."""
     k, rows = constants.k, constants.rows
     halves = [rows[i][i:] for i in range(k)]
     values = [row.values() for half in halves for row in half]
     top_entry = max(map(max, filter(None, values)), default=0)
     width = max(1, ((max(map(sum, values)) * top_entry).bit_length() + 7) // 8)
-    bits, size = 8 * width, k * width
-    blocks = [[b""] * k for _ in range(k)]
+    bits = 8 * width
+    packed = [[0] * k for _ in range(k)]
     for i, half in enumerate(halves):
         for j, row in enumerate(half, i):
-            block = sum(v << bits * n for n, v in row.items()).to_bytes(size, "little")
-            blocks[i][j] = blocks[j][i] = block
-    packed = [int.from_bytes(b"".join(row), "little") for row in blocks]
+            p = 0
+            for n, v in row.items():
+                p |= v << bits * n  # each v fits its field, so | adds
+            packed[i][j] = packed[j][i] = p
     return packed, width
 
 
-def _right_products(packed: list[int], width: int, row_g: list[dict[int, int]]) -> list[bytes]:
-    """``W_z = sum_m delta[g][z][m] T_m`` for every z, as bytes: block a of
-    ``W_z`` is ``(b_z b_g) b_a``, field n its coefficient of ``b_n``."""
-    k = len(row_g)
-    size = k * k * width
+def _right_product(store: list[int], row: dict[int, int], size: int) -> bytes:
+    """``W = sum_m row[m] T_m`` as ``size`` bytes; for ``row = rows[g][z]``
+    block a of ``W`` is ``(b_z b_g) b_a``, field n its coefficient of ``b_n``."""
     # most constants are 1, and 1 * T_m would copy T_m for nothing
-    return [
-        sum(packed[m] if v == 1 else v * packed[m] for m, v in r.items()).to_bytes(size, "little")
-        for r in row_g
-    ]
+    return sum(store[m] if v == 1 else v * store[m] for m, v in row.items()).to_bytes(size, "little")
 
 
-def _light_holds(constants: StructureConstants, gens: Sequence[int]) -> bool:
-    """Light's test on the packed store: (b_x b_g) b_y == b_x (b_g b_y) for
+def _light_holds(packed: list[list[int]], width: int, rows: _Rows, gens: Sequence[int]) -> bool:
+    """Light's test on the packed rows: (b_x b_g) b_y == b_x (b_g b_y) for
     every g in gens and all basis x, y.  False at the first unequal block."""
-    packed, width = _packed_store(constants)
-    k, rows = constants.k, constants.rows
+    k = len(rows)
     stride = k * width
+    # T_m packs the k x k matrix delta[m][a][n]: block a is the row packed[m][a]
+    store = [int.from_bytes(b"".join(p.to_bytes(stride, "little") for p in row), "little") for row in packed]
     for g in gens:
-        products = _right_products(packed, width, rows[g])
-        for x, wx in enumerate(products):
+        lower = [b""] * k  # lower[y]: the blocks below y of W_y
+        for x in range(k - 1, -1, -1):
+            wx = _right_product(store, rows[g][x], k * stride)
             lo = x * stride
-            for y in range(x + 1, k):
-                # block y of W_x is (b_x b_g) b_y, block x of W_y is b_x (b_g b_y)
-                if wx[y * stride : (y + 1) * stride] != products[y][lo : lo + stride]:
-                    return False
+            # block y of W_x is (b_x b_g) b_y, block x of W_y is b_x (b_g b_y):
+            # one comparison covers every y > x
+            if wx[lo + stride :] != b"".join(wy[lo : lo + stride] for wy in lower[x + 1 :]):
+                return False
+            lower[x] = wx[:lo]
     return True
 
 
@@ -573,9 +583,10 @@ class TableAlgebra:
         docstring says why) and the other side to list a failure's witnesses.
         Associativity has one source of witnesses, the exact sweep, stopped
         at the ``MAX_WITNESSES``-th.  When the identity check passed and
-        ``force_exact`` is off, Light's test on the packed store is tried
+        ``force_exact`` is off, Light's test on the packed rows is tried
         first; if it certifies associativity there are no witnesses and no
-        sweep.  ``force_exact`` always runs the sweep.  After a sweep,
+        sweep, and if not the sweep reuses its rows.  ``force_exact``
+        always runs the sweep.  After a sweep,
         ``associativity_evaluated`` counts the lexicographic prefix of
         triples through the ``MAX_WITNESSES``-th witness's, each of them
         decided, or k^3.  The module docstring states the sweep's worst case.
@@ -647,11 +658,14 @@ class TableAlgebra:
 
         triples = k**3
         gens: list[int] = []
+        packing = None
         if not force_exact and rep.check("identity").passed:
             gens = _generating_set(rows)
-            if gens and not _light_holds(self.constants, gens):
-                gens = []
-        witnesses = record("associativity", () if gens else self._exact_sweep())
+            if gens:
+                packing = _packed_rows(self.constants)
+                if not _light_holds(*packing, rows, gens):
+                    gens = []
+        witnesses = record("associativity", () if gens else self._exact_sweep(packing))
         rep.associativity_triples = triples
         if gens:
             rep.associativity_evaluated = len(gens) * k * k
@@ -663,42 +677,41 @@ class TableAlgebra:
         rep.generators = tuple(basis.name(g) for g in gens)
         return rep
 
-    def _exact_sweep(self) -> Iterator[tuple[int, int, int, int]]:
+    def _exact_sweep(self, packing: tuple[list[list[int]], int] | None = None) -> Iterator[tuple[int, int, int, int]]:
         """Every (i, j, l, n) with ((b_i b_j) b_l)_n != (b_i (b_j b_l))_n,
         lazily and in lexicographic order, layer by layer over the multisets
-        ``x <= y <= z`` as the module docstring derives, in Python integers
-        over rows fetched once; the caller stops it at enough witnesses."""
-        k = self.size
-        rows = [[list(r.items()) for r in row] for row in self.constants.rows]
+        ``x <= y <= z`` as the module docstring derives.  Each R is an exact
+        sum of the rows ``packing`` (``_packed_rows``, built here when None)
+        scaled by a row's dict; an unequal pair's fields are compared in its
+        bytes.  The caller stops it at enough witnesses."""
+        k, rows = self.size, self.constants.rows
+        packed, width = _packed_rows(self.constants) if packing is None else packing
+        size = k * width
         # an exact identity row makes every multiset holding 0 associate
-        start = int(all(r == [(j, 1)] for j, r in enumerate(rows[0])))
-
-        def times(row_a: list, pair: list[tuple[int, int]]) -> dict[int, int]:
-            # R(a, {b, c}) for the rows of b_a and the row ``pair`` of b_b b_c
-            out: dict[int, int] = {}
-            for m, v in pair:
-                for n, w in row_a[m]:
-                    out[n] = out.get(n, 0) + v * w
-            return out
-
+        start = int(all(r == {j: 1} for j, r in enumerate(rows[0])))
         pending: dict[int, list[tuple[int, int, int]]] = {}  # first index -> (j, l, n)
 
-        def fail(p: dict[int, int], q: dict[int, int], i: int, j: int, l: int) -> None:
-            # p != q: (i, j, l) and (l, j, i) fail at each n where they differ
-            ns = [n for n in p.keys() | q.keys() if p.get(n, 0) != q.get(n, 0)]
+        def fail(p: int, q: int, i: int, j: int, l: int) -> None:
+            # p != q: (i, j, l) and (l, j, i) fail at each field n where they differ
+            diff = (p ^ q).to_bytes(size, "little")
+            ns = {b // width for b, d in enumerate(diff) if d}
             pending.setdefault(i, []).extend((j, l, n) for n in ns)
             pending.setdefault(l, []).extend((j, i, n) for n in ns)
 
         for x in range(start, k):
-            row_x = rows[x]
+            packed_x, row_x = packed[x], rows[x]
             for y in range(x, k):
-                row_y, pair_xy = rows[y], row_x[y]
+                packed_y, row_y, pair_xy = packed[y], rows[y], row_x[y]
                 for z in range(y + (x == y), k):
-                    a, c = times(row_x, row_y[z]), times(rows[z], pair_xy)
+                    # A = R(x, {y, z}), B = R(y, {x, z}), C = R(z, {x, y}); as
+                    # in Light's test, a constant 1 costs no multiplication
+                    packed_z = packed[z]
+                    a = sum([packed_x[m] if v == 1 else v * packed_x[m] for m, v in row_y[z].items()])
+                    c = sum([packed_z[m] if v == 1 else v * packed_z[m] for m, v in pair_xy.items()])
                     if a != c:
                         fail(a, c, x, y, z)
                     if x < y < z:
-                        b = times(row_y, row_x[z])
+                        b = sum([packed_y[m] if v == 1 else v * packed_y[m] for m, v in row_x[z].items()])
                         if a != b:
                             fail(a, b, x, z, y)
                         if b != c:

@@ -815,6 +815,8 @@ class _Engine:
         def most(dm: int, deg_left: int, sq_left: Optional[int]) -> int:
             return deg_left // dm if sq_left is None else min(deg_left // dm, isqrt(sq_left))
 
+        top = degrees[-1] if degrees else 0  # the largest candidate degree
+
         def count(idx: int, deg_left: int, sq_left: Optional[int]) -> int:
             # decompositions of deg_left over candidates[idx:] that use up
             # sq_left exactly (no square budget when None), saturated at
@@ -824,17 +826,25 @@ class _Engine:
             if idx == n or deg_left < degrees[idx]:
                 return 0
             # the coefficients c left have sum(c) <= sum(c^2) <= sum(c)^2 and
-            # degrees[idx] * sum(c) <= deg_left <= degrees[-1] * sum(c)
-            if sq_left is not None and not (
-                    -(-deg_left // degrees[-1]) <= sq_left <= (deg_left // degrees[idx]) ** 2):
+            # degrees[idx] * sum(c) <= deg_left <= top * sum(c)
+            if sq_left is not None and not (-(-deg_left // top) <= sq_left <= (deg_left // degrees[idx]) ** 2):
                 return 0
             key = (ids[idx], deg_left, sq_left)
             total = counts.get(key)
             if total is None:
-                dm = degrees[idx]
+                dm, nxt = degrees[idx], idx + 1
+                # the checks above, made on each child here so that a child
+                # that ends at once or is counted already costs no call; past
+                # the last candidate only a child with no degree left counts
+                d_next, id_next = (degrees[nxt], ids[nxt]) if nxt < n else (deg_left + 1, 0)
                 total = 0
                 for c in range(most(dm, deg_left, sq_left) + 1):
-                    total += count(idx + 1, deg_left - c * dm, None if sq_left is None else sq_left - c * c)
+                    left, sq = deg_left - c * dm, None if sq_left is None else sq_left - c * c
+                    if left == 0:
+                        total += not sq
+                    elif left >= d_next and (sq is None or -(-left // top) <= sq <= (left // d_next) ** 2):
+                        known = counts.get((id_next, left, sq))
+                        total += count(nxt, left, sq) if known is None else known
                     if total > limit:
                         total = limit + 1
                         break

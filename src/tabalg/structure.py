@@ -58,16 +58,11 @@ def is_closed(algebra: TableAlgebra, members: Iterable[int]) -> bool:
     return all(s.issuperset(rows[i][j]) for i in s for j in s)
 
 
-def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> tuple[int, ...]:
-    """Smallest closed subset containing the seed, a collection of element
-    names or indices resolved through ``index_of`` (fixed-point iteration),
-    as a sorted tuple of indices."""
-    current = set(map(algebra.basis.index_of, seed))
-    if not current:
-        raise TableAlgebraError("closure of an empty seed")
-    current.add(0)
-    current |= {algebra.basis.dual(i) for i in current}
-    frontier = set(current)
+def _closed(algebra: TableAlgebra, current: set[int], frontier: set[int]) -> tuple[int, ...]:
+    """The closed subset that ``current``, which holds 0 and its duals, grows
+    into by fixed-point iteration, as a sorted tuple.  The supports of the
+    products of two members outside ``frontier`` must already lie in
+    ``current``: only products with a frontier member are taken."""
     while frontier:
         new = _support_product(algebra.constants, frontier, current) - current
         new |= {algebra.basis.dual(m) for m in new}
@@ -76,13 +71,27 @@ def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> tuple[int, ...]
     return tuple(sorted(current))
 
 
+def closure(algebra: TableAlgebra, seed: Iterable[int | str]) -> tuple[int, ...]:
+    """Smallest closed subset containing the seed, a collection of element
+    names or indices resolved through ``index_of``, as a sorted tuple of
+    indices."""
+    current = set(map(algebra.basis.index_of, seed))
+    if not current:
+        raise TableAlgebraError("closure of an empty seed")
+    current.add(0)
+    current |= {algebra.basis.dual(i) for i in current}
+    return _closed(algebra, current, set(current))
+
+
 def all_closed_subsets(algebra: TableAlgebra) -> list[tuple[int, ...]]:
     """Complete lattice of closed subsets.
 
     Every closed subset is the join of the closures of its members, so a
     worklist that joins each subset found with each distinct singleton
-    closure reaches all of them.  Sorted by size, then lexicographically by
-    member indices.  Capped at ``LATTICE_NODE_CAP`` lattice nodes.
+    closure reaches all of them.  A join of closed s and a starts from the
+    frontier ``a - s``: a product inside s or inside a already lies in it.
+    Sorted by size, then lexicographically by member indices.  Capped at
+    ``LATTICE_NODE_CAP`` lattice nodes.
     """
     found: dict[frozenset[int], tuple[int, ...]] = {}
     worklist: list[frozenset[int]] = []
@@ -103,7 +112,7 @@ def all_closed_subsets(algebra: TableAlgebra) -> list[tuple[int, ...]]:
         s = worklist.pop()
         for atom in atoms:
             if not atom <= s:
-                add(closure(algebra, s | atom))
+                add(_closed(algebra, set(s | atom), atom - s))
     return sorted(found.values(), key=lambda s: (len(s), s))
 
 

@@ -274,7 +274,7 @@ class TestVerify:
 
     def test_exact_sweep_agrees_with_vectorized(self, C7, D17, B22, B32):
         # whole reports, on passing and failing inputs, including k = 42
-        # and 66: Light's test on the packed store certifies exactly when
+        # and 66: Light's test on the packed rows certifies exactly when
         # the exact sweep finds no witness
         cases = [C7, D17, B22, B32, load("S3"), class_algebra(cyclic(66)), corpus.tensor2(C7, load("Z6")), perturbed_b32(B32)]
         cases += [b32_as_printed(fixed, printed) for fixed, printed in corpus.B32_AS_PRINTED]
@@ -310,6 +310,10 @@ class TestVerify:
         # diagonal pairs and identity rows: repeated indices and layer 0
         cases += [with_entry(C7, (2, 2), 4, 1), with_entry(D17, (5, 5), 0, 2),
                   with_entry(C7, (0, 3), 5, 1), with_entry(C7, (0, 3), 3, 0)]
+        # one more b_4 in the last diagonal row of C7 (x) Z6 (k = 42): fewer
+        # than 20 witnesses below layer 7 and half of its 520 in layer 41, so
+        # the sweep is compared through every layer of a tensor product
+        cases.append(with_entry(corpus.tensor2(C7, load("Z6")), (41, 41), 4, 2))
         counts, shapes = [], set()
         for A in cases:
             swept = list(A._exact_sweep())
@@ -321,6 +325,7 @@ class TestVerify:
                 shapes.update(s for s, hit in (("xxz", i == j < l), ("zxx", j == l < i), ("xyy", i < j == l),
                                                ("yyx", l < i == j), ("0", i == 0)) if hit)
         assert counts[:3] == [3004, 2904, 7232]
+        assert counts[-1] == 520
         assert shapes == {"xxz", "zxx", "xyy", "yyx", "0"}
 
     def test_identity_witnesses_are_distinct_and_ordered(self, C7):
@@ -633,10 +638,10 @@ class TestLightCertificate:
 
     def test_broken_identity_row_goes_straight_to_the_sweep(self, C7, monkeypatch):
         # without the identity Light's lemma does not apply: no generating
-        # set is sought and no packed store is built
+        # set is sought and Light's test does not run
         A = with_entry(C7, (0, 1), 2, 1)
         monkeypatch.setattr(core, "_generating_set", refuse)
-        monkeypatch.setattr(core, "_packed_store", refuse)
+        monkeypatch.setattr(core, "_light_holds", refuse)
         report = A.verify_axioms()
         assert not report.check("identity").passed
         assert report.check("identity").witnesses == ((0, 1, 2),)
@@ -652,8 +657,9 @@ class TestLightCertificate:
             A = with_entry(C7, (1, 2), 3, value)
             rows = list(rows_of(A).values())
             top = max(sum(r.values()) for r in rows) * max(max(r.values()) for r in rows if r)
-            _, width = core._packed_store(A.constants)
+            _, width = core._packed_rows(A.constants)
             assert 256**width > top
+            assert list(A._exact_sweep()) == list(lex_sweep(A)), value
             report = A.verify_axioms()
             assert not report.ok
             witnesses = report.check("associativity").witnesses
@@ -661,6 +667,23 @@ class TestLightCertificate:
             assert report.generators == ()
             assert report_key(report) == report_key(A.verify_axioms(force_exact=True)), value
             assert_matches_dense(A, report)
+
+    def test_each_run_packs_the_rows_once(self, C7, B32, monkeypatch):
+        # passing, Light failing, identity failing, and force_exact: the
+        # sweep after a failed Light attempt reuses the rows it packed
+        calls = []
+
+        def packed_rows(constants):
+            calls.append(constants)
+            return pack(constants)
+
+        pack = core._packed_rows
+        monkeypatch.setattr(core, "_packed_rows", packed_rows)
+        cases = [(B32, False), (perturbed_b32(B32), False), (with_entry(C7, (0, 1), 2, 1), False), (C7, True)]
+        for A, force_exact in cases:
+            calls.clear()
+            A.verify_axioms(force_exact=force_exact)
+            assert calls == [A.constants], A.name
 
     def test_evaluated_is_not_part_of_equality(self, B32):
         fast, exact = B32.verify_axioms(), B32.verify_axioms(force_exact=True)
